@@ -112,8 +112,12 @@ def _check_same_base(a: Bundle, b: Bundle):
 
 def _holder_magnitudes(g: np.ndarray, weights: np.ndarray, t: float) -> np.ndarray:
     """Magnitude profile c >= 0 maximizing sum(w c g) under sum(w c^t) = 1."""
-    if not np.any(g > 0.0):
+    top = float(np.max(g, initial=0.0))
+    if top <= 0.0:
         return np.zeros_like(g)
+    # the profile is invariant under positive scaling of g: rescale first so
+    # powers of subnormal entries cannot underflow to 0/0
+    g = g / top
     tt = t / (t - 1.0)  # conjugate of the constraint exponent
     c = g ** (tt - 1.0)
     scale = float(np.sum(weights * g**tt)) ** (1.0 / t)

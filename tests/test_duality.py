@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bundlelab.bundles import (
@@ -246,6 +246,10 @@ class TestBidual:
     oc=st.lists(st.floats(-3, 3, allow_nan=False), min_size=6, max_size=6),
     p=st.sampled_from([1.5, 2, 3]),
 )
+# subnormal covectors: the fiber maximizer's norm underflowed to zero, and
+# the Holder magnitudes to 0/0
+@example(vc=[0.0] * 6, oc=[0.0, 0.0, 0.0, 0.0, 0.0, 8.98e-291], p=1.5)
+@example(vc=[0.0] * 6, oc=[0.0, 0.0, 0.0, 0.0, 0.0, 1.67e-176], p=1.5)
 def test_holder_inequality_property(vc, oc, p):
     b = wlp3_bundle()
     v = Section(b, [vc[0:2], vc[2:4], vc[4:6]])

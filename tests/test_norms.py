@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from bundlelab.norms import (
     InnerProductNorm,
@@ -150,6 +151,35 @@ class TestPolyhedral:
         spec = PolyhedralMaxNorm([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert spec.dual_norm([1.0, 1.0]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_linear_maximizer_matches_lp_oracle(self, dim):
+        """The polar-vertex maximizer against max <c, v> s.t. |A v| <= 1."""
+        rng = np.random.default_rng(30 + dim)
+        cube = np.eye(dim)
+        cases = [
+            # c parallel to a facet normal: a whole facet of the cube ties
+            (cube, cube[0]),
+            (cube, 2.5 * cube[dim - 1]),
+            (cube, np.ones(dim)),
+        ]
+        A = rng.standard_normal((dim + 3, dim))
+        cases += [(A, A[0]), (A, -0.3 * A[1])]
+        cases += [(A, rng.standard_normal(dim)) for _ in range(4)]
+        for functionals, c in cases:
+            spec = PolyhedralMaxNorm(functionals)
+            res = linprog(
+                -c,
+                A_ub=np.vstack([functionals, -functionals]),
+                b_ub=np.ones(2 * functionals.shape[0]),
+                bounds=[(None, None)] * dim,
+                method="highs",
+            )
+            assert res.status == 0
+            value, witness = spec.linear_maximizer(c)
+            assert value == pytest.approx(-res.fun, abs=1e-9)
+            assert float(c @ witness) == pytest.approx(value, abs=1e-9)
+            assert spec.norm(witness) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestPolytopeGauge:
     def scaled_cross(self):
@@ -165,12 +195,14 @@ class TestPolytopeGauge:
         assert g.dual_norm([2.0, 1.0]) == pytest.approx(3.0, abs=1e-9)
 
     def test_lp_route_matches_facet_route(self):
-        g = self.scaled_cross()
-        rng = np.random.default_rng(2)
-        V = rng.standard_normal((40, 2))
-        batch = g.norm_batch(V)  # facet form
-        for v, n in zip(V, batch):
-            assert g.norm(v) == pytest.approx(n, abs=1e-9)  # LP form
+        half = np.array([[1.0, 0.2, 0.0], [0.0, 1.3, -0.4],
+                         [0.3, 0.1, 0.9], [0.7, -0.6, 0.5]])
+        for g in (self.scaled_cross(), PolytopeGaugeNorm(np.vstack([half, -half]))):
+            rng = np.random.default_rng(2)
+            V = rng.standard_normal((40, g.dimension))
+            for v in V:
+                # facet form against the defining linear program
+                assert g.norm(v) == pytest.approx(g._norm_lp(v), abs=1e-9)
 
     def test_asymmetric_vertices_rejected(self):
         with pytest.raises(ValueError):

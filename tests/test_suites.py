@@ -1,10 +1,15 @@
 """Theorem suites: report plumbing, tag coverage, and small smoke runs."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bundlelab
 from bundlelab.generators import InstanceRecipe
 from bundlelab.suites import (
     CheckRow,
@@ -120,6 +125,26 @@ def test_run_suites_dispatch_and_determinism():
         assert ra.instance == rb.instance and ra.verdict == rb.verdict
         for ca, cb in zip(ra.checks, rb.checks):
             assert ca.residual == cb.residual  # bit-for-bit replay
+
+
+def test_duality_suite_bytes_do_not_depend_on_hash_seed():
+    """String hashing is salted per process; the suite's CSV must not be."""
+    script = (
+        "import sys\n"
+        "from bundlelab.reportio import suite_reports_table\n"
+        "from bundlelab.suites import default_recipe, suite_duality\n"
+        "sys.stdout.write(suite_reports_table(suite_duality(), "
+        "default_recipe('duality').seed))\n"
+    )
+    src = str(Path(bundlelab.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, check=True, timeout=300)
+        outputs.append(run.stdout)
+    assert outputs[0].count(b"\n") > 1
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_report_fields_round_trip_into_dataclass():
