@@ -338,26 +338,31 @@ def section_norm_fn(bundle: Bundle, p):
     Returns ``(norm_batch, total_dim, lift, unlift)`` where ``lift`` maps a
     Section to a flat vector and ``unlift`` inverts it.  Zero-dimensional
     fibers contribute no coordinates.
+
+    ``norm_batch`` keeps the fiber norms as an ``(atoms, m)`` array and
+    reduces over axis 0, across contiguous rows, never along a short last
+    axis (see ``bundlelab.norms``).  With 8 or more atoms the p-sum adds
+    sequentially rather than by numpy's pairwise unrolling, so its last bits
+    can differ from a row-major sum.
     """
     p = as_exponent(p)
     dims = bundle.dimensions
     offsets = np.concatenate([[0], np.cumsum(dims)])
     total = int(offsets[-1])
-    weights = bundle.space.weights
+    weights = bundle.space.weights[:, None]
     fibers = bundle.fibers
 
     def norm_batch(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        per_atom = np.zeros((X.shape[0], len(fibers)))
+        per_atom = np.zeros((len(fibers), X.shape[0]))
         for x, f in enumerate(fibers):
             if f.dimension == 0:
                 continue
-            block = X[:, offsets[x] : offsets[x + 1]]
-            per_atom[:, x] = f.norm.norm_batch(block)
+            per_atom[x] = f.norm.norm_batch(X[:, offsets[x] : offsets[x + 1]])
         if p == math.inf:
-            return per_atom.max(axis=1) if len(fibers) else np.zeros(X.shape[0])
+            return per_atom.max(axis=0) if len(fibers) else np.zeros(X.shape[0])
         pf = float(p)
-        return np.sum(weights * per_atom**pf, axis=1) ** (1.0 / pf)
+        return np.sum(weights * per_atom**pf, axis=0) ** (1.0 / pf)
 
     def lift(section: Section) -> np.ndarray:
         return (

@@ -20,6 +20,7 @@ with the fixed-order reduction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,6 +63,24 @@ class SearchBudget:
     init_step: float = 0.25
     min_step: float = 1e-7
     penalty: float = 4.0
+
+    def __post_init__(self):
+        for name, least in (("restarts", 1), ("iterations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"budget {name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"budget {name} must be at least {least}, got {value}")
+        for name in ("init_step", "min_step", "penalty"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"budget {name} must be a number, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"budget {name} must be finite and positive, got {value}")
+        if self.min_step > self.init_step:
+            raise ValueError(
+                f"budget min_step {self.min_step} exceeds init_step {self.init_step}"
+            )
 
     def key(self):
         return (

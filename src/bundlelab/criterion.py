@@ -171,6 +171,8 @@ def restriction_additivity_check(
     ``| N(1_E v)^p + N(1_{X\\E} v)^p - N(v)^p |`` is evaluated; subsets are
     fully enumerated up to ``cap`` atoms and sampled deterministically
     beyond.  Probes are normalized so the 1e-9 verdict line is scale-free.
+    A failing check names the probe and subset of the largest residual; a
+    passing one names none (probe -1, empty subset).
     """
     p = as_exponent(p)
     if p == math.inf:
@@ -202,6 +204,9 @@ def restriction_additivity_check(
                 max_res = res
                 wit_probe = k
                 wit_subset = tuple(atoms[mask])
+    if max_res <= ADDITIVITY_TOL:
+        # the argmax among roundoff-level residuals is noise
+        wit_probe, wit_subset = -1, ()
     return AdditivityReport(
         norm.name,
         pf,

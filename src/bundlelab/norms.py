@@ -20,6 +20,13 @@ its hull, and the polyhedral maximizer is the best-scoring row of its
 dual gauge's ``F``.  The gauge's defining linear program
 (``PolytopeGaugeNorm._norm_lp``) is kept only as the construction
 cross-check of the facet form and as a test oracle.
+
+Batched kernels are coordinate-major: ``norm_batch`` takes rows of shape
+``(..., d)`` but works on the ``(d, m)`` transpose and reduces over axis 0,
+so every reduction runs across contiguous rows and never along a short last
+axis, which numpy handles slowly.  Reductions over fewer than 8 coordinates
+give the same bits either way; sums over 8 or more now add sequentially
+instead of by numpy's pairwise unrolling, so their last bits can differ.
 """
 
 from __future__ import annotations
@@ -46,11 +53,28 @@ __all__ = [
 #: agreement demanded between the gauge's facet form and its defining LP
 GAUGE_SOLVER_TOL = 1e-10
 
+#: smallest positive normal double; a norm below it has lost precision
+_TINY = float(np.finfo(float).tiny)
+
 
 def _sign_nonzero(x: np.ndarray) -> np.ndarray:
     s = np.sign(x)
     s[s == 0.0] = 1.0
     return s
+
+
+def _columns(V) -> tuple[np.ndarray, tuple]:
+    """A batch of rows, shape ``(..., d)``, as its ``(d, m)`` transpose.
+
+    Also returns the batch shape ``(...)`` for ``_unbatch``.
+    """
+    V = np.asarray(V, dtype=float)
+    return V.reshape(-1, V.shape[-1]).T, V.shape[:-1]
+
+
+def _unbatch(values: np.ndarray, shape: tuple):
+    # [()] turns the 0-d result of a single vector into a scalar
+    return values.reshape(shape)[()]
 
 
 def _as_matrix(values, name) -> np.ndarray:
@@ -97,7 +121,13 @@ class NormSpec:
     def unit(self, v) -> np.ndarray:
         """Projection of a nonzero vector onto the unit sphere."""
         arr = self._check_vec(v)
-        n = self.norm(arr)
+        with np.errstate(over="ignore", under="ignore"):
+            n = self.norm(arr)
+        if not _TINY <= n < math.inf and np.any(arr) and np.all(np.isfinite(arr)):
+            # the norm under- or overflowed; it is positively homogeneous,
+            # so normalize the max-abs entry to 1 first
+            arr = arr / np.max(np.abs(arr))
+            n = self.norm(arr)
         if n <= 0.0:
             raise ValueError("cannot normalize the zero vector")
         u = arr / n
@@ -218,7 +248,10 @@ class InnerProductNorm(NormSpec):
             e[0] = 1.0
             return 0.0, self.unit(e)
         x = np.linalg.solve(self.gram, c)
-        value = math.sqrt(max(float(c @ x), 0.0))
+        if not _TINY <= np.max(np.abs(x)) < math.inf:
+            # the solve under- or overflowed; the witness is positively
+            # homogeneous in c, so solve for c scaled to max-abs 1
+            x = np.linalg.solve(self.gram, c / np.max(np.abs(c)))
         witness = self.unit(x)
         return float(c @ witness), witness
 
@@ -256,11 +289,14 @@ class WeightedLpNorm(NormSpec):
         return float(np.sum(self.weights * np.abs(v) ** rf, axis=-1) ** (1.0 / rf))
 
     def norm_batch(self, V) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
+        VT, shape = _columns(V)
+        # a C-ordered copy: numpy would keep VT's row-major memory layout
+        A = np.abs(VT, order="C")
+        w = self.weights[:, None]
         if self._r_is_inf:
-            return np.max(self.weights * np.abs(V), axis=-1)
+            return _unbatch(np.max(w * A, axis=0), shape)
         rf = self._rf
-        return np.sum(self.weights * np.abs(V) ** rf, axis=-1) ** (1.0 / rf)
+        return _unbatch(np.sum(w * A**rf, axis=0) ** (1.0 / rf), shape)
 
     def _make_dual(self) -> "WeightedLpNorm":
         if self.r == math.inf:
@@ -319,8 +355,8 @@ class PolyhedralMaxNorm(NormSpec):
         return float(np.max(np.abs(self.functionals @ v)))
 
     def norm_batch(self, V) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
-        return np.max(np.abs(V @ self.functionals.T), axis=-1)
+        VT, shape = _columns(V)
+        return _unbatch(np.max(np.abs(self.functionals @ VT), axis=0), shape)
 
     def _make_dual(self) -> "PolytopeGaugeNorm":
         return PolytopeGaugeNorm(np.vstack([self.functionals, -self.functionals]))
@@ -414,9 +450,8 @@ class PolytopeGaugeNorm(NormSpec):
         return float(np.max(self._facets @ v))
 
     def norm_batch(self, V) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
-        vals = V @ self._facets.T
-        return np.max(vals, axis=-1)
+        VT, shape = _columns(V)
+        return _unbatch(np.max(self._facets @ VT, axis=0), shape)
 
     def _make_dual(self) -> "PolyhedralMaxNorm":
         return PolyhedralMaxNorm(self.vertices)

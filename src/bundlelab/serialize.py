@@ -200,7 +200,7 @@ def budget_from_config(cfg: dict | None) -> SearchBudget:
         raise ConfigError(f"budget config has unknown fields: {sorted(unknown)}")
     try:
         return SearchBudget(**cfg)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"budget config invalid: {exc}") from None
 
 

@@ -24,10 +24,16 @@ from bundlelab.bundles import (
     restrict_section,
     section_lp_norm,
     section_modulus_curve,
+    section_norm_fn,
 )
 from bundlelab.convexity import SearchBudget
 from bundlelab.measure import MeasureSpace, ScalarField
-from bundlelab.norms import InnerProductNorm, WeightedLpNorm
+from bundlelab.norms import (
+    InnerProductNorm,
+    PolyhedralMaxNorm,
+    PolytopeGaugeNorm,
+    WeightedLpNorm,
+)
 
 FAST = SearchBudget(restarts=8, iterations=60)
 
@@ -169,6 +175,36 @@ class TestSectionNorm:
         b = two_atom_euclid()
         v = Section(b, [[3.0, 4.0], [5.0, 12.0]])
         assert section_lp_norm(v, math.inf) == pytest.approx(13.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, math.inf])
+def test_section_norm_fn_matches_per_row_formula(p):
+    """(sum_x w_x N_x(v_x)^p)^(1/p), or max_x N_x(v_x), row by row."""
+    space = MeasureSpace(["a", "b", "c", "d", "e"], [1.0, 2.0, 0.5, 1.5, 0.7])
+    square = [[1.0, 0.5], [-0.3, 1.0], [-1.0, -0.5], [0.3, -1.0]]
+    b = Bundle(
+        space,
+        [
+            Fiber(2, InnerProductNorm([[2.0, 0.3], [0.3, 1.0]])),
+            Fiber(0),
+            Fiber(3, WeightedLpNorm(3, [1.0, 0.5, 2.0])),
+            Fiber(2, PolyhedralMaxNorm([[1.0, 0.0], [0.4, 1.0], [1.0, -1.0]])),
+            Fiber(2, PolytopeGaugeNorm(square)),
+        ],
+    )
+    norm_batch, total, _, unlift = section_norm_fn(b, p)
+    X = np.random.default_rng(4).standard_normal((31, total))
+    live = [x for x, f in enumerate(b.fibers) if f.dimension]
+    want = []
+    for row in X:
+        v = unlift(row)
+        n = {x: b.fibers[x].norm.norm(v.vectors[x]) for x in live}
+        if p == math.inf:
+            want.append(max(n.values()))
+        else:
+            want.append(sum(space.weights[x] * n[x] ** p for x in live) ** (1 / p))
+    assert np.allclose(norm_batch(X), want, rtol=1e-12, atol=0.0)
+    assert norm_batch(X[3]) == pytest.approx([want[3]], rel=1e-12)
 
 
 class TestModuleAction:

@@ -155,6 +155,35 @@ def test_grid_oracle_requires_dimension_two():
         modulus_grid_estimate_2d(InnerProductNorm(np.eye(3)))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"restarts": 0},
+        {"restarts": -3, "iterations": 0, "min_step": -1},
+        {"iterations": 0},
+        {"seed": -1},
+        {"restarts": True},
+        {"iterations": 10.0},
+        {"seed": "0"},
+        {"init_step": 0.0},
+        {"min_step": -1e-7},
+        {"penalty": math.inf},
+        {"init_step": math.nan},
+        {"penalty": False},
+        {"init_step": 1e-8},  # below the default min_step
+    ],
+)
+def test_search_budget_rejects_invalid_fields(fields):
+    with pytest.raises((TypeError, ValueError)):
+        SearchBudget(**fields)
+
+
+def test_search_budget_accepts_boundary_values():
+    b = SearchBudget(restarts=1, iterations=1, seed=0, init_step=0.5, min_step=0.5, penalty=1)
+    assert b.key() == (1, 1, 0, 0.5, 0.5, 1)
+    assert SearchBudget(restarts=np.int64(3)).restarts == 3
+
+
 class TestParallelogramDefect:
     def test_inner_product_defect_vanishes(self):
         defect, (v, w) = parallelogram_defect(InnerProductNorm([[2.0, 0.3], [0.3, 1.0]]))

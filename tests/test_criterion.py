@@ -86,6 +86,13 @@ class TestRestrictionAdditivity:
             assert rep.max_residual <= 1e-12
             assert rep.enumeration == "full"
 
+    def test_passing_check_names_no_witness(self):
+        b = plane_bundle()
+        rep = restriction_additivity_check(induced_norm(b, 2), 2, probes=6, seed=1)
+        assert rep.passed and rep.max_residual > 0.0
+        assert rep.witness_probe == -1
+        assert rep.witness_subset == ()
+
     def test_sup_norm_residual_is_exactly_one(self):
         # two unit atoms: restricting to either one leaves sup norm 1, so the
         # split reads 1 + 1 - 1 on the unit-normalized probe

@@ -213,6 +213,82 @@ class TestPolytopeGauge:
             PolytopeGaugeNorm([[1.0, 0.0], [-1.0, 0.0]])
 
 
+def one_norm_of_each_kind(dim, r=1.5):
+    """A norm of every kind on R^dim, coefficients from a fixed seed."""
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    rows = rng.standard_normal((dim + 2, dim))
+    return [
+        InnerProductNorm(a @ a.T + 0.5 * np.eye(dim)),
+        WeightedLpNorm(r, rng.uniform(0.5, 2.0, dim)),
+        PolyhedralMaxNorm(rows),
+        PolytopeGaugeNorm(np.vstack([rows, -rows])),
+    ]
+
+
+def row_major_norm_batch(spec, V):
+    """The row-major formulas, reducing along the last axis."""
+    V = np.asarray(V, dtype=float)
+    if isinstance(spec, InnerProductNorm):
+        Y = V @ spec._chol
+        return np.sqrt(np.maximum(np.einsum("...i,...i->...", Y, Y), 0.0))
+    if isinstance(spec, WeightedLpNorm):
+        if spec.r == math.inf:
+            return np.max(spec.weights * np.abs(V), axis=-1)
+        rf = float(spec.r)
+        return np.sum(spec.weights * np.abs(V) ** rf, axis=-1) ** (1.0 / rf)
+    if isinstance(spec, PolyhedralMaxNorm):
+        return np.max(np.abs(V @ spec.functionals.T), axis=-1)
+    return np.max(V @ spec._facets.T, axis=-1)
+
+
+@pytest.mark.parametrize("r", [1, 1.5, 2, 3, math.inf])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 9])
+def test_norm_batch_matches_row_major_formula(dim, r):
+    rng = np.random.default_rng(10 * dim)
+    wide = rng.standard_normal((23, dim + 3))
+    inputs = [
+        rng.standard_normal((17, dim)),
+        rng.standard_normal(dim),
+        np.zeros((0, dim)),
+        rng.standard_normal((2, 5, dim)),
+        wide[:, 1 : 1 + dim],  # a column slice, as the section closure passes
+    ]
+    for spec in one_norm_of_each_kind(dim, r):
+        for V in inputs:
+            got = spec.norm_batch(V)
+            want = row_major_norm_batch(spec, V)
+            assert np.shape(got) == np.shape(want)
+            if dim < 8:
+                assert np.array_equal(got, want), (spec.kind, np.shape(V))
+            else:
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (spec.kind, np.shape(V))
+
+
+def extreme_magnitude_kinds():
+    return all_kinds_2d() + [
+        InnerProductNorm(np.eye(2)),
+        InnerProductNorm(np.diag([1.0, 1e-10])),  # the solve for c overflows at 1e300
+        WeightedLpNorm(2, [1.0, 3.0]),
+    ]
+
+
+@pytest.mark.parametrize("magnitude", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+@pytest.mark.parametrize("spec", extreme_magnitude_kinds(), ids=lambda s: s.digest())
+def test_unit_and_maximizer_at_extreme_magnitudes(spec, magnitude):
+    for direction in ([1.0, 0.0], [1.0, 1.0], [0.3, -0.7]):
+        v = magnitude * np.array(direction)
+        u = spec.unit(v)
+        assert np.all(np.isfinite(u))
+        assert spec.norm(u) == pytest.approx(1.0, abs=1e-9)
+        # a positive multiple of the input
+        assert np.allclose(u / np.max(np.abs(u)), v / np.max(np.abs(v)), rtol=1e-12, atol=0.0)
+        value, witness = spec.linear_maximizer(v)
+        assert np.all(np.isfinite(witness))
+        assert spec.norm(witness) == pytest.approx(1.0, abs=1e-9)
+        assert value == pytest.approx(float(v @ witness), rel=1e-12)
+
+
 class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown norm kind"):

@@ -131,6 +131,12 @@ def test_budget_config_errors():
         budget_from_config({"restart": 5})
     with pytest.raises(ConfigError, match="must be a mapping"):
         budget_from_config([1, 2])
+    with pytest.raises(ConfigError, match="restarts must be at least 1"):
+        budget_from_config({"restarts": 0})
+    with pytest.raises(ConfigError, match="min_step"):
+        budget_from_config({"init_step": 0.1, "min_step": 0.5})
+    with pytest.raises(ConfigError, match="must be an integer"):
+        budget_from_config({"iterations": 2.5})
 
 
 def test_triple_from_config():
