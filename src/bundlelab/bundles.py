@@ -19,9 +19,16 @@ from .convexity import (
     DEFAULT_EPS_GRID,
     DEFECT_BUDGET,
     ModulusCurve,
+    Search,
     SearchBudget,
-    modulus_curve,
+    SearchGroup,
+    check_eps_grid,
+    curve_from_search,
+    modulus_curve_for_fn,
+    modulus_curves,
+    pair_search,
     parallelogram_defect,
+    structured_pairs_for_fn,
 )
 from .measure import MeasureSpace, ScalarField, as_exponent, lp_norm
 from .norms import NormSpec
@@ -36,11 +43,13 @@ __all__ = [
     "restrict_section",
     "bochner_integral",
     "fiber_modulus_curve",
+    "fiber_modulus_curves",
     "pointwise_modulus",
     "classify_bundle",
     "BundleClassification",
     "section_norm_fn",
     "section_modulus_curve",
+    "section_modulus_curves",
     "parallelogram_residual",
 ]
 
@@ -253,16 +262,30 @@ def bochner_integral(section: Section, subset: Iterable | None = None) -> np.nda
 _CURVE_CACHE: dict = {}
 
 
+def fiber_modulus_curves(
+    specs: Sequence[NormSpec], eps_grid=None, budget: SearchBudget | None = None
+) -> list:
+    """Memoized modulus curves of several norm kinds (pure, so caching is
+    safe); the kinds missing from the cache are searched together, one
+    kernel call per dimension."""
+    eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
+    budget = budget or DEFAULT_BUDGET
+    keys = [(spec.digest(), eps.tobytes(), budget.key()) for spec in specs]
+    missing = {}
+    for key, spec in zip(keys, specs):
+        if key not in _CURVE_CACHE:
+            missing.setdefault(key, spec)
+    if missing:
+        curves = modulus_curves(list(missing.values()), eps, budget)
+        _CURVE_CACHE.update(zip(missing, curves))
+    return [_CURVE_CACHE[key] for key in keys]
+
+
 def fiber_modulus_curve(
     spec: NormSpec, eps_grid=None, budget: SearchBudget | None = None
 ) -> ModulusCurve:
-    """Memoized modulus curve of one norm kind (pure, so caching is safe)."""
-    eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
-    budget = budget or DEFAULT_BUDGET
-    key = (spec.digest(), eps.tobytes(), budget.key())
-    if key not in _CURVE_CACHE:
-        _CURVE_CACHE[key] = modulus_curve(spec, eps, budget)
-    return _CURVE_CACHE[key]
+    """Memoized modulus curve of one norm kind."""
+    return fiber_modulus_curves([spec], eps_grid, budget)[0]
 
 
 def pointwise_modulus(bundle: Bundle, eps: float, budget: SearchBudget | None = None) -> ScalarField:
@@ -332,37 +355,81 @@ def classify_bundle(
 # -- section-space norm as a search objective --------------------------------
 
 
+def _section_norms(bundle: Bundle, exponents):
+    """Section-space norms of one bundle at several exponents, as a
+    ``SearchGroup`` evaluator: ``evaluate(X, counts)`` takes the first
+    ``counts[0]`` rows of ``X`` at ``exponents[0]``, the next ``counts[1]``
+    at ``exponents[1]``, and so on.
+
+    Each distinct fiber norm is evaluated once for all rows and all atoms
+    that carry it; the fiber norms are kept as an ``(atoms, m)`` array and
+    each exponent's rows are reduced over axis 0, across contiguous rows,
+    never along a short last axis (see ``bundlelab.norms``).  With 8 or more
+    atoms the p-sum adds sequentially rather than by numpy's pairwise
+    unrolling, so its last bits can differ from a row-major sum.
+    """
+    # None stands for p = inf
+    powers = [None if p == math.inf else float(p) for p in map(as_exponent, exponents)]
+    offsets = np.concatenate([[0], np.cumsum(bundle.dimensions)])
+    weights = bundle.space.weights[:, None]
+    n_atoms = bundle.space.atom_count
+    by_spec: dict = {}
+    for x, f in enumerate(bundle.fibers):
+        if f.dimension > 0:
+            by_spec.setdefault(f.norm.digest(), (f.norm, []))[1].append(x)
+    # the flat coordinates of every atom of one spec: a slice for a single
+    # atom, else an index array of shape (atoms, dim)
+    blocks = [
+        (spec, atoms, slice(offsets[atoms[0]], offsets[atoms[0] + 1]) if len(atoms) == 1
+         else offsets[atoms][:, None] + np.arange(spec.dimension))
+        for spec, atoms in by_spec.values()
+    ]
+
+    def evaluate(X: np.ndarray, counts) -> np.ndarray:
+        per_atom = np.zeros((n_atoms, len(X)))
+        for spec, atoms, cols in blocks:
+            if isinstance(cols, slice):
+                per_atom[atoms[0]] = spec.norm_batch(X[:, cols])
+            else:
+                per_atom[atoms] = spec.norm_batch(X[:, cols].transpose(1, 0, 2))
+        out = np.empty(len(X))
+        start = 0
+        for pf, count in zip(powers, counts):
+            seg = per_atom[:, start : start + count]
+            if pf is None:
+                out[start : start + count] = seg.max(axis=0) if n_atoms else 0.0
+            else:
+                out[start : start + count] = np.sum(weights * seg**pf, axis=0) ** (1.0 / pf)
+            start += count
+        return out
+
+    return evaluate
+
+
+def _exponent_norm(evaluate, j: int, n: int):
+    """The batched norm of the ``j``-th of ``n`` exponents of a
+    ``_section_norms`` evaluator."""
+
+    def norm_batch(X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        counts = [0] * n
+        counts[j] = len(X)
+        return evaluate(X, counts)
+
+    return norm_batch
+
+
 def section_norm_fn(bundle: Bundle, p):
     """Batched evaluator of the section-space norm on flattened coordinates.
 
     Returns ``(norm_batch, total_dim, lift, unlift)`` where ``lift`` maps a
     Section to a flat vector and ``unlift`` inverts it.  Zero-dimensional
-    fibers contribute no coordinates.
-
-    ``norm_batch`` keeps the fiber norms as an ``(atoms, m)`` array and
-    reduces over axis 0, across contiguous rows, never along a short last
-    axis (see ``bundlelab.norms``).  With 8 or more atoms the p-sum adds
-    sequentially rather than by numpy's pairwise unrolling, so its last bits
-    can differ from a row-major sum.
+    fibers contribute no coordinates.  ``norm_batch`` is the one-exponent
+    case of the evaluator the section modulus searches use.
     """
-    p = as_exponent(p)
-    dims = bundle.dimensions
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+    norm_batch = _exponent_norm(_section_norms(bundle, [p]), 0, 1)
+    offsets = np.concatenate([[0], np.cumsum(bundle.dimensions)])
     total = int(offsets[-1])
-    weights = bundle.space.weights[:, None]
-    fibers = bundle.fibers
-
-    def norm_batch(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        per_atom = np.zeros((len(fibers), X.shape[0]))
-        for x, f in enumerate(fibers):
-            if f.dimension == 0:
-                continue
-            per_atom[x] = f.norm.norm_batch(X[:, offsets[x] : offsets[x + 1]])
-        if p == math.inf:
-            return per_atom.max(axis=0) if len(fibers) else np.zeros(X.shape[0])
-        pf = float(p)
-        return np.sum(weights * per_atom**pf, axis=0) ** (1.0 / pf)
 
     def lift(section: Section) -> np.ndarray:
         return (
@@ -372,10 +439,77 @@ def section_norm_fn(bundle: Bundle, p):
     def unlift(flat: np.ndarray) -> Section:
         return Section(
             bundle,
-            [flat[offsets[x] : offsets[x + 1]] for x in range(len(fibers))],
+            [flat[offsets[x] : offsets[x + 1]] for x in range(len(bundle.fibers))],
         )
 
     return norm_batch, total, lift, unlift
+
+
+def section_modulus_curves(
+    bundles: Sequence[Bundle],
+    exponents,
+    eps_grid=None,
+    budget: SearchBudget | None = None,
+    fiber_budget: SearchBudget | None = None,
+) -> list:
+    """Modulus curves of the section spaces of several bundles, one list of
+    curves (one per exponent) per bundle.
+
+    The fiber curves are searched first, one kernel call per fiber
+    dimension, then every (bundle, exponent) search in one call per total
+    dimension, where each bundle's exponents share its fiber norm
+    evaluations.  Each curve equals the one ``section_modulus_curve`` gives
+    for its bundle and exponent alone.
+    """
+    eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
+    budget = budget or DEFAULT_BUDGET
+    if any(b.total_dimension == 0 for b in bundles):
+        raise ValueError("modulus of a degenerate bundle's section space is undefined")
+    exponents = [as_exponent(p) for p in exponents]
+    specs = [f.norm for b in bundles for f in b.fibers if f.dimension > 0]
+    fiber_curves = iter(fiber_modulus_curves(specs, eps, fiber_budget or budget))
+    out = [[None] * len(exponents) for _ in bundles]
+    by_total: dict = {}
+    for i, bundle in enumerate(bundles):
+        total = bundle.total_dimension
+        offsets = np.concatenate([[0], np.cumsum(bundle.dimensions)])
+        witness_lifts = [
+            (x, next(fiber_curves).witnesses)
+            for x, f in enumerate(bundle.fibers) if f.dimension > 0
+        ]
+        evaluate = _section_norms(bundle, exponents)
+        searches = []
+        for j, p in enumerate(exponents):
+            norm_batch = _exponent_norm(evaluate, j, len(exponents))
+            meta = {"section_space": True, "p": float(p) if p != math.inf else "inf"}
+            if total == 1:
+                out[i][j] = modulus_curve_for_fn(norm_batch, 1, eps, budget, meta=meta)
+                continue
+            # single-atom lifts of each fiber's witness pairs: a pair supported
+            # on one atom has the same separation, unit norms and midpoint gap
+            # as its fiber pair, so these lifts keep the estimate on the
+            # correct side of the fiber floor
+            lifts = np.zeros((len(eps), len(witness_lifts), 2, total))
+            for k, (x, witnesses) in enumerate(witness_lifts):
+                scale = 1.0 if p == math.inf else bundle.space.weights[x] ** (-1.0 / float(p))
+                for e, (a, b) in enumerate(witnesses):
+                    lifts[e, k, 0, offsets[x] : offsets[x + 1]] = a * scale
+                    lifts[e, k, 1, offsets[x] : offsets[x + 1]] = b * scale
+            # trim the quadratically-many axis pairs: the leading block already
+            # covers every cross-atom pair through the first axis, and the
+            # witness lifts are the load-bearing starts here
+            pairs = structured_pairs_for_fn(norm_batch, total)[: max(12, 3 * total)]
+            searches.append((j, meta, Search(np.array(pairs), lifts)))
+        if searches:
+            by_total.setdefault(total, []).append((i, evaluate, searches))
+    for total, items in by_total.items():
+        groups = [SearchGroup(evaluate, [s for _, _, s in searches])
+                  for _, evaluate, searches in items]
+        results = iter(pair_search(groups, total, eps, budget))
+        for i, _, searches in items:
+            for j, meta, _ in searches:
+                out[i][j] = curve_from_search(eps, budget, next(results), meta)
+    return out
 
 
 def section_modulus_curve(
@@ -388,51 +522,10 @@ def section_modulus_curve(
     """Modulus curve of the section-space norm for exponent p.
 
     The start set mixes dense sphere samples, flat-coordinate structured
-    pairs, and single-atom lifts of each fiber's own witness pairs (a pair
-    supported on one atom has the same separation, unit norms and midpoint
-    gap as its fiber pair, so these lifts keep the estimate on the correct
-    side of the fiber floor).
+    pairs, and single-atom lifts of each fiber's own witness pairs (see
+    ``section_modulus_curves``).
     """
-    from .convexity import modulus_curve_for_fn, structured_pairs_for_fn
-
-    eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
-    budget = budget or DEFAULT_BUDGET
-    norm_batch, total, lift, unlift = section_norm_fn(bundle, p)
-    if total == 0:
-        raise ValueError("modulus of a degenerate bundle's section space is undefined")
-    pf = float(as_exponent(p)) if as_exponent(p) != math.inf else math.inf
-
-    dims = bundle.dimensions
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    extras_by_eps = [[] for _ in range(len(eps))]
-    for x, f in enumerate(bundle.fibers):
-        if f.dimension == 0:
-            continue
-        curve = fiber_modulus_curve(f.norm, eps, fiber_budget or budget)
-        if pf == math.inf:
-            scale = 1.0
-        else:
-            scale = bundle.space.weights[x] ** (-1.0 / pf)
-        for e, (a, b) in enumerate(curve.witnesses):
-            va = np.zeros(total)
-            vb = np.zeros(total)
-            va[offsets[x] : offsets[x + 1]] = a * scale
-            vb[offsets[x] : offsets[x + 1]] = b * scale
-            extras_by_eps[e].append((va, vb))
-
-    # trim the quadratically-many axis pairs: the leading block already covers
-    # every cross-atom pair through the first axis, and the witness lifts are
-    # the load-bearing starts here
-    pairs = structured_pairs_for_fn(norm_batch, total)[: max(12, 3 * total)]
-    return modulus_curve_for_fn(
-        norm_batch,
-        total,
-        eps,
-        budget,
-        extra_pairs=pairs,
-        extras_by_eps=extras_by_eps,
-        meta={"section_space": True, "p": float(pf) if pf != math.inf else "inf"},
-    )
+    return section_modulus_curves([bundle], [p], eps_grid, budget, fiber_budget)[0][0]
 
 
 def parallelogram_residual(v: Section, w: Section) -> float:

@@ -9,8 +9,9 @@ write a summary plus CSV/plot-data reports into the output directory.
     bundlelab criterion  --config run.json ...
 
 Exit codes: 0 all verdicts as expected, 1 an unexpected FAIL, 2 bad
-configuration.  Reruns with an identical configuration produce byte-identical
-CSV bodies (the summary header carries the only timestamp).
+configuration, 3 an internal error (a bug; the traceback is printed).  Reruns
+with an identical configuration produce byte-identical CSV bodies (the summary
+header carries the only timestamp).
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from .bundles import pointwise_norm, section_lp_norm, section_modulus_curve
-from .convexity import DEFAULT_EPS_GRID, modulus_curve
+from .convexity import DEFAULT_EPS_GRID, check_eps_grid, modulus_curve
 from .criterion import (
     induced_norm,
     mixed_max_norm,
@@ -43,7 +45,7 @@ from .duality import (
     operator_norm,
 )
 from .generators import instance_rng, random_dual_section, random_section
-from .measure import conjugate_exponent, lp_norm
+from .measure import as_exponent, conjugate_exponent, lp_norm
 from .norms import norm_spec_from_config
 from .reportio import (
     ReportBundle,
@@ -68,6 +70,22 @@ _EXPLICIT_TOL = 1e-9
 _SAMPLED_TOL = 1e-6
 
 
+def _config_value(what: str, fn, *args):
+    """``fn(*args)`` on values read from the config: its ``TypeError`` or
+    ``ValueError`` is a configuration error."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} invalid: {exc}") from None
+
+
+def _seed(cfg: dict, args) -> int:
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, step = (float(t) for t in text.split(":"))
@@ -79,17 +97,15 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _resolve_grid(cfg: dict, args) -> np.ndarray:
-    if args.grid is not None:
-        return _parse_grid(args.grid)
-    grid = cfg.get("grid")
+    grid = args.grid if args.grid is not None else cfg.get("grid")
     if grid is None:
         return DEFAULT_EPS_GRID
     if isinstance(grid, str):
         return _parse_grid(grid)
-    eps = np.asarray(grid, dtype=float)
+    eps = _config_value("grid", np.asarray, grid, float)
     if eps.ndim != 1 or len(eps) == 0:
         raise ConfigError("grid must be a one-dimensional list of separations")
-    return eps
+    return _config_value("grid", check_eps_grid, eps)
 
 
 def _load_config(path: str) -> dict:
@@ -119,19 +135,22 @@ def _run_digest(command: str, cfg: dict, seed, grid) -> str:
 
 def cmd_modulus(cfg: dict, args) -> int:
     grid = _resolve_grid(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(cfg, args)
     budget = budget_from_config(cfg.get("budget"))
     if args.seed is not None:
         budget = dataclasses.replace(budget, seed=args.seed)
 
     if "norm" in cfg:
-        spec = norm_spec_from_config(cfg["norm"])
+        spec = _config_value("norm config", norm_spec_from_config, cfg["norm"])
         instance = spec.digest()
         curve = modulus_curve(spec, grid, budget)
         what = f"norm kind {spec.kind}, dimension {spec.dimension}"
     elif "bundle" in cfg:
         bundle = bundle_from_config(cfg["bundle"])
         p = cfg.get("p", 2)
+        _config_value("exponent p", as_exponent, p)
+        if bundle.degenerate:
+            raise ConfigError("every fiber is zero-dimensional; the section space has no modulus")
         instance = bundle_digest(bundle)
         curve = section_modulus_curve(bundle, p, grid, budget)
         what = f"section space at exponent {p} over {bundle.space.atom_count} atoms"
@@ -170,7 +189,7 @@ def cmd_modulus(cfg: dict, args) -> int:
 
 def cmd_suite(cfg: dict, args) -> int:
     grid = _resolve_grid(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(cfg, args)
     budget = budget_from_config(cfg.get("budget")) if cfg.get("budget") else None
 
     tags = cfg.get("suites", "all")
@@ -214,7 +233,7 @@ def cmd_suite(cfg: dict, args) -> int:
 
 
 def cmd_dual_check(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(cfg, args)
     if "bundle" not in cfg:
         raise ConfigError("dual-check config needs a 'bundle' entry")
     bundle = bundle_from_config(cfg["bundle"])
@@ -239,7 +258,7 @@ def cmd_dual_check(cfg: dict, args) -> int:
         else:
             explicit.append(("explicit", None, v))
 
-    samples = int(cfg.get("samples", 100))
+    samples = _config_value("samples", int, cfg.get("samples", 100))
     rng = instance_rng(seed, 0, stream=5)
     rows = []
 
@@ -317,6 +336,9 @@ def _catalogue_entry(bundle, entry: dict):
     if not isinstance(entry, dict) or "tag" not in entry:
         raise ConfigError("each norms entry needs a 'tag' field")
     tag = entry["tag"]
+    for key in ("p", "p1", "p2", "p_check"):
+        if key in entry:
+            _config_value(f"norms entry {key}", as_exponent, entry[key])
     if tag == "induced":
         norm = induced_norm(bundle, entry.get("p", 2))
     elif tag == "sup-over-atoms":
@@ -337,7 +359,7 @@ def _catalogue_entry(bundle, entry: dict):
 
 
 def cmd_criterion(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(cfg, args)
     if "bundle" not in cfg:
         raise ConfigError("criterion config needs a 'bundle' entry")
     bundle = bundle_from_config(cfg["bundle"])
@@ -348,7 +370,7 @@ def cmd_criterion(cfg: dict, args) -> int:
         {"tag": "mixed-sum"},
         {"tag": "mixed-max"},
     ]
-    probes = int(cfg.get("probes", 6))
+    probes = _config_value("probes", int, cfg.get("probes", 6))
 
     add_rows = []
     verdict_rows = []
@@ -444,10 +466,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # constructor-level validation failures are configuration errors too
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # configuration problems are ConfigError by now; anything else is a bug
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,16 +13,20 @@ maximizer and a linear-functional maximizer used as an independent oracle.
 All searches are deterministic functions of their budget: starts come from
 seeded sphere samples plus structured pairs (axis, sign-pattern, polytope
 -vertex and antipodal pairs), and reductions run in fixed lane order.
-Restart lanes are vectorized; fanning them out concurrently would commute
-with the fixed-order reduction.
+Restart lanes are vectorized, and ``pair_search`` runs many searches of one
+dimension in lockstep: each search owns a block of lanes that its own norm
+evaluator handles, and leaves the batch once all its lanes have converged.
+Because every evaluator is row-independent and every other step is per
+lane, a search gives the same bits in any batch as alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +38,14 @@ __all__ = [
     "DEFAULT_EPS_GRID",
     "DEFAULT_BUDGET",
     "DEFECT_BUDGET",
+    "check_eps_grid",
+    "Search",
+    "SearchGroup",
+    "single_norm_group",
+    "pair_search",
+    "curve_from_search",
     "modulus_curve",
+    "modulus_curves",
     "modulus_of_convexity",
     "modulus_curve_for_fn",
     "structured_pairs",
@@ -119,7 +130,9 @@ class ModulusCurve:
             raise AssertionError("modulus curve must be non-decreasing after clamping")
 
 
-def _check_eps_grid(eps_values) -> np.ndarray:
+def check_eps_grid(eps_values) -> np.ndarray:
+    """A separation grid as a float array; raises ValueError unless it is a
+    non-empty, strictly increasing list in (0, 2]."""
     eps = np.atleast_1d(np.asarray(eps_values, dtype=float))
     if eps.size == 0:
         raise ValueError("separation grid must be non-empty")
@@ -199,147 +212,293 @@ def _polyhedral_ball_vertices_2d(spec: PolyhedralMaxNorm) -> np.ndarray:
 
 # -- core pair search ------------------------------------------------------
 
+#: lanes x dimension of one batch of searches run in lockstep.  Working
+#: memory grows with the lanes of a batch (16 candidate rows per lane plus
+#: per-lane temporaries, about 1 KiB per lane); past this size batching
+#: saves no more per-step call overhead but keeps adding memory
+_MAX_LANE_COORDS = 1000
 
-def pair_search(
-    norm_batch: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    eps_values: np.ndarray,
-    budget: SearchBudget,
-    extra_pairs: Sequence = (),
-    extras_by_eps: Sequence[Sequence] | None = None,
-):
-    """Minimize 1 - ||(v+w)/2|| over separated unit pairs, one value per eps.
+# single-endpoint moves plus joint moves: translating both endpoints keeps
+# the separation while the midpoint slides (escapes stalls against the
+# constraint wall at polygonal corners); opposite-sign moves stretch or
+# shrink the pair.  All eight patterns of every lane for one coordinate are
+# evaluated together, since call overhead dominates at these array sizes.
+_DV_PAT = np.array([1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
+_DW_PAT = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+_N_PAT = len(_DV_PAT)
+#: the move of each of a lane's 16 candidate rows, per unit step
+_MOVES = np.concatenate([_DV_PAT, _DW_PAT])
 
-    Returns ``(raw_deltas, witnesses)`` where each witness pair satisfies
-    ``||v|| = ||w|| = 1`` within 1e-9 and ``||v - w|| >= eps - 1e-9``.
+
+class Search(NamedTuple):
+    """Start pairs of one search: ``extra_pairs`` join the lanes of every
+    separation, ``extras_by_eps[e]`` only those of separation ``e``."""
+
+    extra_pairs: Sequence = ()
+    extras_by_eps: Sequence[Sequence] | None = None
+
+
+class SearchGroup(NamedTuple):
+    """Searches that share one norm evaluator.
+
+    ``evaluate(X, counts)`` returns the norms of the rows of ``X``: the
+    first ``counts[0]`` rows under the norm of ``searches[0]``, the next
+    ``counts[1]`` under that of ``searches[1]``, and so on (a count may be 0).
+    """
+
+    evaluate: Callable[[np.ndarray, Sequence[int]], np.ndarray]
+    searches: Sequence[Search]
+
+
+def single_norm_group(norm_batch, search: Search) -> SearchGroup:
+    """A group of one search under a plain batched norm evaluator."""
+    return SearchGroup(lambda X, counts: norm_batch(X), [search])
+
+
+def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: SearchBudget):
+    """Minimize 1 - ||(v+w)/2|| over separated unit pairs, for many searches.
+
+    Every search of every group runs in ``dim`` dimensions on the separation
+    grid ``eps_values`` under ``budget``.  Returns one ``(raw_deltas,
+    witnesses, counters)`` per search, in group order: one value per eps,
+    witness pairs with ``||v|| = ||w|| = 1`` within 1e-9 and
+    ``||v - w|| >= eps - 1e-9``, and the counters ``iterations`` (used),
+    ``lanes`` and ``repaired`` (lanes that never met the separation and were
+    repaired by bisection).
+
+    Searches run in lockstep batches of at most ``_MAX_LANE_COORDS`` lane
+    coordinates (a larger search runs alone).  Each search owns a contiguous
+    block of lanes, which its group's evaluator handles together with the
+    blocks of the group's other searches in the batch, and leaves the batch
+    once all its lanes have step below ``budget.min_step``.  The result of a search therefore does
+    not depend on which other searches share its batch, provided every
+    evaluator is row-independent: the norm of a row must not depend on the
+    other rows of the call.
     """
     eps_values = np.asarray(eps_values, dtype=float)
-    n_eps = len(eps_values)
-
     rng = np.random.default_rng(budget.seed)
     X = rng.standard_normal((budget.restarts, dim))
     Y = rng.standard_normal((budget.restarts, dim))
     X[np.linalg.norm(X, axis=1) < 1e-12] = 1.0
     Y[np.linalg.norm(Y, axis=1) < 1e-12] = 1.0
-    X = _unit_rows(norm_batch, X)
-    Y = _unit_rows(norm_batch, Y)
-    # every other restart begins on a guaranteed-feasible antipodal pair
-    Y[::2] = -X[::2]
 
-    base = [(X[r], Y[r]) for r in range(budget.restarts)]
-    base.extend((np.asarray(v, float), np.asarray(w, float)) for v, w in extra_pairs)
+    results, batch, coords = [], [], 0
+    for g, group in enumerate(groups):
+        for j, s in enumerate(group.searches):
+            lanes = len(eps_values) * (budget.restarts + len(s.extra_pairs)) + (
+                0 if s.extras_by_eps is None else sum(len(e) for e in s.extras_by_eps))
+            if batch and coords + lanes * dim > _MAX_LANE_COORDS:
+                results += _search_batch(groups, batch, dim, eps_values, budget, X, Y)
+                batch, coords = [], 0
+            batch.append((g, j))
+            coords += lanes * dim
+    if batch:
+        results += _search_batch(groups, batch, dim, eps_values, budget, X, Y)
+    return results
 
-    lane_V, lane_W, lane_eps_idx = [], [], []
-    for e in range(n_eps):
-        for v, w in base:
-            lane_V.append(v)
-            lane_W.append(w)
-            lane_eps_idx.append(e)
-        if extras_by_eps is not None:
-            for v, w in extras_by_eps[e]:
-                lane_V.append(np.asarray(v, float))
-                lane_W.append(np.asarray(w, float))
-                lane_eps_idx.append(e)
 
-    V = _unit_rows(norm_batch, np.array(lane_V))
-    W = _unit_rows(norm_batch, np.array(lane_W))
-    lane_eps_idx = np.array(lane_eps_idx)
-    eps_lane = eps_values[lane_eps_idx]
-    n_lanes = len(eps_lane)
+class _Lanes(NamedTuple):
+    """Where one search's lanes live in a batch."""
 
-    step = np.full(n_lanes, budget.init_step)
+    position: int  # of the search in its batch
+    group: int  # index of its group in the batch
+    index: int  # of the search in its group
+    eps_idx: np.ndarray  # separation index of each lane
+
+
+def _layout(groups, blocks):
+    """``(evaluate, start, stop, rows per search)`` for each group with rows,
+    given ``(lanes, rows)`` blocks that lie consecutively in group order."""
+    out, start = [], 0
+    for g, group in enumerate(groups):
+        counts = [0] * len(group.searches)
+        for lanes, rows in blocks:
+            if lanes.group == g:
+                counts[lanes.index] = rows
+        if any(counts):
+            out.append((group.evaluate, start, start + sum(counts), counts))
+            start += sum(counts)
+    return out
+
+
+def _group_norms(layout, A, rows=None, out=None):
+    """Norms of the rows of ``A`` (lanes, ..., dim), each group's lanes by
+    its own evaluator; ``rows`` may first map a group's block of ``A`` to
+    the rows to evaluate, of the same shape.  Written to ``out`` if given."""
+    out = np.empty(A.shape[:-1]) if out is None else out
+    per_lane = math.prod(A.shape[1:-1])
+    for evaluate, a, b, counts in layout:
+        block = A[a:b] if rows is None else rows(A[a:b])
+        values = evaluate(block.reshape(-1, A.shape[-1]), [c * per_lane for c in counts])
+        out[a:b] = values.reshape(out[a:b].shape)
+    return out
+
+
+def _midpoints_and_differences(cand):
+    """``(v + w) / 2`` then ``v - w`` of each candidate pair of a block."""
+    out = np.empty_like(cand)
+    V, W = cand[:, :_N_PAT], cand[:, _N_PAT:]
+    np.add(V, W, out=out[:, :_N_PAT])
+    out[:, :_N_PAT] *= 0.5
+    np.subtract(V, W, out=out[:, _N_PAT:])
+    return out
+
+
+def _pairs_array(pairs, dim: int) -> np.ndarray:
+    return np.asarray(pairs, dtype=float).reshape(-1, 2, dim)
+
+
+def _start_lanes(groups, batch, dim, eps_values, budget, X, Y):
+    """Unnormalized start pairs of every lane of a batch of ``(group, index
+    in group)`` searches, and the lanes of each search: for each eps, the
+    restart pairs, the pairs shared by every eps, then the pairs of this eps."""
+    restarts = budget.restarts
+    searches, lane_V, lane_W = [], [], []
+    for g, members in itertools.groupby(batch, key=lambda item: item[0]):
+        group = groups[g]
+        members = [j for _, j in members]
+        counts = [restarts if j in members else 0 for j in range(len(group.searches))]
+        XU = _unit_rows(lambda R: group.evaluate(R, counts), np.tile(X, (len(members), 1)))
+        YU = _unit_rows(lambda R: group.evaluate(R, counts), np.tile(Y, (len(members), 1)))
+        for m, j in enumerate(members):
+            search = group.searches[j]
+            Xs = XU[m * restarts : (m + 1) * restarts]
+            Ys = YU[m * restarts : (m + 1) * restarts]
+            # every other restart begins on a guaranteed-feasible antipodal pair
+            Ys[::2] = -Xs[::2]
+            shared = _pairs_array(search.extra_pairs, dim)
+            eps_idx = []
+            for e in range(len(eps_values)):
+                own = _pairs_array(() if search.extras_by_eps is None else search.extras_by_eps[e], dim)
+                lane_V += [Xs, shared[:, 0], own[:, 0]]
+                lane_W += [Ys, shared[:, 1], own[:, 1]]
+                eps_idx += [e] * (restarts + len(shared) + len(own))
+            searches.append(_Lanes(len(searches), g, j, np.array(eps_idx)))
+    return np.concatenate(lane_V), np.concatenate(lane_W), searches
+
+
+def _search_batch(groups, batch, dim, eps_values, budget, X, Y):
+    n_eps = len(eps_values)
     rho = budget.penalty
+    V, W, searches = _start_lanes(groups, batch, dim, eps_values, budget, X, Y)
+    live = searches
+    layout = _layout(groups, [(s, len(s.eps_idx)) for s in live])
 
-    def evaluate(Vc, Wc):
-        mid = norm_batch((Vc + Wc) * 0.5)
-        sep = norm_batch(Vc - Wc)
-        obj = 1.0 - mid
-        pen = obj + rho * np.maximum(0.0, eps_lane - sep)
-        return obj, sep, pen
+    def lane_norms(R):
+        return _group_norms(layout, R[:, None, :])[:, 0]
 
-    obj0, sep0, best_pen = evaluate(V, W)
+    V = _unit_rows(lane_norms, V)
+    W = _unit_rows(lane_norms, W)
+    eps_lane = eps_values[np.concatenate([s.eps_idx for s in live])]
+    step = np.full(len(eps_lane), budget.init_step)
+
+    both = _group_norms(layout, np.stack([(V + W) * 0.5, V - W], axis=1))
+    obj0, sep0 = 1.0 - both[:, 0], both[:, 1]
+    best_pen = obj0 + rho * np.maximum(0.0, eps_lane - sep0)
     feas_obj = np.where(sep0 >= eps_lane - FEASIBILITY_SLACK, obj0, np.inf)
     feas_V = V.copy()
     feas_W = W.copy()
+    results = [None] * len(searches)
 
-    # single-endpoint moves plus joint moves: translating both endpoints
-    # keeps the separation while the midpoint slides (escapes stalls against
-    # the constraint wall at polygonal corners); opposite-sign moves stretch
-    # or shrink the pair.  All eight patterns for one coordinate are stacked
-    # into two norm_batch calls (renormalize, evaluate), since call overhead
-    # dominates at these array sizes.
-    dv_pat = np.array([1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
-    dw_pat = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
-    n_pat = len(dv_pat)
-    lanes = np.arange(n_lanes)
+    def finish(done, iterations):
+        """Record the results of the searches ``done``, (lanes, slice) pairs."""
+        # lanes that never produced a feasible pair get repaired by pushing one
+        # endpoint toward the antipode of the other (always reaches separation 2)
+        broken = [sl.start + np.nonzero(~np.isfinite(feas_obj[sl]))[0] for _, sl in done]
+        idx = np.concatenate(broken)
+        if len(idx):
+            repair_layout = _layout(groups, [(s, len(b)) for (s, _), b in zip(done, broken)])
 
-    for _ in range(budget.iterations):
+            def norm_batch(R):
+                return _group_norms(repair_layout, R[:, None, :])[:, 0]
+
+            fixed = _repair_separation_batch(norm_batch, V[idx], W[idx], eps_lane[idx])
+            feas_V[idx] = V[idx]
+            feas_W[idx] = fixed
+            feas_obj[idx] = 1.0 - norm_batch((V[idx] + fixed) * 0.5)
+        for (s, sl), b in zip(done, broken):
+            objs, fV, fW = feas_obj[sl], feas_V[sl], feas_W[sl]
+            raw = np.empty(n_eps)
+            witnesses = []
+            for e in range(n_eps):
+                at = np.nonzero(s.eps_idx == e)[0]
+                j = at[int(np.argmin(objs[at]))]
+                raw[e] = min(max(objs[j], 0.0), 1.0)
+                witnesses.append((fV[j].copy(), fW[j].copy()))
+            counters = {"iterations": iterations, "lanes": len(s.eps_idx), "repaired": len(b)}
+            results[s.position] = (raw, witnesses, counters)
+
+    def lane_slices():
+        ends = np.cumsum([len(s.eps_idx) for s in live])
+        return [slice(int(b - len(s.eps_idx)), int(b)) for s, b in zip(live, ends)]
+
+    # candidates: per lane, the eight moved V endpoints, then the eight W
+    cand_buf = np.empty((len(eps_lane), 2 * _N_PAT, dim))
+    for it in range(budget.iterations):
+        n_lanes = len(eps_lane)
+        lanes = np.arange(n_lanes)
         improved = np.zeros(n_lanes, dtype=bool)
+        cand = cand_buf[:n_lanes]
+        candV, candW = cand[:, :_N_PAT], cand[:, _N_PAT:]
+        moves = step[:, None] * _MOVES
+        eps_col = eps_lane[:, None]
         for i in range(dim):
-            candV = np.broadcast_to(V, (n_pat, n_lanes, dim)).copy()
-            candW = np.broadcast_to(W, (n_pat, n_lanes, dim)).copy()
-            candV[:, :, i] += dv_pat[:, None] * step[None, :]
-            candW[:, :, i] += dw_pat[:, None] * step[None, :]
-            nrm = norm_batch(
-                np.concatenate([candV, candW]).reshape(2 * n_pat * n_lanes, dim)
-            ).reshape(2, n_pat, n_lanes)
-            ok = (nrm > 1e-12).all(axis=0)
-            candV /= np.where(nrm[0] > 1e-12, nrm[0], 1.0)[:, :, None]
-            candW /= np.where(nrm[1] > 1e-12, nrm[1], 1.0)[:, :, None]
-            both = norm_batch(
-                np.concatenate([(candV + candW) * 0.5, candV - candW]).reshape(
-                    2 * n_pat * n_lanes, dim
-                )
-            ).reshape(2, n_pat, n_lanes)
-            obj = 1.0 - both[0]
-            sep = both[1]
-            pen = np.where(
-                ok, obj + rho * np.maximum(0.0, eps_lane[None, :] - sep), np.inf
-            )
+            candV[...] = V[:, None, :]
+            candW[...] = W[:, None, :]
+            cand[:, :, i] += moves
+            nrm = _group_norms(layout, cand)
+            good = nrm > 1e-12
+            ok = good[:, :_N_PAT] & good[:, _N_PAT:]
+            nrm[~good] = 1.0
+            cand /= nrm[:, :, None]
+            both = _group_norms(layout, cand, _midpoints_and_differences, out=nrm)
+            obj, sep = both[:, :_N_PAT], both[:, _N_PAT:]
+            np.subtract(1.0, obj, out=obj)
+            # penalized objective, inf where a candidate could not be normalized
+            pen = eps_col - sep
+            np.maximum(0.0, pen, out=pen)
+            pen *= rho
+            pen += obj
+            pen[~ok] = np.inf
             # descent acceptance: best improving pattern per lane (fixed
             # tie-break through argmin keeps runs deterministic)
-            best_p = np.argmin(pen, axis=0)
-            min_pen = pen[best_p, lanes]
+            best_p = np.argmin(pen, axis=1)
+            min_pen = pen[lanes, best_p]
             acc = min_pen < best_pen
             if np.any(acc):
-                V[acc] = candV[best_p[acc], lanes[acc]]
-                W[acc] = candW[best_p[acc], lanes[acc]]
+                V[acc] = candV[lanes[acc], best_p[acc]]
+                W[acc] = candW[lanes[acc], best_p[acc]]
                 best_pen[acc] = min_pen[acc]
                 improved |= acc
             # feasible incumbent: any candidate meeting the separation may
             # update it, accepted or not
-            feas = ok & (sep >= eps_lane[None, :] - FEASIBILITY_SLACK)
-            obj_feas = np.where(feas, obj, np.inf)
-            best_f = np.argmin(obj_feas, axis=0)
-            min_obj = obj_feas[best_f, lanes]
+            obj[~(ok & (sep >= eps_col - FEASIBILITY_SLACK))] = np.inf
+            best_f = np.argmin(obj, axis=1)
+            min_obj = obj[lanes, best_f]
             hit = min_obj < feas_obj
             if np.any(hit):
                 feas_obj[hit] = min_obj[hit]
-                feas_V[hit] = candV[best_f[hit], lanes[hit]]
-                feas_W[hit] = candW[best_f[hit], lanes[hit]]
+                feas_V[hit] = candV[lanes[hit], best_f[hit]]
+                feas_W[hit] = candW[lanes[hit], best_f[hit]]
         step[~improved] *= 0.5
-        if np.all(step < budget.min_step):
-            break
 
-    # lanes that never produced a feasible pair get repaired by pushing one
-    # endpoint toward the antipode of the other (always reaches separation 2)
-    broken = np.nonzero(~np.isfinite(feas_obj))[0]
-    if len(broken):
-        fixed = _repair_separation_batch(
-            norm_batch, V[broken], W[broken], eps_lane[broken]
-        )
-        feas_V[broken] = V[broken]
-        feas_W[broken] = fixed
-        feas_obj[broken] = 1.0 - norm_batch((V[broken] + fixed) * 0.5)
-
-    raw = np.empty(n_eps)
-    witnesses = []
-    for e in range(n_eps):
-        idx = np.nonzero(lane_eps_idx == e)[0]
-        j = idx[int(np.argmin(feas_obj[idx]))]
-        raw[e] = min(max(feas_obj[j], 0.0), 1.0)
-        witnesses.append((feas_V[j].copy(), feas_W[j].copy()))
-    return raw, witnesses
+        # a search whose lanes all have step below min_step is done: record
+        # its result and compact its lanes out of the batch
+        slices = lane_slices()
+        done = np.logical_and.reduceat(step < budget.min_step, [sl.start for sl in slices])
+        if np.any(done):
+            finish([(s, sl) for s, sl, d in zip(live, slices, done) if d], it + 1)
+            keep = np.repeat(~done, [len(s.eps_idx) for s in live])
+            V, W, step, eps_lane = V[keep], W[keep], step[keep], eps_lane[keep]
+            best_pen, feas_obj = best_pen[keep], feas_obj[keep]
+            feas_V, feas_W = feas_V[keep], feas_W[keep]
+            live = [s for s, d in zip(live, done) if not d]
+            if not live:
+                break
+            layout = _layout(groups, [(s, len(s.eps_idx)) for s in live])
+    if live:
+        finish(list(zip(live, lane_slices())), budget.iterations)
+    return results
 
 
 def _repair_separation_batch(norm_batch, V, W, eps):
@@ -389,6 +548,23 @@ def _isotonic_clamp(raw: np.ndarray, witnesses: list):
 # -- public wrappers -------------------------------------------------------
 
 
+def _line_curve(norm_batch, eps, budget, meta) -> ModulusCurve:
+    # the unit sphere of a line is a two-point set; the only separated pair
+    # is antipodal with midpoint zero, so the modulus is 1 at every eps
+    u = _unit_rows(norm_batch, np.ones((1, 1)))[0]
+    raw = np.ones(len(eps))
+    wits = [(u.copy(), -u.copy()) for _ in eps]
+    return ModulusCurve(eps, raw.copy(), raw, wits, budget, dict(meta, dim=1))
+
+
+def curve_from_search(eps, budget: SearchBudget, result, meta: dict) -> ModulusCurve:
+    """A ``ModulusCurve`` from one ``pair_search`` result; the search
+    counters go to ``meta["search"]``."""
+    raw, witnesses, counters = result
+    deltas, witnesses = _isotonic_clamp(raw, witnesses)
+    return ModulusCurve(eps, deltas, raw, witnesses, budget, dict(meta, search=counters))
+
+
 def modulus_curve_for_fn(
     norm_batch,
     dim: int,
@@ -399,34 +575,52 @@ def modulus_curve_for_fn(
     meta: dict | None = None,
 ) -> ModulusCurve:
     """Modulus-of-convexity curve for an arbitrary batched norm evaluator."""
-    eps = _check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
+    eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     budget = budget or DEFAULT_BUDGET
+    meta = dict(meta or {})
     if dim == 0:
         raise ValueError("modulus of a zero-dimensional space is conventional; handled by callers")
     if dim == 1:
-        # the unit sphere is a two-point set; the only separated pair is
-        # antipodal with midpoint zero, so the modulus is 1 at every eps
-        u = _unit_rows(norm_batch, np.ones((1, 1)))[0]
-        raw = np.ones(len(eps))
-        wits = [(u.copy(), -u.copy()) for _ in eps]
-        return ModulusCurve(eps, raw.copy(), raw, wits, budget, dict(meta or {}, dim=1))
-    pairs = list(extra_pairs) if extra_pairs else structured_pairs_for_fn(norm_batch, dim)
-    raw, wits = pair_search(norm_batch, dim, eps, budget, pairs, extras_by_eps)
-    deltas, wits = _isotonic_clamp(raw, wits)
-    return ModulusCurve(eps, deltas, raw, wits, budget, dict(meta or {}))
+        return _line_curve(norm_batch, eps, budget, meta)
+    pairs = extra_pairs if len(extra_pairs) else structured_pairs_for_fn(norm_batch, dim)
+    group = single_norm_group(norm_batch, Search(pairs, extras_by_eps))
+    [result] = pair_search([group], dim, eps, budget)
+    return curve_from_search(eps, budget, result, meta)
+
+
+def modulus_curves(specs: Sequence[NormSpec], eps_grid=None,
+                   budget: SearchBudget | None = None) -> list:
+    """Modulus-of-convexity curves of several norm kinds along one grid.
+
+    The searches of each dimension run in one ``pair_search`` call; each
+    curve equals the one ``modulus_curve`` gives for its kind alone.
+    """
+    eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
+    budget = budget or DEFAULT_BUDGET
+    curves = [None] * len(specs)
+    by_dim: dict = {}
+    for k, spec in enumerate(specs):
+        if spec.dimension == 1:
+            curves[k] = _line_curve(spec.norm_batch, eps, budget, _spec_meta(spec))
+        else:
+            by_dim.setdefault(spec.dimension, []).append(k)
+    for dim, ks in by_dim.items():
+        groups = [
+            single_norm_group(specs[k].norm_batch, Search(_pairs_array(structured_pairs(specs[k]), dim)))
+            for k in ks
+        ]
+        for k, result in zip(ks, pair_search(groups, dim, eps, budget)):
+            curves[k] = curve_from_search(eps, budget, result, _spec_meta(specs[k]))
+    return curves
+
+
+def _spec_meta(spec: NormSpec) -> dict:
+    return {"kind": spec.kind, "digest": spec.digest()}
 
 
 def modulus_curve(spec: NormSpec, eps_grid=None, budget: SearchBudget | None = None) -> ModulusCurve:
     """Modulus-of-convexity curve of a norm kind along a separation grid."""
-    curve = modulus_curve_for_fn(
-        spec.norm_batch,
-        spec.dimension,
-        eps_grid,
-        budget,
-        extra_pairs=structured_pairs(spec) if spec.dimension > 1 else (),
-        meta={"kind": spec.kind, "digest": spec.digest()},
-    )
-    return curve
+    return modulus_curves([spec], eps_grid, budget)[0]
 
 
 def modulus_of_convexity(spec: NormSpec, eps: float, budget: SearchBudget | None = None):
@@ -569,7 +763,7 @@ def modulus_grid_estimate_2d(
     """
     if spec.dimension != 2:
         raise ValueError("dense grid estimation is only available in dimension 2")
-    eps = _check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
+    eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     base = np.linspace(0.0, 2.0 * math.pi, int(samples), endpoint=False)
     angles = np.concatenate([base, _structural_angles(spec)])
     angles = np.unique(np.round(np.mod(angles, 2.0 * math.pi), 12))

@@ -15,7 +15,7 @@ import numpy as np
 from .bundles import Bundle, Fiber, Section
 from .criterion import AtomicMeasureTriple
 from .duality import DualSection
-from .measure import MeasureSpace
+from .measure import MeasureSpace, as_exponent
 from .norms import (
     InnerProductNorm,
     NormSpec,
@@ -23,7 +23,7 @@ from .norms import (
     PolytopeGaugeNorm,
     WeightedLpNorm,
 )
-from .serialize import bundle_digest
+from .serialize import ConfigError, bundle_digest
 
 __all__ = [
     "InstanceRecipe",
@@ -72,7 +72,13 @@ class InstanceRecipe:
 
 
 def recipe_from_config(cfg: dict) -> InstanceRecipe:
-    kwargs = {}
+    """An instance recipe from its config mapping.
+
+    Fields the instance draws would reject later (exponents, kinds, ranges)
+    are checked here, so every invalid field is a ``ConfigError``.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("recipe config must be a mapping")
     casts = {
         "seed": int,
         "instance_count": int,
@@ -85,10 +91,21 @@ def recipe_from_config(cfg: dict) -> InstanceRecipe:
         "constant_fraction": float,
         "zero_fiber_fraction": float,
     }
-    for key, cast in casts.items():
-        if key in cfg:
-            kwargs[key] = cast(cfg[key])
-    return InstanceRecipe(**kwargs)
+    try:
+        recipe = InstanceRecipe(**{key: cast(cfg[key]) for key, cast in casts.items() if key in cfg})
+        for p in recipe.exponents + recipe.lp_exponents:
+            as_exponent(p)
+        unknown = set(recipe.kinds) - set(ALL_KINDS)
+        if unknown or not recipe.kinds:
+            raise ValueError(f"kinds must be a non-empty subset of {list(ALL_KINDS)}")
+        (a_lo, a_hi), (d_lo, d_hi), (w_lo, w_hi) = (
+            recipe.atom_range, recipe.dim_range, recipe.weight_range)
+        if not (0 <= a_lo <= a_hi and 1 <= d_lo <= d_hi and 0 < w_lo <= w_hi):
+            raise ValueError("ranges must be [lo, hi] with lo <= hi, at least 0 atoms, "
+                             "dimension at least 1 and positive weights")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"recipe config invalid: {exc}") from None
+    return recipe
 
 
 def instance_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:

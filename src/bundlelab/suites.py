@@ -21,10 +21,11 @@ from .bundles import (
     Fiber,
     Section,
     fiber_modulus_curve,
+    fiber_modulus_curves,
     parallelogram_residual,
     pointwise_norm,
     section_lp_norm,
-    section_modulus_curve,
+    section_modulus_curves,
 )
 from .convexity import (
     DEFAULT_EPS_GRID,
@@ -248,12 +249,18 @@ def suite_hilbert(recipe=None, samples: int = 4,
 # -- modulus bounds ------------------------------------------------------------
 
 
-def _fiber_floor_raw(bundle: Bundle, eps_grid, budget) -> np.ndarray:
-    curves = []
-    for f in bundle.fibers:
-        if f.dimension > 0:
-            curves.append(fiber_modulus_curve(f.norm, eps_grid, budget).raw_deltas)
-    return np.min(np.stack(curves), axis=0)
+def _fiber_floors_raw(bundles, eps_grid, budget) -> list:
+    """Worst raw fiber modulus of each bundle; all fiber curves are
+    searched together."""
+    specs = [[f.norm for f in b.fibers if f.dimension > 0] for b in bundles]
+    curves = iter(fiber_modulus_curves([s for ss in specs for s in ss], eps_grid, budget))
+    return [np.min(np.stack([next(curves).raw_deltas for _ in ss]), axis=0) for ss in specs]
+
+
+def _live_bundles(recipe):
+    """The recipe's bundles, and the non-degenerate ones among them."""
+    bundles = [b for _, b in bundles_from_recipe(recipe)]
+    return bundles, [b for b in bundles if not b.degenerate]
 
 
 def suite_convexity_upper(recipe=None, eps_grid=None,
@@ -265,8 +272,11 @@ def suite_convexity_upper(recipe=None, eps_grid=None,
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or SUITE_BUDGET
     fiber_budget = fiber_budget or SUITE_BUDGET
+    bundles, live = _live_bundles(recipe)
+    curves = iter(section_modulus_curves(live, recipe.exponents, eps, budget, fiber_budget))
+    floors = iter(_fiber_floors_raw(live, eps, fiber_budget))
     reports = []
-    for index, bundle in bundles_from_recipe(recipe):
+    for bundle in bundles:
         inst = bundle_digest(bundle)
         if bundle.degenerate:
             reports.append(
@@ -275,11 +285,10 @@ def suite_convexity_upper(recipe=None, eps_grid=None,
                             notes=["degenerate bundle skipped"])
             )
             continue
-        floor = _fiber_floor_raw(bundle, eps, fiber_budget)
+        floor = next(floors)
         checks = []
         data = {"epsilon": eps, "fiber-floor": floor}
-        for p in recipe.exponents:
-            curve = section_modulus_curve(bundle, p, eps, budget, fiber_budget)
+        for p, curve in zip(recipe.exponents, next(curves)):
             gap = float(np.max(curve.raw_deltas - floor))
             checks.append(CheckRow(f"upper-bound-gap-p{p}", gap, 2e-3, gap <= 2e-3))
             data[f"section-curve-p{p}"] = curve.raw_deltas
@@ -300,8 +309,11 @@ def suite_convexity_lower(recipe=None, eps_grid=None,
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or SUITE_BUDGET
     fiber_budget = fiber_budget or SUITE_BUDGET
+    bundles, live = _live_bundles(recipe)
+    floors_fifth = iter(_fiber_floors_raw(live, eps / 5.0, fiber_budget))
+    curves = iter(section_modulus_curves(live, recipe.exponents, eps, budget, fiber_budget))
     reports = []
-    for index, bundle in bundles_from_recipe(recipe):
+    for bundle in bundles:
         inst = bundle_digest(bundle)
         if bundle.degenerate:
             reports.append(
@@ -310,11 +322,9 @@ def suite_convexity_lower(recipe=None, eps_grid=None,
                             notes=["degenerate bundle skipped", SHRINK_NOTE])
             )
             continue
-        floor_fifth = _fiber_floor_raw(bundle, eps / 5.0, fiber_budget)
-        premise = floor_fifth > 0.01
+        premise = next(floors_fifth) > 0.01
         checks = []
-        for p in recipe.exponents:
-            curve = section_modulus_curve(bundle, p, eps, budget, fiber_budget)
+        for p, curve in zip(recipe.exponents, next(curves)):
             bad = premise & (curve.deltas <= 1e-4)
             count = int(bad.sum())
             witness = f"first-failing-eps-{eps[np.argmax(bad)]:g}" if count else ""

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from bundlelab import cli
 from bundlelab.cli import main
 
 SMALL_BUDGET = {"restarts": 16, "iterations": 80}
@@ -261,3 +262,50 @@ class TestConfigLoading:
         path.write_text("[1, 2]", encoding="utf-8")
         assert main(["modulus", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "config root must be a JSON object" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    NORM = {"kind": "inner_product", "gram": [[1.0, 0.0], [0.0, 1.0]]}
+    BUNDLE = {"space": {"atoms": ["a"], "weights": [1.0]},
+              "fibers": [{"dimension": 2, "norm": NORM}]}
+
+    def test_internal_value_error_exits_three(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr(cli, "modulus_curve", broken)
+        cfg = write_config(tmp_path, {"norm": self.NORM, "grid": [1.0]})
+        assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" in err and "broken invariant" in err
+        assert "config error" not in err
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("modulus", {"bundle": {"space": {"atoms": ["a"], "weights": [1.0]},
+                                    "fibers": [{"dimension": 0}]}}),
+            ("modulus", {"bundle": BUNDLE, "p": 0.5}),
+            ("modulus", {"norm": {"kind": "weighted_lp", "r": 0.5, "weights": [1.0]}}),
+            ("modulus", {"norm": NORM, "grid": [1.0, 0.5]}),
+            ("modulus", {"norm": NORM, "seed": "abc"}),
+            ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"exponents": [0.5]}}}),
+            ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"kinds": ["nope"]}}}),
+            ("dual-check", {"bundle": BUNDLE, "p": 2, "samples": "many"}),
+            ("criterion", {"bundle": BUNDLE, "norms": [{"tag": "induced", "p": 0.5}]}),
+        ],
+        ids=["degenerate-bundle", "bad-p", "bad-norm", "bad-grid", "bad-seed",
+             "bad-recipe-exponent", "bad-recipe-kind", "bad-samples", "bad-entry-p"],
+    )
+    def test_config_value_errors_exit_two(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_reports_leave_out_search_counters(self, tmp_path):
+        cfg = write_config(tmp_path, {"norm": self.NORM, "grid": [1.0],
+                                      "budget": {"restarts": 4, "iterations": 5}})
+        out = tmp_path / "r"
+        assert main(["modulus", "--config", cfg, "--out", str(out)]) == 0
+        for path in out.iterdir():
+            assert "repaired" not in path.read_text()

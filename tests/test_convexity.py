@@ -6,16 +6,25 @@ import math
 import numpy as np
 import pytest
 
+from bundlelab import convexity
+from bundlelab.bundles import Bundle, Fiber, _exponent_norm, _section_norms, section_norm_fn
 from bundlelab.convexity import (
     DEFAULT_EPS_GRID,
     FEASIBILITY_SLACK,
+    Search,
     SearchBudget,
+    SearchGroup,
     maximize_linear_on_sphere,
     modulus_curve,
     modulus_grid_estimate_2d,
     modulus_of_convexity,
+    pair_search,
     parallelogram_defect,
+    single_norm_group,
+    structured_pairs,
+    structured_pairs_for_fn,
 )
+from bundlelab.measure import MeasureSpace
 from bundlelab.norms import (
     InnerProductNorm,
     PolyhedralMaxNorm,
@@ -232,3 +241,63 @@ class TestLinearMaximization:
         value, point = maximize_linear_on_sphere(spec.norm_batch, 2, [0.0, 0.0])
         assert value == pytest.approx(0.0, abs=1e-12)
         assert spec.norm(point) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestBatchedSearch:
+    """Many searches in one pair_search call give the bits of each alone."""
+
+    EPS = [0.5, 1.5, 2.0]
+    # converges at different iterations for different searches
+    BUDGET = SearchBudget(restarts=6, iterations=200, min_step=1e-3)
+
+    @staticmethod
+    def _groups():
+        fibers = [
+            InnerProductNorm([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+            WeightedLpNorm(3, [1.0, 2.0, 0.5]),
+            WeightedLpNorm(1.5, [1.0, 1.0, 1.0]),
+            PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+            PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]], -np.eye(3), [[-1.0, -1.0, -0.5]]])),
+        ]
+        groups = [single_norm_group(s.norm_batch, Search(structured_pairs(s))) for s in fibers]
+        line = WeightedLpNorm(2, [1.3])
+        # a zero-dimensional fiber, and one spec on two atoms (evaluated once)
+        mixed = Bundle(MeasureSpace(["a", "b", "c"], [1.0, 0.5, 2.0]),
+                       [Fiber(2, WeightedLpNorm(3, [1.0, 2.0])), Fiber(0), Fiber(1, line)])
+        shared = Bundle(MeasureSpace(["a", "b", "c"], [0.7, 1.0, 1.4]),
+                        [Fiber(1, line), Fiber(1, InnerProductNorm([[2.0]])), Fiber(1, line)])
+        for bundle, exponents in ((mixed, [1.5, 2, 3, math.inf]), (shared, [2, math.inf])):
+            searches = [Search(structured_pairs_for_fn(section_norm_fn(bundle, p)[0], 3))
+                        for p in exponents]
+            groups.append(SearchGroup(_section_norms(bundle, exponents), searches))
+        return groups
+
+    @pytest.mark.parametrize("cap", [None, 10**9, 1], ids=["default-cap", "one-batch", "per-group"])
+    def test_batch_matches_solo_runs(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(convexity, "_MAX_LANE_COORDS", cap)
+        groups = self._groups()
+        batched = pair_search(groups, 3, self.EPS, self.BUDGET)
+        solo = []
+        for group in groups:
+            for j, search in enumerate(group.searches):
+                norm = _exponent_norm(group.evaluate, j, len(group.searches))
+                solo += pair_search([single_norm_group(norm, search)], 3, self.EPS, self.BUDGET)
+        assert len(batched) == len(solo) == 5 + 4 + 2
+        for (raw_b, wit_b, count_b), (raw_s, wit_s, count_s) in zip(batched, solo):
+            assert np.array_equal(raw_b, raw_s)
+            for (vb, wb), (vs, ws) in zip(wit_b, wit_s):
+                assert np.array_equal(vb, vs) and np.array_equal(wb, ws)
+            assert count_b == count_s
+        iterations = [c["iterations"] for _, _, c in batched]
+        # searches leave the batch at different iterations, and some early
+        assert len(set(iterations)) > 1 and min(iterations) < self.BUDGET.iterations
+        assert any(c["repaired"] for _, _, c in batched)
+
+    def test_curve_meta_records_search_counters(self):
+        spec = WeightedLpNorm(3, [1.0, 2.0])
+        curve = modulus_curve(spec, [1.0, 2.0], budget=self.BUDGET)
+        counters = curve.meta["search"]
+        assert set(counters) == {"iterations", "lanes", "repaired"}
+        assert 1 <= counters["iterations"] <= self.BUDGET.iterations
+        assert counters["lanes"] == 2 * (self.BUDGET.restarts + len(structured_pairs(spec)))

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import bundlelab
-from bundlelab.generators import InstanceRecipe
+from bundlelab import bundles, convexity
+from bundlelab.convexity import SearchBudget
+from bundlelab.generators import InstanceRecipe, bundles_from_recipe
+from bundlelab.reportio import report_data_files, suite_reports_table
 from bundlelab.suites import (
     CheckRow,
     REQUIRED_TAGS,
@@ -156,3 +159,36 @@ def test_report_fields_round_trip_into_dataclass():
     assert isinstance(rep, TheoremReport)
     assert rep.checks[0].witness == "w"
     assert rep.notes == ["n"]
+
+
+def test_uc_upper_rerun_searches_no_fiber_and_keeps_bytes(monkeypatch):
+    """Fiber curves come from the cache on a second run: the fiber searches
+    (one kernel call per fiber dimension) run only once, and the reports are
+    byte-identical."""
+    monkeypatch.setattr(bundles, "_CURVE_CACHE", {})
+    calls = {"fiber": 0, "section": 0}
+
+    def counting(module, kind):
+        real = module.pair_search
+
+        def pair_search(*args, **kwargs):
+            calls[kind] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "pair_search", pair_search)
+
+    counting(convexity, "fiber")
+    counting(bundles, "section")
+    recipe = InstanceRecipe(seed=5, instance_count=3, atom_range=(2, 3), dim_range=(2, 3),
+                            exponents=(1.5, 3))
+    budget = SearchBudget(restarts=4, iterations=10)
+    fiber_dims = {f.dimension for _, b in bundles_from_recipe(recipe) for f in b.fibers}
+    runs = []
+    for _ in range(2):
+        before = dict(calls)
+        reports = suite_convexity_upper(recipe, [1.0, 2.0], budget, budget)
+        runs.append(({k: calls[k] - before[k] for k in calls},
+                     suite_reports_table(reports, 0), report_data_files(reports)))
+    (first, csv1, dat1), (second, csv2, dat2) = runs
+    assert first == {"fiber": len(fiber_dims - {1}), "section": second["section"]}
+    assert second["fiber"] == 0 and second["section"] >= 1
+    assert csv1 == csv2 and dat1 == dat2
