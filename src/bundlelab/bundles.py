@@ -31,7 +31,7 @@ from .convexity import (
     structured_pairs_for_fn,
 )
 from .measure import MeasureSpace, ScalarField, as_exponent, lp_norm
-from .norms import NormSpec
+from .norms import NormSpec, _sum_columns
 
 __all__ = [
     "Fiber",
@@ -165,11 +165,11 @@ class Section:
         return Section(self.bundle, [v.copy() for v in self.vectors])
 
     def __add__(self, other: "Section") -> "Section":
-        _same_bundle(self, other)
+        _same_bundle(self.bundle, other.bundle, "sections live on different bundles")
         return Section(self.bundle, [a + b for a, b in zip(self.vectors, other.vectors)])
 
     def __sub__(self, other: "Section") -> "Section":
-        _same_bundle(self, other)
+        _same_bundle(self.bundle, other.bundle, "sections live on different bundles")
         return Section(self.bundle, [a - b for a, b in zip(self.vectors, other.vectors)])
 
     def __neg__(self) -> "Section":
@@ -182,12 +182,11 @@ class Section:
         return f"Section({[v.tolist() for v in self.vectors]!r})"
 
 
-def _same_bundle(a: Section, b: Section):
-    if a.bundle is not b.bundle and (
-        a.bundle.space != b.bundle.space
-        or list(a.bundle.dimensions) != list(b.bundle.dimensions)
-    ):
-        raise ValueError("sections live on different bundles")
+def _same_bundle(a: Bundle, b: Bundle, message: str) -> None:
+    """Raise ``ValueError(message)`` unless the bundles share their measure
+    space and fiber dimensions."""
+    if a is not b and (a.space != b.space or list(a.dimensions) != list(b.dimensions)):
+        raise ValueError(message)
 
 
 # -- pointwise and integrated norms -----------------------------------------
@@ -399,7 +398,7 @@ def _section_norms(bundle: Bundle, exponents):
             if pf is None:
                 out[start : start + count] = seg.max(axis=0) if n_atoms else 0.0
             else:
-                out[start : start + count] = np.sum(weights * seg**pf, axis=0) ** (1.0 / pf)
+                out[start : start + count] = _sum_columns(weights * seg**pf) ** (1.0 / pf)
             start += count
         return out
 

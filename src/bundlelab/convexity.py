@@ -6,9 +6,14 @@ The central quantity is the modulus of convexity
 
 estimated by multi-start projected coordinate descent with a penalty for
 violating the separation constraint.  Every reported value is the
-objective at an explicitly feasible witness pair, hence an upper bound on
-the true modulus.  The same machinery drives the parallelogram-defect
-maximizer and a linear-functional maximizer used as an independent oracle.
+objective at an explicit witness pair separated by at least
+``eps - FEASIBILITY_SLACK``, hence an upper bound on
+``delta(eps - FEASIBILITY_SLACK)``, which is at most ``delta(eps)``.  The
+two differ where delta is steep: for a round norm at eps = 2,
+``delta(2) - delta(2 - slack)`` is about ``sqrt(slack)`` (3.2e-5), and a
+weighted l^2 estimate there sits 2.25e-5 below ``delta(2)``.  The same
+machinery drives the parallelogram-defect maximizer and a
+linear-functional maximizer used as an independent oracle.
 
 All searches are deterministic functions of their budget: starts come from
 seeded sphere samples plus structured pairs (axis, sign-pattern, polytope
@@ -112,10 +117,12 @@ DEFECT_BUDGET = SearchBudget(restarts=32, iterations=120, init_step=0.35)
 class ModulusCurve:
     """Estimated modulus of convexity along a separation grid.
 
-    ``deltas`` is non-decreasing (isotonic clamp: reverse running minimum,
-    which preserves the upper-bound property because a witness pair for a
-    larger separation is feasible for a smaller one).  The raw per-point
-    estimates are kept alongside, and each point carries its witness pair.
+    Each raw per-point estimate bounds ``delta(eps - FEASIBILITY_SLACK)``
+    from above, not ``delta(eps)`` (see the module docstring).  ``deltas``
+    is non-decreasing (isotonic clamp: reverse running minimum, which
+    preserves that bound because a witness pair for a larger separation is
+    feasible for a smaller one).  The raw estimates are kept alongside, and
+    each point carries its witness pair.
     """
 
     epsilons: np.ndarray

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import Bundle, Section, module_action, pointwise_norm, section_lp_norm
+from .bundles import Bundle, Section, _same_bundle, module_action, pointwise_norm, section_lp_norm
 from .measure import MeasureSpace, ScalarField, as_exponent
 
 __all__ = [
@@ -62,11 +62,7 @@ class AbstractModuleNorm:
         self.claimed_exponent = claimed_exponent
 
     def evaluate(self, section: Section) -> float:
-        if section.bundle is not self.bundle and (
-            section.bundle.space != self.bundle.space
-            or list(section.bundle.dimensions) != list(self.bundle.dimensions)
-        ):
-            raise ValueError("section does not live on this norm's bundle")
+        _same_bundle(section.bundle, self.bundle, "section does not live on this norm's bundle")
         return float(self._fn(section))
 
     def check_axioms(self, probes: int = 16, seed: int = 0, tol: float = 1e-9):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundles import Bundle, Section, pointwise_norm, section_lp_norm
+from .bundles import Bundle, Section, _same_bundle, pointwise_norm, section_lp_norm
 from .measure import ScalarField, as_exponent, conjugate_exponent, lp_norm
 
 __all__ = [
@@ -67,7 +67,7 @@ def dual_pointwise_norm(omega: DualSection) -> ScalarField:
 
 def pairing_field(omega: DualSection, v: Section) -> ScalarField:
     """Atomwise pairing <omega(x), v(x)>, realizing omega on sections."""
-    _check_same_base(omega.bundle, v.bundle)
+    _same_bundle(omega.bundle, v.bundle, "section and dual section live on different bundles")
     values = np.array(
         [
             float(np.dot(o, u)) if len(u) else 0.0
@@ -84,7 +84,7 @@ def evaluation_field(v: Section, omega: DualSection) -> ScalarField:
     exist because sections act on dual sections and vice versa, and the
     diagram check exercises both routes.
     """
-    _check_same_base(omega.bundle, v.bundle)
+    _same_bundle(omega.bundle, v.bundle, "section and dual section live on different bundles")
     values = np.array(
         [
             float(np.dot(u, o)) if len(u) else 0.0
@@ -98,13 +98,6 @@ def integrated_pairing(omega: DualSection, v: Section) -> float:
     """Integral of the pairing field against the base measure."""
     f = pairing_field(omega, v)
     return float(np.sum(v.bundle.space.weights * f.values))
-
-
-def _check_same_base(a: Bundle, b: Bundle):
-    if a is b:
-        return
-    if a.space != b.space or list(a.dimensions) != list(b.dimensions):
-        raise ValueError("section and dual section live on different bundles")
 
 
 # -- operator norm via the constructed maximizer ----------------------------

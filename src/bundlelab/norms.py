@@ -19,7 +19,9 @@ normals: the gauge norm is ``max(F v)`` over the facet matrix ``F`` of
 its hull, and the polyhedral maximizer is the best-scoring row of its
 dual gauge's ``F``.  The gauge's defining linear program
 (``PolytopeGaugeNorm._norm_lp``) is kept only as the construction
-cross-check of the facet form and as a test oracle.
+cross-check of the facet form and as a test oracle; it solves a batch of
+vectors as one block-diagonal program, so each gauge built costs one
+solver call.
 
 Batched kernels are coordinate-major: ``norm_batch`` takes rows of shape
 ``(..., d)`` but works on the ``(d, m)`` transpose and reduces over axis 0,
@@ -75,6 +77,18 @@ def _columns(V) -> tuple[np.ndarray, tuple]:
 def _unbatch(values: np.ndarray, shape: tuple):
     # [()] turns the 0-d result of a single vector into a scalar
     return values.reshape(shape)[()]
+
+
+def _sum_columns(T: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered ``(n, m)`` array, adding its rows in order.
+
+    numpy adds the rows one after another when ``m >= 2`` but sums a single
+    column by its pairwise loop; that column gets a twin, so a column's sum
+    has the same bits alone as beside others.
+    """
+    if T.shape[1] == 1:
+        return np.sum(np.repeat(T, 2, axis=1), axis=0)[:1]
+    return np.sum(T, axis=0)
 
 
 def _as_matrix(values, name) -> np.ndarray:
@@ -296,7 +310,7 @@ class WeightedLpNorm(NormSpec):
         if self._r_is_inf:
             return _unbatch(np.max(w * A, axis=0), shape)
         rf = self._rf
-        return _unbatch(np.sum(w * A**rf, axis=0) ** (1.0 / rf), shape)
+        return _unbatch(_sum_columns(w * A**rf) ** (1.0 / rf), shape)
 
     def _make_dual(self) -> "WeightedLpNorm":
         if self.r == math.inf:
@@ -387,7 +401,8 @@ class PolytopeGaugeNorm(NormSpec):
     ``max(F v)``, with the facet matrix ``F`` precomputed from the hull.
     The defining linear program (minimal t >= 0 with v inside t times the
     hull, ``_norm_lp``) is the construction cross-check of that form, to
-    ``GAUGE_SOLVER_TOL`` on 8 probes, and the oracle of the tests.
+    ``GAUGE_SOLVER_TOL`` on 8 probes solved together as one block LP, and
+    the oracle of the tests.
     """
 
     kind = "polytope_gauge"
@@ -423,7 +438,7 @@ class PolytopeGaugeNorm(NormSpec):
     def _cross_check(self, probes: int = 8, seed: int = 7) -> None:
         rng = np.random.default_rng(seed)
         P = rng.standard_normal((probes, self.dimension))
-        lp_vals = np.array([self._norm_lp(p) for p in P])
+        lp_vals = self._norm_lp(P)
         facet_vals = self.norm_batch(P)
         gap = np.max(np.abs(lp_vals - facet_vals))
         if gap > GAUGE_SOLVER_TOL * max(1.0, float(np.max(facet_vals))):
@@ -432,18 +447,28 @@ class PolytopeGaugeNorm(NormSpec):
                 f"(linear program vs facet form)"
             )
 
-    def _norm_lp(self, v: np.ndarray) -> float:
-        k = self.vertices.shape[0]
+    def _norm_lp(self, P):
+        """Gauges of the rows of ``P``, shape ``(..., d)`` -> ``(...)``, from
+        the defining LP; a single ``(d,)`` vector gives a scalar.
+
+        All rows are solved as one block-diagonal LP: minimize the sum of
+        ``1' lam_k`` subject to ``V' lam_k = p_k``, ``lam_k >= 0``.  The
+        blocks share no variable, so each block of the optimum is optimal
+        for its own row, and a row's gauge is the sum of its block.
+        """
+        P = np.asarray(P, dtype=float)
+        rows = P.reshape(-1, self.dimension)
+        m, k = len(rows), self.vertices.shape[0]
         res = linprog(
-            np.ones(k),
-            A_eq=self.vertices.T,
-            b_eq=v,
-            bounds=[(0, None)] * k,
+            np.ones(m * k),
+            A_eq=np.kron(np.eye(m), self.vertices.T),
+            b_eq=rows.ravel(),
+            bounds=(0, None),
             method="highs",
         )
         if res.status != 0:
             raise RuntimeError(f"gauge LP failed with status {res.status}")
-        return float(res.fun)
+        return _unbatch(res.x.reshape(m, k).sum(axis=1), P.shape[:-1])
 
     def norm(self, v) -> float:
         v = self._check_vec(v)

@@ -14,6 +14,7 @@ from bundlelab.bundles import (
     HILBERT_DEFECT_TOL,
     Section,
     ZERO_FIBER_MODULUS,
+    _section_norms,
     bochner_integral,
     classify_bundle,
     fiber_modulus_curve,
@@ -205,6 +206,27 @@ def test_section_norm_fn_matches_per_row_formula(p):
             want.append(sum(space.weights[x] * n[x] ** p for x in live) ** (1 / p))
     assert np.allclose(norm_batch(X), want, rtol=1e-12, atol=0.0)
     assert norm_batch(X[3]) == pytest.approx([want[3]], rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+@pytest.mark.parametrize("atoms", range(8, 13))
+def test_section_norms_are_row_independent(atoms, p):
+    """With 8 or more atoms, a row's section norm has the same bits alone,
+    in a one-row segment, and inside a batch."""
+    rng = np.random.default_rng(atoms)
+    shared = WeightedLpNorm(3, [1.0, 0.5])
+    fibers = [Fiber(2, shared) if x % 3 == 0 else Fiber(1, WeightedLpNorm(2, [rng.uniform(0.5, 2.0)]))
+              for x in range(atoms)]
+    b = Bundle(MeasureSpace([f"a{x}" for x in range(atoms)], rng.uniform(0.5, 2.0, atoms)), fibers)
+    norm_batch, total, _, _ = section_norm_fn(b, p)
+    X = rng.standard_normal((20, total))
+    full = norm_batch(X)
+    evaluate = _section_norms(b, [p, p])
+    for i in range(len(X)):
+        assert norm_batch(X[i : i + 1])[0] == full[i]
+        # row i alone in the first exponent's segment, the rest in the second
+        rows = np.vstack([X[i : i + 1], np.delete(X, i, axis=0)])
+        assert evaluate(rows, [1, len(X) - 1])[0] == full[i]
 
 
 class TestModuleAction:

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from bundlelab import convexity
-from bundlelab.bundles import Bundle, Fiber, _exponent_norm, _section_norms, section_norm_fn
+from bundlelab.bundles import (
+    Bundle,
+    Fiber,
+    _exponent_norm,
+    _section_norms,
+    section_modulus_curve,
+    section_norm_fn,
+)
 from bundlelab.convexity import (
     DEFAULT_EPS_GRID,
     FEASIBILITY_SLACK,
@@ -70,6 +77,37 @@ def test_inner_product_curve_matches_closed_form(spec):
     )
     assert np.all(curve.deltas >= floor - 1e-9)
     assert np.max(np.abs(curve.deltas - target)) <= 1e-3
+
+
+def clarkson_modulus(eps, r):
+    """Clarkson (1936): the modulus of l^r for r >= 2 in any dimension >= 2,
+    1 - (1 - (eps/2)^r)^(1/r), attained by the pair (s, t), (s, -t)."""
+    return 1.0 - (1.0 - (eps / 2.0) ** r) ** (1.0 / r)
+
+
+def assert_clarkson_bracket(curve, r):
+    """Each raw estimate is the midpoint gap of a unit pair separated by at
+    least eps - FEASIBILITY_SLACK, so it cannot fall below the modulus there;
+    it should reach the modulus at eps itself to the search's accuracy."""
+    eps = curve.epsilons
+    floor = np.array([clarkson_modulus(e - FEASIBILITY_SLACK, r) for e in eps])
+    target = np.array([clarkson_modulus(e, r) for e in eps])
+    assert np.all(curve.raw_deltas >= floor - 1e-12)
+    assert np.all(curve.raw_deltas <= target + 1e-6)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_weighted_lp_curve_matches_clarkson(r):
+    # positive weights make weighted l^r isometric to l^r
+    assert_clarkson_bracket(modulus_curve(WeightedLpNorm(r, [0.7, 1.9]), budget=TEST_BUDGET), r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_lr_section_space_at_p_equal_r_matches_clarkson(r):
+    # sum_x mu_x w_x |v_x|^r: the section space is a weighted l^r space
+    space = MeasureSpace(["a", "b"], [0.6, 1.7])
+    b = Bundle(space, [Fiber(1, WeightedLpNorm(r, [1.3])), Fiber(1, WeightedLpNorm(r, [0.8]))])
+    assert_clarkson_bracket(section_modulus_curve(b, r, budget=TEST_BUDGET), r)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from bundlelab import norms
 from bundlelab.norms import (
     InnerProductNorm,
     PolyhedralMaxNorm,
@@ -200,9 +201,36 @@ class TestPolytopeGauge:
         for g in (self.scaled_cross(), PolytopeGaugeNorm(np.vstack([half, -half]))):
             rng = np.random.default_rng(2)
             V = rng.standard_normal((40, g.dimension))
-            for v in V:
-                # facet form against the defining linear program
-                assert g.norm(v) == pytest.approx(g._norm_lp(v), abs=1e-9)
+            single = np.array([g._norm_lp(v) for v in V])
+            # facet form against the defining linear program
+            assert np.allclose([g.norm(v) for v in V], single, rtol=0.0, atol=1e-9)
+            # one block LP over all rows gives each row's own value
+            assert np.allclose(g._norm_lp(V), single, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("fault", ["scaled", "missing"])
+    def test_cross_check_catches_a_wrong_facet_form(self, fault):
+        g = PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]], -np.eye(3), [[-1.0, -1.0, -0.5]]]))
+        g._cross_check()
+        if fault == "scaled":
+            g._facets = g._facets * (1.0 + 1e-6)
+        else:
+            # drop the facet that attains the gauge of the first probe
+            probe = np.random.default_rng(7).standard_normal(3)
+            g._facets = np.delete(g._facets, int(np.argmax(g._facets @ probe)), axis=0)
+        with pytest.raises(AssertionError, match="routes disagree"):
+            g._cross_check()
+
+    def test_construction_solves_one_lp(self, monkeypatch):
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "linprog", counting_linprog)
+        rows = np.random.default_rng(3).standard_normal((6, 4))
+        PolytopeGaugeNorm(np.vstack([rows, -rows]))
+        assert len(calls) == 1
 
     def test_asymmetric_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -263,6 +291,21 @@ def test_norm_batch_matches_row_major_formula(dim, r):
                 assert np.array_equal(got, want), (spec.kind, np.shape(V))
             else:
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (spec.kind, np.shape(V))
+
+
+@pytest.mark.parametrize("r", [1, 1.5, 2, 3, math.inf])
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_weighted_lp_norm_batch_is_row_independent(dim, r):
+    """A row's norm has the same bits alone, as a one-row batch, and inside
+    a batch, as the batched searches require of every evaluator."""
+    rng = np.random.default_rng(dim)
+    spec = WeightedLpNorm(r, rng.uniform(0.5, 2.0, dim))
+    X = rng.standard_normal((50, dim))
+    full = spec.norm_batch(X)
+    for i, row in enumerate(X):
+        assert spec.norm_batch(X[i : i + 1])[0] == full[i]
+        assert spec.norm_batch(row) == full[i]
+        assert spec.norm_batch(X[i : i + 2])[0] == full[i]
 
 
 def extreme_magnitude_kinds():
