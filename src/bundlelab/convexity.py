@@ -18,16 +18,19 @@ linear-functional maximizer used as an independent oracle.
 All searches are deterministic functions of their budget: starts come from
 seeded sphere samples plus structured pairs (axis, sign-pattern, polytope
 -vertex and antipodal pairs), and reductions run in fixed lane order.
-Restart lanes are vectorized, and ``pair_search`` runs many searches of one
-dimension in lockstep: each search owns a block of lanes that its own norm
-evaluator handles, and leaves the batch once all its lanes have converged.
-Because every evaluator is row-independent and every other step is per
-lane, a search gives the same bits in any batch as alone.
+Restart lanes are vectorized: a coordinate step normalizes six endpoints
+per lane and evaluates the midpoints and differences of the eight move
+patterns built from them, 22 norm rows per lane.  ``pair_search`` runs many
+searches of one dimension in lockstep: each search owns a block of lanes
+that its own norm evaluator handles, and leaves the batch once all its
+lanes have converged.  Every evaluator must be row-independent (a row's
+norm has the same bits whatever the other rows of the call and however
+many); since every other step is per lane, a search then gives the same
+bits in any batch as alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -219,22 +222,39 @@ def _polyhedral_ball_vertices_2d(spec: PolyhedralMaxNorm) -> np.ndarray:
 
 # -- core pair search ------------------------------------------------------
 
-#: lanes x dimension of one batch of searches run in lockstep.  Working
-#: memory grows with the lanes of a batch (16 candidate rows per lane plus
-#: per-lane temporaries, about 1 KiB per lane); past this size batching
-#: saves no more per-step call overhead but keeps adding memory
-_MAX_LANE_COORDS = 1000
+#: lanes x dimension of one batch of searches run in lockstep (a larger
+#: search runs alone).  Wider batches share the per-step call overhead;
+#: working memory grows with the lanes of a batch (22 rows per lane plus
+#: evaluator temporaries).  ``cli.main`` on the benchmark's section-modulus
+#: configs 0-7 at seed 0 (2-vCPU VM, BLAS on one thread; time as the median
+#: of three runs, peak RSS as the mean over the configs of each's median):
+#:
+#:     cap     time     peak RSS
+#:     1000    9.48 s   80.70 MiB
+#:     2000    7.95 s   81.04 MiB
+#:     3000    7.51 s   81.42 MiB
+#:     5000    7.02 s   81.94 MiB
+#:
+#: 2000 is the widest of these within 0.5 MiB of cap 1000's peak.
+_MAX_LANE_COORDS = 2000
 
-# single-endpoint moves plus joint moves: translating both endpoints keeps
-# the separation while the midpoint slides (escapes stalls against the
-# constraint wall at polygonal corners); opposite-sign moves stretch or
-# shrink the pair.  All eight patterns of every lane for one coordinate are
-# evaluated together, since call overhead dominates at these array sizes.
-_DV_PAT = np.array([1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
-_DW_PAT = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
-_N_PAT = len(_DV_PAT)
-#: the move of each of a lane's 16 candidate rows, per unit step
-_MOVES = np.concatenate([_DV_PAT, _DW_PAT])
+# A coordinate step moves each lane's pair (V, W) along one axis e_i by the
+# lane's step s, in eight patterns: single-endpoint moves, joint moves that
+# translate both endpoints (the separation stays while the midpoint slides,
+# which escapes stalls against the constraint wall at polygonal corners),
+# and opposite-sign moves that stretch or shrink the pair.  The patterns
+# share six endpoints, normalized once per step, in this order:
+#: V + s e_i, V - s e_i, V, W + s e_i, W - s e_i, W, per unit step
+_END_STEPS = np.array([1.0, -1.0, 0.0, 1.0, -1.0, 0.0])
+#: (V endpoints, W endpoints) of the patterns, two per entry: (V+-, W),
+#: (V, W+-), (V+, W+) and (V-, W-), (V+, W-) and (V-, W+).  The order fixes
+#: the argmin tie-breaks, so it must not change.
+_PATTERNS = ((slice(0, 2), slice(5, 6)), (slice(2, 3), slice(3, 5)),
+             (slice(0, 2), slice(3, 5)), (slice(0, 2), slice(4, 2, -1)))
+#: the V and the W endpoint of each pattern
+_V_END, _W_END = np.concatenate(
+    [np.broadcast_arrays(np.arange(6)[v], np.arange(6)[w]) for v, w in _PATTERNS], axis=1)
+_N_PAT = len(_V_END)
 
 
 class Search(NamedTuple):
@@ -251,6 +271,8 @@ class SearchGroup(NamedTuple):
     ``evaluate(X, counts)`` returns the norms of the rows of ``X``: the
     first ``counts[0]`` rows under the norm of ``searches[0]``, the next
     ``counts[1]`` under that of ``searches[1]``, and so on (a count may be 0).
+    It must be row-independent: the norm of a row has the same bits whatever
+    the other rows of the call, and however many there are.
     """
 
     evaluate: Callable[[np.ndarray, Sequence[int]], np.ndarray]
@@ -270,17 +292,24 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     witnesses, counters)`` per search, in group order: one value per eps,
     witness pairs with ``||v|| = ||w|| = 1`` within 1e-9 and
     ``||v - w|| >= eps - 1e-9``, and the counters ``iterations`` (used),
-    ``lanes`` and ``repaired`` (lanes that never met the separation and were
-    repaired by bisection).
+    ``lanes``, ``repaired`` (lanes that never met the separation and were
+    repaired by bisection) and ``rows`` (rows its evaluator was asked for).
+
+    Each lane holds one pair.  An iteration steps every coordinate in turn:
+    the six endpoints V +- s e_i, V, W +- s e_i and W are normalized, and
+    the midpoints and differences of the eight move patterns built from
+    them are evaluated, 22 rows per lane and coordinate.  A lane keeps the
+    best pattern that lowers its penalized objective and halves its step
+    after an iteration without one.
 
     Searches run in lockstep batches of at most ``_MAX_LANE_COORDS`` lane
     coordinates (a larger search runs alone).  Each search owns a contiguous
     block of lanes, which its group's evaluator handles together with the
     blocks of the group's other searches in the batch, and leaves the batch
-    once all its lanes have step below ``budget.min_step``.  The result of a search therefore does
-    not depend on which other searches share its batch, provided every
-    evaluator is row-independent: the norm of a row must not depend on the
-    other rows of the call.
+    once all its lanes have step below ``budget.min_step``.  Every step
+    other than the evaluator is per lane, so a search gives the same bits
+    in any batch as alone, provided every evaluator is row-independent (see
+    ``SearchGroup``).
     """
     eps_values = np.asarray(eps_values, dtype=float)
     rng = np.random.default_rng(budget.seed)
@@ -314,40 +343,41 @@ class _Lanes(NamedTuple):
 
 
 def _layout(groups, blocks):
-    """``(evaluate, start, stop, rows per search)`` for each group with rows,
-    given ``(lanes, rows)`` blocks that lie consecutively in group order."""
+    """``(evaluate, start, stop, rows per search, blocks)`` for each group
+    with rows, given ``(lanes, rows)`` blocks that lie consecutively in
+    group order; a group keeps its blocks that have rows."""
     out, start = [], 0
     for g, group in enumerate(groups):
-        counts = [0] * len(group.searches)
-        for lanes, rows in blocks:
-            if lanes.group == g:
+        members = [(lanes, rows) for lanes, rows in blocks if lanes.group == g and rows]
+        if members:
+            counts = [0] * len(group.searches)
+            for lanes, rows in members:
                 counts[lanes.index] = rows
-        if any(counts):
-            out.append((group.evaluate, start, start + sum(counts), counts))
+            out.append((group.evaluate, start, start + sum(counts), counts, members))
             start += sum(counts)
     return out
 
 
-def _group_norms(layout, A, rows=None, out=None):
-    """Norms of the rows of ``A`` (lanes, ..., dim), each group's lanes by
-    its own evaluator; ``rows`` may first map a group's block of ``A`` to
-    the rows to evaluate, of the same shape.  Written to ``out`` if given."""
-    out = np.empty(A.shape[:-1]) if out is None else out
-    per_lane = math.prod(A.shape[1:-1])
-    for evaluate, a, b, counts in layout:
-        block = A[a:b] if rows is None else rows(A[a:b])
-        values = evaluate(block.reshape(-1, A.shape[-1]), [c * per_lane for c in counts])
-        out[a:b] = values.reshape(out[a:b].shape)
-    return out
+def _group_norms(layout, A, asked):
+    """Norms of the rows of ``A``, shape ``(k, lanes, dim)``: ``k`` rows per
+    lane, each group's lanes by its own evaluator.  Adds the rows asked of
+    each search to ``asked``, indexed by search position.
 
-
-def _midpoints_and_differences(cand):
-    """``(v + w) / 2`` then ``v - w`` of each candidate pair of a block."""
-    out = np.empty_like(cand)
-    V, W = cand[:, :_N_PAT], cand[:, _N_PAT:]
-    np.add(V, W, out=out[:, :_N_PAT])
-    out[:, :_N_PAT] *= 0.5
-    np.subtract(V, W, out=out[:, _N_PAT:])
+    A group block goes to its evaluator as it lies, ``k`` slabs of lanes,
+    unless it holds several searches and ``k > 1``: each search's rows must
+    then be consecutive, so the block is copied lane by lane.
+    """
+    k, _, dim = A.shape
+    out = np.empty(A.shape[:-1])
+    for evaluate, a, b, counts, members in layout:
+        counts = [c * k for c in counts]
+        if k == 1 or len(members) == 1:
+            out[:, a:b] = evaluate(A[:, a:b].reshape(-1, dim), counts).reshape(k, b - a)
+        else:
+            rows = A[:, a:b].transpose(1, 0, 2).reshape(-1, dim)
+            out[:, a:b] = evaluate(rows, counts).reshape(b - a, k).T
+        for lanes, rows in members:
+            asked[lanes.position] += rows * k
     return out
 
 
@@ -355,52 +385,57 @@ def _pairs_array(pairs, dim: int) -> np.ndarray:
     return np.asarray(pairs, dtype=float).reshape(-1, 2, dim)
 
 
-def _start_lanes(groups, batch, dim, eps_values, budget, X, Y):
+def _start_lanes(groups, batch, dim, eps_values, budget, X, Y, asked):
     """Unnormalized start pairs of every lane of a batch of ``(group, index
     in group)`` searches, and the lanes of each search: for each eps, the
     restart pairs, the pairs shared by every eps, then the pairs of this eps."""
-    restarts = budget.restarts
-    searches, lane_V, lane_W = [], [], []
-    for g, members in itertools.groupby(batch, key=lambda item: item[0]):
-        group = groups[g]
-        members = [j for _, j in members]
-        counts = [restarts if j in members else 0 for j in range(len(group.searches))]
-        XU = _unit_rows(lambda R: group.evaluate(R, counts), np.tile(X, (len(members), 1)))
-        YU = _unit_rows(lambda R: group.evaluate(R, counts), np.tile(Y, (len(members), 1)))
-        for m, j in enumerate(members):
-            search = group.searches[j]
-            Xs = XU[m * restarts : (m + 1) * restarts]
-            Ys = YU[m * restarts : (m + 1) * restarts]
-            # every other restart begins on a guaranteed-feasible antipodal pair
-            Ys[::2] = -Xs[::2]
-            shared = _pairs_array(search.extra_pairs, dim)
-            eps_idx = []
-            for e in range(len(eps_values)):
-                own = _pairs_array(() if search.extras_by_eps is None else search.extras_by_eps[e], dim)
-                lane_V += [Xs, shared[:, 0], own[:, 0]]
-                lane_W += [Ys, shared[:, 1], own[:, 1]]
-                eps_idx += [e] * (restarts + len(shared) + len(own))
-            searches.append(_Lanes(len(searches), g, j, np.array(eps_idx)))
+    restarts, n_eps = budget.restarts, len(eps_values)
+    searches, extras = [], []
+    for g, j in batch:
+        search = groups[g].searches[j]
+        shared = _pairs_array(search.extra_pairs, dim)
+        own = [_pairs_array(() if search.extras_by_eps is None else search.extras_by_eps[e], dim)
+               for e in range(n_eps)]
+        per_eps = [restarts + len(shared) + len(o) for o in own]
+        searches.append(_Lanes(len(searches), g, j, np.repeat(np.arange(n_eps), per_eps)))
+        extras.append((shared, own))
+    layout = _layout(groups, [(s, restarts) for s in searches])
+
+    def restart_norms(R):
+        return _group_norms(layout, R[None], asked)[0]
+
+    XU = _unit_rows(restart_norms, np.tile(X, (len(searches), 1)))
+    YU = _unit_rows(restart_norms, np.tile(Y, (len(searches), 1)))
+    lane_V, lane_W = [], []
+    for s, (shared, own) in zip(searches, extras):
+        Xs = XU[s.position * restarts : (s.position + 1) * restarts]
+        Ys = YU[s.position * restarts : (s.position + 1) * restarts]
+        # every other restart begins on a guaranteed-feasible antipodal pair
+        Ys[::2] = -Xs[::2]
+        for o in own:
+            lane_V += [Xs, shared[:, 0], o[:, 0]]
+            lane_W += [Ys, shared[:, 1], o[:, 1]]
     return np.concatenate(lane_V), np.concatenate(lane_W), searches
 
 
 def _search_batch(groups, batch, dim, eps_values, budget, X, Y):
     n_eps = len(eps_values)
     rho = budget.penalty
-    V, W, searches = _start_lanes(groups, batch, dim, eps_values, budget, X, Y)
+    asked = [0] * len(batch)
+    V, W, searches = _start_lanes(groups, batch, dim, eps_values, budget, X, Y, asked)
     live = searches
     layout = _layout(groups, [(s, len(s.eps_idx)) for s in live])
 
     def lane_norms(R):
-        return _group_norms(layout, R[:, None, :])[:, 0]
+        return _group_norms(layout, R[None], asked)[0]
 
     V = _unit_rows(lane_norms, V)
     W = _unit_rows(lane_norms, W)
     eps_lane = eps_values[np.concatenate([s.eps_idx for s in live])]
     step = np.full(len(eps_lane), budget.init_step)
 
-    both = _group_norms(layout, np.stack([(V + W) * 0.5, V - W], axis=1))
-    obj0, sep0 = 1.0 - both[:, 0], both[:, 1]
+    obj0, sep0 = _group_norms(layout, np.stack([(V + W) * 0.5, V - W]), asked)
+    obj0 = 1.0 - obj0
     best_pen = obj0 + rho * np.maximum(0.0, eps_lane - sep0)
     feas_obj = np.where(sep0 >= eps_lane - FEASIBILITY_SLACK, obj0, np.inf)
     feas_V = V.copy()
@@ -417,7 +452,7 @@ def _search_batch(groups, batch, dim, eps_values, budget, X, Y):
             repair_layout = _layout(groups, [(s, len(b)) for (s, _), b in zip(done, broken)])
 
             def norm_batch(R):
-                return _group_norms(repair_layout, R[:, None, :])[:, 0]
+                return _group_norms(repair_layout, R[None], asked)[0]
 
             fixed = _repair_separation_batch(norm_batch, V[idx], W[idx], eps_lane[idx])
             feas_V[idx] = V[idx]
@@ -432,61 +467,70 @@ def _search_batch(groups, batch, dim, eps_values, budget, X, Y):
                 j = at[int(np.argmin(objs[at]))]
                 raw[e] = min(max(objs[j], 0.0), 1.0)
                 witnesses.append((fV[j].copy(), fW[j].copy()))
-            counters = {"iterations": iterations, "lanes": len(s.eps_idx), "repaired": len(b)}
+            counters = {"iterations": iterations, "lanes": len(s.eps_idx),
+                        "repaired": len(b), "rows": asked[s.position]}
             results[s.position] = (raw, witnesses, counters)
 
     def lane_slices():
-        ends = np.cumsum([len(s.eps_idx) for s in live])
-        return [slice(int(b - len(s.eps_idx)), int(b)) for s, b in zip(live, ends)]
+        stops = np.cumsum([len(s.eps_idx) for s in live])
+        return [slice(int(b - len(s.eps_idx)), int(b)) for s, b in zip(live, stops)]
 
-    # candidates: per lane, the eight moved V endpoints, then the eight W
-    cand_buf = np.empty((len(eps_lane), 2 * _N_PAT, dim))
+    # endpoint-major: slab e holds endpoint e of every lane, so the pair
+    # arithmetic runs over whole slabs; then the midpoints and the
+    # differences of the pattern pairs.  Both live in buffers that a batch
+    # allocates once and views in a shorter prefix as searches leave it.
+    ends_buf = np.empty(len(_END_STEPS) * len(eps_lane) * dim)
+    pairs_buf = np.empty(2 * _N_PAT * len(eps_lane) * dim)
     for it in range(budget.iterations):
         n_lanes = len(eps_lane)
         lanes = np.arange(n_lanes)
         improved = np.zeros(n_lanes, dtype=bool)
-        cand = cand_buf[:n_lanes]
-        candV, candW = cand[:, :_N_PAT], cand[:, _N_PAT:]
-        moves = step[:, None] * _MOVES
-        eps_col = eps_lane[:, None]
+        ends = ends_buf[: len(_END_STEPS) * n_lanes * dim].reshape(-1, n_lanes, dim)
+        pairs = pairs_buf[: 2 * _N_PAT * n_lanes * dim].reshape(-1, n_lanes, dim)
+        mids, diffs = pairs[:_N_PAT], pairs[_N_PAT:]
+        moves = _END_STEPS[:, None] * step
         for i in range(dim):
-            candV[...] = V[:, None, :]
-            candW[...] = W[:, None, :]
-            cand[:, :, i] += moves
-            nrm = _group_norms(layout, cand)
+            ends[:3] = V
+            ends[3:] = W
+            ends[:, :, i] += moves
+            nrm = _group_norms(layout, ends, asked)
             good = nrm > 1e-12
-            ok = good[:, :_N_PAT] & good[:, _N_PAT:]
+            ok = good[_V_END] & good[_W_END]
             nrm[~good] = 1.0
-            cand /= nrm[:, :, None]
-            both = _group_norms(layout, cand, _midpoints_and_differences, out=nrm)
-            obj, sep = both[:, :_N_PAT], both[:, _N_PAT:]
+            ends /= nrm[:, :, None]
+            for k, (v, w) in enumerate(_PATTERNS):
+                np.add(ends[v], ends[w], out=mids[2 * k : 2 * k + 2])
+                np.subtract(ends[v], ends[w], out=diffs[2 * k : 2 * k + 2])
+            mids *= 0.5
+            both = _group_norms(layout, pairs, asked)
+            obj, sep = both[:_N_PAT], both[_N_PAT:]
             np.subtract(1.0, obj, out=obj)
             # penalized objective, inf where a candidate could not be normalized
-            pen = eps_col - sep
+            pen = eps_lane - sep
             np.maximum(0.0, pen, out=pen)
             pen *= rho
             pen += obj
             pen[~ok] = np.inf
             # descent acceptance: best improving pattern per lane (fixed
             # tie-break through argmin keeps runs deterministic)
-            best_p = np.argmin(pen, axis=1)
-            min_pen = pen[lanes, best_p]
+            best_p = np.argmin(pen, axis=0)
+            min_pen = pen[best_p, lanes]
             acc = min_pen < best_pen
             if np.any(acc):
-                V[acc] = candV[lanes[acc], best_p[acc]]
-                W[acc] = candW[lanes[acc], best_p[acc]]
+                V[acc] = ends[_V_END[best_p[acc]], lanes[acc]]
+                W[acc] = ends[_W_END[best_p[acc]], lanes[acc]]
                 best_pen[acc] = min_pen[acc]
                 improved |= acc
             # feasible incumbent: any candidate meeting the separation may
             # update it, accepted or not
-            obj[~(ok & (sep >= eps_col - FEASIBILITY_SLACK))] = np.inf
-            best_f = np.argmin(obj, axis=1)
-            min_obj = obj[lanes, best_f]
+            obj[~(ok & (sep >= eps_lane - FEASIBILITY_SLACK))] = np.inf
+            best_f = np.argmin(obj, axis=0)
+            min_obj = obj[best_f, lanes]
             hit = min_obj < feas_obj
             if np.any(hit):
                 feas_obj[hit] = min_obj[hit]
-                feas_V[hit] = candV[lanes[hit], best_f[hit]]
-                feas_W[hit] = candW[lanes[hit], best_f[hit]]
+                feas_V[hit] = ends[_V_END[best_f[hit]], lanes[hit]]
+                feas_W[hit] = ends[_W_END[best_f[hit]], lanes[hit]]
         step[~improved] *= 0.5
 
         # a search whose lanes all have step below min_step is done: record

@@ -68,15 +68,23 @@ def _sign_nonzero(x: np.ndarray) -> np.ndarray:
 def _columns(V) -> tuple[np.ndarray, tuple]:
     """A batch of rows, shape ``(..., d)``, as its ``(d, m)`` transpose.
 
-    Also returns the batch shape ``(...)`` for ``_unbatch``.
+    Also returns the batch shape ``(...)`` for ``_unbatch``.  A lone row is
+    doubled: numpy hands a product with one row or column to BLAS as a
+    matrix-vector product, whose last bits differ from the matrix product a
+    batch gets, so beside a twin a row's norm does not depend on the size of
+    its batch.
     """
     V = np.asarray(V, dtype=float)
-    return V.reshape(-1, V.shape[-1]).T, V.shape[:-1]
+    rows = V.reshape(-1, V.shape[-1])
+    if len(rows) == 1:
+        rows = np.repeat(rows, 2, axis=0)
+    return rows.T, V.shape[:-1]
 
 
 def _unbatch(values: np.ndarray, shape: tuple):
-    # [()] turns the 0-d result of a single vector into a scalar
-    return values.reshape(shape)[()]
+    # drops the twin of a lone row; [()] turns the 0-d result of a single
+    # vector into a scalar
+    return values[: math.prod(shape)].reshape(shape)[()]
 
 
 def _sum_columns(T: np.ndarray) -> np.ndarray:
@@ -248,8 +256,9 @@ class InnerProductNorm(NormSpec):
         return float(math.sqrt(max(y @ y, 0.0)))
 
     def norm_batch(self, V) -> np.ndarray:
-        Y = np.asarray(V, dtype=float) @ self._chol
-        return np.sqrt(np.maximum(np.einsum("...i,...i->...", Y, Y), 0.0))
+        VT, shape = _columns(V)
+        Y = VT.T @ self._chol
+        return _unbatch(np.sqrt(np.maximum(np.einsum("ij,ij->i", Y, Y), 0.0)), shape)
 
     def _make_dual(self) -> "InnerProductNorm":
         inv = np.linalg.inv(self.gram)

@@ -1,6 +1,7 @@
 """Modulus-of-convexity searches: closed-form oracle for inner products,
 exact zero for flat norms, witness contracts, and determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -332,10 +333,42 @@ class TestBatchedSearch:
         assert len(set(iterations)) > 1 and min(iterations) < self.BUDGET.iterations
         assert any(c["repaired"] for _, _, c in batched)
 
+    def test_kernel_bits_are_pinned(self):
+        """Refactors of the search kernel keep its exact results: the SHA-256
+        of every raw delta and witness of these searches is fixed."""
+        h = hashlib.sha256()
+        for raw, witnesses, _ in pair_search(self._groups(), 3, self.EPS, self.BUDGET):
+            h.update(raw.tobytes())
+            for v, w in witnesses:
+                h.update(v.tobytes() + w.tobytes())
+        assert h.hexdigest() == "bfbc3d501e50c96fe668e11cd2f5d3bb62a705f96090de201857707b068c1f2d"
+
+    def test_a_coordinate_step_asks_22_rows_per_lane(self):
+        """Six endpoints and the midpoints and differences of eight pairs
+        per lane and coordinate; ``rows`` counts every row asked for."""
+        spec = WeightedLpNorm(3, [1.0, 2.0, 0.5])
+        asked = []
+
+        def counting(X):
+            asked.append(len(X))
+            return spec.norm_batch(X)
+
+        counters = []
+        for iterations in (3, 4):
+            asked.clear()
+            budget = SearchBudget(restarts=6, iterations=iterations, min_step=1e-12)
+            [(_, _, c)] = pair_search([single_norm_group(counting, Search(structured_pairs(spec)))],
+                                      3, self.EPS, budget)
+            assert c["iterations"] == iterations and c["rows"] == sum(asked)
+            counters.append(c)
+        # the same lanes were repaired, so the extra iteration accounts for the rows
+        assert counters[0]["repaired"] == counters[1]["repaired"] > 0
+        assert counters[1]["rows"] - counters[0]["rows"] == 22 * 3 * counters[0]["lanes"]
+
     def test_curve_meta_records_search_counters(self):
         spec = WeightedLpNorm(3, [1.0, 2.0])
         curve = modulus_curve(spec, [1.0, 2.0], budget=self.BUDGET)
         counters = curve.meta["search"]
-        assert set(counters) == {"iterations", "lanes", "repaired"}
+        assert set(counters) == {"iterations", "lanes", "repaired", "rows"}
         assert 1 <= counters["iterations"] <= self.BUDGET.iterations
         assert counters["lanes"] == 2 * (self.BUDGET.restarts + len(structured_pairs(spec)))

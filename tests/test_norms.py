@@ -255,8 +255,12 @@ def one_norm_of_each_kind(dim, r=1.5):
 
 
 def row_major_norm_batch(spec, V):
-    """The row-major formulas, reducing along the last axis."""
+    """The row-major formulas, reducing along the last axis.  A single
+    vector is evaluated as a row of a two-row batch, where a row-independent
+    kernel must give it the same bits as alone."""
     V = np.asarray(V, dtype=float)
+    if V.ndim == 1:
+        return row_major_norm_batch(spec, np.stack([V, V]))[0]
     if isinstance(spec, InnerProductNorm):
         Y = V @ spec._chol
         return np.sqrt(np.maximum(np.einsum("...i,...i->...", Y, Y), 0.0))
@@ -297,15 +301,22 @@ def test_norm_batch_matches_row_major_formula(dim, r):
 @pytest.mark.parametrize("dim", range(1, 21))
 def test_weighted_lp_norm_batch_is_row_independent(dim, r):
     """A row's norm has the same bits alone, as a one-row batch, and inside
-    a batch, as the batched searches require of every evaluator."""
+    a batch, as the batched searches require of every evaluator; checked for
+    a weighted l^r norm of exponent r and a norm of each other kind."""
     rng = np.random.default_rng(dim)
-    spec = WeightedLpNorm(r, rng.uniform(0.5, 2.0, dim))
+    specs = [WeightedLpNorm(r, rng.uniform(0.5, 2.0, dim))]
     X = rng.standard_normal((50, dim))
-    full = spec.norm_batch(X)
-    for i, row in enumerate(X):
-        assert spec.norm_batch(X[i : i + 1])[0] == full[i]
-        assert spec.norm_batch(row) == full[i]
-        assert spec.norm_batch(X[i : i + 2])[0] == full[i]
+    a = rng.standard_normal((dim, dim))
+    rows = rng.standard_normal((dim + 2, dim))
+    specs += [InnerProductNorm(a @ a.T + 0.5 * np.eye(dim)), PolyhedralMaxNorm(rows)]
+    if dim <= 10:  # past 10 dimensions the hull has too many facets to build quickly
+        specs.append(PolytopeGaugeNorm(np.vstack([rows, -rows])))
+    for spec in specs:
+        full = spec.norm_batch(X)
+        for i, row in enumerate(X):
+            assert spec.norm_batch(X[i : i + 1])[0] == full[i], spec.kind
+            assert spec.norm_batch(row) == full[i], spec.kind
+            assert spec.norm_batch(X[i : i + 2])[0] == full[i], spec.kind
 
 
 def extreme_magnitude_kinds():
