@@ -29,19 +29,14 @@ from .convexity import (
     SearchBudget,
     modulus_curve,
     modulus_grid_estimate_2d,
-    modulus_of_convexity,
     parallelogram_defect,
 )
 from .bundles import (
     Bundle,
-    BundleClassification,
     Fiber,
     Section,
-    bochner_integral,
-    classify_bundle,
     fiber_modulus_curve,
     module_action,
-    pointwise_modulus,
     pointwise_norm,
     restrict_section,
     section_lp_norm,
@@ -91,11 +86,10 @@ __all__ = [
     "NormSpec", "InnerProductNorm", "WeightedLpNorm", "PolyhedralMaxNorm",
     "PolytopeGaugeNorm", "norm_spec_from_config",
     "DEFAULT_EPS_GRID", "ModulusCurve", "SearchBudget", "modulus_curve",
-    "modulus_grid_estimate_2d", "modulus_of_convexity", "parallelogram_defect",
-    "Bundle", "BundleClassification", "Fiber", "Section", "bochner_integral",
-    "classify_bundle", "fiber_modulus_curve", "module_action",
-    "pointwise_modulus", "pointwise_norm", "restrict_section",
-    "section_lp_norm", "section_modulus_curve",
+    "modulus_grid_estimate_2d", "parallelogram_defect",
+    "Bundle", "Fiber", "Section", "fiber_modulus_curve", "module_action",
+    "pointwise_norm", "restrict_section", "section_lp_norm",
+    "section_modulus_curve",
     "DualSection", "ReflexivityReport", "check_reflexivity_diagram",
     "dual_operator_norm", "dual_pointwise_norm", "evaluation_field",
     "holder_maximizer", "integrated_pairing", "norming_dual_section",

@@ -2,14 +2,14 @@
 
 A bundle assigns each atom a fiber dimension and a norm kind; a section
 picks one vector per atom.  Section spaces carry the weighted L^p norm of
-the pointwise-norm field, the module action by scalar fields, and a
-pointwise modulus of convexity realized fiber by fiber.
+the pointwise-norm field and the module action by scalar fields; their
+moduli of convexity are searched alongside those of the fibers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from .convexity import (
     DEFAULT_BUDGET,
     DEFAULT_EPS_GRID,
-    DEFECT_BUDGET,
     ModulusCurve,
     Search,
     SearchBudget,
@@ -27,7 +26,6 @@ from .convexity import (
     modulus_curve_for_fn,
     modulus_curves,
     pair_search,
-    parallelogram_defect,
     structured_pairs_for_fn,
 )
 from .measure import MeasureSpace, ScalarField, as_exponent, lp_norm
@@ -41,27 +39,13 @@ __all__ = [
     "section_lp_norm",
     "module_action",
     "restrict_section",
-    "bochner_integral",
     "fiber_modulus_curve",
     "fiber_modulus_curves",
-    "pointwise_modulus",
-    "classify_bundle",
-    "BundleClassification",
     "section_norm_fn",
     "section_modulus_curve",
     "section_modulus_curves",
     "parallelogram_residual",
 ]
-
-#: a fiber whose defect stays below this is treated as inner-product-like
-HILBERT_DEFECT_TOL = 1e-9
-
-#: uniform convexity verdict: estimated modulus must exceed this at every grid point
-UC_FLOOR = 1e-6
-
-#: modulus convention for zero-dimensional fibers
-ZERO_FIBER_MODULUS = 1.0
-
 
 @dataclass(frozen=True)
 class Fiber:
@@ -224,39 +208,7 @@ def restrict_section(section: Section, subset: Iterable) -> Section:
     return module_action(mask.astype(float), section)
 
 
-def bochner_integral(section: Section, subset: Iterable | None = None) -> np.ndarray:
-    """Weighted sum of fiber vectors over a subset of atoms.
-
-    All fibers over the subset must share one dimension.  Over the empty
-    subset the integral is the zero vector of the bundle's constant fiber
-    dimension; heterogeneous bundles raise the same dimension error there
-    because no ambient dimension is determined.
-    """
-    bundle = section.bundle
-    if subset is None:
-        mask = np.ones(bundle.space.atom_count, dtype=bool)
-    else:
-        mask = bundle.space.mask(subset)
-    dims = bundle.dimensions[mask]
-    if dims.size == 0:
-        all_dims = set(bundle.dimensions.tolist())
-        if len(all_dims) == 1:
-            return np.zeros(all_dims.pop())
-        raise ValueError(
-            "integral over the empty subset is undefined on a bundle with "
-            f"heterogeneous fiber dimensions {sorted(all_dims)}"
-        )
-    if len(set(dims.tolist())) != 1:
-        raise ValueError(
-            f"integration requires a single fiber dimension over the subset, got {sorted(set(dims.tolist()))}"
-        )
-    out = np.zeros(int(dims[0]))
-    for x in np.nonzero(mask)[0]:
-        out += bundle.space.weights[x] * section.vectors[x]
-    return out
-
-
-# -- pointwise modulus -------------------------------------------------------
+# -- fiber modulus curves ----------------------------------------------------
 
 _CURVE_CACHE: dict = {}
 
@@ -285,70 +237,6 @@ def fiber_modulus_curve(
 ) -> ModulusCurve:
     """Memoized modulus curve of one norm kind."""
     return fiber_modulus_curves([spec], eps_grid, budget)[0]
-
-
-def pointwise_modulus(bundle: Bundle, eps: float, budget: SearchBudget | None = None) -> ScalarField:
-    """Fiberwise modulus of convexity at one separation, as a scalar field.
-
-    Zero-dimensional fibers take the conventional value 1 (their unit
-    sphere is empty, so the defining infimum runs over the empty set).
-    """
-    values = np.empty(bundle.space.atom_count)
-    for x, f in enumerate(bundle.fibers):
-        if f.dimension == 0:
-            values[x] = ZERO_FIBER_MODULUS
-        else:
-            curve = fiber_modulus_curve(f.norm, [float(eps)], budget)
-            values[x] = curve.deltas[0]
-    return ScalarField(bundle.space, values)
-
-
-@dataclass
-class BundleClassification:
-    """Summary verdicts from fiber defects and fiber modulus curves."""
-
-    is_hilbert: bool
-    is_uniformly_convex: bool
-    degenerate: bool
-    fiber_defects: np.ndarray
-    epsilons: np.ndarray
-    ess_inf_modulus: np.ndarray
-    notes: list = field(default_factory=list)
-
-
-def classify_bundle(
-    bundle: Bundle,
-    eps_grid=None,
-    budget: SearchBudget | None = None,
-    defect_budget: SearchBudget | None = None,
-) -> BundleClassification:
-    """Classify a bundle by fiber geometry.
-
-    ``is_hilbert``: every positive-dimensional fiber has parallelogram
-    defect at most 1e-9.  ``is_uniformly_convex``: the essential infimum
-    (minimum over positive-dimensional fibers) of the estimated modulus
-    exceeds 1e-6 at every grid separation.  A bundle whose fibers are all
-    zero-dimensional is flagged degenerate and both verdicts hold vacuously.
-    """
-    eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
-    defects = np.zeros(bundle.space.atom_count)
-    notes = []
-    for x, f in enumerate(bundle.fibers):
-        if f.dimension > 0:
-            defects[x], _ = parallelogram_defect(f.norm, defect_budget or DEFECT_BUDGET)
-    if bundle.degenerate:
-        notes.append("all fibers are zero-dimensional; verdicts hold vacuously")
-        return BundleClassification(
-            True, True, True, defects, eps, np.full(len(eps), ZERO_FIBER_MODULUS), notes
-        )
-    curves = []
-    for f in bundle.fibers:
-        if f.dimension > 0:
-            curves.append(fiber_modulus_curve(f.norm, eps, budget).deltas)
-    ess_inf = np.min(np.stack(curves), axis=0)
-    is_hilbert = bool(np.all(defects <= HILBERT_DEFECT_TOL))
-    is_uc = bool(np.all(ess_inf > UC_FLOOR))
-    return BundleClassification(is_hilbert, is_uc, False, defects, eps, ess_inf, notes)
 
 
 # -- section-space norm as a search objective --------------------------------

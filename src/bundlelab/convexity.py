@@ -26,13 +26,21 @@ that its own norm evaluator handles, and leaves the batch once all its
 lanes have converged.  Every evaluator must be row-independent (a row's
 norm has the same bits whatever the other rows of the call and however
 many); since every other step is per lane, a search then gives the same
-bits in any batch as alone.
+bits in any batch as alone.  A call with enough work also splits its
+searches into contiguous parts, one per usable CPU, and runs every part but
+the first in a forked child that pickles its results and counters back
+through a pipe; by the same contract the split moves no bit.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -54,7 +62,6 @@ __all__ = [
     "curve_from_search",
     "modulus_curve",
     "modulus_curves",
-    "modulus_of_convexity",
     "modulus_curve_for_fn",
     "structured_pairs",
     "structured_pairs_for_fn",
@@ -238,6 +245,22 @@ def _polyhedral_ball_vertices_2d(spec: PolyhedralMaxNorm) -> np.ndarray:
 #: 2000 is the widest of these within 0.5 MiB of cap 1000's peak.
 _MAX_LANE_COORDS = 2000
 
+#: lane coordinates x ``budget.iterations`` of a ``pair_search`` call above
+#: which it splits its searches over forked children.  A fork round trip
+#: (fork, pipe, exit, wait) costs about 7 ms with ``gc.freeze()`` on and an
+#: 80 MiB heap, and parts end unevenly since searches converge at different
+#: iterations.  The calls ``suite_convexity_upper`` makes on the benchmark's
+#: section-modulus configs 0-7 at seed 0, and prefixes of their groups, each
+#: timed alone and in two parts (2-vCPU VM, BLAS on one thread; the minimum
+#: of three runs), summed by work:
+#:
+#:     work          calls   alone    2 parts   ratio
+#:     below 20k      6      0.46 s   0.45 s    0.99
+#:     20k - 40k     13      1.52 s   1.28 s    0.84
+#:     40k - 100k    22      5.12 s   3.60 s    0.70
+#:     100k and up   18      6.26 s   4.46 s    0.71
+_MIN_FORK_WORK = 20_000
+
 # A coordinate step moves each lane's pair (V, W) along one axis e_i by the
 # lane's step s, in eight patterns: single-endpoint moves, joint moves that
 # translate both endpoints (the separation stays while the midpoint slides,
@@ -310,6 +333,16 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     other than the evaluator is per lane, so a search gives the same bits
     in any batch as alone, provided every evaluator is row-independent (see
     ``SearchGroup``).
+
+    The searches are split into contiguous parts of about equal lane
+    coordinates, one per worker (``_worker_count``), each batched as above;
+    the first part runs here and every other in a forked child, which
+    pickles its results and counters back through a pipe.  By the
+    row-independence above the split moves no bit.  It applies only where
+    ``os.fork`` exists, no other thread runs and the lane coordinates times
+    ``budget.iterations`` exceed ``_MIN_FORK_WORK``.  An evaluator's side
+    effects in a child are lost with it, and a child's exception is raised
+    here as a ``RuntimeError`` carrying its traceback.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     rng = np.random.default_rng(budget.seed)
@@ -318,19 +351,119 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     X[np.linalg.norm(X, axis=1) < 1e-12] = 1.0
     Y[np.linalg.norm(Y, axis=1) < 1e-12] = 1.0
 
-    results, batch, coords = [], [], 0
+    jobs = []
     for g, group in enumerate(groups):
         for j, s in enumerate(group.searches):
             lanes = len(eps_values) * (budget.restarts + len(s.extra_pairs)) + (
                 0 if s.extras_by_eps is None else sum(len(e) for e in s.extras_by_eps))
-            if batch and coords + lanes * dim > _MAX_LANE_COORDS:
+            jobs.append(((g, j), lanes * dim))
+    parts = _split(jobs, budget.iterations)
+
+    def run(part, parent=None):
+        """Results of a part's searches; a child exits once ``parent`` is gone."""
+        results, batch, coords = [], [], 0
+        for k, (search, lane_coords) in enumerate(part):
+            batch.append(search)
+            coords += lane_coords
+            if k + 1 == len(part) or coords + part[k + 1][1] > _MAX_LANE_COORDS:
+                if parent is not None and os.getppid() != parent:
+                    os._exit(1)
                 results += _search_batch(groups, batch, dim, eps_values, budget, X, Y)
                 batch, coords = [], 0
-            batch.append((g, j))
-            coords += lanes * dim
-    if batch:
-        results += _search_batch(groups, batch, dim, eps_values, budget, X, Y)
-    return results
+        return results
+
+    if len(parts) == 1:
+        return run(parts[0])
+    return _run_forked(run, parts)
+
+
+def _worker_count() -> int:
+    """Parts a ``pair_search`` call may run at once: usable CPUs per BLAS
+    thread (OpenBLAS reads OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS, else takes one per CPU).  Idle pool threads spin on the
+    cores other parts run on: 60 3-D fiber searches took 9.5 s alone and
+    5.1 s in two parts on one BLAS thread, 11.1 s and 17.6 s on two."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = os.environ.get(var, "")
+        if threads.isdigit() and int(threads) > 0:
+            return max(1, len(os.sched_getaffinity(0)) // int(threads))
+    return 1
+
+
+def _split(jobs, iterations: int) -> list:
+    """Contiguous parts of ``(search, lane coordinates)`` jobs with about
+    equal lane coordinates each: one part unless forking applies (see
+    ``pair_search``)."""
+    total = sum(c for _, c in jobs)
+    n = min(_worker_count(), len(jobs))
+    if (n < 2 or not hasattr(os, "fork") or threading.active_count() != 1
+            or total * iterations <= _MIN_FORK_WORK):
+        return [jobs]
+    # a job joins the part its midpoint falls in
+    parts = [[] for _ in range(n)]
+    before = 0
+    for job in jobs:
+        parts[min(n - 1, int(n * (before + job[1] / 2) / total))].append(job)
+        before += job[1]
+    return [part for part in parts if part]
+
+
+def _run_forked(run, parts) -> list:
+    """``run(part)`` of every part, the first here and each other in a forked
+    child, concatenated in part order.  No child outlives the call: on any
+    exception here the children still running are killed, and every child
+    is reaped."""
+    parent = os.getpid()
+    children = []  # [pid, or None when not forked or reaped; its pipe's read end]
+    try:
+        for part in parts[1:]:
+            read_end, write_end = os.pipe()
+            children.append([None, os.fdopen(read_end, "rb")])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(write_end, lambda: run(part, parent))
+                children[-1][0] = pid
+            finally:
+                os.close(write_end)
+        results = run(parts[0])
+        for child in children:
+            data = child[1].read()
+            _, status = os.waitpid(child[0], 0)
+            child[0] = None
+            if not data:
+                raise RuntimeError(f"pair_search worker ended with wait status {status} "
+                                   "and sent no results")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise RuntimeError(f"pair_search worker failed:\n{payload}")
+            results += payload
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(write_end: int, work) -> None:
+    """Body of a forked child: pickles ``(True, work())``, or ``(False,
+    traceback text)`` if it raises, into ``write_end`` and ends the process
+    with ``os._exit``, so no atexit hook runs and no inherited stdio
+    buffer is flushed twice."""
+    status = 1
+    try:
+        try:
+            payload, status = (True, work()), 0
+        except Exception:
+            payload = (False, traceback.format_exc())
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(status)
 
 
 class _Lanes(NamedTuple):
@@ -672,12 +805,6 @@ def _spec_meta(spec: NormSpec) -> dict:
 def modulus_curve(spec: NormSpec, eps_grid=None, budget: SearchBudget | None = None) -> ModulusCurve:
     """Modulus-of-convexity curve of a norm kind along a separation grid."""
     return modulus_curves([spec], eps_grid, budget)[0]
-
-
-def modulus_of_convexity(spec: NormSpec, eps: float, budget: SearchBudget | None = None):
-    """Single-separation modulus estimate: ``(delta, (v, w))`` witness pair."""
-    curve = modulus_curve(spec, [float(eps)], budget)
-    return float(curve.deltas[0]), curve.witnesses[0]
 
 
 def parallelogram_defect(spec: NormSpec, budget: SearchBudget | None = None):

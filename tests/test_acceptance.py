@@ -15,7 +15,7 @@ from bundlelab.bundles import (
     fiber_modulus_curve,
     pointwise_norm,
     section_lp_norm,
-    section_modulus_curve,
+    section_modulus_curves,
 )
 from bundlelab.cli import main as cli_main
 from bundlelab.convexity import (
@@ -126,20 +126,21 @@ def test_acceptance_4_section_modulus_upper_bound():
     recipe = InstanceRecipe(seed=401, instance_count=100, atom_range=(2, 3),
                             dim_range=(2, 3))
     t0 = time.perf_counter()
+    instances = [random_bundle(recipe, i) for i in range(recipe.instance_count)]
+    # one batched call: its searches split over the usable CPUs
+    curves = section_modulus_curves(
+        instances, (1.5, 2, 3), DEFAULT_EPS_GRID, budget=sec_budget, fiber_budget=fib_budget
+    )
     violations = 0
     worst_excess = -math.inf
     checked = 0
-    for i in range(recipe.instance_count):
-        bundle = random_bundle(recipe, i)
-        for p in (1.5, 2, 3):
-            curve = section_modulus_curve(
-                bundle, p, DEFAULT_EPS_GRID, budget=sec_budget, fiber_budget=fib_budget
-            )
-            floors = [
-                fiber_modulus_curve(f.norm, DEFAULT_EPS_GRID, fib_budget).deltas
-                for f in bundle.fibers if f.dimension > 0
-            ]
-            floor = np.min(np.stack(floors), axis=0)
+    for bundle, per_p in zip(instances, curves):
+        floors = [
+            fiber_modulus_curve(f.norm, DEFAULT_EPS_GRID, fib_budget).deltas
+            for f in bundle.fibers if f.dimension > 0
+        ]
+        floor = np.min(np.stack(floors), axis=0)
+        for curve in per_p:
             excess = float(np.max(curve.deltas - floor))
             worst_excess = max(worst_excess, excess)
             violations += int(excess > 2e-3)

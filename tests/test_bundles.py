@@ -1,5 +1,5 @@
 """Bundles over finite atomic measure spaces: sections, pointwise norms,
-weighted p-norms, module action, integrals, and fiber classifications."""
+weighted p-norms, module action, and fiber and section modulus curves."""
 
 import math
 
@@ -11,16 +11,11 @@ from hypothesis import strategies as st
 from bundlelab.bundles import (
     Bundle,
     Fiber,
-    HILBERT_DEFECT_TOL,
     Section,
-    ZERO_FIBER_MODULUS,
     _section_norms,
-    bochner_integral,
-    classify_bundle,
     fiber_modulus_curve,
     module_action,
     parallelogram_residual,
-    pointwise_modulus,
     pointwise_norm,
     restrict_section,
     section_lp_norm,
@@ -297,98 +292,11 @@ class TestRestriction:
             assert part + rest == pytest.approx(whole, abs=1e-12)
 
 
-class TestBochnerIntegral:
-    def test_full_space(self):
-        space = MeasureSpace(["a", "b"], [1.0, 2.0])
-        b = Bundle(space, [Fiber(2, euclid()), Fiber(2, euclid())])
-        v = Section(b, [[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(bochner_integral(v), [1.0, 2.0])
-
-    def test_empty_subset_is_zero_vector(self):
-        space = MeasureSpace(["a", "b"], [1.0, 2.0])
-        b = Bundle(space, [Fiber(2, euclid()), Fiber(2, euclid())])
-        v = Section(b, [[1.0, 0.0], [0.0, 1.0]])
-        out = bochner_integral(v, [])
-        assert out.shape == (2,) and np.all(out == 0.0)
-
-    def test_half_weight(self):
-        space = MeasureSpace(["a"], [0.5])
-        b = Bundle(space, [Fiber(2, euclid())])
-        v = Section(b, [[4.0, 4.0]])
-        assert np.allclose(bochner_integral(v, ["a"]), [2.0, 2.0])
-
-    def test_heterogeneous_subset_rejected(self):
-        space = MeasureSpace(["a", "b"], [1.0, 1.0])
-        b = Bundle(space, [Fiber(2, euclid()), Fiber(1, euclid(1))])
-        v = Section(b, [[1.0, 0.0], [1.0]])
-        with pytest.raises(ValueError, match="single fiber dimension"):
-            bochner_integral(v)
-        with pytest.raises(ValueError, match="heterogeneous"):
-            bochner_integral(v, [])
-
-
-class TestPointwiseModulus:
-    def test_euclidean_constant(self):
-        b = two_atom_euclid()
-        field = pointwise_modulus(b, 1.0, budget=FAST)
-        assert np.max(np.abs(field.values - 0.1339745962155614)) <= 1e-3
-
-    def test_mixed_fibers(self):
-        space = MeasureSpace(["a", "b"], [1.0, 1.0])
-        b = Bundle(space, [Fiber(2, euclid()), Fiber(2, WeightedLpNorm(1, [1.0, 1.0]))])
-        field = pointwise_modulus(b, 1.0, budget=FAST)
-        assert field.values[0] == pytest.approx(0.1339745962155614, abs=1e-3)
-        assert field.values[1] <= 1e-9
-
-    def test_dimension_one_convention(self):
-        space = MeasureSpace(["a"], [1.0])
-        b = Bundle(space, [Fiber(1, euclid(1))])
-        assert pointwise_modulus(b, 1.0, budget=FAST).values[0] == 1.0
-
-    def test_zero_fiber_convention(self):
-        space = MeasureSpace(["a", "b"], [1.0, 1.0])
-        b = Bundle(space, [Fiber(0), Fiber(2, euclid())])
-        assert pointwise_modulus(b, 1.0, budget=FAST).values[0] == ZERO_FIBER_MODULUS
-
-
 def test_fiber_curve_memoized_across_equal_specs():
     grid = [0.5, 1.0]
     a = fiber_modulus_curve(euclid(), grid, FAST)
     b = fiber_modulus_curve(InnerProductNorm(np.eye(2)), grid, FAST)
     assert a is b  # keyed by digest + grid + budget
-
-
-class TestClassification:
-    GRID = [0.5, 1.0, 1.5, 2.0]
-
-    def classify(self, bundle):
-        return classify_bundle(bundle, eps_grid=self.GRID, budget=FAST, defect_budget=FAST)
-
-    def test_hilbert_bundle(self):
-        rec = self.classify(two_atom_euclid())
-        assert rec.is_hilbert and rec.is_uniformly_convex and not rec.degenerate
-        assert np.max(rec.fiber_defects) <= HILBERT_DEFECT_TOL
-
-    def test_one_flat_fiber_kills_both(self):
-        space = MeasureSpace(["a", "b"], [1.0, 1.0])
-        b = Bundle(space, [Fiber(2, euclid()), Fiber(2, WeightedLpNorm(1, [1.0, 1.0]))])
-        rec = self.classify(b)
-        assert not rec.is_hilbert and not rec.is_uniformly_convex
-        assert np.all(rec.ess_inf_modulus == 0.0)
-
-    def test_p4_fibers_convex_but_not_hilbert(self):
-        space = MeasureSpace(["a", "b"], [1.0, 1.0])
-        spec = WeightedLpNorm(4, [1.0, 1.0])
-        b = Bundle(space, [Fiber(2, spec), Fiber(2, spec)])
-        rec = self.classify(b)
-        assert not rec.is_hilbert
-        assert rec.is_uniformly_convex
-
-    def test_degenerate_bundle(self):
-        space = MeasureSpace(["a"], [1.0])
-        rec = self.classify(Bundle(space, [Fiber(0)]))
-        assert rec.degenerate and rec.is_hilbert and rec.is_uniformly_convex
-        assert rec.notes and "vacuous" in rec.notes[0]
 
 
 class TestSectionModulus:

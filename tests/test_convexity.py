@@ -3,6 +3,9 @@ exact zero for flat norms, witness contracts, and determinism."""
 
 import hashlib
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from bundlelab.convexity import (
     maximize_linear_on_sphere,
     modulus_curve,
     modulus_grid_estimate_2d,
-    modulus_of_convexity,
     pair_search,
     parallelogram_defect,
     single_norm_group,
@@ -134,7 +136,8 @@ def test_flat_norms_have_zero_modulus(spec):
 
 def test_witness_contract_euclid():
     spec = InnerProductNorm(np.eye(2))
-    delta, (v, w) = modulus_of_convexity(spec, 1.0, budget=TEST_BUDGET)
+    curve = modulus_curve(spec, [1.0], budget=TEST_BUDGET)
+    delta, (v, w) = curve.deltas[0], curve.witnesses[0]
     assert spec.norm(v) == pytest.approx(1.0, abs=1e-9)
     assert spec.norm(w) == pytest.approx(1.0, abs=1e-9)
     assert spec.norm(v - w) >= 1.0 - FEASIBILITY_SLACK
@@ -311,6 +314,16 @@ class TestBatchedSearch:
             groups.append(SearchGroup(_section_norms(bundle, exponents), searches))
         return groups
 
+    @staticmethod
+    def _assert_identical(results, expected):
+        """Raw deltas, witnesses and counters all equal, bit for bit."""
+        assert len(results) == len(expected)
+        for (raw_a, wit_a, count_a), (raw_b, wit_b, count_b) in zip(results, expected):
+            assert np.array_equal(raw_a, raw_b)
+            for (va, wa), (vb, wb) in zip(wit_a, wit_b):
+                assert np.array_equal(va, vb) and np.array_equal(wa, wb)
+            assert count_a == count_b
+
     @pytest.mark.parametrize("cap", [None, 10**9, 1], ids=["default-cap", "one-batch", "per-group"])
     def test_batch_matches_solo_runs(self, monkeypatch, cap):
         if cap is not None:
@@ -323,11 +336,7 @@ class TestBatchedSearch:
                 norm = _exponent_norm(group.evaluate, j, len(group.searches))
                 solo += pair_search([single_norm_group(norm, search)], 3, self.EPS, self.BUDGET)
         assert len(batched) == len(solo) == 5 + 4 + 2
-        for (raw_b, wit_b, count_b), (raw_s, wit_s, count_s) in zip(batched, solo):
-            assert np.array_equal(raw_b, raw_s)
-            for (vb, wb), (vs, ws) in zip(wit_b, wit_s):
-                assert np.array_equal(vb, vs) and np.array_equal(wb, ws)
-            assert count_b == count_s
+        self._assert_identical(batched, solo)
         iterations = [c["iterations"] for _, _, c in batched]
         # searches leave the batch at different iterations, and some early
         assert len(set(iterations)) > 1 and min(iterations) < self.BUDGET.iterations
@@ -372,3 +381,109 @@ class TestBatchedSearch:
         assert set(counters) == {"iterations", "lanes", "repaired", "rows"}
         assert 1 <= counters["iterations"] <= self.BUDGET.iterations
         assert counters["lanes"] == 2 * (self.BUDGET.restarts + len(structured_pairs(spec)))
+
+    # ``pair_search`` splits its searches over forked children: the bits
+    # never depend on the split, and no child outlives a call
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two usable CPUs, no work threshold, and a count of ``os.fork`` calls."""
+        monkeypatch.setattr(convexity, "_worker_count", lambda: 2)
+        monkeypatch.setattr(convexity, "_MIN_FORK_WORK", 0)
+        calls = []
+        real = os.fork
+
+        def fork():
+            calls.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield calls
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @classmethod
+    def _straddling_groups(cls):
+        """``_groups()`` with the four-exponent bundle group moved to the
+        middle, so that the two-part cut runs through it."""
+        groups = cls._groups()
+        groups.insert(4, groups.pop(5))
+        return groups
+
+    def test_two_parts_match_one_part(self, monkeypatch, forks):
+        groups = self._straddling_groups()
+        parts = []
+        split = convexity._split
+        monkeypatch.setattr(convexity, "_split",
+                            lambda jobs, iterations: parts.append(split(jobs, iterations)) or parts[-1])
+        forked = pair_search(groups, 3, self.EPS, self.BUDGET)
+        monkeypatch.setattr(convexity, "_worker_count", lambda: 1)
+        serial = pair_search(groups, 3, self.EPS, self.BUDGET)
+        assert len(forks) == 1 and [len(p) for p in parts] == [2, 1]
+        # the bundle group's searches land on both sides of the cut
+        first, second = ({g for (g, _), _ in part} for part in parts[0])
+        assert first & second == {4}
+        self._assert_identical(forked, serial)
+        assert len(serial) == 11 and any(c["repaired"] for _, _, c in serial)
+
+    def test_child_error_raises_in_parent(self, forks):
+        parent = os.getpid()
+        norm = WeightedLpNorm(3, [1.0, 2.0, 0.5])
+
+        def evaluate(X, counts):
+            if os.getpid() != parent:
+                raise ValueError("evaluator failed in the child")
+            return norm.norm_batch(X)
+
+        group = SearchGroup(evaluate, [Search(structured_pairs(norm))] * 2)
+        with pytest.raises(RuntimeError, match="ValueError: evaluator failed in the child"):
+            pair_search([group], 3, self.EPS, self.BUDGET)
+        assert len(forks) == 1
+
+    def test_parent_error_kills_the_child(self, forks):
+        parent = os.getpid()
+        norm = WeightedLpNorm(3, [1.0, 2.0, 0.5])
+
+        def evaluate(X, counts):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the child would outlive the test unless killed
+            return norm.norm_batch(X)
+
+        group = SearchGroup(evaluate, [Search(structured_pairs(norm))] * 2)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            pair_search([group], 3, self.EPS, self.BUDGET)
+        assert len(forks) == 1 and time.perf_counter() - t0 < 30
+
+    def test_no_fork_with_another_thread_or_little_work(self, monkeypatch, forks):
+        groups = self._straddling_groups()
+        expected = pair_search(groups, 3, self.EPS, self.BUDGET)
+        assert len(forks) == 1
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            self._assert_identical(pair_search(groups, 3, self.EPS, self.BUDGET), expected)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.setattr(convexity, "_MIN_FORK_WORK", 10**12)
+        self._assert_identical(pair_search(groups, 3, self.EPS, self.BUDGET), expected)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("env, per_thread", [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0"}, None),
+        ({}, None),
+    ], ids=["openblas-first", "omp", "invalid", "unset"])
+    def test_worker_count_leaves_a_cpu_per_blas_thread(self, monkeypatch, env, per_thread):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        cpus = len(os.sched_getaffinity(0))
+        expected = 1 if per_thread is None else max(1, cpus // per_thread)
+        assert convexity._worker_count() == expected
