@@ -21,9 +21,9 @@ from .convexity import (
     Search,
     SearchBudget,
     SearchGroup,
+    _line_curve,
     check_eps_grid,
     curve_from_search,
-    modulus_curve_for_fn,
     modulus_curves,
     pair_search,
     structured_pairs_for_fn,
@@ -370,7 +370,7 @@ def section_modulus_curves(
             norm_batch = _exponent_norm(evaluate, j, len(exponents))
             meta = {"section_space": True, "p": float(p) if p != math.inf else "inf"}
             if total == 1:
-                out[i][j] = modulus_curve_for_fn(norm_batch, 1, eps, budget, meta=meta)
+                out[i][j] = _line_curve(norm_batch, eps, budget, meta)
                 continue
             # single-atom lifts of each fiber's witness pairs: a pair supported
             # on one atom has the same separation, unit norms and midpoint gap

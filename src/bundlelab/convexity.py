@@ -12,8 +12,10 @@ objective at an explicit witness pair separated by at least
 two differ where delta is steep: for a round norm at eps = 2,
 ``delta(2) - delta(2 - slack)`` is about ``sqrt(slack)`` (3.2e-5), and a
 weighted l^2 estimate there sits 2.25e-5 below ``delta(2)``.  The same
-machinery drives the parallelogram-defect maximizer and a
-linear-functional maximizer used as an independent oracle.
+kernel, with the objective ``1 - defect/4`` on the separation grid
+``[0.0]``, maximizes the parallelogram defect.  A separate coordinate ascent
+maximizes a linear functional on the unit sphere; it is the tests' oracle
+for dual and operator norms.
 
 All searches are deterministic functions of their budget: starts come from
 seeded sphere samples plus structured pairs (axis, sign-pattern, polytope
@@ -62,10 +64,10 @@ __all__ = [
     "curve_from_search",
     "modulus_curve",
     "modulus_curves",
-    "modulus_curve_for_fn",
     "structured_pairs",
     "structured_pairs_for_fn",
     "parallelogram_defect",
+    "parallelogram_defects",
     "maximize_linear_on_sphere",
     "modulus_grid_estimate_2d",
 ]
@@ -307,12 +309,22 @@ def single_norm_group(norm_batch, search: Search) -> SearchGroup:
     return SearchGroup(lambda X, counts: norm_batch(X), [search])
 
 
-def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: SearchBudget):
-    """Minimize 1 - ||(v+w)/2|| over separated unit pairs, for many searches.
+def _midpoint_gap(mid_norms, sep_norms):
+    """The modulus objective ``1 - ||(v+w)/2||``, written over ``mid_norms``."""
+    return np.subtract(1.0, mid_norms, out=mid_norms)
+
+
+def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: SearchBudget,
+                objective=_midpoint_gap):
+    """Minimize an objective over separated unit pairs, for many searches.
 
     Every search of every group runs in ``dim`` dimensions on the separation
-    grid ``eps_values`` under ``budget``.  Returns one ``(raw_deltas,
-    witnesses, counters)`` per search, in group order: one value per eps,
+    grid ``eps_values`` under ``budget``.  ``objective(mid_norms,
+    sep_norms)`` maps the norms of ``(v+w)/2`` and ``v-w`` of candidate
+    pairs into [0, 1], elementwise, and may overwrite its arguments; the
+    default, ``1 - ||(v+w)/2||``, reads no separations, so the repair below
+    asks for none.  Returns one ``(raw, witnesses, counters)`` per search,
+    in group order: per eps the least objective found, clamped into [0, 1],
     witness pairs with ``||v|| = ||w|| = 1`` within 1e-9 and
     ``||v - w|| >= eps - 1e-9``, and the counters ``iterations`` (used),
     ``lanes``, ``repaired`` (lanes that never met the separation and were
@@ -368,7 +380,7 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
             if k + 1 == len(part) or coords + part[k + 1][1] > _MAX_LANE_COORDS:
                 if parent is not None and os.getppid() != parent:
                     os._exit(1)
-                results += _search_batch(groups, batch, dim, eps_values, budget, X, Y)
+                results += _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y)
                 batch, coords = [], 0
         return results
 
@@ -551,7 +563,7 @@ def _start_lanes(groups, batch, dim, eps_values, budget, X, Y, asked):
     return np.concatenate(lane_V), np.concatenate(lane_W), searches
 
 
-def _search_batch(groups, batch, dim, eps_values, budget, X, Y):
+def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
     n_eps = len(eps_values)
     rho = budget.penalty
     asked = [0] * len(batch)
@@ -567,8 +579,8 @@ def _search_batch(groups, batch, dim, eps_values, budget, X, Y):
     eps_lane = eps_values[np.concatenate([s.eps_idx for s in live])]
     step = np.full(len(eps_lane), budget.init_step)
 
-    obj0, sep0 = _group_norms(layout, np.stack([(V + W) * 0.5, V - W]), asked)
-    obj0 = 1.0 - obj0
+    mid0, sep0 = _group_norms(layout, np.stack([(V + W) * 0.5, V - W]), asked)
+    obj0 = objective(mid0, sep0)
     best_pen = obj0 + rho * np.maximum(0.0, eps_lane - sep0)
     feas_obj = np.where(sep0 >= eps_lane - FEASIBILITY_SLACK, obj0, np.inf)
     feas_V = V.copy()
@@ -590,7 +602,9 @@ def _search_batch(groups, batch, dim, eps_values, budget, X, Y):
             fixed = _repair_separation_batch(norm_batch, V[idx], W[idx], eps_lane[idx])
             feas_V[idx] = V[idx]
             feas_W[idx] = fixed
-            feas_obj[idx] = 1.0 - norm_batch((V[idx] + fixed) * 0.5)
+            mid = norm_batch((V[idx] + fixed) * 0.5)
+            sep = None if objective is _midpoint_gap else norm_batch(V[idx] - fixed)
+            feas_obj[idx] = objective(mid, sep)
         for (s, sl), b in zip(done, broken):
             objs, fV, fW = feas_obj[sl], feas_V[sl], feas_W[sl]
             raw = np.empty(n_eps)
@@ -636,8 +650,8 @@ def _search_batch(groups, batch, dim, eps_values, budget, X, Y):
                 np.subtract(ends[v], ends[w], out=diffs[2 * k : 2 * k + 2])
             mids *= 0.5
             both = _group_norms(layout, pairs, asked)
-            obj, sep = both[:_N_PAT], both[_N_PAT:]
-            np.subtract(1.0, obj, out=obj)
+            sep = both[_N_PAT:]
+            obj = objective(both[:_N_PAT], sep)
             # penalized objective, inf where a candidate could not be normalized
             pen = eps_lane - sep
             np.maximum(0.0, pen, out=pen)
@@ -749,27 +763,20 @@ def curve_from_search(eps, budget: SearchBudget, result, meta: dict) -> ModulusC
     return ModulusCurve(eps, deltas, raw, witnesses, budget, dict(meta, search=counters))
 
 
-def modulus_curve_for_fn(
-    norm_batch,
-    dim: int,
-    eps_grid=None,
-    budget: SearchBudget | None = None,
-    extra_pairs: Sequence = (),
-    extras_by_eps=None,
-    meta: dict | None = None,
-) -> ModulusCurve:
-    """Modulus-of-convexity curve for an arbitrary batched norm evaluator."""
-    eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
-    budget = budget or DEFAULT_BUDGET
-    meta = dict(meta or {})
-    if dim == 0:
-        raise ValueError("modulus of a zero-dimensional space is conventional; handled by callers")
-    if dim == 1:
-        return _line_curve(norm_batch, eps, budget, meta)
-    pairs = extra_pairs if len(extra_pairs) else structured_pairs_for_fn(norm_batch, dim)
-    group = single_norm_group(norm_batch, Search(pairs, extras_by_eps))
-    [result] = pair_search([group], dim, eps, budget)
-    return curve_from_search(eps, budget, result, meta)
+def _spec_searches(specs: Sequence[NormSpec], eps, budget: SearchBudget,
+                   objective=_midpoint_gap) -> dict:
+    """``pair_search`` results of the specs of dimension two and up, keyed by
+    index, from structured start pairs; one kernel call per dimension."""
+    by_dim: dict = {}
+    for k, spec in enumerate(specs):
+        if spec.dimension > 1:
+            by_dim.setdefault(spec.dimension, []).append(k)
+    results = {}
+    for dim, ks in by_dim.items():
+        groups = [single_norm_group(specs[k].norm_batch,
+                                    Search(_pairs_array(structured_pairs(specs[k]), dim))) for k in ks]
+        results.update(zip(ks, pair_search(groups, dim, eps, budget, objective=objective)))
+    return results
 
 
 def modulus_curves(specs: Sequence[NormSpec], eps_grid=None,
@@ -781,21 +788,12 @@ def modulus_curves(specs: Sequence[NormSpec], eps_grid=None,
     """
     eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     budget = budget or DEFAULT_BUDGET
-    curves = [None] * len(specs)
-    by_dim: dict = {}
-    for k, spec in enumerate(specs):
-        if spec.dimension == 1:
-            curves[k] = _line_curve(spec.norm_batch, eps, budget, _spec_meta(spec))
-        else:
-            by_dim.setdefault(spec.dimension, []).append(k)
-    for dim, ks in by_dim.items():
-        groups = [
-            single_norm_group(specs[k].norm_batch, Search(_pairs_array(structured_pairs(specs[k]), dim)))
-            for k in ks
-        ]
-        for k, result in zip(ks, pair_search(groups, dim, eps, budget)):
-            curves[k] = curve_from_search(eps, budget, result, _spec_meta(specs[k]))
-    return curves
+    results = _spec_searches(specs, eps, budget)
+    return [
+        curve_from_search(eps, budget, results[k], _spec_meta(spec)) if k in results
+        else _line_curve(spec.norm_batch, eps, budget, _spec_meta(spec))
+        for k, spec in enumerate(specs)
+    ]
 
 
 def _spec_meta(spec: NormSpec) -> dict:
@@ -807,75 +805,45 @@ def modulus_curve(spec: NormSpec, eps_grid=None, budget: SearchBudget | None = N
     return modulus_curves([spec], eps_grid, budget)[0]
 
 
-def parallelogram_defect(spec: NormSpec, budget: SearchBudget | None = None):
-    """Largest found violation of the parallelogram identity on unit pairs.
+def _defect_objective(mid_norms, sep_norms):
+    """``1 - defect/4`` of unit pairs, where the parallelogram defect
+    ``| ||v+w||^2 + ||v-w||^2 - 4 |`` lies in [0, 4]: the sum of squares is
+    at most 8, and at least 2 because ``||v+w|| + ||v-w|| >= ||2v|| = 2``."""
+    return 1.0 - np.abs(mid_norms**2 + 0.25 * sep_norms**2 - 1.0)
 
-    Returns ``(defect, (v, w))``; the defect is
-    ``| ||v+w||^2 + ||v-w||^2 - 4 |`` maximized over unit pairs.  Inner
-    -product kinds give 0 up to roundoff; every other shipped kind has a
-    sign-pattern or vertex pair with a macroscopic defect, and those pairs
-    are included in the start set.
-    """
+
+def parallelogram_defects(specs: Sequence[NormSpec], budget: SearchBudget | None = None) -> list:
+    """``(defect, (v, w))`` per norm kind: the largest found
+    ``| ||v+w||^2 + ||v-w||^2 - 4 |`` over unit pairs, 0 on a line.  One
+    ``pair_search`` call per dimension minimizes ``1 - defect/4`` on the
+    grid ``[0.0]``; each result equals its kind's alone.  Inner-product
+    kinds give 0 up to roundoff; every other shipped kind has a sign-pattern
+    or vertex start pair with a macroscopic defect."""
     budget = budget or DEFECT_BUDGET
-    nb = spec.norm_batch
-    dim = spec.dimension
-    if dim == 1:
-        u = spec.unit(np.ones(1))
-        return 0.0, (u, -u)
-
-    rng = np.random.default_rng(budget.seed)
-    X = _unit_rows(nb, rng.standard_normal((budget.restarts, dim)))
-    Y = _unit_rows(nb, rng.standard_normal((budget.restarts, dim)))
-    pairs = [(X[r], Y[r]) for r in range(budget.restarts)]
-    pairs.extend(structured_pairs(spec))
-    V = _unit_rows(nb, np.array([p[0] for p in pairs]))
-    W = _unit_rows(nb, np.array([p[1] for p in pairs]))
-    n_lanes = len(V)
-
-    def defect(Vc, Wc):
-        return np.abs(nb(Vc + Wc) ** 2 + nb(Vc - Wc) ** 2 - 4.0)
-
-    best = defect(V, W)
-    step = np.full(n_lanes, budget.init_step)
-    for _ in range(budget.iterations):
-        improved = np.zeros(n_lanes, dtype=bool)
-        for i in range(dim):
-            for side in (0, 1):
-                for sgn in (1.0, -1.0):
-                    src = V if side == 0 else W
-                    cand = src.copy()
-                    cand[:, i] += sgn * step
-                    nc = nb(cand)
-                    ok = nc > 1e-12
-                    cand = cand / np.where(ok, nc, 1.0)[:, None]
-                    cand[~ok] = src[~ok]
-                    val = defect(cand, W) if side == 0 else defect(V, cand)
-                    acc = ok & (val > best)
-                    if np.any(acc):
-                        if side == 0:
-                            V[acc] = cand[acc]
-                        else:
-                            W[acc] = cand[acc]
-                        best[acc] = val[acc]
-                        improved |= acc
-        step[~improved] *= 0.5
-        if np.all(step < budget.min_step):
-            break
-    j = int(np.argmax(best))
-    return float(best[j]), (V[j].copy(), W[j].copy())
+    results = _spec_searches(specs, [0.0], budget, _defect_objective)
+    out = []
+    for k, spec in enumerate(specs):
+        if k in results:
+            raw, [pair], _ = results[k]
+            out.append((4.0 * (1.0 - float(raw[0])), pair))
+        else:
+            u = spec.unit(np.ones(1))
+            out.append((0.0, (u, -u)))
+    return out
 
 
-def maximize_linear_on_sphere(
-    norm_batch,
-    dim: int,
-    coeffs,
-    budget: SearchBudget | None = None,
-    extra_points: Sequence = (),
-):
+def parallelogram_defect(spec: NormSpec, budget: SearchBudget | None = None):
+    """``(defect, (v, w))`` of one norm kind; see ``parallelogram_defects``."""
+    return parallelogram_defects([spec], budget)[0]
+
+
+def maximize_linear_on_sphere(norm_batch, dim: int, coeffs, budget: SearchBudget | None = None):
     """Multi-start maximization of <c, v> over the unit sphere.
 
-    Independent oracle for dual norms and operator norms: derivative-free
-    coordinate ascent with projection, no closed forms involved.
+    The tests' independent oracle for dual and operator norms: derivative
+    -free coordinate ascent with projection, no closed forms involved.  A
+    ``pair_search`` objective must map into [0, 1], which for <c, v> would
+    take a bound on the very dual norm searched for.
     """
     budget = budget or SearchBudget(restarts=32, iterations=150)
     c = np.asarray(coeffs, dtype=float)
@@ -885,8 +853,6 @@ def maximize_linear_on_sphere(
     pts = [row for row in _unit_rows(norm_batch, X)]
     pts.extend(_unit_rows(norm_batch, np.eye(dim)))
     pts.extend(_unit_rows(norm_batch, -np.eye(dim)))
-    for p in extra_points:
-        pts.append(np.asarray(p, dtype=float))
     V = _unit_rows(norm_batch, np.array(pts))
     best = V @ c
     step = np.full(len(V), budget.init_step)

@@ -18,11 +18,8 @@ import numpy as np
 __all__ = [
     "MeasureSpace",
     "ScalarField",
-    "ProbabilityReweighting",
     "lp_norm",
     "ess_extrema",
-    "lattice_sup",
-    "l0_distance",
     "conjugate_exponent",
     "as_exponent",
 ]
@@ -148,23 +145,6 @@ def _field_values(other, space) -> np.ndarray:
     return np.asarray(other, dtype=float)
 
 
-class ProbabilityReweighting:
-    """Auxiliary strictly positive probability weights on the same atoms.
-
-    Used by :func:`l0_distance`; the weights must sum to one.
-    """
-
-    def __init__(self, space: MeasureSpace, probabilities):
-        self.space = space
-        self.probabilities = _as_weight_array(probabilities, "probabilities")
-        if len(self.probabilities) != space.atom_count:
-            raise ValueError("probabilities must match atoms in length")
-        if np.any(self.probabilities <= 0.0):
-            raise ValueError("probabilities must be strictly positive")
-        if abs(self.probabilities.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to one")
-
-
 # -- exponents -----------------------------------------------------------
 
 
@@ -241,25 +221,3 @@ def ess_extrema(field: ScalarField) -> tuple[float, float]:
     if field.space.atom_count == 0:
         raise ValueError("essential extrema are undefined on an empty atom list")
     return float(field.values.min()), float(field.values.max())
-
-
-def lattice_sup(fields: Sequence[ScalarField]) -> ScalarField:
-    """Pointwise supremum of a finite non-empty collection of fields."""
-    fields = list(fields)
-    if not fields:
-        raise ValueError("lattice supremum needs at least one field")
-    space = fields[0].space
-    stacked = np.stack([_field_values(f, space) for f in fields])
-    return ScalarField(space, stacked.max(axis=0))
-
-
-def l0_distance(f: ScalarField, g: ScalarField, reweighting: ProbabilityReweighting) -> float:
-    """Distance of convergence in measure under an auxiliary probability.
-
-    ``sum_x p_x * min(|f(x) - g(x)|, 1)`` where ``p`` is the reweighting.
-    The value is a metric on scalar fields and is always within [0, 1].
-    """
-    if reweighting.space != f.space or f.space != g.space:
-        raise ValueError("fields and reweighting must share one measure space")
-    gap = np.minimum(np.abs(f.values - g.values), 1.0)
-    return float(np.sum(reweighting.probabilities * gap))

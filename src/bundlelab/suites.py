@@ -31,7 +31,7 @@ from .convexity import (
     DEFAULT_EPS_GRID,
     SearchBudget,
     modulus_grid_estimate_2d,
-    parallelogram_defect,
+    parallelogram_defects,
 )
 from .criterion import (
     induced_norm,
@@ -193,15 +193,17 @@ def default_recipe(suite: str) -> InstanceRecipe:
 # -- hilbert equivalence -------------------------------------------------------
 
 
-def suite_hilbert(recipe=None, samples: int = 4,
-                  defect_budget: SearchBudget | None = None) -> list[TheoremReport]:
+def suite_hilbert(recipe=None, samples: int = 4) -> list[TheoremReport]:
     """Inner-product fibers if and only if the integrated two-norm satisfies
     the parallelogram identity; failures are certified by sections localized
-    on a defective fiber."""
+    on a defective fiber.  The defects of all fibers are searched together,
+    one kernel call per fiber dimension."""
     recipe = recipe or default_recipe("hilbert")
-    defect_budget = defect_budget or SUITE_DEFECT_BUDGET
+    instances = list(bundles_from_recipe(recipe))
+    specs = [f.norm for _, b in instances for f in b.fibers if f.dimension > 0]
+    found = iter(parallelogram_defects(specs, SUITE_DEFECT_BUDGET))
     reports = []
-    for index, bundle in bundles_from_recipe(recipe):
+    for index, bundle in instances:
         inst = bundle_digest(bundle)
         rng = instance_rng(recipe.seed, index, stream=2)
         checks = []
@@ -215,7 +217,7 @@ def suite_hilbert(recipe=None, samples: int = 4,
         witnesses = [None] * bundle.space.atom_count
         for x, f in enumerate(bundle.fibers):
             if f.dimension > 0:
-                defects[x], witnesses[x] = parallelogram_defect(f.norm, defect_budget)
+                defects[x], witnesses[x] = next(found)
         max_defect = float(defects.max())
         if max_defect <= 1e-9:
             worst = 0.0

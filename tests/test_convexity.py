@@ -30,6 +30,7 @@ from bundlelab.convexity import (
     modulus_grid_estimate_2d,
     pair_search,
     parallelogram_defect,
+    parallelogram_defects,
     single_norm_group,
     structured_pairs,
     structured_pairs_for_fn,
@@ -261,6 +262,42 @@ class TestParallelogramDefect:
         assert defect > 1e-3  # p=3 is genuinely non-Hilbert
 
 
+def test_parallelogram_defects_batch_matches_solo_runs(monkeypatch):
+    """One batched call, a kernel call per dimension, gives the bits of each
+    spec alone: every kind, dimensions 1-3, and two specs of one kind."""
+    specs = [
+        WeightedLpNorm(2, [1.3]),
+        InnerProductNorm([[2.0, 0.3], [0.3, 1.0]]),
+        WeightedLpNorm(3, [1.0, 2.0]),
+        PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+        WeightedLpNorm(1.5, [1.0, 0.5, 2.0]),
+        PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]], -np.eye(3), [[-1.0, -1.0, -0.5]]])),
+        InnerProductNorm(np.diag([1.0, 2.0, 0.5])),
+    ]
+    budget = SearchBudget(restarts=6, iterations=40, init_step=0.35)
+    dims = []
+    real = convexity.pair_search
+
+    def counting(groups, dim, *args, **kwargs):
+        dims.append(dim)
+        return real(groups, dim, *args, **kwargs)
+
+    monkeypatch.setattr(convexity, "pair_search", counting)
+    batched = parallelogram_defects(specs, budget)
+    assert dims == [2, 3]
+    solo = [parallelogram_defect(spec, budget) for spec in specs]
+    for spec, (d_a, (v_a, w_a)), (d_b, (v_b, w_b)) in zip(specs, batched, solo):
+        assert d_a == d_b and np.array_equal(v_a, v_b) and np.array_equal(w_a, w_b)
+        assert spec.norm(v_a) == pytest.approx(1.0, abs=1e-9)
+        assert spec.norm(w_a) == pytest.approx(1.0, abs=1e-9)
+        re = abs(spec.norm(v_a + w_a) ** 2 + spec.norm(v_a - w_a) ** 2 - 4.0)
+        assert re == pytest.approx(d_a, abs=1e-12)
+    defects = [d for d, _ in batched]
+    assert defects[0] == 0.0
+    assert defects[1] <= 1e-9 and defects[6] <= 1e-9
+    assert min(defects[2:6]) > 1e-3
+
+
 class TestLinearMaximization:
     @pytest.mark.parametrize(
         "spec",
@@ -373,6 +410,23 @@ class TestBatchedSearch:
         # the same lanes were repaired, so the extra iteration accounts for the rows
         assert counters[0]["repaired"] == counters[1]["repaired"] > 0
         assert counters[1]["rows"] - counters[0]["rows"] == 22 * 3 * counters[0]["lanes"]
+
+    def test_objective_reaches_every_step_and_the_repair(self):
+        """An objective equal to the default, but not it, gives the same bits;
+        only the repair asks it for separations, one row per repaired lane."""
+        spec = WeightedLpNorm(3, [1.0, 2.0, 0.5])
+        group = single_norm_group(spec.norm_batch, Search(structured_pairs(spec)))
+        seen = []
+
+        def gap(mid_norms, sep_norms):
+            seen.append(sep_norms is not None)
+            return 1.0 - mid_norms
+
+        [expected] = pair_search([group], 3, self.EPS, self.BUDGET)
+        [result] = pair_search([group], 3, self.EPS, self.BUDGET, objective=gap)
+        self._assert_identical([result[:2] + ({},)], [expected[:2] + ({},)])
+        assert all(seen) and expected[2]["repaired"] > 0
+        assert result[2]["rows"] - expected[2]["rows"] == expected[2]["repaired"]
 
     def test_curve_meta_records_search_counters(self):
         spec = WeightedLpNorm(3, [1.0, 2.0])

@@ -6,12 +6,9 @@ import pytest
 
 from bundlelab.measure import (
     MeasureSpace,
-    ProbabilityReweighting,
     as_exponent,
     conjugate_exponent,
     ess_extrema,
-    l0_distance,
-    lattice_sup,
     lp_norm,
 )
 
@@ -85,13 +82,6 @@ class TestScalarField:
         lo, hi = ess_extrema(space().field([3.0, -4.0, 0.5]))
         assert (lo, hi) == (-4.0, 3.0)
 
-    def test_lattice_sup(self):
-        sp = space()
-        s = lattice_sup([sp.field([1.0, 5.0, 0.0]), sp.field([2.0, 0.0, 0.0])])
-        assert s.values.tolist() == [2.0, 5.0, 0.0]
-        with pytest.raises(ValueError):
-            lattice_sup([])
-
 
 class TestExponents:
     def test_as_exponent_fraction(self):
@@ -120,31 +110,6 @@ class TestExponents:
     def test_conjugate_float(self):
         q = conjugate_exponent(2.5)
         assert abs(1 / 2.5 + 1 / float(q) - 1.0) <= 1e-15
-
-
-class TestL0Distance:
-    def test_hand_value(self):
-        sp = space()
-        rw = ProbabilityReweighting(sp, [0.25, 0.25, 0.5])
-        f = sp.field([1.0, 2.0, 3.0])
-        g = sp.field([1.0, 0.0, 2.5])
-        # gaps (0, 2, 0.5) clipped at 1 -> 0*0.25 + 1*0.25 + 0.5*0.5
-        assert l0_distance(f, g, rw) == pytest.approx(0.5)
-
-    def test_probabilities_validated(self):
-        sp = space()
-        with pytest.raises(ValueError):
-            ProbabilityReweighting(sp, [0.5, 0.5, 0.5])
-        with pytest.raises(ValueError):
-            ProbabilityReweighting(sp, [1.0, 0.0, 0.0])
-
-    def test_metric_bounds(self):
-        sp = space()
-        rw = ProbabilityReweighting(sp, [0.25, 0.25, 0.5])
-        f = sp.field([100.0, -100.0, 100.0])
-        g = sp.field([0.0, 0.0, 0.0])
-        assert l0_distance(f, g, rw) == pytest.approx(1.0)
-        assert l0_distance(f, f, rw) == 0.0
 
 
 def test_lp_norm_monotone_in_p_on_probability_space():

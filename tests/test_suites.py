@@ -161,6 +161,23 @@ def test_report_fields_round_trip_into_dataclass():
     assert rep.notes == ["n"]
 
 
+def test_hilbert_searches_all_defects_in_one_kernel_call_per_dimension(monkeypatch):
+    dims = []
+    real = convexity.pair_search
+
+    def pair_search(groups, dim, *args, **kwargs):
+        dims.append(dim)
+        return real(groups, dim, *args, **kwargs)
+
+    monkeypatch.setattr(convexity, "pair_search", pair_search)
+    recipe = InstanceRecipe(seed=11, instance_count=6, atom_range=(2, 3), dim_range=(1, 3))
+    fiber_dims = {f.dimension for _, b in bundles_from_recipe(recipe) for f in b.fibers}
+    assert {1, 2, 3} <= fiber_dims
+    reports = suite_hilbert(recipe)
+    assert sorted(dims) == [2, 3]
+    assert len(reports) == 6 and all(not r.unexpected for r in reports)
+
+
 def test_uc_upper_rerun_searches_no_fiber_and_keeps_bytes(monkeypatch):
     """Fiber curves come from the cache on a second run: the fiber searches
     (one kernel call per fiber dimension) run only once, and the reports are
