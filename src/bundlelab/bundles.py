@@ -8,7 +8,9 @@ moduli of convexity are searched alongside those of the fibers.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -82,11 +84,13 @@ class Bundle:
             if not isinstance(f, Fiber):
                 raise TypeError("fibers must be Fiber instances")
         self.dimensions = np.array([f.dimension for f in self.fibers], dtype=int)
+        # atom x's coordinates in a flat section are offsets[x]:offsets[x + 1]
+        self.offsets = np.concatenate([[0], np.cumsum(self.dimensions)])
         self._dual = None
 
     @property
     def total_dimension(self) -> int:
-        return int(self.dimensions.sum())
+        return int(self.offsets[-1])
 
     @property
     def degenerate(self) -> bool:
@@ -119,7 +123,7 @@ class Bundle:
         return self._dual
 
     def zero_section(self) -> "Section":
-        return Section(self, [np.zeros(d) for d in self.dimensions])
+        return Section.from_coords(self, np.zeros(self.total_dimension))
 
     def __repr__(self):
         kinds = [f.norm.kind if f.norm else "zero" for f in self.fibers]
@@ -127,40 +131,68 @@ class Bundle:
 
 
 class Section:
-    """A choice of one fiber vector per atom."""
+    """A choice of one fiber vector per atom, stored end to end in one flat
+    vector ``coords`` of length ``bundle.total_dimension``.
+
+    ``vectors`` lists the atoms' vectors as views into ``coords``, so a
+    write through one of them changes the section.
+    """
 
     def __init__(self, bundle: Bundle, vectors: Sequence):
-        self.bundle = bundle
         if len(vectors) != bundle.space.atom_count:
             raise ValueError("one vector per atom required")
-        vecs = []
-        for x, (v, d) in enumerate(zip(vectors, bundle.dimensions)):
-            arr = np.asarray(v, dtype=float).reshape(-1)
-            if arr.shape != (d,):
-                raise ValueError(
-                    f"vector at atom index {x} has shape {arr.shape}, fiber dimension is {d}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"vector at atom index {x} must be finite")
-            vecs.append(arr)
-        self.vectors = vecs
+        arrays = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
+        sizes = [len(a) for a in arrays]
+        if sizes != bundle.dimensions.tolist():
+            x = next(x for x, (n, d) in enumerate(zip(sizes, bundle.dimensions)) if n != d)
+            raise ValueError(
+                f"vector at atom index {x} has shape {arrays[x].shape}, "
+                f"fiber dimension is {bundle.dimensions[x]}"
+            )
+        self._set(bundle, np.concatenate(arrays) if arrays else np.zeros(0))
+
+    @classmethod
+    def from_coords(cls, bundle: Bundle, coords) -> "Section":
+        """The section whose flat coordinate vector is ``coords`` (used
+        as given, not copied)."""
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape != (bundle.total_dimension,):
+            raise ValueError(
+                f"flat section of length {bundle.total_dimension} expected, got shape {coords.shape}"
+            )
+        section = cls.__new__(cls)
+        section._set(bundle, coords)
+        return section
+
+    def _set(self, bundle: Bundle, coords: np.ndarray) -> None:
+        if not np.all(np.isfinite(coords)):
+            first = np.flatnonzero(~np.isfinite(coords))[0]
+            x = int(np.searchsorted(bundle.offsets, first, side="right")) - 1
+            raise ValueError(f"vector at atom index {x} must be finite")
+        self.bundle = bundle
+        self.coords = coords
+
+    @functools.cached_property
+    def vectors(self) -> list:
+        o = self.bundle.offsets.tolist()
+        return [self.coords[o[x] : o[x + 1]] for x in range(len(o) - 1)]
 
     def copy(self) -> "Section":
-        return Section(self.bundle, [v.copy() for v in self.vectors])
+        return Section.from_coords(self.bundle, self.coords.copy())
 
     def __add__(self, other: "Section") -> "Section":
         _same_bundle(self.bundle, other.bundle, "sections live on different bundles")
-        return Section(self.bundle, [a + b for a, b in zip(self.vectors, other.vectors)])
+        return Section.from_coords(self.bundle, self.coords + other.coords)
 
     def __sub__(self, other: "Section") -> "Section":
         _same_bundle(self.bundle, other.bundle, "sections live on different bundles")
-        return Section(self.bundle, [a - b for a, b in zip(self.vectors, other.vectors)])
+        return Section.from_coords(self.bundle, self.coords - other.coords)
 
     def __neg__(self) -> "Section":
-        return Section(self.bundle, [-v for v in self.vectors])
+        return Section.from_coords(self.bundle, -self.coords)
 
     def scale(self, t: float) -> "Section":
-        return Section(self.bundle, [float(t) * v for v in self.vectors])
+        return Section.from_coords(self.bundle, float(t) * self.coords)
 
     def __repr__(self):
         return f"Section({[v.tolist() for v in self.vectors]!r})"
@@ -199,7 +231,8 @@ def module_action(f, section: Section) -> Section:
         values = np.asarray(f, dtype=float)
         if values.shape != (section.bundle.space.atom_count,):
             raise ValueError("scalar field needs one value per atom")
-    return Section(section.bundle, [c * v for c, v in zip(values, section.vectors)])
+    bundle = section.bundle
+    return Section.from_coords(bundle, np.repeat(values, bundle.dimensions) * section.coords)
 
 
 def restrict_section(section: Section, subset: Iterable) -> Section:
@@ -242,23 +275,16 @@ def fiber_modulus_curve(
 # -- section-space norm as a search objective --------------------------------
 
 
-def _section_norms(bundle: Bundle, exponents):
-    """Section-space norms of one bundle at several exponents, as a
-    ``SearchGroup`` evaluator: ``evaluate(X, counts)`` takes the first
-    ``counts[0]`` rows of ``X`` at ``exponents[0]``, the next ``counts[1]``
-    at ``exponents[1]``, and so on.
+def _atom_norms(bundle: Bundle):
+    """Fiber norms of flat sections: ``per_atom(X)`` maps rows ``(m, total)``
+    to the ``(atoms, m)`` array of each row's fiber norm at each atom (0 on
+    zero-dimensional fibers).
 
-    Each distinct fiber norm is evaluated once for all rows and all atoms
-    that carry it; the fiber norms are kept as an ``(atoms, m)`` array and
-    each exponent's rows are reduced over axis 0, across contiguous rows,
-    never along a short last axis (see ``bundlelab.norms``).  With 8 or more
-    atoms the p-sum adds sequentially rather than by numpy's pairwise
-    unrolling, so its last bits can differ from a row-major sum.
+    Each distinct fiber norm is evaluated by one ``norm_batch`` call for all
+    rows and all atoms that carry it, so a row's norms have the same bits
+    alone as inside any batch.
     """
-    # None stands for p = inf
-    powers = [None if p == math.inf else float(p) for p in map(as_exponent, exponents)]
-    offsets = np.concatenate([[0], np.cumsum(bundle.dimensions)])
-    weights = bundle.space.weights[:, None]
+    offsets = bundle.offsets
     n_atoms = bundle.space.atom_count
     by_spec: dict = {}
     for x, f in enumerate(bundle.fibers):
@@ -272,21 +298,49 @@ def _section_norms(bundle: Bundle, exponents):
         for spec, atoms in by_spec.values()
     ]
 
-    def evaluate(X: np.ndarray, counts) -> np.ndarray:
-        per_atom = np.zeros((n_atoms, len(X)))
+    def per_atom(X: np.ndarray) -> np.ndarray:
+        out = np.zeros((n_atoms, len(X)))
         for spec, atoms, cols in blocks:
             if isinstance(cols, slice):
-                per_atom[atoms[0]] = spec.norm_batch(X[:, cols])
+                out[atoms[0]] = spec.norm_batch(X[:, cols])
             else:
-                per_atom[atoms] = spec.norm_batch(X[:, cols].transpose(1, 0, 2))
+                out[atoms] = spec.norm_batch(X[:, cols].transpose(1, 0, 2))
+        return out
+
+    return per_atom
+
+
+def _lp_columns(per_atom: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    """Weighted L^p norm of each column of an ``(atoms, m)`` array of
+    fiber norms, for ``weights`` of shape ``(atoms, 1)``.
+
+    The sum adds the rows in order across contiguous columns, never along a
+    short last axis (see ``bundlelab.norms``).  With 8 or more atoms it adds
+    sequentially rather than by numpy's pairwise unrolling, so its last bits
+    can differ from a row-major sum.
+    """
+    if p == math.inf:
+        return per_atom.max(axis=0, initial=0.0)
+    return _sum_columns(weights * per_atom**p) ** (1.0 / p)
+
+
+def _section_norms(bundle: Bundle, exponents):
+    """Section-space norms of one bundle at several exponents, as a
+    ``SearchGroup`` evaluator: ``evaluate(X, counts)`` takes the first
+    ``counts[0]`` rows of ``X`` at ``exponents[0]``, the next ``counts[1]``
+    at ``exponents[1]``, and so on.  The fiber norms of all rows come from
+    one ``_atom_norms`` call.
+    """
+    powers = [float(as_exponent(p)) for p in exponents]
+    per_atom = _atom_norms(bundle)
+    weights = bundle.space.weights[:, None]
+
+    def evaluate(X: np.ndarray, counts) -> np.ndarray:
+        norms = per_atom(X)
         out = np.empty(len(X))
         start = 0
         for pf, count in zip(powers, counts):
-            seg = per_atom[:, start : start + count]
-            if pf is None:
-                out[start : start + count] = seg.max(axis=0) if n_atoms else 0.0
-            else:
-                out[start : start + count] = _sum_columns(weights * seg**pf) ** (1.0 / pf)
+            out[start : start + count] = _lp_columns(norms[:, start : start + count], weights, pf)
             start += count
         return out
 
@@ -309,27 +363,15 @@ def _exponent_norm(evaluate, j: int, n: int):
 def section_norm_fn(bundle: Bundle, p):
     """Batched evaluator of the section-space norm on flattened coordinates.
 
-    Returns ``(norm_batch, total_dim, lift, unlift)`` where ``lift`` maps a
-    Section to a flat vector and ``unlift`` inverts it.  Zero-dimensional
-    fibers contribute no coordinates.  ``norm_batch`` is the one-exponent
-    case of the evaluator the section modulus searches use.
+    Returns ``(norm_batch, total_dim, lift, unlift)`` where ``lift`` gives
+    a Section's flat vector ``coords`` and ``unlift`` is
+    ``Section.from_coords``.  Zero-dimensional fibers contribute no
+    coordinates.  ``norm_batch`` is the one-exponent case of the evaluator
+    the section modulus searches use.
     """
     norm_batch = _exponent_norm(_section_norms(bundle, [p]), 0, 1)
-    offsets = np.concatenate([[0], np.cumsum(bundle.dimensions)])
-    total = int(offsets[-1])
-
-    def lift(section: Section) -> np.ndarray:
-        return (
-            np.concatenate([v for v in section.vectors]) if total else np.zeros(0)
-        )
-
-    def unlift(flat: np.ndarray) -> Section:
-        return Section(
-            bundle,
-            [flat[offsets[x] : offsets[x + 1]] for x in range(len(bundle.fibers))],
-        )
-
-    return norm_batch, total, lift, unlift
+    return (norm_batch, bundle.total_dimension, operator.attrgetter("coords"),
+            functools.partial(Section.from_coords, bundle))
 
 
 def section_modulus_curves(
@@ -358,8 +400,7 @@ def section_modulus_curves(
     out = [[None] * len(exponents) for _ in bundles]
     by_total: dict = {}
     for i, bundle in enumerate(bundles):
-        total = bundle.total_dimension
-        offsets = np.concatenate([[0], np.cumsum(bundle.dimensions)])
+        total, offsets = bundle.total_dimension, bundle.offsets
         witness_lifts = [
             (x, next(fiber_curves).witnesses)
             for x, f in enumerate(bundle.fibers) if f.dimension > 0

@@ -17,13 +17,14 @@ is checked exhaustively by :func:`measure_inequality_report`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import Bundle, Section, _same_bundle, module_action, pointwise_norm, section_lp_norm
+from .bundles import Bundle, Section, _atom_norms, _lp_columns, _same_bundle
 from .measure import MeasureSpace, ScalarField, as_exponent
 
 __all__ = [
@@ -49,21 +50,38 @@ ADDITIVITY_TOL = 1e-9
 CONTINUITY_TOL = 1e-6
 ENUMERATION_CAP = 16
 SAMPLED_SUBSETS = 4096
+#: (probe, subset) pairs per ``evaluate_rows`` call of the additivity check.
+#: Full enumeration at 16 atoms (2-3 dimensional fibers of all four kinds,
+#: 8 probes, one BLAS thread, 2-vCPU VM), median of 5: 256 pairs 1.28 s,
+#: 512 0.82 s, 1024 0.92 s, 2048 0.90 s, 4096 0.80 s (peak RSS +3 MiB over
+#: 1024), 8192 0.89 s.  Past 512 the time is flat and only memory grows.
+_MASK_CHUNK = 1024
 
 
 class AbstractModuleNorm:
-    """A candidate norm on the sections of a bundle, given as a callable."""
+    """A candidate norm on the sections of a bundle, given as a callable on
+    flat coordinate rows: ``fn(X)`` maps ``(m, total)`` rows to ``(m,)``
+    norms, row ``i`` being the section ``Section.from_coords(bundle, X[i])``.
+    """
 
-    def __init__(self, bundle: Bundle, fn: Callable[[Section], float], name: str,
+    def __init__(self, bundle: Bundle, fn: Callable[[np.ndarray], np.ndarray], name: str,
                  claimed_exponent=None):
         self.bundle = bundle
         self._fn = fn
         self.name = name
         self.claimed_exponent = claimed_exponent
 
+    def evaluate_rows(self, X: np.ndarray) -> np.ndarray:
+        """Norms of the sections whose flat coordinates are the rows of X."""
+        values = np.asarray(self._fn(X), dtype=float)
+        if values.shape != (len(X),):
+            raise ValueError(f"{self.name}: {len(X)} rows gave norms of shape {values.shape}")
+        return values
+
     def evaluate(self, section: Section) -> float:
+        """Norm of one section: the one-row case of ``evaluate_rows``."""
         _same_bundle(section.bundle, self.bundle, "section does not live on this norm's bundle")
-        return float(self._fn(section))
+        return float(self.evaluate_rows(section.coords[None, :])[0])
 
     def check_axioms(self, probes: int = 16, seed: int = 0, tol: float = 1e-9):
         """Randomized spot check of norm axioms; raises AssertionError on failure."""
@@ -90,40 +108,41 @@ def _random_section(bundle: Bundle, rng) -> Section:
     return Section(bundle, [rng.standard_normal(d) for d in bundle.dimensions])
 
 
+def _catalogue_norm(bundle: Bundle, exponents, name: str, combine=None,
+                    claimed_exponent=None) -> AbstractModuleNorm:
+    """A norm whose rows go through the bundle's fiber norms once; the
+    weighted L^p norms of the fiber norms at each of ``exponents`` are
+    folded with ``combine`` (e.g. ``np.add``) when there are several."""
+    per_atom = _atom_norms(bundle)
+    weights = bundle.space.weights[:, None]
+    powers = [float(p) for p in exponents]
+
+    def fn(X: np.ndarray) -> np.ndarray:
+        norms = per_atom(X)
+        return functools.reduce(combine, [_lp_columns(norms, weights, pf) for pf in powers])
+
+    return AbstractModuleNorm(bundle, fn, name, claimed_exponent=claimed_exponent)
+
+
 def induced_norm(bundle: Bundle, p) -> AbstractModuleNorm:
     """The section-space norm induced by the pointwise norm and exponent p."""
     p = as_exponent(p)
-    return AbstractModuleNorm(
-        bundle, lambda v: section_lp_norm(v, p), f"induced-p{p}", claimed_exponent=p
-    )
+    return _catalogue_norm(bundle, [p], f"induced-p{p}", claimed_exponent=p)
 
 
 def sup_over_atoms_norm(bundle: Bundle) -> AbstractModuleNorm:
     """Plain supremum of fiber norms over atoms (ignores the measure)."""
-
-    def fn(v: Section) -> float:
-        vals = pointwise_norm(v).values
-        return float(vals.max()) if len(vals) else 0.0
-
-    return AbstractModuleNorm(bundle, fn, "sup-over-atoms")
+    return _catalogue_norm(bundle, [math.inf], "sup-over-atoms")
 
 
 def mixed_sum_norm(bundle: Bundle, p1, p2) -> AbstractModuleNorm:
     p1, p2 = as_exponent(p1), as_exponent(p2)
-    return AbstractModuleNorm(
-        bundle,
-        lambda v: section_lp_norm(v, p1) + section_lp_norm(v, p2),
-        f"mixed-sum-p{p1}-p{p2}",
-    )
+    return _catalogue_norm(bundle, [p1, p2], f"mixed-sum-p{p1}-p{p2}", np.add)
 
 
 def mixed_max_norm(bundle: Bundle, p1, p2) -> AbstractModuleNorm:
     p1, p2 = as_exponent(p1), as_exponent(p2)
-    return AbstractModuleNorm(
-        bundle,
-        lambda v: max(section_lp_norm(v, p1), section_lp_norm(v, p2)),
-        f"mixed-max-p{p1}-p{p2}",
-    )
+    return _catalogue_norm(bundle, [p1, p2], f"mixed-max-p{p1}-p{p2}", np.maximum)
 
 
 # -- restriction additivity ---------------------------------------------------
@@ -153,6 +172,23 @@ def _subset_masks(atom_count: int, cap: int, samples: int, seed: int):
     return masks, "sampled"
 
 
+def _probe_rows(norm: AbstractModuleNorm, probes, seed: int) -> np.ndarray:
+    """Flat coordinates of the probe sections, one row each, scaled to norm
+    1 where the norm is positive; an integer ``probes`` draws that many
+    random sections from ``seed``."""
+    bundle = norm.bundle
+    if isinstance(probes, int):
+        rng = np.random.default_rng(seed)
+        probes = [_random_section(bundle, rng) for _ in range(probes)]
+    for v in probes:
+        _same_bundle(v.bundle, bundle, "section does not live on this norm's bundle")
+    P = np.array([v.coords for v in probes]).reshape(len(probes), bundle.total_dimension)
+    totals = norm.evaluate_rows(P)
+    positive = totals > 0.0
+    P[positive] *= (1.0 / totals[positive])[:, None]
+    return P
+
+
 def restriction_additivity_check(
     norm: AbstractModuleNorm,
     p,
@@ -167,39 +203,40 @@ def restriction_additivity_check(
     ``| N(1_E v)^p + N(1_{X\\E} v)^p - N(v)^p |`` is evaluated; subsets are
     fully enumerated up to ``cap`` atoms and sampled deterministically
     beyond.  Probes are normalized so the 1e-9 verdict line is scale-free.
-    A failing check names the probe and subset of the largest residual; a
-    passing one names none (probe -1, empty subset).
+    Every masked section goes through the norm itself, ``_MASK_CHUNK``
+    (probe, subset) pairs per ``evaluate_rows`` call.  A failing check names
+    the probe and subset of the first largest residual in probe-major,
+    subset-minor order; a passing one names none (probe -1, empty subset).
+    A nan residual counts as infinite.
     """
     p = as_exponent(p)
     if p == math.inf:
         raise ValueError("the sup-exponent analogue of this check is out of scope; use finite p")
     pf = float(p)
     bundle = norm.bundle
-    if isinstance(probes, int):
-        rng = np.random.default_rng(seed)
-        probe_sections = [_random_section(bundle, rng) for _ in range(probes)]
-    else:
-        probe_sections = list(probes)
-
+    P = _probe_rows(norm, probes, seed)
+    totals_p = norm.evaluate_rows(P) ** pf
     masks, enumeration = _subset_masks(bundle.space.atom_count, cap, samples, seed)
+    coord_masks = np.repeat(masks, bundle.dimensions, axis=1)
     atoms = np.array(bundle.space.atoms, dtype=object)
 
     max_res = 0.0
     wit_probe, wit_subset = -1, ()
-    for k, v in enumerate(probe_sections):
-        total = norm.evaluate(v)
-        if total > 0.0:
-            v = v.scale(1.0 / total)
-            total = norm.evaluate(v)
-        total_p = total**pf
-        for mask in masks:
-            inside = norm.evaluate(module_action(mask.astype(float), v))
-            outside = norm.evaluate(module_action((~mask).astype(float), v))
-            res = abs(inside**pf + outside**pf - total_p)
-            if res > max_res:
-                max_res = res
-                wit_probe = k
-                wit_subset = tuple(atoms[mask])
+    pairs = len(P) * len(masks)
+    for start in range(0, pairs, _MASK_CHUNK):
+        probe, mask = np.divmod(np.arange(start, min(start + _MASK_CHUNK, pairs)), len(masks))
+        inside = coord_masks[mask]
+        V = P[probe]
+        values = norm.evaluate_rows(np.concatenate([inside * V, ~inside * V]))
+        inside_p, outside_p = np.split(values**pf, 2)
+        res = np.abs(inside_p + outside_p - totals_p[probe])
+        res[np.isnan(res)] = math.inf
+        top = res.max()
+        if top > max_res:
+            i = np.flatnonzero(res == top)[0]
+            max_res = float(top)
+            wit_probe = int(probe[i])
+            wit_subset = tuple(atoms[masks[mask[i]]])
     if max_res <= ADDITIVITY_TOL:
         # the argmax among roundoff-level residuals is noise
         wit_probe, wit_subset = -1, ()
@@ -210,7 +247,7 @@ def restriction_additivity_check(
         max_res,
         wit_probe,
         wit_subset,
-        len(masks) * len(probe_sections),
+        pairs,
         enumeration,
     )
 
@@ -286,26 +323,16 @@ def weak_star_continuity_check(
     decay before use.
     """
     bundle = norm.bundle
-    if isinstance(probes, int):
-        rng = np.random.default_rng(seed)
-        probe_sections = [_random_section(bundle, rng) for _ in range(probes)]
-    else:
-        probe_sections = list(probes)
+    P = _probe_rows(norm, probes, seed)
     families = weak_star_null_families(bundle.space)
     for fam in families:
         fam.self_test(bundle.space, horizon)
 
-    rows = []
-    worst = 0.0
-    for fam in families:
-        f_end = fam.values_at(horizon)
-        for k, v in enumerate(probe_sections):
-            total = norm.evaluate(v)
-            if total > 0.0:
-                v = v.scale(1.0 / total)
-            val = norm.evaluate(module_action(f_end, v))
-            worst = max(worst, val)
-            rows.append((fam.name, k, val))
+    fields = np.repeat([fam.values_at(horizon) for fam in families], bundle.dimensions, axis=1)
+    values = norm.evaluate_rows((fields[:, None, :] * P).reshape(-1, bundle.total_dimension))
+    rows = [(fam.name, k, float(values[f * len(P) + k]))
+            for f, fam in enumerate(families) for k in range(len(P))]
+    worst = float(values.max(initial=0.0))
     return ContinuityReport(norm.name, worst <= CONTINUITY_TOL, worst, horizon, rows)
 
 
@@ -327,11 +354,8 @@ def reconstruct_pointwise_norm(norm: AbstractModuleNorm, p, section: Section) ->
     bundle = norm.bundle
     weights = bundle.space.weights
     total_p = norm.evaluate(section) ** pf
-    masses = np.empty(bundle.space.atom_count)
-    for x in range(bundle.space.atom_count):
-        sel = np.zeros(bundle.space.atom_count)
-        sel[x] = 1.0
-        masses[x] = norm.evaluate(module_action(sel, section)) ** pf
+    singletons = np.repeat(np.eye(bundle.space.atom_count), bundle.dimensions, axis=1)
+    masses = norm.evaluate_rows(singletons * section.coords) ** pf
     gap = abs(float(masses.sum()) - total_p)
     if gap > ADDITIVITY_TOL * max(1.0, total_p):
         raise ValueError(

@@ -121,6 +121,28 @@ class TestSection:
         c.vectors[0][0] = 99.0
         assert s.vectors[0][0] == 3.0
 
+    def test_flat_coords_and_views(self):
+        space = MeasureSpace(["a", "b", "c"], [1.0, 1.0, 1.0])
+        b = Bundle(space, [Fiber(2, euclid()), Fiber(0), Fiber(1, euclid(1))])
+        assert b.offsets.tolist() == [0, 2, 2, 3]
+        s = Section(b, [[3.0, 4.0], [], [2.0]])
+        assert s.coords.tolist() == [3.0, 4.0, 2.0]
+        assert [v.tolist() for v in s.vectors] == [[3.0, 4.0], [], [2.0]]
+        s.vectors[0] *= 2.0
+        assert s.coords.tolist() == [6.0, 8.0, 2.0]
+        assert pointwise_norm(s).values.tolist() == [10.0, 0.0, 2.0]
+
+    def test_from_coords_uses_the_array_and_validates_it(self):
+        b = two_atom_euclid()
+        flat = np.array([1.0, 2.0, 3.0, 4.0])
+        s = Section.from_coords(b, flat)
+        assert s.coords is flat
+        assert s.vectors[1].tolist() == [3.0, 4.0]
+        with pytest.raises(ValueError, match="flat section of length 4"):
+            Section.from_coords(b, np.zeros(3))
+        with pytest.raises(ValueError, match="atom index 1 must be finite"):
+            Section.from_coords(b, [0.0, 0.0, np.inf, 0.0])
+
     def test_cross_space_arithmetic_rejected(self):
         s = Section(two_atom_euclid(), [[1.0, 0.0], [0.0, 1.0]])
         other_space = MeasureSpace(["x", "y"], [2.0, 1.0])

@@ -1,7 +1,9 @@
 """End-to-end CLI runs, in process: exit codes, report files, determinism."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,3 +311,16 @@ class TestExitCodes:
         assert main(["modulus", "--config", cfg, "--out", str(out)]) == 0
         for path in out.iterdir():
             assert "repaired" not in path.read_text()
+
+
+def test_report_digests_keeps_each_configs_reports(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["criterion-enum", "--keep", str(tmp_path)]) == 0
+    name, seed, index, code, digest = capsys.readouterr().out.split()
+    kept = tmp_path / "criterion-enum-0-0"
+    assert (name, seed, index, code) == ("criterion-enum", "0", "0", "0")
+    assert (kept / "criterion_rows.csv").is_file()
+    assert digest == tool._load_workloads().output_digest(kept)

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlelab.bundles import Bundle, Fiber, Section, pointwise_norm, section_lp_norm
+from bundlelab.bundles import Bundle, Fiber, Section, pointwise_norm, section_norm_fn
+from bundlelab import criterion
 from bundlelab.criterion import (
+    ENUMERATION_CAP,
+    SAMPLED_SUBSETS,
     AbstractModuleNorm,
     AtomicMeasureTriple,
     WeakStarFamily,
@@ -27,7 +30,7 @@ from bundlelab.criterion import (
     weak_star_null_families,
 )
 from bundlelab.measure import MeasureSpace
-from bundlelab.norms import InnerProductNorm, WeightedLpNorm
+from bundlelab.norms import InnerProductNorm, PolyhedralMaxNorm, PolytopeGaugeNorm, WeightedLpNorm
 
 
 def euclid(dim=2):
@@ -57,15 +60,14 @@ class TestNormCatalogue:
 
     def test_axiom_check_catches_degenerate_fn(self):
         b = plane_bundle()
-        fake = AbstractModuleNorm(b, lambda v: 0.0, "vanishing")
+        fake = AbstractModuleNorm(b, lambda X: np.zeros(len(X)), "vanishing")
         with pytest.raises(AssertionError, match="vanishing on a nonzero"):
             fake.check_axioms()
 
     def test_axiom_check_catches_non_homogeneous_fn(self):
         b = plane_bundle()
-        fake = AbstractModuleNorm(
-            b, lambda v: section_lp_norm(v, 2) + 1.0, "shifted"
-        )
+        norm_batch = section_norm_fn(b, 2)[0]
+        fake = AbstractModuleNorm(b, lambda X: norm_batch(X) + 1.0, "shifted")
         with pytest.raises(AssertionError, match="homogeneity"):
             fake.check_axioms()
 
@@ -75,6 +77,111 @@ class TestNormCatalogue:
         v = Section(other, [[1.0], [1.0]])
         with pytest.raises(ValueError, match="does not live"):
             induced_norm(b, 2).evaluate(v)
+
+
+def mixed_bundle(atoms=9):
+    """Fibers of all four kinds, two atoms sharing a norm, and a
+    zero-dimensional fiber; 8 or more atoms make the p-sums sequential."""
+    square = [[1.0, 0.5], [-0.3, 1.0], [-1.0, -0.5], [0.3, -1.0]]
+    kinds = [
+        Fiber(2, InnerProductNorm([[2.0, 0.3], [0.3, 1.0]])),
+        Fiber(0),
+        Fiber(3, WeightedLpNorm(3, [1.0, 0.5, 2.0])),
+        Fiber(2, PolyhedralMaxNorm([[1.0, 0.0], [0.4, 1.0], [1.0, -1.0]])),
+        Fiber(2, PolytopeGaugeNorm(square)),
+        Fiber(1, WeightedLpNorm(2, [1.5])),
+    ]
+    weights = np.random.default_rng(atoms).uniform(0.5, 2.0, atoms)
+    space = MeasureSpace([f"a{x}" for x in range(atoms)], list(weights))
+    return Bundle(space, [kinds[x % len(kinds)] for x in range(atoms)])
+
+
+def catalogue(b):
+    return [induced_norm(b, 1.5), induced_norm(b, 3), sup_over_atoms_norm(b),
+            mixed_sum_norm(b, 1.5, 3), mixed_max_norm(b, 2, 3)]
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("atoms", [3, 9])
+    def test_evaluate_is_its_row_of_any_batch(self, atoms):
+        b = mixed_bundle(atoms)
+        X = np.random.default_rng(1).standard_normal((24, b.total_dimension))
+        for norm in catalogue(b):
+            full = norm.evaluate_rows(X)
+            assert full.shape == (len(X),)
+            for i in range(len(X)):
+                assert norm.evaluate(Section.from_coords(b, X[i])) == full[i]
+                assert norm.evaluate_rows(X[i : i + 1])[0] == full[i]
+            for size in (2, 5, 7):
+                parts = [norm.evaluate_rows(X[k : k + size]) for k in range(0, len(X), size)]
+                assert np.array_equal(np.concatenate(parts), full)
+
+    def test_catalogue_values(self):
+        b = mixed_bundle(6)
+        v = Section.from_coords(b, np.random.default_rng(2).standard_normal(b.total_dimension))
+        n = pointwise_norm(v).values
+        w = b.space.weights
+        lp = {p: float(np.sum(w * n**p) ** (1 / p)) for p in (1.5, 2, 3)}
+        want = [lp[1.5], lp[3], n.max(), lp[1.5] + lp[3], max(lp[2], lp[3])]
+        got = [norm.evaluate(v) for norm in catalogue(b)]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_rows_of_the_wrong_shape_rejected(self):
+        b = plane_bundle()
+        bad = AbstractModuleNorm(b, lambda X: np.zeros(len(X) + 1), "long")
+        with pytest.raises(ValueError, match="rows gave norms of shape"):
+            bad.evaluate_rows(np.zeros((2, b.total_dimension)))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_additivity_report_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        b = mixed_bundle(6)
+        for norm in catalogue(b):
+            want = restriction_additivity_check(norm, 2, probes=3, seed=4)
+            monkeypatch.setattr(criterion, "_MASK_CHUNK", chunk)
+            assert restriction_additivity_check(norm, 2, probes=3, seed=4) == want
+            monkeypatch.undo()
+
+
+def spy_norm(b, p=2):
+    """The induced norm, counting the rows of every call it receives."""
+    induced = induced_norm(b, p)
+    calls = []
+
+    def fn(X):
+        calls.append(len(X))
+        return induced.evaluate_rows(X)
+
+    return AbstractModuleNorm(b, fn, "spy"), calls
+
+
+class TestEveryMaskedSectionReachesTheNorm:
+    def test_full_enumeration(self):
+        b = line_bundle([1.0, 2.0, 0.5, 1.5, 0.7])
+        norm, calls = spy_norm(b)
+        rep = restriction_additivity_check(norm, 2, probes=3, seed=0)
+        assert rep.passed and rep.enumeration == "full"
+        # 2 normalisation rows and 2 masked rows per subset for each probe
+        assert sum(calls) == 3 * 2 * 2**5 + 2 * 3
+        assert max(calls) <= 2 * criterion._MASK_CHUNK
+
+    def test_sampled_beyond_the_cap(self):
+        b = line_bundle(np.linspace(0.5, 2.0, 17))
+        norm, calls = spy_norm(b)
+        rep = restriction_additivity_check(norm, 2, probes=2, seed=0)
+        assert rep.passed and rep.enumeration == "sampled"
+        assert rep.subsets_checked == 2 * SAMPLED_SUBSETS
+        assert sum(calls) == 2 * 2 * SAMPLED_SUBSETS + 2 * 2
+        assert max(calls) <= 2 * criterion._MASK_CHUNK
+
+    def test_sixteen_atoms_eight_probes(self):
+        b = mixed_bundle(16)
+        assert b.space.atom_count == ENUMERATION_CAP
+        rep = restriction_additivity_check(induced_norm(b, 2), 2, probes=8, seed=0)
+        assert rep.passed and rep.enumeration == "full"
+        assert rep.subsets_checked == 8 * 2**16
+        rep = restriction_additivity_check(sup_over_atoms_norm(b), 2, probes=8, seed=0)
+        assert not rep.passed
+        assert rep.witness_probe >= 0 and len(rep.witness_subset) > 0
 
 
 class TestRestrictionAdditivity:

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import bundlelab
-from bundlelab import bundles, convexity
+from bundlelab import bundles, convexity, suites
+from bundlelab.bundles import Bundle, Fiber
 from bundlelab.convexity import SearchBudget
 from bundlelab.generators import InstanceRecipe, bundles_from_recipe
+from bundlelab.measure import MeasureSpace
+from bundlelab.norms import WeightedLpNorm
 from bundlelab.reportio import report_data_files, suite_reports_table
 from bundlelab.suites import (
     CheckRow,
@@ -176,6 +179,20 @@ def test_hilbert_searches_all_defects_in_one_kernel_call_per_dimension(monkeypat
     reports = suite_hilbert(recipe)
     assert sorted(dims) == [2, 3]
     assert len(reports) == 6 and all(not r.unexpected for r in reports)
+
+
+def test_hilbert_witness_is_the_heaviest_of_tied_atoms(monkeypatch):
+    """Two atoms carry the same non-Hilbert norm, so their defects tie; the
+    localized violation sits on the heavier atom, not the first one."""
+    l1 = WeightedLpNorm(1, [1.0, 1.0])
+    bundle = Bundle(MeasureSpace(["a0", "a1"], [1.0, 2.0]), [Fiber(2, l1), Fiber(2, l1)])
+    monkeypatch.setattr(suites, "bundles_from_recipe", lambda recipe: [(0, bundle)])
+    (report,) = suite_hilbert(InstanceRecipe(seed=3, instance_count=1))
+    (row,) = report.checks
+    assert row.name == "localized-violation" and row.passed
+    assert row.witness == "atom-index-1"
+    (defect, _), = convexity.parallelogram_defects([l1], suites.SUITE_DEFECT_BUDGET)
+    assert row.threshold == 0.5 * 2.0 * defect
 
 
 def test_uc_upper_rerun_searches_no_fiber_and_keeps_bytes(monkeypatch):

@@ -1,7 +1,7 @@
 """SHA-256 of the report bytes `bundlelab` writes for benchmark configs.
 
     python3 tools/report_digests.py WORKLOAD [WORKLOAD ...]
-        [--seeds N [N ...]] [--indices K|A-B ...] [--checkout DIR]
+        [--seeds N [N ...]] [--indices K|A-B ...] [--checkout DIR] [--keep DIR]
 
 WORKLOAD is a workload of ``perfbench/workloads.py`` (its configs come from
 ``(seed, index)``) or ``suite:TAG``, the ``bundlelab suite`` run of TAG's
@@ -18,7 +18,9 @@ One line per config goes to standard output:
 where the digest is the benchmark's ``output_digest`` (every report file
 except the timestamped ``summary.md``), or ``-`` when nothing was written.
 Run it on two checkouts and ``diff`` the outputs to check that a change
-keeps report bytes identical.
+keeps report bytes identical.  With ``--keep DIR`` each config's reports
+stay in ``DIR/<workload>-<seed>-<index>/`` (replaced if present), so the
+CSVs of two checkouts can be compared cell by cell.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -49,8 +52,10 @@ def _indices(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def digest_line(workloads, src: Path, name: str, seed, index, env: dict) -> str:
-    """Run one config and return its ``workload seed index exit sha256`` line."""
+def digest_line(workloads, src: Path, name: str, seed, index, env: dict,
+                keep: Path | None = None) -> str:
+    """Run one config and return its ``workload seed index exit sha256`` line;
+    with ``keep``, its reports are copied to ``keep/<workload>-<seed>-<index>``."""
     if name.startswith("suite:"):
         command, cfg = "suite", {"suites": [name.partition(":")[2]]}
     else:
@@ -63,6 +68,10 @@ def digest_line(workloads, src: Path, name: str, seed, index, env: dict) -> str:
             [sys.executable, "-c", _RUN_CLI, str(src), command, "--config", str(config), "--out", str(out)],
             env=env, capture_output=True)
         digest = workloads.output_digest(out) if out.is_dir() else "-"
+        if keep is not None and out.is_dir():
+            dest = keep / f"{name}-{seed}-{index}"
+            shutil.rmtree(dest, ignore_errors=True)
+            shutil.copytree(out, dest)
     return f"{name} {seed} {index} {done.returncode} {digest}"
 
 
@@ -73,6 +82,8 @@ def main(argv=None) -> int:
     parser.add_argument("--indices", nargs="+", type=_indices, default=[[0]])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="checkout whose src/ runs (default: this one)")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="keep each config's reports under DIR/<workload>-<seed>-<index>/")
     args = parser.parse_args(argv)
     workloads = _load_workloads()
     for name in args.workloads:
@@ -84,7 +95,7 @@ def main(argv=None) -> int:
         runs = ([("-", "-")] if name.startswith("suite:") else
                 [(seed, k) for seed in args.seeds for ks in args.indices for k in ks])
         for seed, index in runs:
-            print(digest_line(workloads, src, name, seed, index, env), flush=True)
+            print(digest_line(workloads, src, name, seed, index, env, args.keep), flush=True)
     return 0
 
 
