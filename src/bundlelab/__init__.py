@@ -43,15 +43,10 @@ from .bundles import (
     section_modulus_curve,
 )
 from .duality import (
-    DualSection,
     ReflexivityReport,
     check_reflexivity_diagram,
-    dual_operator_norm,
-    dual_pointwise_norm,
-    evaluation_field,
     holder_maximizer,
     integrated_pairing,
-    norming_dual_section,
     operator_norm,
     pairing_field,
 )
@@ -90,10 +85,8 @@ __all__ = [
     "Bundle", "Fiber", "Section", "fiber_modulus_curve", "module_action",
     "pointwise_norm", "restrict_section", "section_lp_norm",
     "section_modulus_curve",
-    "DualSection", "ReflexivityReport", "check_reflexivity_diagram",
-    "dual_operator_norm", "dual_pointwise_norm", "evaluation_field",
-    "holder_maximizer", "integrated_pairing", "norming_dual_section",
-    "operator_norm", "pairing_field",
+    "ReflexivityReport", "check_reflexivity_diagram", "holder_maximizer",
+    "integrated_pairing", "operator_norm", "pairing_field",
     "AbstractModuleNorm", "AtomicMeasureTriple", "induced_norm",
     "measure_inequality_report", "mixed_max_norm", "mixed_sum_norm",
     "reconstruct_pointwise_norm", "restriction_additivity_check",

@@ -111,7 +111,11 @@ class Bundle:
         return True
 
     def dual(self) -> "Bundle":
-        """Bundle of dual fibers over the same measure space."""
+        """Bundle of dual fibers over the same measure space.
+
+        Its own dual is this bundle (the fiberwise bidual E** = E), so the
+        sections of either bundle act on the sections of the other.
+        """
         if self._dual is None:
             self._dual = Bundle(
                 self.space,
@@ -120,6 +124,7 @@ class Bundle:
                     for f in self.fibers
                 ],
             )
+            self._dual._dual = self
         return self._dual
 
     def zero_section(self) -> "Section":

@@ -39,13 +39,11 @@ from .criterion import (
 )
 from .duality import (
     check_reflexivity_diagram,
-    dual_operator_norm,
-    dual_pointwise_norm,
     holder_maximizer,
     integrated_pairing,
     operator_norm,
 )
-from .generators import instance_rng, random_dual_section, random_section
+from .generators import instance_rng, random_section
 from .measure import as_exponent, conjugate_exponent, lp_norm
 from .norms import norm_spec_from_config
 from .reportio import (
@@ -248,16 +246,11 @@ def cmd_dual_check(cfg: dict, args) -> int:
     q = conjugate_exponent(p)
     instance = bundle_digest(bundle)
 
-    explicit = []
+    omega = v = None
     if "dual_section" in cfg:
         omega = section_from_config(bundle, {"vectors": cfg["dual_section"]}, dual=True)
-        explicit.append(("explicit", omega, None))
     if "section" in cfg:
         v = section_from_config(bundle, {"vectors": cfg["section"]})
-        if explicit:
-            explicit[0] = ("explicit", explicit[0][1], v)
-        else:
-            explicit.append(("explicit", None, v))
 
     samples = _config_value("samples", int, cfg.get("samples", 100))
     rng = instance_rng(seed, 0, stream=5)
@@ -268,30 +261,32 @@ def cmd_dual_check(cfg: dict, args) -> int:
         rows.append((instance, seed, sample, quantity, value, reference,
                      residual, tol, residual <= tol))
 
-    for label, omega, v in explicit:
-        if omega is not None:
-            check(label, "operator-norm-vs-dual-lq", operator_norm(omega, p),
-                  lp_norm(dual_pointwise_norm(omega), q), _EXPLICIT_TOL)
-            vstar = holder_maximizer(omega, p)
-            check(label, "holder-attainment", integrated_pairing(omega, vstar),
-                  operator_norm(omega, p), _EXPLICIT_TOL)
-        if v is not None:
-            check(label, "swapped-operator-norm-vs-lp", dual_operator_norm(v, q),
-                  section_lp_norm(v, p), _EXPLICIT_TOL)
-        if omega is not None and v is not None:
-            lhs = integrated_pairing(omega, v)
-            bound = operator_norm(omega, p) * section_lp_norm(v, p)
-            rows.append((instance, seed, label, "holder-inequality-slack", lhs,
-                         bound, max(0.0, lhs - bound), _EXPLICIT_TOL,
-                         lhs <= bound + _EXPLICIT_TOL))
+    if omega is not None:
+        vstar = holder_maximizer(omega, p)
+        opn = integrated_pairing(omega, vstar)
+        check("explicit", "operator-norm-vs-dual-lq", opn,
+              lp_norm(pointwise_norm(omega), q), _EXPLICIT_TOL)
+        # the maximizer is a unit section, or zero for the zero functional
+        check("explicit", "holder-attainment", section_lp_norm(vstar, p),
+              1.0 if np.any(omega.coords) else 0.0, _EXPLICIT_TOL)
+    if v is not None:
+        check("explicit", "swapped-operator-norm-vs-lp", operator_norm(v, q),
+              section_lp_norm(v, p), _EXPLICIT_TOL)
+    if omega is not None and v is not None:
+        lhs = integrated_pairing(omega, v)
+        bound = opn * section_lp_norm(v, p)
+        rows.append((instance, seed, "explicit", "holder-inequality-slack", lhs,
+                     bound, max(0.0, lhs - bound), _EXPLICIT_TOL,
+                     lhs <= bound + _EXPLICIT_TOL))
 
     if not bundle.degenerate:
+        dual = bundle.dual()
         for s in range(samples):
-            omega = random_dual_section(bundle, rng)
+            omega = random_section(dual, rng)
             v = random_section(bundle, rng)
             check(f"s{s}", "operator-norm-vs-dual-lq", operator_norm(omega, p),
-                  lp_norm(dual_pointwise_norm(omega), q), _SAMPLED_TOL)
-            check(f"s{s}", "swapped-operator-norm-vs-lp", dual_operator_norm(v, q),
+                  lp_norm(pointwise_norm(omega), q), _SAMPLED_TOL)
+            check(f"s{s}", "swapped-operator-norm-vs-lp", operator_norm(v, q),
                   section_lp_norm(v, p), _SAMPLED_TOL)
 
     diagram = check_reflexivity_diagram(bundle, p, samples=max(4, samples // 4),

@@ -14,7 +14,6 @@ import numpy as np
 
 from .bundles import Bundle, Fiber, Section
 from .criterion import AtomicMeasureTriple
-from .duality import DualSection
 from .measure import MeasureSpace, as_exponent
 from .norms import (
     InnerProductNorm,
@@ -31,7 +30,6 @@ __all__ = [
     "random_norm_spec",
     "random_bundle",
     "random_section",
-    "random_dual_section",
     "random_measure_triple",
     "bundles_from_recipe",
     "bundle_digest",
@@ -180,10 +178,6 @@ def bundles_from_recipe(recipe: InstanceRecipe) -> Iterator[tuple[int, Bundle]]:
 
 def random_section(bundle: Bundle, rng: np.random.Generator, scale: float = 1.0) -> Section:
     return Section(bundle, [scale * rng.standard_normal(d) for d in bundle.dimensions])
-
-
-def random_dual_section(bundle: Bundle, rng: np.random.Generator, scale: float = 1.0) -> DualSection:
-    return DualSection(bundle, [scale * rng.standard_normal(d) for d in bundle.dimensions])
 
 
 # -- measure triples for the power-inequality lemma ---------------------------

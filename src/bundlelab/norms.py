@@ -174,6 +174,11 @@ class NormSpec:
         """
         raise NotImplementedError
 
+    def _zero_covector_maximizer(self) -> tuple[float, np.ndarray]:
+        """``linear_maximizer``'s answer for ``c = 0``: value 0 at the first
+        unit coordinate vector."""
+        return 0.0, self.unit(np.eye(self.dimension)[0])
+
     def sample_sphere(self, count: int, seed: int) -> np.ndarray:
         """Deterministic sample of ``count`` unit vectors, shape (count, dim).
 
@@ -267,9 +272,7 @@ class InnerProductNorm(NormSpec):
     def linear_maximizer(self, c):
         c = self._check_vec(c)
         if not np.any(c):
-            e = np.zeros(self.dimension)
-            e[0] = 1.0
-            return 0.0, self.unit(e)
+            return self._zero_covector_maximizer()
         x = np.linalg.solve(self.gram, c)
         if not _TINY <= np.max(np.abs(x)) < math.inf:
             # the solve under- or overflowed; the witness is positively
@@ -332,9 +335,7 @@ class WeightedLpNorm(NormSpec):
     def linear_maximizer(self, c):
         c = self._check_vec(c)
         if not np.any(c):
-            e = np.zeros(self.dimension)
-            e[0] = 1.0
-            return 0.0, self.unit(e)
+            return self._zero_covector_maximizer()
         if self.r == 1:
             j = int(np.argmax(np.abs(c) / self.weights))
             u = np.zeros(self.dimension)
@@ -387,9 +388,7 @@ class PolyhedralMaxNorm(NormSpec):
     def linear_maximizer(self, c):
         c = self._check_vec(c)
         if not np.any(c):
-            e = np.zeros(self.dimension)
-            e[0] = 1.0
-            return 0.0, self.unit(e)
+            return self._zero_covector_maximizer()
         # the facet normals of conv(+-A), held by the dual gauge, are the
         # vertices of the unit ball {v : |A v| <= 1}
         F = self.dual()._facets
@@ -493,9 +492,7 @@ class PolytopeGaugeNorm(NormSpec):
     def linear_maximizer(self, c):
         c = self._check_vec(c)
         if not np.any(c):
-            e = np.zeros(self.dimension)
-            e[0] = 1.0
-            return 0.0, self.unit(e)
+            return self._zero_covector_maximizer()
         scores = (self.vertices @ c) / self._vertex_gauges
         j = int(np.argmax(scores))
         u = self.vertices[j] / self._vertex_gauges[j]

@@ -129,14 +129,11 @@ def report_data_files(reports) -> dict:
     return files
 
 
-def suite_summary_markdown(title: str, run_digest: str, seed, reports,
-                           timestamp: bool = True) -> str:
+def suite_summary_markdown(title: str, run_digest: str, seed, reports) -> str:
     """Markdown run summary; the header line holds the only timestamp."""
-    lines = [f"# {title}", ""]
-    if timestamp:
-        stamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-        lines.append(f"generated: {stamp}")
-    lines += [f"run-config digest: `{run_digest}`", f"seed: {seed}", ""]
+    stamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+    lines = [f"# {title}", "", f"generated: {stamp}",
+             f"run-config digest: `{run_digest}`", f"seed: {seed}", ""]
     by_suite: dict = {}
     for r in reports:
         agg = by_suite.setdefault(r.suite, [0, 0, 0])

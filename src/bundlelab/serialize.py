@@ -26,7 +26,6 @@ import numpy as np
 from .bundles import Bundle, Fiber, Section
 from .convexity import SearchBudget
 from .criterion import AtomicMeasureTriple
-from .duality import DualSection
 from .measure import MeasureSpace
 from .norms import NormSpec, norm_spec_from_config
 
@@ -129,17 +128,15 @@ def bundle_digest(bundle: Bundle) -> str:
 # -- sections -----------------------------------------------------------------
 
 
-def section_to_config(section) -> dict:
-    vectors = section.covectors if isinstance(section, DualSection) else section.vectors
-    return {"vectors": [v.tolist() for v in vectors]}
+def section_to_config(section: Section) -> dict:
+    return {"vectors": [v.tolist() for v in section.vectors]}
 
 
-def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False):
+def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Section:
+    """A section of ``bundle``, or of ``bundle.dual()`` with ``dual``."""
     vectors = _require(cfg, "vectors", "section config")
     try:
-        if dual:
-            return DualSection(bundle, vectors)
-        return Section(bundle, vectors)
+        return Section(bundle.dual() if dual else bundle, vectors)
     except ValueError as exc:
         raise ConfigError(f"section config invalid: {exc}") from None
 

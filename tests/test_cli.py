@@ -10,6 +10,7 @@ import pytest
 
 from bundlelab import cli
 from bundlelab.cli import main
+from bundlelab.norms import InnerProductNorm
 
 SMALL_BUDGET = {"restarts": 16, "iterations": 80}
 
@@ -183,6 +184,32 @@ class TestDualCheck:
         assert float(opnorm[4]) == pytest.approx(5.0, abs=1e-9)
         assert all(r[8] == "true" for r in rows[1:])
 
+    def _attainment_row(self, tmp_path, dual_section, exit_code):
+        cfg = write_config(tmp_path, {"bundle": self.BUNDLE, "p": 2, "samples": 0,
+                                      "dual_section": dual_section})
+        out = tmp_path / "reports"
+        assert main(["dual-check", "--config", cfg, "--out", str(out)]) == exit_code
+        rows = read_csv(out / "dual_residuals.csv")
+        return [r for r in rows[1:] if r[3] == "holder-attainment"][0]
+
+    def test_holder_attainment_fails_off_the_unit_sphere(self, tmp_path, monkeypatch):
+        """A fiber maximizer 1% off the unit sphere gives a maximizing section
+        of norm 1.01, which the explicit attainment row must report."""
+        exact = InnerProductNorm.linear_maximizer
+
+        def scaled(self, c):
+            value, u = exact(self, c)
+            return value, 1.01 * u
+
+        monkeypatch.setattr(InnerProductNorm, "linear_maximizer", scaled)
+        row = self._attainment_row(tmp_path, [[3.0], [4.0]], 1)
+        assert (row[2], float(row[5]), row[8]) == ("explicit", 1.0, "false")
+        assert float(row[6]) == pytest.approx(0.01, rel=1e-9)
+
+    def test_holder_attainment_of_the_zero_functional(self, tmp_path):
+        row = self._attainment_row(tmp_path, [[0.0], [0.0]], 0)
+        assert (float(row[4]), float(row[5]), row[8]) == (0.0, 0.0, "true")
+
     def test_exponent_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bundle": self.BUNDLE, "p": 1})
         assert main(["dual-check", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
@@ -324,3 +351,20 @@ def test_report_digests_keeps_each_configs_reports(tmp_path, capsys):
     assert (name, seed, index, code) == ("criterion-enum", "0", "0", "0")
     assert (kept / "criterion_rows.csv").is_file()
     assert digest == tool._load_workloads().output_digest(kept)
+
+
+def test_report_digests_runs_a_config_file(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    config = tmp_path / "dual.json"
+    config.write_text(json.dumps({"bundle": TestDualCheck.BUNDLE, "p": 2, "samples": 2,
+                                  "dual_section": [[3.0], [4.0]]}))
+    name = f"file:dual-check:{config}"
+    assert tool.main([name, "--keep", str(tmp_path / "keep")]) == 0
+    line = capsys.readouterr().out.split()
+    assert line[:4] == [name, "-", "-", "0"]
+    kept = tmp_path / "keep" / f"{name}-{'-'}-{'-'}".replace("/", "_")
+    assert (kept / "dual_residuals.csv").is_file()
+    assert line[4] == tool._load_workloads().output_digest(kept)

@@ -10,7 +10,6 @@ from bundlelab.generators import (
     bundles_from_recipe,
     instance_rng,
     random_bundle,
-    random_dual_section,
     random_measure_triple,
     random_norm_spec,
     random_section,
@@ -109,8 +108,8 @@ def test_sections_are_reproducible():
     v2 = random_section(bundle, instance_rng(7, 0, stream=2))
     for a, b in zip(v1.vectors, v2.vectors):
         assert np.array_equal(a, b)
-    omega = random_dual_section(bundle, instance_rng(7, 0, stream=3))
-    assert len(omega.covectors) == bundle.space.atom_count
+    omega = random_section(bundle.dual(), instance_rng(7, 0, stream=3))
+    assert len(omega.vectors) == bundle.space.atom_count
 
 
 def test_recipe_config_round_trip():

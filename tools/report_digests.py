@@ -4,9 +4,10 @@
         [--seeds N [N ...]] [--indices K|A-B ...] [--checkout DIR] [--keep DIR]
 
 WORKLOAD is a workload of ``perfbench/workloads.py`` (its configs come from
-``(seed, index)``) or ``suite:TAG``, the ``bundlelab suite`` run of TAG's
-default recipe (seeds and indices do not apply and print as ``-``).
-Defaults: seed 0, config index 0.
+``(seed, index)``), ``suite:TAG``, the ``bundlelab suite`` run of TAG's
+default recipe, or ``file:COMMAND:PATH``, the ``bundlelab COMMAND`` run of
+the JSON config at PATH.  Seeds and indices apply only to workloads; the
+other two print them as ``-``.  Defaults: seed 0, config index 0.
 
 Every config runs through ``bundlelab.cli.main`` in a fresh interpreter on
 the ``src/`` of ``--checkout`` (default: the checkout holding this script),
@@ -19,8 +20,9 @@ where the digest is the benchmark's ``output_digest`` (every report file
 except the timestamped ``summary.md``), or ``-`` when nothing was written.
 Run it on two checkouts and ``diff`` the outputs to check that a change
 keeps report bytes identical.  With ``--keep DIR`` each config's reports
-stay in ``DIR/<workload>-<seed>-<index>/`` (replaced if present), so the
-CSVs of two checkouts can be compared cell by cell.
+stay in ``DIR/<workload>-<seed>-<index>/`` (replaced if present; ``/`` in
+a ``file:`` name becomes ``_``), so the CSVs of two checkouts can be
+compared cell by cell.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ def digest_line(workloads, src: Path, name: str, seed, index, env: dict,
     with ``keep``, its reports are copied to ``keep/<workload>-<seed>-<index>``."""
     if name.startswith("suite:"):
         command, cfg = "suite", {"suites": [name.partition(":")[2]]}
+    elif name.startswith("file:"):
+        _, command, path = name.split(":", 2)
+        cfg = json.loads(Path(path).read_text())
     else:
         workload = workloads.WORKLOADS[name]
         command, cfg = workload.command, workload.config(seed, index)
@@ -69,7 +74,7 @@ def digest_line(workloads, src: Path, name: str, seed, index, env: dict,
             env=env, capture_output=True)
         digest = workloads.output_digest(out) if out.is_dir() else "-"
         if keep is not None and out.is_dir():
-            dest = keep / f"{name}-{seed}-{index}"
+            dest = keep / f"{name}-{seed}-{index}".replace("/", "_")
             shutil.rmtree(dest, ignore_errors=True)
             shutil.copytree(out, dest)
     return f"{name} {seed} {index} {done.returncode} {digest}"
@@ -87,12 +92,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads = _load_workloads()
     for name in args.workloads:
-        if not name.startswith("suite:") and name not in workloads.WORKLOADS:
-            parser.error(f"unknown workload {name!r}; choose from {sorted(workloads.WORKLOADS)} or suite:TAG")
+        if name.startswith("file:"):
+            if name.count(":") < 2 or not Path(name.split(":", 2)[2]).is_file():
+                parser.error(f"{name!r}: expected file:COMMAND:PATH with an existing PATH")
+        elif not name.startswith("suite:") and name not in workloads.WORKLOADS:
+            parser.error(f"unknown workload {name!r}; choose from {sorted(workloads.WORKLOADS)}, "
+                         "suite:TAG or file:COMMAND:PATH")
     src = (args.checkout / "src").resolve()
     env = dict(os.environ, **{var: "1" for var in _THREAD_VARS})
     for name in args.workloads:
-        runs = ([("-", "-")] if name.startswith("suite:") else
+        runs = ([("-", "-")] if name.startswith(("suite:", "file:")) else
                 [(seed, k) for seed in args.seeds for ks in args.indices for k in ks])
         for seed, index in runs:
             print(digest_line(workloads, src, name, seed, index, env, args.keep), flush=True)
