@@ -455,9 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # numpy and scipy leave ~50k long-lived objects from import; moving them
-    # to the collector's permanent generation spares every full collection,
-    # including the one at interpreter exit (~0.1 s), from walking them.
+    # numpy leaves ~23k long-lived objects from import (``len(gc.get_objects())``
+    # after ``import bundlelab.cli``); moving them to the collector's permanent
+    # generation spares every full collection, including the one at
+    # interpreter exit, from walking them (~8 ms each on a 2-vCPU VM).
     # Done here, not on package import, so library users keep normal GC.
     gc.freeze()
     args = build_parser().parse_args(argv)

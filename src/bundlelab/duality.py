@@ -157,11 +157,12 @@ def check_reflexivity_diagram(
     isometric.
 
     Functionals are represented by sections of ``bundle.dual()``.  Route
-    one pairs the functional with the section; route two evaluates the
-    section on the functional, which is the same pairing summed in reverse
-    atom order, so the pairing residual measures only summation order.  On
-    a constant bundle the same residual is also computed atom by atom
-    through the shared constant fiber.
+    one integrates the pointwise pairing field (``pairing_field``); route
+    two evaluates the section on the functional as one flat contraction of
+    the coordinate vectors, with each coordinate weighted by its atom, and
+    shares no code with the pairing field.  On a constant bundle the chain
+    through the shared constant fiber pairs the ``(atoms, d)`` coordinate
+    matrices in one contraction against the weights.
     """
     p = _duality_exponent(p)
     rng = np.random.default_rng(seed)
@@ -176,27 +177,26 @@ def check_reflexivity_diagram(
     max_chain = 0.0
     constant = bundle.is_constant
     weights = bundle.space.weights
+    coord_weights = np.repeat(weights, bundle.dimensions)
     dual = bundle.dual()
     for _ in range(samples):
         v = Section(bundle, [rng.standard_normal(d) for d in bundle.dimensions])
         omega = Section(dual, [rng.standard_normal(d) for d in bundle.dimensions])
         # route one: functional applied to the section
         lhs = float(np.sum(weights * pairing_field(omega, v).values))
-        # route two: section evaluated on the functional's representative,
-        # accumulated in reverse atom order
-        evals = pairing_field(v, omega).values
-        rhs = float(np.sum((weights * evals)[::-1]))
+        # route two: section evaluated on the functional's representative
+        rhs = float(np.dot(coord_weights * omega.coords, v.coords))
         max_pair = max(max_pair, abs(lhs - rhs))
 
         gap = np.max(np.abs(bidual_pointwise_norm(v).values - pointwise_norm(v).values))
         max_norm_gap = max(max_norm_gap, float(gap))
 
         if constant:
-            # through the constant fiber: evaluate atom by atom inside the
-            # fixed space, then integrate
-            chain = 0.0
-            for x in range(bundle.space.atom_count):
-                chain += weights[x] * float(np.dot(omega.vectors[x], v.vectors[x]))
+            # through the constant fiber: both sections as (atoms, d)
+            # matrices over the fixed space, contracted against the weights
+            shape = (bundle.space.atom_count, -1)
+            chain = float(np.einsum("x,xi,xi->", weights, omega.coords.reshape(shape),
+                                    v.coords.reshape(shape)))
             max_chain = max(max_chain, abs(chain - lhs))
 
     passed = max_pair <= pairing_tol and max_norm_gap <= norm_tol and (

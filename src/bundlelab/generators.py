@@ -21,6 +21,7 @@ from .norms import (
     PolyhedralMaxNorm,
     PolytopeGaugeNorm,
     WeightedLpNorm,
+    check_facet_candidates,
 )
 from .serialize import ConfigError, bundle_digest
 
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 ALL_KINDS = ("inner_product", "weighted_lp", "polyhedral_max", "polytope_gauge")
+
+#: a polyhedral norm of dimension d is drawn with d + 1 to d + EXTRA_ROWS rows
+EXTRA_ROWS = 3
 UC_KINDS = ("inner_product", "weighted_lp")
 
 
@@ -101,6 +105,8 @@ def recipe_from_config(cfg: dict) -> InstanceRecipe:
         if not (0 <= a_lo <= a_hi and 1 <= d_lo <= d_hi and 0 < w_lo <= w_hi):
             raise ValueError("ranges must be [lo, hi] with lo <= hi, at least 0 atoms, "
                              "dimension at least 1 and positive weights")
+        if {"polyhedral_max", "polytope_gauge"} & set(recipe.kinds):
+            check_facet_candidates(int(d_hi) + EXTRA_ROWS, int(d_hi))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"recipe config invalid: {exc}") from None
     return recipe
@@ -129,14 +135,14 @@ def random_norm_spec(rng: np.random.Generator, kind: str, dim: int,
         return WeightedLpNorm(r, d)
     if kind == "polyhedral_max":
         while True:
-            rows = dim + 1 + int(rng.integers(0, 3))
+            rows = dim + 1 + int(rng.integers(0, EXTRA_ROWS))
             A = rng.standard_normal((rows, dim))
             A = A / np.linalg.norm(A, axis=1)[:, None] * rng.uniform(0.7, 1.5, size=(rows, 1))
             if np.linalg.matrix_rank(A) == dim:
                 return PolyhedralMaxNorm(A)
     if kind == "polytope_gauge":
         while True:
-            rows = dim + 1 + int(rng.integers(0, 3))
+            rows = dim + 1 + int(rng.integers(0, EXTRA_ROWS))
             P = rng.standard_normal((rows, dim))
             P = P / np.linalg.norm(P, axis=1)[:, None] * rng.uniform(0.8, 1.4, size=(rows, 1))
             V = np.vstack([P, -P])

@@ -17,11 +17,13 @@ Every kind evaluates in closed form.  The two polyhedral kinds are each
 other's duals, and each unit ball's vertices are the other's facet
 normals: the gauge norm is ``max(F v)`` over the facet matrix ``F`` of
 its hull, and the polyhedral maximizer is the best-scoring row of its
-dual gauge's ``F``.  The gauge's defining linear program
-(``PolytopeGaugeNorm._norm_lp``) is kept only as the construction
-cross-check of the facet form and as a test oracle; it solves a batch of
-vectors as one block-diagonal program, so each gauge built costs one
-solver call.
+dual gauge's ``F``.  ``F`` is enumerated with numpy alone, from the
+hyperplanes through d linearly independent vertices, one from each of d
+antipodal pairs, and checked at construction against the gauge's defining
+linear program solved over its basic solutions.  The LP itself
+(``PolytopeGaugeNorm._norm_lp``, with scipy's HiGHS, imported on first
+use) is only a test oracle, so building and evaluating norms never loads
+scipy.
 
 Batched kernels are coordinate-major: ``norm_batch`` takes rows of shape
 ``(..., d)`` but works on the ``(d, m)`` transpose and reduces over axis 0,
@@ -34,12 +36,11 @@ instead of by numpy's pairwise unrolling, so their last bits can differ.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
 from .measure import as_exponent, conjugate_exponent
 
@@ -54,6 +55,19 @@ __all__ = [
 
 #: agreement demanded between the gauge's facet form and its defining LP
 GAUGE_SOLVER_TOL = 1e-10
+
+#: largest facet candidate count C(m, d) * 2^d, over m antipodal vertex pairs
+#: in dimension d, that a gauge enumerates.  The generators draw at most
+#: d + 3 pairs, so a dimension-10 recipe reaches 292,864 candidates; a recipe
+#: that could go above the limit is refused when it is read.
+MAX_FACET_CANDIDATES = 1 << 19
+
+#: slack of a facet candidate's support test max |<h, a>| <= 1, and of the
+#: test that a vertex lies on a facet
+_FACET_TOL = 1e-9
+
+#: elements of one block of the support test, bounding its working memory
+_SUPPORT_BLOCK = 1 << 20
 
 #: smallest positive normal double; a norm below it has lost precision
 _TINY = float(np.finfo(float).tiny)
@@ -402,15 +416,112 @@ class PolyhedralMaxNorm(NormSpec):
         return [self.functionals]
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
+def check_facet_candidates(pairs: int, dim: int) -> None:
+    """Raise ``ValueError`` when a polytope of ``pairs`` antipodal vertex
+    pairs in dimension ``dim`` has more facet candidates, C(pairs, dim)
+    bases times 2^dim sign patterns, than ``MAX_FACET_CANDIDATES``."""
+    count = math.comb(pairs, dim) * 2**dim
+    if count > MAX_FACET_CANDIDATES:
+        raise ValueError(
+            f"a polytope of {pairs} antipodal vertex pairs in dimension {dim} needs {count} "
+            f"facet candidates (C({pairs}, {dim}) bases x 2^{dim} sign patterns), above the "
+            f"limit of {MAX_FACET_CANDIDATES}"
+        )
+
+
+def _pair_tol(V: np.ndarray) -> float:
+    """Distance within which two rows of ``V`` count as the same vertex."""
+    return 1e-9 * max(1.0, float(np.max(np.abs(V))))
+
+
+def _antipodal_pairs(V: np.ndarray) -> np.ndarray:
+    """One row per antipodal pair {h, -h} of a symmetric vertex list, in
+    the order of first appearance.
+
+    Raises if a row has no antipode.  Rows within 1e-9 (relative to the
+    largest entry) of an earlier row or of its negation join that row's
+    pair; rows at the origin lie inside the hull and are dropped.
+    """
+    tol = _pair_tol(V)
+    pairs = []
+    paired = np.zeros(len(V), dtype=bool)
+    for i, row in enumerate(V):
+        antipodes = np.max(np.abs(V + row), axis=1) <= tol
+        if not np.any(antipodes):
+            raise ValueError("vertex list must be symmetric (closed under negation)")
+        if not paired[i] and np.max(np.abs(row)) > tol:
+            pairs.append(row)
+            paired |= antipodes | (np.max(np.abs(V - row), axis=1) <= tol)
+    return np.array(pairs)
+
+
+def _gauge_bases(H: np.ndarray) -> np.ndarray:
+    """The linearly independent d-subsets of the pair rows ``H``, stacked
+    ``(k, d, d)`` in lexicographic order of the subsets.
+
+    Raises ``ValueError`` (``check_facet_candidates``) before allocating
+    anything when the facet candidates are too many.
+    """
+    m, d = H.shape
+    check_facet_candidates(m, d)
+    B = H[np.array(list(itertools.combinations(range(m), d)))]
+    return B[np.linalg.matrix_rank(B) == d]
+
+
+def _gauge_facets(H: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Facet normals ``a`` (facets ``<a, x> = 1``) of conv(+-H), from the
+    independent bases ``B`` of ``_gauge_bases``.
+
+    For each basis and each sign pattern s, the hyperplane through the
+    vertices s_k h_k solves ``B a = s``; it bounds a facet when no vertex
+    lies beyond it, ``max |H a| <= 1``.  A facet of a non-simplicial
+    polytope comes from several bases; the first candidate with each set
+    of (signed) vertices on it is kept.  Candidates run basis by basis, and
+    within a basis over the sign patterns in ``itertools.product((1, -1),
+    repeat=d)`` order, so the row order is fixed by ``H`` alone.
+    """
+    k, d = len(B), H.shape[1]
+    h = 2 ** (d - 1)
+    # the patterns with s_1 = +1; those with s_1 = -1 are their negations,
+    # in reverse order, and negating the right side negates the solution
+    bits = (np.arange(h)[:, None] >> np.arange(d - 2, -1, -1)) & 1
+    half = np.hstack([np.ones((h, 1)), 1.0 - 2.0 * bits])
+    # a (1, d, h) right side: a stack of matrices under every numpy version
+    A = np.swapaxes(np.linalg.solve(B, half.T[None]), 1, 2).reshape(-1, d)
+    blocks = np.array_split(A, max(1, -(-len(A) * len(H) // _SUPPORT_BLOCK)))
+    keep = np.concatenate([np.max(np.abs(a @ H.T), axis=1) <= 1.0 + _FACET_TOL
+                           for a in blocks]).reshape(k, h)
+    # -a passes the test exactly when a does
+    b, j = np.nonzero(np.hstack([keep, keep[:, ::-1]]))
+    negated = j >= h
+    A = A.reshape(k, h, d)[b, np.where(negated, 2 * h - 1 - j, j)]
+    A[negated] *= -1.0
+    HA = A @ H.T
+    on_facet = (HA >= 1.0 - _FACET_TOL).astype(np.int8) - (HA <= _FACET_TOL - 1.0)
+    _, first = np.unique(on_facet, axis=0, return_index=True)
+    return A[np.sort(first)]
+
+
 class PolytopeGaugeNorm(NormSpec):
     """Minkowski gauge of the convex hull of a symmetric spanning vertex list.
 
     ``norm`` and ``norm_batch`` evaluate the exact facet form
-    ``max(F v)``, with the facet matrix ``F`` precomputed from the hull.
-    The defining linear program (minimal t >= 0 with v inside t times the
-    hull, ``_norm_lp``) is the construction cross-check of that form, to
-    ``GAUGE_SOLVER_TOL`` on 8 probes solved together as one block LP, and
-    the oracle of the tests.
+    ``max(F v)``, with the facet matrix ``F`` enumerated at construction
+    (``_gauge_facets``).  The construction cross-check compares that form
+    on 8 probes, to ``GAUGE_SOLVER_TOL``, with the optimum of the defining
+    linear program over its basic solutions.  Both routes start from the
+    same antipodal pairs and bases, but solve their own systems; a vertex
+    lost while pairing is caught by the listed vertices, each of which must
+    have gauge at most 1 under the facet form.  The LP itself (minimal
+    t >= 0 with v inside t times the hull, ``_norm_lp``) is the oracle of
+    the tests.
     """
 
     kind = "polytope_gauge"
@@ -420,39 +531,36 @@ class PolytopeGaugeNorm(NormSpec):
         super().__init__(V.shape[1])
         if np.linalg.matrix_rank(V) < self.dimension:
             raise ValueError("vertices must span the space")
-        scale = max(1.0, float(np.max(np.abs(V))))
-        for row in V:
-            if np.min(np.max(np.abs(V + row), axis=1)) > 1e-9 * scale:
-                raise ValueError("vertex list must be symmetric (closed under negation)")
+        pairs = _antipodal_pairs(V)
         self.vertices = V
-        self._facets = self._facet_matrix(V)
+        self._bases = _gauge_bases(pairs)
+        self._facets = _gauge_facets(pairs, self._bases)
         # Gauge of each listed vertex (1 for true extreme points).
         self._vertex_gauges = np.max(V @ self._facets.T, axis=1)
         self._cross_check()
 
-    @staticmethod
-    def _facet_matrix(V: np.ndarray) -> np.ndarray:
-        n = V.shape[1]
-        if n == 1:
-            a = float(np.max(np.abs(V)))
-            return np.array([[1.0 / a], [-1.0 / a]])
-        hull = ConvexHull(V)
-        normals = hull.equations[:, :n]
-        offsets = hull.equations[:, n]
-        if np.max(offsets) >= -1e-12:
-            raise ValueError("vertex hull must contain the origin in its interior")
-        return normals / (-offsets[:, None])
-
     def _cross_check(self, probes: int = 8, seed: int = 7) -> None:
         rng = np.random.default_rng(seed)
         P = rng.standard_normal((probes, self.dimension))
-        lp_vals = self._norm_lp(P)
+        # the LP's optimum is attained at a basic solution: p = sum_k l_k h_k
+        # over the d pair rows h_k of one basis, with cost sum_k |l_k|
+        lam = np.linalg.solve(np.swapaxes(self._bases, 1, 2), P.T[None])
+        basic_vals = np.min(np.sum(np.abs(lam), axis=1), axis=0)
         facet_vals = self.norm_batch(P)
-        gap = np.max(np.abs(lp_vals - facet_vals))
+        gap = np.max(np.abs(basic_vals - facet_vals))
         if gap > GAUGE_SOLVER_TOL * max(1.0, float(np.max(facet_vals))):
             raise AssertionError(
                 f"gauge evaluation routes disagree by {gap:.2e} "
-                f"(linear program vs facet form)"
+                f"(basic solutions of the linear program vs facet form)"
+            )
+        # a listed vertex may sit off its pair's row by the pairing tolerance
+        slack = _FACET_TOL + float(np.max(np.sum(np.abs(self._facets), axis=1))) * _pair_tol(
+            self.vertices)
+        worst = float(np.max(self._vertex_gauges))
+        if worst > 1.0 + slack:
+            raise AssertionError(
+                f"a listed vertex has gauge {worst!r} under the facet form, "
+                f"which misses part of the hull"
             )
 
     def _norm_lp(self, P):
@@ -506,10 +614,18 @@ class PolytopeGaugeNorm(NormSpec):
         return [self.vertices]
 
 
+def _polyhedral_from_config(cfg) -> PolyhedralMaxNorm:
+    spec = PolyhedralMaxNorm(cfg["functionals"])
+    # the dual gauge is built on first use, from at most one pair per row;
+    # a config it would refuse is refused here, while it is read
+    check_facet_candidates(*spec.functionals.shape)
+    return spec
+
+
 _KINDS = {
     "inner_product": lambda cfg: InnerProductNorm(cfg["gram"]),
     "weighted_lp": lambda cfg: WeightedLpNorm(cfg["r"], cfg["weights"]),
-    "polyhedral_max": lambda cfg: PolyhedralMaxNorm(cfg["functionals"]),
+    "polyhedral_max": _polyhedral_from_config,
     "polytope_gauge": lambda cfg: PolytopeGaugeNorm(cfg["vertices"]),
 }
 

@@ -3,6 +3,9 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +277,34 @@ class TestCriterion:
         assert "unknown norm tag" in capsys.readouterr().err
 
 
+def test_a_gauge_run_never_imports_scipy(tmp_path):
+    """scipy is only the tests' LP oracle: a fresh interpreter that imports
+    the CLI and runs a criterion config with gauge and polyhedral fibers
+    has not loaded it."""
+    bundle = {
+        "space": {"atoms": ["a", "b"], "weights": [1.0, 2.0]},
+        "fibers": [
+            {"dimension": 2, "norm": {"kind": "polytope_gauge", "vertices":
+                                      [[1.0, 0.2], [0.3, 1.1], [-1.0, -0.2], [-0.3, -1.1]]}},
+            {"dimension": 2, "norm": {"kind": "polyhedral_max", "functionals":
+                                      [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}},
+        ],
+    }
+    cfg = write_config(tmp_path, {"bundle": bundle, "probes": 1})
+    script = (
+        "import sys\n"
+        "from bundlelab import cli\n"
+        f"assert cli.main(['criterion', '--config', {cfg!r}, '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 class TestConfigLoading:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -322,9 +353,18 @@ class TestExitCodes:
             ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"kinds": ["nope"]}}}),
             ("dual-check", {"bundle": BUNDLE, "p": 2, "samples": "many"}),
             ("criterion", {"bundle": BUNDLE, "norms": [{"tag": "induced", "p": 0.5}]}),
+            ("modulus", {"norm": {"kind": "polytope_gauge",
+                                  "vertices": np.vstack([np.eye(20), -np.eye(20)]).tolist()}}),
+            # its dual gauge is built only when dual-check reaches it
+            ("dual-check", {"p": 2, "bundle": {
+                "space": {"atoms": ["a"], "weights": [1.0]},
+                "fibers": [{"dimension": 20, "norm": {"kind": "polyhedral_max",
+                                                      "functionals": np.eye(20).tolist()}}]}}),
+            ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"dim_range": [11, 11]}}}),
         ],
         ids=["degenerate-bundle", "bad-p", "bad-norm", "bad-grid", "bad-seed",
-             "bad-recipe-exponent", "bad-recipe-kind", "bad-samples", "bad-entry-p"],
+             "bad-recipe-exponent", "bad-recipe-kind", "bad-samples", "bad-entry-p",
+             "gauge-too-large", "polyhedral-max-too-large", "recipe-too-large"],
     )
     def test_config_value_errors_exit_two(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)

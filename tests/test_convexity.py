@@ -387,7 +387,7 @@ class TestBatchedSearch:
             h.update(raw.tobytes())
             for v, w in witnesses:
                 h.update(v.tobytes() + w.tobytes())
-        assert h.hexdigest() == "bfbc3d501e50c96fe668e11cd2f5d3bb62a705f96090de201857707b068c1f2d"
+        assert h.hexdigest() == "3c4131df4c44e7638de43993f26ace9540aba4f8ce1a16ac40692db00489403c"
 
     def test_a_coordinate_step_asks_22_rows_per_lane(self):
         """Six endpoints and the midpoints and differences of eight pairs

@@ -5,6 +5,7 @@ import pytest
 
 from bundlelab.generators import (
     ALL_KINDS,
+    EXTRA_ROWS,
     InstanceRecipe,
     UC_KINDS,
     bundles_from_recipe,
@@ -16,6 +17,8 @@ from bundlelab.generators import (
     recipe_from_config,
 )
 from bundlelab.criterion import measure_inequality_report
+from bundlelab.norms import PolyhedralMaxNorm, PolytopeGaugeNorm
+from bundlelab.serialize import ConfigError
 
 
 def test_same_recipe_same_bundles():
@@ -129,6 +132,18 @@ def test_recipe_config_round_trip():
     a = random_bundle(recipe, 0)
     b = random_bundle(recipe_from_config(recipe.config_dict()), 0)
     assert a.space == b.space and list(a.dimensions) == list(b.dimensions)
+
+
+def test_recipe_dimensions_stay_within_the_facet_limit():
+    """A recipe is refused when its polyhedral draws could exceed the gauge
+    facet limit, and the largest draw of an accepted one builds."""
+    assert recipe_from_config({"dim_range": [10, 10]}).dim_range == (10, 10)
+    with pytest.raises(ConfigError, match="facet candidates"):
+        recipe_from_config({"dim_range": [2, 11]})
+    assert recipe_from_config({"dim_range": [11, 11], "kinds": ["inner_product"]})
+    rows = np.random.default_rng(4).standard_normal((10 + EXTRA_ROWS, 10))
+    PolytopeGaugeNorm(np.vstack([rows, -rows]))
+    PolyhedralMaxNorm(rows).dual()
 
 
 def test_measure_triples_deterministic_and_often_valid():

@@ -1,6 +1,7 @@
 """Norm kinds: axioms, closed-form duals against a brute-force oracle,
 maximizer attainment, and config round trips."""
 
+import itertools
 import math
 
 import numpy as np
@@ -220,7 +221,7 @@ class TestPolytopeGauge:
         with pytest.raises(AssertionError, match="routes disagree"):
             g._cross_check()
 
-    def test_construction_solves_one_lp(self, monkeypatch):
+    def test_construction_solves_no_lp(self, monkeypatch):
         calls = []
 
         def counting_linprog(*args, **kwargs):
@@ -229,8 +230,41 @@ class TestPolytopeGauge:
 
         monkeypatch.setattr(norms, "linprog", counting_linprog)
         rows = np.random.default_rng(3).standard_normal((6, 4))
-        PolytopeGaugeNorm(np.vstack([rows, -rows]))
+        g = PolytopeGaugeNorm(np.vstack([rows, -rows]))
+        g.dual().linear_maximizer(rows[0])
+        assert calls == []
+        # the oracle still goes through the module's solver
+        g._norm_lp(rows[0])
         assert len(calls) == 1
+
+    def test_too_many_facet_candidates_rejected_before_enumerating(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("facet candidates were enumerated")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        cross = np.vstack([np.eye(20), -np.eye(20)])  # C(20, 20) * 2^20 candidates
+        with pytest.raises(ValueError, match=r"1048576 facet candidates .* limit of 524288"):
+            PolytopeGaugeNorm(cross)
+        # a polyhedral config is refused when read, not when its dual is built
+        assert PolyhedralMaxNorm(np.eye(20)).norm(np.ones(20)) == 1.0
+        with pytest.raises(ValueError, match=r"1048576 facet candidates"):
+            norm_spec_from_config({"kind": "polyhedral_max", "functionals": np.eye(20).tolist()})
+
+    def test_cross_check_catches_a_vertex_lost_in_pairing(self, monkeypatch):
+        # both routes start from the pairs, so only the listed vertices see it
+        monkeypatch.setattr(norms, "_antipodal_pairs",
+                            lambda V, pairs=norms._antipodal_pairs: pairs(V)[:-1])
+        angles = np.pi * np.arange(6) / 3
+        hexagon = np.column_stack([np.cos(angles), np.sin(angles)])
+        with pytest.raises(AssertionError, match="misses part of the hull"):
+            PolytopeGaugeNorm(hexagon)
+
+    def test_non_simplicial_facets_are_listed_once(self):
+        # the cube: each square facet is spanned by four bases of three vertices
+        cube = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        g = PolytopeGaugeNorm(cube)
+        assert np.array_equal(g._facets, np.vstack([np.eye(3), -np.eye(3)[::-1]]))
+        assert g.norm([0.5, -2.0, 1.0]) == 2.0
 
     def test_asymmetric_vertices_rejected(self):
         with pytest.raises(ValueError):
