@@ -12,7 +12,6 @@ from .measure import (
     ScalarField,
     as_exponent,
     conjugate_exponent,
-    ess_extrema,
     lp_norm,
 )
 from .norms import (
@@ -35,10 +34,8 @@ from .bundles import (
     Bundle,
     Fiber,
     Section,
-    fiber_modulus_curve,
     module_action,
     pointwise_norm,
-    restrict_section,
     section_lp_norm,
     section_modulus_curve,
 )
@@ -77,14 +74,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MeasureSpace", "ScalarField", "as_exponent", "conjugate_exponent",
-    "ess_extrema", "lp_norm",
+    "lp_norm",
     "NormSpec", "InnerProductNorm", "WeightedLpNorm", "PolyhedralMaxNorm",
     "PolytopeGaugeNorm", "norm_spec_from_config",
     "DEFAULT_EPS_GRID", "ModulusCurve", "SearchBudget", "modulus_curve",
     "modulus_grid_estimate_2d", "parallelogram_defect",
-    "Bundle", "Fiber", "Section", "fiber_modulus_curve", "module_action",
-    "pointwise_norm", "restrict_section", "section_lp_norm",
-    "section_modulus_curve",
+    "Bundle", "Fiber", "Section", "module_action",
+    "pointwise_norm", "section_lp_norm", "section_modulus_curve",
     "ReflexivityReport", "check_reflexivity_diagram", "holder_maximizer",
     "integrated_pairing", "operator_norm", "pairing_field",
     "AbstractModuleNorm", "AtomicMeasureTriple", "induced_norm",

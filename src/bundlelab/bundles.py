@@ -3,7 +3,9 @@
 A bundle assigns each atom a fiber dimension and a norm kind; a section
 picks one vector per atom.  Section spaces carry the weighted L^p norm of
 the pointwise-norm field and the module action by scalar fields; their
-moduli of convexity are searched alongside those of the fibers.
+moduli of convexity are searched alongside those of the fibers, and each
+section curve carries the fiber curves its search was seeded from in
+``meta["fiber_curves"]``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +42,7 @@ __all__ = [
     "pointwise_norm",
     "section_lp_norm",
     "module_action",
-    "restrict_section",
-    "fiber_modulus_curve",
-    "fiber_modulus_curves",
+    "random_section",
     "section_norm_fn",
     "section_modulus_curve",
     "section_modulus_curves",
@@ -203,6 +203,12 @@ class Section:
         return f"Section({[v.tolist() for v in self.vectors]!r})"
 
 
+def random_section(bundle: Bundle, rng: np.random.Generator) -> Section:
+    """A section with independent standard normal coordinates, drawn atom by
+    atom in order."""
+    return Section(bundle, [rng.standard_normal(d) for d in bundle.dimensions])
+
+
 def _same_bundle(a: Bundle, b: Bundle, message: str) -> None:
     """Raise ``ValueError(message)`` unless the bundles share their measure
     space and fiber dimensions."""
@@ -238,43 +244,6 @@ def module_action(f, section: Section) -> Section:
             raise ValueError("scalar field needs one value per atom")
     bundle = section.bundle
     return Section.from_coords(bundle, np.repeat(values, bundle.dimensions) * section.coords)
-
-
-def restrict_section(section: Section, subset: Iterable) -> Section:
-    """Indicator action: zero the section outside the given atom subset."""
-    mask = section.bundle.space.mask(subset)
-    return module_action(mask.astype(float), section)
-
-
-# -- fiber modulus curves ----------------------------------------------------
-
-_CURVE_CACHE: dict = {}
-
-
-def fiber_modulus_curves(
-    specs: Sequence[NormSpec], eps_grid=None, budget: SearchBudget | None = None
-) -> list:
-    """Memoized modulus curves of several norm kinds (pure, so caching is
-    safe); the kinds missing from the cache are searched together, one
-    kernel call per dimension."""
-    eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
-    budget = budget or DEFAULT_BUDGET
-    keys = [(spec.digest(), eps.tobytes(), budget.key()) for spec in specs]
-    missing = {}
-    for key, spec in zip(keys, specs):
-        if key not in _CURVE_CACHE:
-            missing.setdefault(key, spec)
-    if missing:
-        curves = modulus_curves(list(missing.values()), eps, budget)
-        _CURVE_CACHE.update(zip(missing, curves))
-    return [_CURVE_CACHE[key] for key in keys]
-
-
-def fiber_modulus_curve(
-    spec: NormSpec, eps_grid=None, budget: SearchBudget | None = None
-) -> ModulusCurve:
-    """Memoized modulus curve of one norm kind."""
-    return fiber_modulus_curves([spec], eps_grid, budget)[0]
 
 
 # -- section-space norm as a search objective --------------------------------
@@ -389,11 +358,14 @@ def section_modulus_curves(
     """Modulus curves of the section spaces of several bundles, one list of
     curves (one per exponent) per bundle.
 
-    The fiber curves are searched first, one kernel call per fiber
-    dimension, then every (bundle, exponent) search in one call per total
-    dimension, where each bundle's exponents share its fiber norm
-    evaluations.  Each curve equals the one ``section_modulus_curve`` gives
-    for its bundle and exponent alone.
+    The fiber curves come first, from one ``modulus_curves`` call under
+    ``fiber_budget`` (default ``budget``) that searches each distinct fiber
+    norm once; then every (bundle, exponent) search runs in one kernel call
+    per total dimension, where each bundle's exponents share its fiber norm
+    evaluations.  Every curve of a bundle holds that bundle's fiber curves
+    in ``meta["fiber_curves"]``, one per positive-dimensional fiber in atom
+    order.  Each curve equals the one ``section_modulus_curve`` gives for
+    its bundle and exponent alone.
     """
     eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     budget = budget or DEFAULT_BUDGET
@@ -401,20 +373,19 @@ def section_modulus_curves(
         raise ValueError("modulus of a degenerate bundle's section space is undefined")
     exponents = [as_exponent(p) for p in exponents]
     specs = [f.norm for b in bundles for f in b.fibers if f.dimension > 0]
-    fiber_curves = iter(fiber_modulus_curves(specs, eps, fiber_budget or budget))
+    fiber_curves = iter(modulus_curves(specs, eps, fiber_budget or budget))
     out = [[None] * len(exponents) for _ in bundles]
     by_total: dict = {}
     for i, bundle in enumerate(bundles):
         total, offsets = bundle.total_dimension, bundle.offsets
-        witness_lifts = [
-            (x, next(fiber_curves).witnesses)
-            for x, f in enumerate(bundle.fibers) if f.dimension > 0
-        ]
+        atoms = [x for x, f in enumerate(bundle.fibers) if f.dimension > 0]
+        own = [next(fiber_curves) for _ in atoms]
         evaluate = _section_norms(bundle, exponents)
         searches = []
         for j, p in enumerate(exponents):
             norm_batch = _exponent_norm(evaluate, j, len(exponents))
-            meta = {"section_space": True, "p": float(p) if p != math.inf else "inf"}
+            meta = {"section_space": True, "p": float(p) if p != math.inf else "inf",
+                    "fiber_curves": own}
             if total == 1:
                 out[i][j] = _line_curve(norm_batch, eps, budget, meta)
                 continue
@@ -422,10 +393,10 @@ def section_modulus_curves(
             # on one atom has the same separation, unit norms and midpoint gap
             # as its fiber pair, so these lifts keep the estimate on the
             # correct side of the fiber floor
-            lifts = np.zeros((len(eps), len(witness_lifts), 2, total))
-            for k, (x, witnesses) in enumerate(witness_lifts):
+            lifts = np.zeros((len(eps), len(atoms), 2, total))
+            for k, (x, curve) in enumerate(zip(atoms, own)):
                 scale = 1.0 if p == math.inf else bundle.space.weights[x] ** (-1.0 / float(p))
-                for e, (a, b) in enumerate(witnesses):
+                for e, (a, b) in enumerate(curve.witnesses):
                     lifts[e, k, 0, offsets[x] : offsets[x + 1]] = a * scale
                     lifts[e, k, 1, offsets[x] : offsets[x + 1]] = b * scale
             # trim the quadratically-many axis pairs: the leading block already
@@ -455,7 +426,8 @@ def section_modulus_curve(
     """Modulus curve of the section-space norm for exponent p.
 
     The start set mixes dense sphere samples, flat-coordinate structured
-    pairs, and single-atom lifts of each fiber's own witness pairs (see
+    pairs, and single-atom lifts of each fiber's own witness pairs; the
+    fiber curves are kept in ``meta["fiber_curves"]`` (see
     ``section_modulus_curves``).
     """
     return section_modulus_curves([bundle], [p], eps_grid, budget, fiber_budget)[0][0]

@@ -110,16 +110,6 @@ class SearchBudget:
                 f"budget min_step {self.min_step} exceeds init_step {self.init_step}"
             )
 
-    def key(self):
-        return (
-            self.restarts,
-            self.iterations,
-            self.seed,
-            self.init_step,
-            self.min_step,
-            self.penalty,
-        )
-
 
 DEFAULT_BUDGET = SearchBudget()
 DEFECT_BUDGET = SearchBudget(restarts=32, iterations=120, init_step=0.35)
@@ -766,25 +756,32 @@ def curve_from_search(eps, budget: SearchBudget, result, meta: dict) -> ModulusC
 def _spec_searches(specs: Sequence[NormSpec], eps, budget: SearchBudget,
                    objective=_midpoint_gap) -> dict:
     """``pair_search`` results of the specs of dimension two and up, keyed by
-    index, from structured start pairs; one kernel call per dimension."""
+    index, from structured start pairs.  Each distinct spec (by digest) is
+    searched once, in one kernel call per dimension, and every index that
+    holds it gets that result."""
+    digests = {k: spec.digest() for k, spec in enumerate(specs) if spec.dimension > 1}
+    first: dict = {}
+    for k, d in digests.items():
+        first.setdefault(d, k)
     by_dim: dict = {}
-    for k, spec in enumerate(specs):
-        if spec.dimension > 1:
-            by_dim.setdefault(spec.dimension, []).append(k)
+    for k in first.values():
+        by_dim.setdefault(specs[k].dimension, []).append(k)
     results = {}
     for dim, ks in by_dim.items():
         groups = [single_norm_group(specs[k].norm_batch,
                                     Search(_pairs_array(structured_pairs(specs[k]), dim))) for k in ks]
         results.update(zip(ks, pair_search(groups, dim, eps, budget, objective=objective)))
-    return results
+    return {k: results[first[d]] for k, d in digests.items()}
 
 
 def modulus_curves(specs: Sequence[NormSpec], eps_grid=None,
                    budget: SearchBudget | None = None) -> list:
     """Modulus-of-convexity curves of several norm kinds along one grid.
 
-    The searches of each dimension run in one ``pair_search`` call; each
-    curve equals the one ``modulus_curve`` gives for its kind alone.
+    Each distinct kind (by digest) is searched once per call, and the
+    searches of each dimension run in one ``pair_search`` call; each curve
+    equals the one ``modulus_curve`` gives for its kind alone.  Nothing is
+    kept between calls.
     """
     eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     budget = budget or DEFAULT_BUDGET
@@ -814,7 +811,8 @@ def _defect_objective(mid_norms, sep_norms):
 
 def parallelogram_defects(specs: Sequence[NormSpec], budget: SearchBudget | None = None) -> list:
     """``(defect, (v, w))`` per norm kind: the largest found
-    ``| ||v+w||^2 + ||v-w||^2 - 4 |`` over unit pairs, 0 on a line.  One
+    ``| ||v+w||^2 + ||v-w||^2 - 4 |`` over unit pairs, 0 on a line.  Each
+    distinct kind (by digest) is searched once per call, and one
     ``pair_search`` call per dimension minimizes ``1 - defect/4`` on the
     grid ``[0.0]``; each result equals its kind's alone.  Inner-product
     kinds give 0 up to roundoff; every other shipped kind has a sign-pattern

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import Bundle, Section, _atom_norms, _lp_columns, _same_bundle
+from .bundles import Bundle, Section, _atom_norms, _lp_columns, _same_bundle, random_section
 from .measure import MeasureSpace, ScalarField, as_exponent
 
 __all__ = [
@@ -89,8 +89,8 @@ class AbstractModuleNorm:
         if self.bundle.total_dimension == 0:
             return
         for _ in range(probes):
-            v = _random_section(self.bundle, rng)
-            w = _random_section(self.bundle, rng)
+            v = random_section(self.bundle, rng)
+            w = random_section(self.bundle, rng)
             t = float(rng.uniform(-3.0, 3.0))
             nv, nw = self.evaluate(v), self.evaluate(w)
             if nv <= 0.0:
@@ -102,10 +102,6 @@ class AbstractModuleNorm:
 
     def __repr__(self):
         return f"AbstractModuleNorm({self.name!r})"
-
-
-def _random_section(bundle: Bundle, rng) -> Section:
-    return Section(bundle, [rng.standard_normal(d) for d in bundle.dimensions])
 
 
 def _catalogue_norm(bundle: Bundle, exponents, name: str, combine=None,
@@ -179,7 +175,7 @@ def _probe_rows(norm: AbstractModuleNorm, probes, seed: int) -> np.ndarray:
     bundle = norm.bundle
     if isinstance(probes, int):
         rng = np.random.default_rng(seed)
-        probes = [_random_section(bundle, rng) for _ in range(probes)]
+        probes = [random_section(bundle, rng) for _ in range(probes)]
     for v in probes:
         _same_bundle(v.bundle, bundle, "section does not live on this norm's bundle")
     P = np.array([v.coords for v in probes]).reshape(len(probes), bundle.total_dimension)

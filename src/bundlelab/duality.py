@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import Bundle, Section, _same_bundle, pointwise_norm
+from .bundles import Bundle, Section, _same_bundle, pointwise_norm, random_section
 from .measure import ScalarField, as_exponent
 
 __all__ = [
@@ -180,8 +180,8 @@ def check_reflexivity_diagram(
     coord_weights = np.repeat(weights, bundle.dimensions)
     dual = bundle.dual()
     for _ in range(samples):
-        v = Section(bundle, [rng.standard_normal(d) for d in bundle.dimensions])
-        omega = Section(dual, [rng.standard_normal(d) for d in bundle.dimensions])
+        v = random_section(bundle, rng)
+        omega = random_section(dual, rng)
         # route one: functional applied to the section
         lhs = float(np.sum(weights * pairing_field(omega, v).values))
         # route two: section evaluated on the functional's representative

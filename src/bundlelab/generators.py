@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bundles import Bundle, Fiber, Section
+from .bundles import Bundle, Fiber, random_section
 from .criterion import AtomicMeasureTriple
 from .measure import MeasureSpace, as_exponent
 from .norms import (
@@ -95,6 +95,8 @@ def recipe_from_config(cfg: dict) -> InstanceRecipe:
     }
     try:
         recipe = InstanceRecipe(**{key: cast(cfg[key]) for key, cast in casts.items() if key in cfg})
+        if not recipe.exponents:
+            raise ValueError("exponents must be non-empty")
         for p in recipe.exponents + recipe.lp_exponents:
             as_exponent(p)
         unknown = set(recipe.kinds) - set(ALL_KINDS)
@@ -180,10 +182,6 @@ def random_bundle(recipe: InstanceRecipe, index: int) -> Bundle:
 def bundles_from_recipe(recipe: InstanceRecipe) -> Iterator[tuple[int, Bundle]]:
     for index in range(recipe.instance_count):
         yield index, random_bundle(recipe, index)
-
-
-def random_section(bundle: Bundle, rng: np.random.Generator, scale: float = 1.0) -> Section:
-    return Section(bundle, [scale * rng.standard_normal(d) for d in bundle.dimensions])
 
 
 # -- measure triples for the power-inequality lemma ---------------------------

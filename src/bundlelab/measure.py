@@ -19,7 +19,6 @@ __all__ = [
     "MeasureSpace",
     "ScalarField",
     "lp_norm",
-    "ess_extrema",
     "conjugate_exponent",
     "as_exponent",
 ]
@@ -214,10 +213,3 @@ def lp_norm(field: ScalarField, p) -> float:
         return float(values.max())
     pf = float(p)
     return float(np.sum(field.space.weights * values**pf) ** (1.0 / pf))
-
-
-def ess_extrema(field: ScalarField) -> tuple[float, float]:
-    """Essential infimum and supremum of a field (min and max over atoms)."""
-    if field.space.atom_count == 0:
-        raise ValueError("essential extrema are undefined on an empty atom list")
-    return float(field.values.min()), float(field.values.max())

@@ -9,8 +9,7 @@ Four concrete kinds share one interface:
 
 Each kind knows its exact dual (``dual()``), can evaluate batches of
 vectors (``norm_batch``), produces a unit-sphere maximizer of any linear
-functional (``linear_maximizer``), and samples its unit sphere
-deterministically (``sample_sphere``).  All evaluation is pure; instances
+functional (``linear_maximizer``).  All evaluation is pure; instances
 are immutable by convention after construction.
 
 Every kind evaluates in closed form.  The two polyhedral kinds are each
@@ -192,21 +191,6 @@ class NormSpec:
         """``linear_maximizer``'s answer for ``c = 0``: value 0 at the first
         unit coordinate vector."""
         return 0.0, self.unit(np.eye(self.dimension)[0])
-
-    def sample_sphere(self, count: int, seed: int) -> np.ndarray:
-        """Deterministic sample of ``count`` unit vectors, shape (count, dim).
-
-        Direction sampling is an isotropic Gaussian; each row is normalized
-        twice so its norm is 1 within 1e-12.
-        """
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((int(count), self.dimension))
-        # Guard against astronomically unlikely near-zero rows.
-        bad = np.linalg.norm(X, axis=1) < 1e-12
-        X[bad] = 1.0
-        U = X / self.norm_batch(X)[:, None]
-        U = U / self.norm_batch(U)[:, None]
-        return U
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -11,9 +11,6 @@ Schema (all plain JSON, decimal notation, no localization):
                  (zero-dimensional fibers omit the norm)
 * section:       ``{"vectors": [[...], ...]}`` (one row per atom, in order)
 * search budget: ``{"restarts": 64, "iterations": 200, "seed": 0, ...}``
-
-Sections may also be ingested from a columnar text file: one line per
-atom, ``atom_id c1 c2 ...`` whitespace-separated, ``#`` comments allowed.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "budget_from_config",
     "budget_to_config",
     "triple_from_config",
-    "read_columnar_section",
 ]
 
 
@@ -139,37 +135,6 @@ def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Sectio
         return Section(bundle.dual() if dual else bundle, vectors)
     except ValueError as exc:
         raise ConfigError(f"section config invalid: {exc}") from None
-
-
-def read_columnar_section(path, bundle: Bundle, dual: bool = False):
-    """Read a section from columnar text: ``atom_id c1 c2 ...`` per line."""
-    rows = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            atom_id = parts[0]
-            if atom_id not in {str(a) for a in bundle.space.atoms}:
-                raise ConfigError(f"line {lineno}: unknown atom id {atom_id!r}")
-            if atom_id in rows:
-                raise ConfigError(f"line {lineno}: duplicate atom id {atom_id!r}")
-            try:
-                rows[atom_id] = [float(tok) for tok in parts[1:]]
-            except ValueError:
-                raise ConfigError(f"line {lineno}: non-numeric coordinate") from None
-    vectors = []
-    for atom, dim in zip(bundle.space.atoms, bundle.dimensions):
-        key = str(atom)
-        if key not in rows:
-            raise ConfigError(f"missing row for atom id {key!r}")
-        if len(rows[key]) != dim:
-            raise ConfigError(
-                f"atom id {key!r}: expected {dim} coordinates, got {len(rows[key])}"
-            )
-        vectors.append(rows[key])
-    return section_from_config(bundle, {"vectors": vectors}, dual=dual)
 
 
 # -- budgets and triples -------------------------------------------------------

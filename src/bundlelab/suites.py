@@ -20,8 +20,6 @@ from .bundles import (
     Bundle,
     Fiber,
     Section,
-    fiber_modulus_curve,
-    fiber_modulus_curves,
     parallelogram_residual,
     pointwise_norm,
     section_lp_norm,
@@ -30,6 +28,7 @@ from .bundles import (
 from .convexity import (
     DEFAULT_EPS_GRID,
     SearchBudget,
+    modulus_curves,
     modulus_grid_estimate_2d,
     parallelogram_defects,
 )
@@ -252,12 +251,17 @@ def suite_hilbert(recipe=None, samples: int = 4) -> list[TheoremReport]:
 # -- modulus bounds ------------------------------------------------------------
 
 
+def _worst_raw(curves) -> np.ndarray:
+    """The least raw modulus of several curves, point by point."""
+    return np.min(np.stack([c.raw_deltas for c in curves]), axis=0)
+
+
 def _fiber_floors_raw(bundles, eps_grid, budget) -> list:
-    """Worst raw fiber modulus of each bundle; all fiber curves are
-    searched together."""
+    """Worst raw fiber modulus of each bundle, from one ``modulus_curves``
+    call over all their fibers."""
     specs = [[f.norm for f in b.fibers if f.dimension > 0] for b in bundles]
-    curves = iter(fiber_modulus_curves([s for ss in specs for s in ss], eps_grid, budget))
-    return [np.min(np.stack([next(curves).raw_deltas for _ in ss]), axis=0) for ss in specs]
+    curves = iter(modulus_curves([s for ss in specs for s in ss], eps_grid, budget))
+    return [_worst_raw([next(curves) for _ in ss]) for ss in specs]
 
 
 def _live_bundles(recipe):
@@ -270,14 +274,15 @@ def suite_convexity_upper(recipe=None, eps_grid=None,
                           budget: SearchBudget | None = None,
                           fiber_budget: SearchBudget | None = None) -> list[TheoremReport]:
     """The section-space modulus never exceeds the worst fiber modulus
-    (up to the paired-optimizer tolerance 2e-3), for every exponent."""
+    (up to the paired-optimizer tolerance 2e-3), for every exponent.  The
+    fiber floor comes from the fiber curves the section search was seeded
+    from (``meta["fiber_curves"]``), so no fiber is searched twice."""
     recipe = recipe or default_recipe("uc-upper")
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or SUITE_BUDGET
     fiber_budget = fiber_budget or SUITE_BUDGET
     bundles, live = _live_bundles(recipe)
     curves = iter(section_modulus_curves(live, recipe.exponents, eps, budget, fiber_budget))
-    floors = iter(_fiber_floors_raw(live, eps, fiber_budget))
     reports = []
     for bundle in bundles:
         inst = bundle_digest(bundle)
@@ -288,10 +293,11 @@ def suite_convexity_upper(recipe=None, eps_grid=None,
                             notes=["degenerate bundle skipped"])
             )
             continue
-        floor = next(floors)
+        per_p = next(curves)
+        floor = _worst_raw(per_p[0].meta["fiber_curves"])
         checks = []
         data = {"epsilon": eps, "fiber-floor": floor}
-        for p, curve in zip(recipe.exponents, next(curves)):
+        for p, curve in zip(recipe.exponents, per_p):
             gap = float(np.max(curve.raw_deltas - floor))
             checks.append(CheckRow(f"upper-bound-gap-p{p}", gap, 2e-3, gap <= 2e-3))
             data[f"section-curve-p{p}"] = curve.raw_deltas
@@ -347,12 +353,17 @@ def suite_pointwise_modulus(recipe=None, eps_grid=None,
                             budget: SearchBudget | None = None,
                             grid_samples: int = 4096) -> list[TheoremReport]:
     """The fiberwise modulus field agrees with an independent dense-grid
-    estimator run on sections supported on a single atom (planar fibers)."""
+    estimator run on sections supported on a single atom (planar fibers).
+    The curves of all planar fibers of the recipe come from one
+    ``modulus_curves`` call."""
     recipe = recipe or default_recipe("pointwise")
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or POINTWISE_BUDGET
+    instances = list(bundles_from_recipe(recipe))
+    planar = iter(modulus_curves(
+        [f.norm for _, b in instances for f in b.fibers if f.dimension == 2], eps, budget))
     reports = []
-    for index, bundle in bundles_from_recipe(recipe):
+    for index, bundle in instances:
         inst = bundle_digest(bundle)
         checks = []
         notes = []
@@ -361,7 +372,7 @@ def suite_pointwise_modulus(recipe=None, eps_grid=None,
                 notes.append(f"atom index {x}: dimension {f.dimension} skipped "
                              "(dense pair grid is planar only)")
                 continue
-            opt = fiber_modulus_curve(f.norm, eps, budget).deltas
+            opt = next(planar).deltas
             _, grid = modulus_grid_estimate_2d(f.norm, eps, samples=grid_samples)
             gap = float(np.max(np.abs(opt - grid)))
             checks.append(CheckRow(f"fiber-vs-grid-atom{x}", gap, 2e-3, gap <= 2e-3))

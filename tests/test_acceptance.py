@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from bundlelab.bundles import (
-    fiber_modulus_curve,
     pointwise_norm,
     section_lp_norm,
     section_modulus_curves,
@@ -130,12 +129,9 @@ def test_acceptance_4_section_modulus_upper_bound():
     violations = 0
     worst_excess = -math.inf
     checked = 0
-    for bundle, per_p in zip(instances, curves):
-        floors = [
-            fiber_modulus_curve(f.norm, DEFAULT_EPS_GRID, fib_budget).deltas
-            for f in bundle.fibers if f.dimension > 0
-        ]
-        floor = np.min(np.stack(floors), axis=0)
+    for per_p in curves:
+        # the fiber curves the section searches were seeded from
+        floor = np.min(np.stack([c.deltas for c in per_p[0].meta["fiber_curves"]]), axis=0)
         for curve in per_p:
             excess = float(np.max(curve.deltas - floor))
             worst_excess = max(worst_excess, excess)

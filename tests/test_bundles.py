@@ -13,11 +13,9 @@ from bundlelab.bundles import (
     Fiber,
     Section,
     _section_norms,
-    fiber_modulus_curve,
     module_action,
     parallelogram_residual,
     pointwise_norm,
-    restrict_section,
     section_lp_norm,
     section_modulus_curve,
     section_norm_fn,
@@ -30,8 +28,6 @@ from bundlelab.norms import (
     PolytopeGaugeNorm,
     WeightedLpNorm,
 )
-
-FAST = SearchBudget(restarts=8, iterations=60)
 
 
 def euclid(dim=2):
@@ -297,28 +293,14 @@ class TestModuleAction:
 
 
 class TestRestriction:
-    def test_restrict_zeroes_complement(self):
-        b = two_atom_euclid()
-        v = Section(b, [[3.0, 4.0], [1.0, 0.0]])
-        r = restrict_section(v, ["a"])
-        assert np.allclose(r.vectors[0], [3.0, 4.0])
-        assert np.allclose(r.vectors[1], [0.0, 0.0])
-
     def test_restriction_additivity_exact(self):
         b = two_atom_euclid((2.0, 0.5))
         v = Section(b, [[3.0, 4.0], [1.0, 2.0]])
         for p in (1, 1.5, 2, 3):
             whole = section_lp_norm(v, p) ** float(p)
-            part = section_lp_norm(restrict_section(v, ["a"]), p) ** float(p)
-            rest = section_lp_norm(restrict_section(v, ["b"]), p) ** float(p)
+            part = section_lp_norm(module_action(b.space.indicator(["a"]), v), p) ** float(p)
+            rest = section_lp_norm(module_action(b.space.indicator(["b"]), v), p) ** float(p)
             assert part + rest == pytest.approx(whole, abs=1e-12)
-
-
-def test_fiber_curve_memoized_across_equal_specs():
-    grid = [0.5, 1.0]
-    a = fiber_modulus_curve(euclid(), grid, FAST)
-    b = fiber_modulus_curve(InnerProductNorm(np.eye(2)), grid, FAST)
-    assert a is b  # keyed by digest + grid + budget
 
 
 class TestSectionModulus:

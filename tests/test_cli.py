@@ -351,6 +351,7 @@ class TestExitCodes:
             ("modulus", {"norm": NORM, "seed": "abc"}),
             ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"exponents": [0.5]}}}),
             ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"kinds": ["nope"]}}}),
+            ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"exponents": []}}}),
             ("dual-check", {"bundle": BUNDLE, "p": 2, "samples": "many"}),
             ("criterion", {"bundle": BUNDLE, "norms": [{"tag": "induced", "p": 0.5}]}),
             ("modulus", {"norm": {"kind": "polytope_gauge",
@@ -363,7 +364,8 @@ class TestExitCodes:
             ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"dim_range": [11, 11]}}}),
         ],
         ids=["degenerate-bundle", "bad-p", "bad-norm", "bad-grid", "bad-seed",
-             "bad-recipe-exponent", "bad-recipe-kind", "bad-samples", "bad-entry-p",
+             "bad-recipe-exponent", "bad-recipe-kind", "no-recipe-exponents", "bad-samples",
+             "bad-entry-p",
              "gauge-too-large", "polyhedral-max-too-large", "recipe-too-large"],
     )
     def test_config_value_errors_exit_two(self, tmp_path, capsys, command, payload):

@@ -1,6 +1,7 @@
 """Modulus-of-convexity searches: closed-form oracle for inner products,
 exact zero for flat norms, witness contracts, and determinism."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -27,6 +28,7 @@ from bundlelab.convexity import (
     SearchGroup,
     maximize_linear_on_sphere,
     modulus_curve,
+    modulus_curves,
     modulus_grid_estimate_2d,
     pair_search,
     parallelogram_defect,
@@ -232,7 +234,7 @@ def test_search_budget_rejects_invalid_fields(fields):
 
 def test_search_budget_accepts_boundary_values():
     b = SearchBudget(restarts=1, iterations=1, seed=0, init_step=0.5, min_step=0.5, penalty=1)
-    assert b.key() == (1, 1, 0, 0.5, 0.5, 1)
+    assert dataclasses.astuple(b) == (1, 1, 0, 0.5, 0.5, 1)
     assert SearchBudget(restarts=np.int64(3)).restarts == 3
 
 
@@ -296,6 +298,35 @@ def test_parallelogram_defects_batch_matches_solo_runs(monkeypatch):
     assert defects[0] == 0.0
     assert defects[1] <= 1e-9 and defects[6] <= 1e-9
     assert min(defects[2:6]) > 1e-3
+
+
+def _curve_bits(specs, budget):
+    return [np.concatenate([c.raw_deltas, c.deltas, *(x for pair in c.witnesses for x in pair)])
+            .tobytes() for c in modulus_curves(specs, [1.0, 2.0], budget)]
+
+
+def _defect_bits(specs, budget):
+    return [np.concatenate([[d], v, w]).tobytes() for d, (v, w) in parallelogram_defects(specs, budget)]
+
+
+@pytest.mark.parametrize("bits", [_curve_bits, _defect_bits], ids=["modulus_curves", "defects"])
+def test_equal_specs_are_searched_once_per_call(monkeypatch, bits):
+    """A spec, an equal spec built separately and a third spec send two
+    searches to the kernel, and each position gets its spec's solo bits."""
+    specs = [InnerProductNorm(np.eye(2)), WeightedLpNorm(3, [1.0, 2.0]),
+             InnerProductNorm([[1.0, 0.0], [0.0, 1.0]])]
+    budget = SearchBudget(restarts=4, iterations=20)
+    searches = []
+    real = convexity.pair_search
+
+    def counting(groups, dim, *args, **kwargs):
+        searches.extend(s for g in groups for s in g.searches)
+        return real(groups, dim, *args, **kwargs)
+
+    monkeypatch.setattr(convexity, "pair_search", counting)
+    batched = bits(specs, budget)
+    assert len(searches) == 2
+    assert batched == [bits([spec], budget)[0] for spec in specs]
 
 
 class TestLinearMaximization:

@@ -8,7 +8,6 @@ from bundlelab.measure import (
     MeasureSpace,
     as_exponent,
     conjugate_exponent,
-    ess_extrema,
     lp_norm,
 )
 
@@ -77,10 +76,6 @@ class TestScalarField:
         assert lp_norm(f, 2) == pytest.approx(math.sqrt(17.5), abs=1e-12)
         assert lp_norm(f, 1) == pytest.approx(3 + 2 + 1, abs=1e-12)
         assert lp_norm(f, math.inf) == pytest.approx(4.0)
-
-    def test_ess_extrema(self):
-        lo, hi = ess_extrema(space().field([3.0, -4.0, 0.5]))
-        assert (lo, hi) == (-4.0, 3.0)
 
 
 class TestExponents:

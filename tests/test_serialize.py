@@ -1,4 +1,4 @@
-"""Config round trips, canonical digests, and the columnar section reader."""
+"""Config round trips and canonical digests."""
 
 import math
 
@@ -18,7 +18,6 @@ from bundlelab.serialize import (
     bundle_to_config,
     canonical_json,
     digest,
-    read_columnar_section,
     section_from_config,
     section_to_config,
     space_from_config,
@@ -154,64 +153,6 @@ def test_triple_from_config():
     bad = dict(cfg, density2=[1.0, -1.0])
     with pytest.raises(ConfigError, match="invalid"):
         triple_from_config(bad)
-
-
-class TestColumnarReader:
-    def write(self, tmp_path, text):
-        path = tmp_path / "section.txt"
-        path.write_text(text, encoding="utf-8")
-        return path
-
-    def test_reads_with_comments_and_blank_lines(self, tmp_path):
-        b = sample_bundle()
-        path = self.write(
-            tmp_path,
-            "# atom then coordinates\n"
-            "a 3.0 4.0\n"
-            "\n"
-            "b   # zero-dimensional fiber: no coordinates\n"
-            "c 1.0 -2.0\n",
-        )
-        v = read_columnar_section(path, b)
-        assert np.array_equal(v.vectors[0], [3.0, 4.0])
-        assert v.vectors[1].shape == (0,)
-        assert np.array_equal(v.vectors[2], [1.0, -2.0])
-
-    def test_dual_flag(self, tmp_path):
-        b = sample_bundle()
-        path = self.write(tmp_path, "a 1 0\nb\nc 0.5 0.5\n")
-        omega = read_columnar_section(path, b, dual=True)
-        assert omega.bundle is b.dual()
-
-    def test_unknown_atom(self, tmp_path):
-        b = sample_bundle()
-        path = self.write(tmp_path, "z 1 0\n")
-        with pytest.raises(ConfigError, match="line 1: unknown atom id 'z'"):
-            read_columnar_section(path, b)
-
-    def test_duplicate_atom(self, tmp_path):
-        b = sample_bundle()
-        path = self.write(tmp_path, "a 1 0\na 0 1\nb\nc 1 1\n")
-        with pytest.raises(ConfigError, match="line 2: duplicate"):
-            read_columnar_section(path, b)
-
-    def test_missing_atom(self, tmp_path):
-        b = sample_bundle()
-        path = self.write(tmp_path, "a 1 0\nb\n")
-        with pytest.raises(ConfigError, match="missing row for atom id 'c'"):
-            read_columnar_section(path, b)
-
-    def test_wrong_arity(self, tmp_path):
-        b = sample_bundle()
-        path = self.write(tmp_path, "a 1 0 0\nb\nc 1 1\n")
-        with pytest.raises(ConfigError, match="expected 2 coordinates, got 3"):
-            read_columnar_section(path, b)
-
-    def test_non_numeric(self, tmp_path):
-        b = sample_bundle()
-        path = self.write(tmp_path, "a one two\nb\nc 1 1\n")
-        with pytest.raises(ConfigError, match="line 1: non-numeric"):
-            read_columnar_section(path, b)
 
 
 def test_config_error_is_a_value_error():

@@ -1,6 +1,7 @@
 """Theorem suites: report plumbing, tag coverage, and small smoke runs."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -195,11 +196,10 @@ def test_hilbert_witness_is_the_heaviest_of_tied_atoms(monkeypatch):
     assert row.threshold == 0.5 * 2.0 * defect
 
 
-def test_uc_upper_rerun_searches_no_fiber_and_keeps_bytes(monkeypatch):
-    """Fiber curves come from the cache on a second run: the fiber searches
-    (one kernel call per fiber dimension) run only once, and the reports are
-    byte-identical."""
-    monkeypatch.setattr(bundles, "_CURVE_CACHE", {})
+def test_uc_upper_rerun_repeats_its_searches_and_keeps_bytes(monkeypatch):
+    """Nothing outlives a run: a second run in the same process makes the
+    same fiber kernel calls (one per fiber dimension) and section kernel
+    calls as the first, and its reports are byte-identical."""
     calls = {"fiber": 0, "section": 0}
 
     def counting(module, kind):
@@ -223,6 +223,43 @@ def test_uc_upper_rerun_searches_no_fiber_and_keeps_bytes(monkeypatch):
         runs.append(({k: calls[k] - before[k] for k in calls},
                      suite_reports_table(reports, 0), report_data_files(reports)))
     (first, csv1, dat1), (second, csv2, dat2) = runs
-    assert first == {"fiber": len(fiber_dims - {1}), "section": second["section"]}
-    assert second["fiber"] == 0 and second["section"] >= 1
+    assert first == second == {"fiber": len(fiber_dims - {1}), "section": first["section"]}
+    assert first["section"] >= 1
     assert csv1 == csv2 and dat1 == dat2
+
+
+#: SHA-256 of the CSV and data files of small suite runs: a change that
+#: means to keep report bytes keeps these, and one that moves them re-pins
+#: them and says why
+REPORT_SHA256 = {
+    "hilbert": "dfb43237f4a6673ff649fe71c9776b948354bd3331c7cdf718b64b010ba3a29f",
+    "uc-upper": "d7db120289a699f021b97fec586ab68e8d0c821c8a717e41e445aaefacedab67",
+    "uc-upper-constant": "e734989380859030b066720ffb2cf02d64c2524235e8178bf65ce2120046b2ba",
+    "uc-lower": "c1645756de534b8770c16346b03a9b7e109bfae03bdd5d3385fee69a6fdec422",
+    "pointwise": "da8b5a6bec3de6181e6fe650da31574d8f3df20c65cf38369c9fae305b281c06",
+}
+
+
+def _small_run(name):
+    if name == "hilbert":
+        return suite_hilbert(TINY["hilbert"])
+    if name == "uc-upper":
+        return suite_convexity_upper(TINY["uc-upper"], GRID)
+    if name == "uc-upper-constant":
+        # every atom carries one norm, so equal fibers share their searches
+        recipe = dataclasses.replace(TINY["uc-upper"], instance_count=2, atom_range=(2, 3),
+                                     constant_fraction=1.0)
+        return suite_convexity_upper(recipe, GRID)
+    if name == "uc-lower":
+        return suite_convexity_lower(TINY["uc-lower"], GRID)
+    return suite_pointwise_modulus(TINY["pointwise"], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_small_run_report_bytes_are_pinned(name):
+    reports = _small_run(name)
+    h = hashlib.sha256(suite_reports_table(reports, 0).encode())
+    for fname, text in sorted(report_data_files(reports).items()):
+        h.update(fname.encode())
+        h.update(text.encode())
+    assert h.hexdigest() == REPORT_SHA256[name]
