@@ -28,7 +28,6 @@ from .convexity import (
     SearchBudget,
     modulus_curve,
     modulus_grid_estimate_2d,
-    parallelogram_defect,
 )
 from .bundles import (
     Bundle,
@@ -78,7 +77,7 @@ __all__ = [
     "NormSpec", "InnerProductNorm", "WeightedLpNorm", "PolyhedralMaxNorm",
     "PolytopeGaugeNorm", "norm_spec_from_config",
     "DEFAULT_EPS_GRID", "ModulusCurve", "SearchBudget", "modulus_curve",
-    "modulus_grid_estimate_2d", "parallelogram_defect",
+    "modulus_grid_estimate_2d",
     "Bundle", "Fiber", "Section", "module_action",
     "pointwise_norm", "section_lp_norm", "section_modulus_curve",
     "ReflexivityReport", "check_reflexivity_diagram", "holder_maximizer",

@@ -127,9 +127,6 @@ class Bundle:
             self._dual._dual = self
         return self._dual
 
-    def zero_section(self) -> "Section":
-        return Section.from_coords(self, np.zeros(self.total_dimension))
-
     def __repr__(self):
         kinds = [f.norm.kind if f.norm else "zero" for f in self.fibers]
         return f"Bundle(atoms={self.space.atom_count}, dims={self.dimensions.tolist()}, kinds={kinds})"
@@ -182,9 +179,6 @@ class Section:
         o = self.bundle.offsets.tolist()
         return [self.coords[o[x] : o[x + 1]] for x in range(len(o) - 1)]
 
-    def copy(self) -> "Section":
-        return Section.from_coords(self.bundle, self.coords.copy())
-
     def __add__(self, other: "Section") -> "Section":
         _same_bundle(self.bundle, other.bundle, "sections live on different bundles")
         return Section.from_coords(self.bundle, self.coords + other.coords)
@@ -192,9 +186,6 @@ class Section:
     def __sub__(self, other: "Section") -> "Section":
         _same_bundle(self.bundle, other.bundle, "sections live on different bundles")
         return Section.from_coords(self.bundle, self.coords - other.coords)
-
-    def __neg__(self) -> "Section":
-        return Section.from_coords(self.bundle, -self.coords)
 
     def scale(self, t: float) -> "Section":
         return Section.from_coords(self.bundle, float(t) * self.coords)

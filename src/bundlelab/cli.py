@@ -4,9 +4,9 @@ Four subcommands, all batch-style: read one JSON run configuration, compute,
 write a summary plus CSV/plot-data reports into the output directory.
 
     bundlelab modulus    --config run.json [--out DIR] [--seed N] [--grid a:b:step]
-    bundlelab suite      --config run.json ...
-    bundlelab dual-check --config run.json ...
-    bundlelab criterion  --config run.json ...
+    bundlelab suite      --config run.json [--out DIR] [--seed N] [--grid a:b:step]
+    bundlelab dual-check --config run.json [--out DIR] [--seed N]
+    bundlelab criterion  --config run.json [--out DIR] [--seed N]
 
 Exit codes: 0 all verdicts as expected, 1 an unexpected FAIL, 2 bad
 configuration, 3 an internal error (a bug; the traceback is printed).  Reruns
@@ -134,10 +134,11 @@ def _run_digest(command: str, cfg: dict, seed, grid) -> str:
 
 def cmd_modulus(cfg: dict, args) -> int:
     grid = _resolve_grid(cfg, args)
-    seed = _seed(cfg, args)
     budget = budget_from_config(cfg.get("budget"))
-    if args.seed is not None:
-        budget = dataclasses.replace(budget, seed=args.seed)
+    # one seed for the search and the report: --seed, else the config's
+    # top-level seed, else the budget's
+    seed = _seed({"seed": cfg.get("seed", budget.seed)}, args)
+    budget = dataclasses.replace(budget, seed=seed)
 
     if "norm" in cfg:
         spec = _config_value("norm config", norm_spec_from_config, cfg["norm"])
@@ -448,8 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--grid", default=None,
-                       help="separation grid as 'a:b:step' (overrides config)")
+        if name in ("modulus", "suite"):
+            p.add_argument("--grid", default=None,
+                           help="separation grid as 'a:b:step' (overrides config)")
         p.set_defaults(fn=fn)
     return parser
 

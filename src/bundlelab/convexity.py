@@ -66,7 +66,6 @@ __all__ = [
     "modulus_curves",
     "structured_pairs",
     "structured_pairs_for_fn",
-    "parallelogram_defect",
     "parallelogram_defects",
     "maximize_linear_on_sphere",
     "modulus_grid_estimate_2d",
@@ -830,11 +829,6 @@ def parallelogram_defects(specs: Sequence[NormSpec], budget: SearchBudget | None
     return out
 
 
-def parallelogram_defect(spec: NormSpec, budget: SearchBudget | None = None):
-    """``(defect, (v, w))`` of one norm kind; see ``parallelogram_defects``."""
-    return parallelogram_defects([spec], budget)[0]
-
-
 def maximize_linear_on_sphere(norm_batch, dim: int, coeffs, budget: SearchBudget | None = None):
     """Multi-start maximization of <c, v> over the unit sphere.
 
@@ -879,6 +873,9 @@ def maximize_linear_on_sphere(norm_batch, dim: int, coeffs, budget: SearchBudget
 
 # -- dense planar grid oracle ----------------------------------------------
 
+#: grid points paired with all others per block of the dense planar estimate
+_GRID_CHUNK = 256
+
 
 def _structural_angles(spec: NormSpec) -> np.ndarray:
     pts = [np.eye(2)[0], np.eye(2)[1]]
@@ -894,7 +891,6 @@ def modulus_grid_estimate_2d(
     spec: NormSpec,
     eps_grid=None,
     samples: int = 4096,
-    chunk: int = 256,
 ):
     """Brute-force planar modulus estimate from a dense angle-pair grid.
 
@@ -913,8 +909,8 @@ def modulus_grid_estimate_2d(
     P = _unit_rows(spec.norm_batch, P)
     K = len(P)
     best = np.full(len(eps), np.inf)
-    for start in range(0, K, chunk):
-        block = P[start : start + chunk]
+    for start in range(0, K, _GRID_CHUNK):
+        block = P[start : start + _GRID_CHUNK]
         diff = block[:, None, :] - P[None, :, :]
         flat = diff.reshape(-1, 2)
         sep = spec.norm_batch(flat).reshape(len(block), K)

@@ -35,8 +35,6 @@ __all__ = [
     "mixed_max_norm",
     "AdditivityReport",
     "restriction_additivity_check",
-    "WeakStarFamily",
-    "weak_star_null_families",
     "ContinuityReport",
     "weak_star_continuity_check",
     "reconstruct_pointwise_norm",
@@ -251,50 +249,22 @@ def restriction_additivity_check(
 # -- weak-star continuity ------------------------------------------------------
 
 
-@dataclass
-class WeakStarFamily:
-    """A bounded sequence of scalar fields vanishing at every atom."""
-
-    name: str
-    values_at: Callable[[int], np.ndarray]
-    bound: float
-
-    def self_test(self, space: MeasureSpace, horizon: int):
-        sup = 0.0
-        for n in range(1, horizon + 1):
-            vals = self.values_at(n)
-            if vals.shape != (space.atom_count,):
-                raise AssertionError(f"{self.name}: wrong field shape at step {n}")
-            sup = max(sup, float(np.max(np.abs(vals))) if len(vals) else 0.0)
-        if sup > self.bound + 1e-12:
-            raise AssertionError(f"{self.name}: bound {self.bound} exceeded ({sup})")
-        tail = float(np.max(np.abs(self.values_at(horizon)))) if space.atom_count else 0.0
-        if tail > 1e-9:
-            raise AssertionError(f"{self.name}: not atomwise vanishing (tail {tail:.2e})")
+#: step of the null sequences at which the continuity check applies them
+_HORIZON = 40
 
 
-def weak_star_null_families(space: MeasureSpace) -> list[WeakStarFamily]:
-    """Geometric-decay families: uniform, sign-alternating, rotating singleton."""
-    k = space.atom_count
-    ones = np.ones(k)
-
-    def uniform(n):
-        return 0.5**n * ones
-
-    def alternating(n):
-        return (-1.0) ** n * 0.5**n * ones
-
-    def rotating(n):
-        out = np.zeros(k)
-        if k:
-            out[n % k] = 0.5**n
-        return out
-
-    return [
-        WeakStarFamily("uniform-decay", uniform, 1.0),
-        WeakStarFamily("alternating-decay", alternating, 1.0),
-        WeakStarFamily("rotating-singleton-decay", rotating, 1.0),
-    ]
+def _null_fields(atom_count: int) -> np.ndarray:
+    """Step ``_HORIZON`` of three bounded, atomwise vanishing sequences of
+    scalar fields, one row each: uniform ``0.5**n``, sign-alternating
+    ``(-1)**n 0.5**n`` and the rotating singleton ``0.5**n`` at atom
+    ``n mod atom_count``.  Every step is bounded by 1 in absolute value."""
+    n = _HORIZON
+    fields = np.zeros((3, atom_count))
+    fields[0] = 0.5**n
+    fields[1] = (-1.0) ** n * 0.5**n
+    if atom_count:
+        fields[2, n % atom_count] = 0.5**n
+    return fields
 
 
 @dataclass
@@ -302,34 +272,25 @@ class ContinuityReport:
     norm_name: str
     passed: bool
     max_limit_proxy: float
-    horizon: int
-    rows: list = field(default_factory=list)
 
 
 def weak_star_continuity_check(
     norm: AbstractModuleNorm,
     probes: int | Sequence[Section] = 6,
     seed: int = 0,
-    horizon: int = 40,
 ) -> ContinuityReport:
-    """Evaluate ``N(f_n . v)`` at the horizon for the null families.
+    """Evaluate ``N(f_n . v)`` at step ``_HORIZON`` of the null sequences
+    of ``_null_fields``.
 
     Probes are normalized; the verdict passes when every limit proxy is at
-    most 1e-6.  The families are self-tested for boundedness and atomwise
-    decay before use.
+    most 1e-6.
     """
     bundle = norm.bundle
     P = _probe_rows(norm, probes, seed)
-    families = weak_star_null_families(bundle.space)
-    for fam in families:
-        fam.self_test(bundle.space, horizon)
-
-    fields = np.repeat([fam.values_at(horizon) for fam in families], bundle.dimensions, axis=1)
+    fields = np.repeat(_null_fields(bundle.space.atom_count), bundle.dimensions, axis=1)
     values = norm.evaluate_rows((fields[:, None, :] * P).reshape(-1, bundle.total_dimension))
-    rows = [(fam.name, k, float(values[f * len(P) + k]))
-            for f, fam in enumerate(families) for k in range(len(P))]
     worst = float(values.max(initial=0.0))
-    return ContinuityReport(norm.name, worst <= CONTINUITY_TOL, worst, horizon, rows)
+    return ContinuityReport(norm.name, worst <= CONTINUITY_TOL, worst)
 
 
 # -- reconstruction ------------------------------------------------------------

@@ -129,6 +129,12 @@ def bidual_pointwise_norm(v: Section) -> ScalarField:
 
 # -- reflexivity diagram ------------------------------------------------------
 
+#: the diagram passes when both pairing routes (and, on constant bundles,
+#: the chain through the fixed fiber) agree within PAIRING_TOL and the
+#: bidual pointwise norm is within BIDUAL_NORM_TOL of the pointwise norm
+PAIRING_TOL = 1e-9
+BIDUAL_NORM_TOL = 1e-6
+
 
 @dataclass
 class ReflexivityReport:
@@ -149,8 +155,6 @@ def check_reflexivity_diagram(
     p,
     samples: int = 100,
     seed: int = 0,
-    pairing_tol: float = 1e-9,
-    norm_tol: float = 1e-6,
 ) -> ReflexivityReport:
     """Check that evaluating sections on functionals commutes with the
     canonical identifications, and that the fiberwise bidual embedding is
@@ -199,8 +203,8 @@ def check_reflexivity_diagram(
                                     v.coords.reshape(shape)))
             max_chain = max(max_chain, abs(chain - lhs))
 
-    passed = max_pair <= pairing_tol and max_norm_gap <= norm_tol and (
-        not constant or max_chain <= pairing_tol
+    passed = max_pair <= PAIRING_TOL and max_norm_gap <= BIDUAL_NORM_TOL and (
+        not constant or max_chain <= PAIRING_TOL
     )
     notes = []
     if constant:

@@ -7,7 +7,7 @@ reproduce identical bundles, sections and measure triples bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -57,20 +57,6 @@ class InstanceRecipe:
     exponents: tuple = (1.5, 2, 3)
     constant_fraction: float = 0.0
     zero_fiber_fraction: float = 0.0
-
-    def config_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "instance_count": self.instance_count,
-            "atom_range": list(self.atom_range),
-            "dim_range": list(self.dim_range),
-            "kinds": list(self.kinds),
-            "lp_exponents": [str(e) for e in self.lp_exponents],
-            "weight_range": list(self.weight_range),
-            "exponents": [str(e) for e in self.exponents],
-            "constant_fraction": self.constant_fraction,
-            "zero_fiber_fraction": self.zero_fiber_fraction,
-        }
 
 
 def recipe_from_config(cfg: dict) -> InstanceRecipe:

@@ -1,9 +1,12 @@
-"""Finite atomic measure spaces and scalar fields on them.
+"""Finite atomic measure spaces, scalar fields on them, integrability
+exponents and the weighted L^p norm of a field.
 
 Everything downstream works over a finite list of atoms with strictly
 positive weights.  Because every atom carries positive mass, "almost
 everywhere" statements degenerate to "at every atom", which is exactly
-what makes the desk-scale checks in the rest of the package exact.
+what makes the desk-scale checks in the rest of the package exact.  A
+:class:`ScalarField` only validates one finite value per atom; callers
+compute on its ``values`` array directly.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,36 +58,12 @@ class MeasureSpace:
             raise ValueError("weights must match atoms in length")
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be strictly positive")
-        self._index = {atom: i for i, atom in enumerate(self.atoms)}
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def atom_count(self) -> int:
         return len(self.atoms)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def index(self, atom) -> int:
-        try:
-            return self._index[atom]
-        except KeyError:
-            raise KeyError(f"unknown atom id: {atom!r}") from None
-
-    def mask(self, subset: Iterable) -> np.ndarray:
-        """Boolean membership mask for a subset given by atom ids."""
-        out = np.zeros(self.atom_count, dtype=bool)
-        for atom in subset:
-            out[self.index(atom)] = True
-        return out
-
-    def field(self, values) -> "ScalarField":
-        return ScalarField(self, values)
-
-    def indicator(self, subset: Iterable) -> "ScalarField":
-        return ScalarField(self, self.mask(subset).astype(float))
 
     def __eq__(self, other):
         return (
@@ -116,32 +95,6 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self.values.tolist()!r})"
-
-    # Small arithmetic surface; heavy lifting happens on .values directly.
-
-    def __add__(self, other):
-        return ScalarField(self.space, self.values + _field_values(other, self.space))
-
-    def __sub__(self, other):
-        return ScalarField(self.space, self.values - _field_values(other, self.space))
-
-    def __mul__(self, other):
-        return ScalarField(self.space, self.values * _field_values(other, self.space))
-
-    __rmul__ = __mul__
-
-    def abs(self) -> "ScalarField":
-        return ScalarField(self.space, np.abs(self.values))
-
-
-def _field_values(other, space) -> np.ndarray:
-    if isinstance(other, ScalarField):
-        if other.space is not space and other.space != space:
-            raise ValueError("fields live on different measure spaces")
-        return other.values
-    if isinstance(other, numbers.Real):
-        return np.full(space.atom_count, float(other))
-    return np.asarray(other, dtype=float)
 
 
 # -- exponents -----------------------------------------------------------

@@ -141,10 +141,6 @@ class NormSpec:
         """Norms of the rows of V, shape (m, dimension) -> (m,)."""
         raise NotImplementedError
 
-    def dual_norm(self, w) -> float:
-        """Norm of a covector in the dual space (closed form via dual())."""
-        return self.dual().norm(w)
-
     def _check_vec(self, v) -> np.ndarray:
         arr = np.asarray(v, dtype=float)
         if arr.shape != (self.dimension,):
@@ -207,27 +203,6 @@ class NormSpec:
 
     def _digest_parts(self):
         raise NotImplementedError
-
-    def self_test(self, probes: int = 32, seed: int = 0, tol: float = 1e-9) -> None:
-        """Randomized spot check of the norm axioms; raises on failure."""
-        rng = np.random.default_rng(seed)
-        V = rng.standard_normal((probes, self.dimension))
-        W = rng.standard_normal((probes, self.dimension))
-        t = rng.uniform(-3.0, 3.0, size=probes)
-        nv = self.norm_batch(V)
-        nw = self.norm_batch(W)
-        if np.any(nv <= 0.0):
-            raise AssertionError(f"{self.kind}: vanishing norm on a nonzero vector")
-        hom = np.abs(self.norm_batch(V * t[:, None]) - np.abs(t) * nv)
-        if np.max(hom) > tol * max(1.0, np.max(nv)):
-            raise AssertionError(f"{self.kind}: homogeneity violated ({np.max(hom):.2e})")
-        tri = self.norm_batch(V + W) - (nv + nw)
-        if np.max(tri) > tol * max(1.0, np.max(nv + nw)):
-            raise AssertionError(f"{self.kind}: triangle inequality violated ({np.max(tri):.2e})")
-        # single-vector and batch routes must agree
-        single = np.array([self.norm(v) for v in V])
-        if np.max(np.abs(single - nv)) > 1e-9 * max(1.0, np.max(nv)):
-            raise AssertionError(f"{self.kind}: batch and single evaluation disagree")
 
     def __repr__(self):
         return f"{type(self).__name__}(dimension={self.dimension})"

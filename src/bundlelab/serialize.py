@@ -18,13 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from .bundles import Bundle, Fiber, Section
 from .convexity import SearchBudget
-from .criterion import AtomicMeasureTriple
 from .measure import MeasureSpace
-from .norms import NormSpec, norm_spec_from_config
+from .norms import norm_spec_from_config
 
 __all__ = [
     "ConfigError",
@@ -34,11 +31,8 @@ __all__ = [
     "space_from_config",
     "bundle_to_config",
     "bundle_from_config",
-    "section_to_config",
     "section_from_config",
     "budget_from_config",
-    "budget_to_config",
-    "triple_from_config",
 ]
 
 
@@ -124,10 +118,6 @@ def bundle_digest(bundle: Bundle) -> str:
 # -- sections -----------------------------------------------------------------
 
 
-def section_to_config(section: Section) -> dict:
-    return {"vectors": [v.tolist() for v in section.vectors]}
-
-
 def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Section:
     """A section of ``bundle``, or of ``bundle.dual()`` with ``dual``."""
     vectors = _require(cfg, "vectors", "section config")
@@ -137,18 +127,7 @@ def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Sectio
         raise ConfigError(f"section config invalid: {exc}") from None
 
 
-# -- budgets and triples -------------------------------------------------------
-
-
-def budget_to_config(budget: SearchBudget) -> dict:
-    return {
-        "restarts": budget.restarts,
-        "iterations": budget.iterations,
-        "seed": budget.seed,
-        "init_step": budget.init_step,
-        "min_step": budget.min_step,
-        "penalty": budget.penalty,
-    }
+# -- budgets -------------------------------------------------------
 
 
 def budget_from_config(cfg: dict | None) -> SearchBudget:
@@ -165,16 +144,3 @@ def budget_from_config(cfg: dict | None) -> SearchBudget:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"budget config invalid: {exc}") from None
 
-
-def triple_from_config(cfg: dict) -> AtomicMeasureTriple:
-    space = space_from_config(_require(cfg, "space", "measure triple config"))
-    try:
-        return AtomicMeasureTriple(
-            space,
-            np.asarray(_require(cfg, "density1", "measure triple config"), dtype=float),
-            np.asarray(_require(cfg, "density2", "measure triple config"), dtype=float),
-            np.asarray(_require(cfg, "density3", "measure triple config"), dtype=float),
-            float(_require(cfg, "alpha", "measure triple config")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"measure triple config invalid: {exc}") from None

@@ -2,7 +2,7 @@
 process draws the same examples and no local state carries over.  BLAS
 pools run one thread, as in the benchmark, so that ``pair_search`` may
 split its searches over the CPUs.  No test may leave a child process
-behind."""
+behind.  The ``assert_norm_axioms`` fixture spot-checks a norm kind."""
 
 import glob
 import os
@@ -45,3 +45,31 @@ def no_child_process_left():
         os.kill(child, signal.SIGKILL)
         os.waitpid(child, 0)
     pytest.fail("a child process was still running after the test")
+
+
+@pytest.fixture
+def assert_norm_axioms():
+    """Randomized spot check of a norm kind's axioms, and of its single and
+    batch routes against each other; raises AssertionError on failure."""
+    import numpy as np  # not at the top: BLAS must see the thread settings above
+
+    def check(spec, probes=32, seed=0, tol=1e-9):
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((probes, spec.dimension))
+        W = rng.standard_normal((probes, spec.dimension))
+        t = rng.uniform(-3.0, 3.0, size=probes)
+        nv = spec.norm_batch(V)
+        nw = spec.norm_batch(W)
+        if np.any(nv <= 0.0):
+            raise AssertionError(f"{spec.kind}: vanishing norm on a nonzero vector")
+        hom = np.abs(spec.norm_batch(V * t[:, None]) - np.abs(t) * nv)
+        if np.max(hom) > tol * max(1.0, np.max(nv)):
+            raise AssertionError(f"{spec.kind}: homogeneity violated ({np.max(hom):.2e})")
+        tri = spec.norm_batch(V + W) - (nv + nw)
+        if np.max(tri) > tol * max(1.0, np.max(nv + nw)):
+            raise AssertionError(f"{spec.kind}: triangle inequality violated ({np.max(tri):.2e})")
+        single = np.array([spec.norm(v) for v in V])
+        if np.max(np.abs(single - nv)) > 1e-9 * max(1.0, np.max(nv)):
+            raise AssertionError(f"{spec.kind}: batch and single evaluation disagree")
+
+    return check

@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in process: exit codes, report files, determinism."""
 
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -105,6 +106,22 @@ class TestModulus:
             ["modulus", "--config", cfg, "--out", str(tmp_path / "r"), "--grid", grid]
         )
         assert code == 2
+
+    def test_one_seed_for_search_and_report(self, tmp_path):
+        """--seed 9, a top-level seed 9 and a budget seed 9 search with the
+        same seed and report it: the three curves are byte-identical."""
+        base = {"norm": {"kind": "weighted_lp", "r": 3, "weights": [1.0, 2.0]},
+                "grid": [1.0, 2.0], "budget": {"restarts": 4, "iterations": 20}}
+        runs = [(base, ["--seed", "9"]), (dict(base, seed=9), []),
+                (dict(base, budget=dict(base["budget"], seed=9)), [])]
+        tables = []
+        for k, (payload, extra) in enumerate(runs):
+            cfg = write_config(tmp_path, payload, name=f"run{k}.json")
+            out = tmp_path / f"r{k}"
+            assert main(["modulus", "--config", cfg, "--out", str(out), *extra]) == 0
+            tables.append((out / "modulus_curve.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+        assert read_csv(tmp_path / "r0" / "modulus_curve.csv")[1][1] == "9"
 
 
 class TestSuite:
@@ -275,6 +292,49 @@ class TestCriterion:
         )
         assert main(["criterion", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "unknown norm tag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["criterion", "dual-check"])
+def test_grid_only_where_a_grid_is_used(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"bundle": TestCriterion.BUNDLE})
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--grid", "0.5:1:0.5"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+#: fibers of three kinds, among them a polytope gauge and a polyhedral max-norm
+PINNED_BUNDLE = {
+    "space": {"atoms": ["a", "b", "c"], "weights": [1.0, 2.0, 0.5]},
+    "fibers": [
+        {"dimension": 2, "norm": {"kind": "polytope_gauge", "vertices":
+                                  [[1.0, 0.2], [0.3, 1.1], [-1.0, -0.2], [-0.3, -1.1]]}},
+        {"dimension": 2, "norm": {"kind": "polyhedral_max", "functionals":
+                                  [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}},
+        {"dimension": 1, "norm": {"kind": "weighted_lp", "r": 3, "weights": [2.0]}},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, table, sha256",
+    [
+        ("criterion", {"bundle": PINNED_BUNDLE, "probes": 4, "seed": 5}, "criterion_rows.csv",
+         "1b7ee2944593d0350f60c5027aa0b3ad935314eeaea91a6037398e388db37ba8"),
+        ("dual-check", {"bundle": PINNED_BUNDLE, "p": 3, "samples": 6, "seed": 2,
+                        "dual_section": [[1.0, -0.5], [0.25, 2.0], [1.5]],
+                        "section": [[0.5, 1.0], [-1.0, 0.75], [2.0]]}, "dual_residuals.csv",
+         "799adaaa02db8c87f2fcccbbf1c92efb85d5a28fd5edc1d1bc998f04c25246b7"),
+    ],
+    ids=["criterion", "dual-check"],
+)
+def test_report_bytes_are_pinned(tmp_path, command, payload, table, sha256):
+    """The report tables of two small gauge and polyhedral runs keep their
+    bytes: any change to a residual, a verdict or a witness moves the digest."""
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "reports"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / table).read_bytes()).hexdigest() == sha256
 
 
 def test_a_gauge_run_never_imports_scipy(tmp_path):

@@ -31,7 +31,6 @@ from bundlelab.convexity import (
     modulus_curves,
     modulus_grid_estimate_2d,
     pair_search,
-    parallelogram_defect,
     parallelogram_defects,
     single_norm_group,
     structured_pairs,
@@ -240,25 +239,25 @@ def test_search_budget_accepts_boundary_values():
 
 class TestParallelogramDefect:
     def test_inner_product_defect_vanishes(self):
-        defect, (v, w) = parallelogram_defect(InnerProductNorm([[2.0, 0.3], [0.3, 1.0]]))
+        defect, (v, w) = parallelogram_defects([InnerProductNorm([[2.0, 0.3], [0.3, 1.0]])])[0]
         assert defect <= 1e-9
 
     def test_l1_defect_is_four(self):
         # v = e1, w = e2: ||v+w||^2 + ||v-w||^2 = 4 + 4, defect |8 - 4| = 4,
         # and 4 is the ceiling since each term is at most 2^2
         spec = WeightedLpNorm(1, [1.0, 1.0])
-        defect, (v, w) = parallelogram_defect(spec)
+        defect, (v, w) = parallelogram_defects([spec])[0]
         assert defect == pytest.approx(4.0, abs=1e-9)
         assert spec.norm(v) == pytest.approx(1.0, abs=1e-9)
         assert spec.norm(w) == pytest.approx(1.0, abs=1e-9)
 
     def test_linf_defect_is_four(self):
-        defect, _ = parallelogram_defect(WeightedLpNorm(math.inf, [1.0, 1.0]))
+        defect, _ = parallelogram_defects([WeightedLpNorm(math.inf, [1.0, 1.0])])[0]
         assert defect == pytest.approx(4.0, abs=1e-9)
 
     def test_witness_reproduces_defect(self):
         spec = WeightedLpNorm(3, [1.0, 2.0])
-        defect, (v, w) = parallelogram_defect(spec)
+        defect, (v, w) = parallelogram_defects([spec])[0]
         re = abs(spec.norm(v + w) ** 2 + spec.norm(v - w) ** 2 - 4.0)
         assert re == pytest.approx(defect, abs=1e-12)
         assert defect > 1e-3  # p=3 is genuinely non-Hilbert
@@ -287,7 +286,7 @@ def test_parallelogram_defects_batch_matches_solo_runs(monkeypatch):
     monkeypatch.setattr(convexity, "pair_search", counting)
     batched = parallelogram_defects(specs, budget)
     assert dims == [2, 3]
-    solo = [parallelogram_defect(spec, budget) for spec in specs]
+    solo = [parallelogram_defects([spec], budget)[0] for spec in specs]
     for spec, (d_a, (v_a, w_a)), (d_b, (v_b, w_b)) in zip(specs, batched, solo):
         assert d_a == d_b and np.array_equal(v_a, v_b) and np.array_equal(w_a, w_b)
         assert spec.norm(v_a) == pytest.approx(1.0, abs=1e-9)

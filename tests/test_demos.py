@@ -1,7 +1,10 @@
 """Every demo runs to completion at a small size, so none of them calls a
-name the package no longer has."""
+name the package no longer has, and every name a module lists in
+``__all__`` exists."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +37,10 @@ def test_demo_runs(demo):
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+
+
+@pytest.mark.parametrize("module", ["bundlelab"] + [
+    f"bundlelab.{m.name}" for m in pkgutil.iter_modules(bundlelab.__path__)])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

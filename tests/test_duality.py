@@ -114,7 +114,7 @@ class TestPairing:
         v = Section(b, [[3.0], [4.0]])
         omega = Section(b.dual(), [[1.0], [1.0]])
         assert integrated_pairing(omega, v) == pytest.approx(7.0, abs=1e-12)
-        assert integrated_pairing(omega, b.zero_section()) == 0.0
+        assert integrated_pairing(omega, Section(b, [[0.0], [0.0]])) == 0.0
 
     def test_mismatched_bundles_rejected(self):
         b = scalar_line_bundle()

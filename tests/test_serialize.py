@@ -1,5 +1,6 @@
 """Config round trips and canonical digests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,17 +13,14 @@ from bundlelab.norms import InnerProductNorm, WeightedLpNorm
 from bundlelab.serialize import (
     ConfigError,
     budget_from_config,
-    budget_to_config,
     bundle_digest,
     bundle_from_config,
     bundle_to_config,
     canonical_json,
     digest,
     section_from_config,
-    section_to_config,
     space_from_config,
     space_to_config,
-    triple_from_config,
 )
 
 
@@ -99,11 +97,12 @@ def test_bundle_config_errors():
 def test_section_round_trip_plain_and_dual():
     b = sample_bundle()
     v = Section(b, [[3.0, 4.0], [], [1.0, -2.0]])
-    clone = section_from_config(b, section_to_config(v))
+    clone = section_from_config(b, {"vectors": [a.tolist() for a in v.vectors]})
     for a, c in zip(v.vectors, clone.vectors):
         assert np.array_equal(a, c)
     omega = Section(b.dual(), [[1.0, 0.0], [], [0.5, 0.5]])
-    dclone = section_from_config(b, section_to_config(omega), dual=True)
+    dclone = section_from_config(b, {"vectors": [a.tolist() for a in omega.vectors]},
+                                 dual=True)
     assert dclone.bundle is b.dual()
     for a, c in zip(omega.vectors, dclone.vectors):
         assert np.array_equal(a, c)
@@ -119,7 +118,7 @@ def test_section_config_errors():
 
 def test_budget_round_trip():
     budget = SearchBudget(restarts=5, iterations=30, seed=9, init_step=0.4)
-    clone = budget_from_config(budget_to_config(budget))
+    clone = budget_from_config(dataclasses.asdict(budget))
     assert clone == budget
     assert budget_from_config(None) == SearchBudget()
 
@@ -135,24 +134,6 @@ def test_budget_config_errors():
         budget_from_config({"init_step": 0.1, "min_step": 0.5})
     with pytest.raises(ConfigError, match="must be an integer"):
         budget_from_config({"iterations": 2.5})
-
-
-def test_triple_from_config():
-    cfg = {
-        "space": {"atoms": [0, 1], "weights": [1.0, 1.0]},
-        "density1": [4.0, 1.0],
-        "density2": [1.0, 1.0],
-        "density3": [1.0, 0.0],
-        "alpha": 0.5,
-    }
-    t = triple_from_config(cfg)
-    assert t.alpha == 0.5
-    assert np.array_equal(t.density1, [4.0, 1.0])
-    with pytest.raises(ConfigError, match="alpha required"):
-        triple_from_config({k: v for k, v in cfg.items() if k != "alpha"})
-    bad = dict(cfg, density2=[1.0, -1.0])
-    with pytest.raises(ConfigError, match="invalid"):
-        triple_from_config(bad)
 
 
 def test_config_error_is_a_value_error():
