@@ -1,17 +1,21 @@
 """Command-line entry point.
 
 Four subcommands, all batch-style: read one JSON run configuration, compute,
-write a summary plus CSV/plot-data reports into the output directory.
+write summary.md and CSV tables (modulus and suite also .dat plot data) into
+the output directory.
 
     bundlelab modulus    --config run.json [--out DIR] [--seed N] [--grid a:b:step]
     bundlelab suite      --config run.json [--out DIR] [--seed N] [--grid a:b:step]
     bundlelab dual-check --config run.json [--out DIR] [--seed N]
     bundlelab criterion  --config run.json [--out DIR] [--seed N]
 
+Seed, grid, exponent, counts and suite names each have one reader, shared by
+every command that takes the setting.
+
 Exit codes: 0 all verdicts as expected, 1 an unexpected FAIL, 2 bad
 configuration, 3 an internal error (a bug; the traceback is printed).  Reruns
-with an identical configuration produce byte-identical CSV bodies (the summary
-header carries the only timestamp).
+with an identical configuration write byte-identical CSV and .dat files;
+only a ``suite`` summary carries a timestamp.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ from .criterion import (
     weak_star_continuity_check,
 )
 from .duality import (
+    _duality_exponent,
     check_reflexivity_diagram,
     holder_maximizer,
     integrated_pairing,
     operator_norm,
 )
-from .generators import instance_rng, random_section
+from .generators import instance_rng, random_section, recipe_from_config
 from .measure import as_exponent, conjugate_exponent, lp_norm
 from .norms import norm_spec_from_config
 from .reportio import (
@@ -62,8 +67,7 @@ from .serialize import (
     digest,
     section_from_config,
 )
-from .suites import SUITE_TAGS, default_recipe, run_suites
-from .generators import recipe_from_config
+from .suites import SUITE_TAGS, default_recipe, run_suites, suite_names
 
 _EXPLICIT_TOL = 1e-9
 _SAMPLED_TOL = 1e-6
@@ -78,31 +82,34 @@ def _config_value(what: str, fn, *args):
         raise ConfigError(f"{what} invalid: {exc}") from None
 
 
-def _seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+def _integer(what: str, value, least: int) -> int:
+    """A whole-number setting (seed or count): a JSON integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    try:
-        a, b, step = (float(t) for t in text.split(":"))
-    except ValueError:
-        raise ConfigError(f"grid must look like 'a:b:step', got {text!r}") from None
-    if step <= 0 or a <= 0 or b < a or b > 2.0:
-        raise ConfigError("grid bounds must satisfy 0 < a <= b <= 2 with step > 0")
-    return np.round(np.arange(a, b + 0.5 * step, step), 12)
+def _seed(cfg: dict, args, fallback):
+    """``--seed``, else the config's top-level ``seed``, else ``fallback``."""
+    if args.seed is None and "seed" not in cfg:
+        return fallback
+    return _integer("seed", cfg["seed"] if args.seed is None else args.seed, 0)
 
 
 def _resolve_grid(cfg: dict, args) -> np.ndarray:
+    """``--grid``, else the config's ``grid``, as a list or an 'a:b:step'
+    range; both pass ``check_eps_grid``."""
     grid = args.grid if args.grid is not None else cfg.get("grid")
     if grid is None:
         return DEFAULT_EPS_GRID
     if isinstance(grid, str):
-        return _parse_grid(grid)
+        try:
+            a, b, step = (float(t) for t in grid.split(":"))
+            grid = np.round(np.arange(a, b + 0.5 * step, step), 12)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"grid must look like 'a:b:step', got {grid!r}") from None
     eps = _config_value("grid", np.asarray, grid, float)
-    if eps.ndim != 1 or len(eps) == 0:
+    if eps.ndim != 1:
         raise ConfigError("grid must be a one-dimensional list of separations")
     return _config_value("grid", check_eps_grid, eps)
 
@@ -129,15 +136,20 @@ def _run_digest(command: str, cfg: dict, seed, grid) -> str:
     return digest(payload)
 
 
+def _summary(command: str, run: str, instance: str, seed: int, *body: str) -> str:
+    """summary.md of a one-instance run: the shared header, then ``body``."""
+    return "\n".join([f"# {command} run", "", f"run-config digest: `{run}`",
+                      f"instance: {instance}", f"seed: {seed}", *body, ""])
+
+
 # -- modulus ---------------------------------------------------------------------
 
 
 def cmd_modulus(cfg: dict, args) -> int:
     grid = _resolve_grid(cfg, args)
     budget = budget_from_config(cfg.get("budget"))
-    # one seed for the search and the report: --seed, else the config's
-    # top-level seed, else the budget's
-    seed = _seed({"seed": cfg.get("seed", budget.seed)}, args)
+    # one seed for the search and the report; the budget's is the fallback
+    seed = _seed(cfg, args, budget.seed)
     budget = dataclasses.replace(budget, seed=seed)
 
     if "norm" in cfg:
@@ -170,15 +182,10 @@ def cmd_modulus(cfg: dict, args) -> int:
         {"epsilon": curve.epsilons, "delta": curve.deltas},
         comment=f"instance={instance}",
     )
-    bundle_out.summary = "\n".join(
-        [
-            "# modulus run", "",
-            f"run-config digest: `{run}`",
-            f"instance: `{instance}` ({what})",
-            f"seed: {seed}",
-            f"grid: {len(grid)} separations in [{grid[0]:g}, {grid[-1]:g}]",
-            f"max delta: {float(curve.deltas.max())!r}", "",
-        ]
+    bundle_out.summary = _summary(
+        "modulus", run, f"`{instance}` ({what})", seed,
+        f"grid: {len(grid)} separations in [{grid[0]:g}, {grid[-1]:g}]",
+        f"max delta: {float(curve.deltas.max())!r}",
     )
     bundle_out.write()
     return 0
@@ -189,17 +196,9 @@ def cmd_modulus(cfg: dict, args) -> int:
 
 def cmd_suite(cfg: dict, args) -> int:
     grid = _resolve_grid(cfg, args)
-    seed = _seed(cfg, args)
+    seed = _seed(cfg, args, None)
     budget = budget_from_config(cfg.get("budget")) if cfg.get("budget") else None
-
-    tags = cfg.get("suites", "all")
-    if isinstance(tags, str):
-        tags = (tags,)
-    for t in tags:
-        if t != "all" and t not in SUITE_TAGS:
-            raise ConfigError(
-                f"unknown suite tag {t!r}; valid tags: {sorted(SUITE_TAGS)} or 'all'"
-            )
+    names = _config_value("suites", suite_names, cfg.get("suites", "all"))
     recipes = {}
     for name, rcfg in (cfg.get("recipes") or {}).items():
         if name not in SUITE_TAGS:
@@ -207,14 +206,15 @@ def cmd_suite(cfg: dict, args) -> int:
                 f"recipe for unknown suite {name!r}; valid tags: {sorted(SUITE_TAGS)}"
             )
         recipes[name] = recipe_from_config(rcfg)
-    if args.seed is not None:
-        # --seed reseeds every recipe deterministically (fixed offset per suite)
-        names = list(SUITE_TAGS) if "all" in tags else list(tags)
+    if seed is None:
+        seed = 0
+    else:
+        # a run seed reseeds every selected recipe (fixed offset per suite)
         for k, name in enumerate(sorted(names)):
             base = recipes.get(name, default_recipe(name))
-            recipes[name] = dataclasses.replace(base, seed=args.seed + 1000 * k)
+            recipes[name] = dataclasses.replace(base, seed=seed + 1000 * k)
 
-    reports = run_suites(tags, recipes, grid, budget, seed)
+    reports = run_suites(names, recipes, grid, budget, seed)
     run = _run_digest("suite", cfg, seed, grid)
 
     out = ReportBundle(Path(args.out))
@@ -233,17 +233,12 @@ def cmd_suite(cfg: dict, args) -> int:
 
 
 def cmd_dual_check(cfg: dict, args) -> int:
-    seed = _seed(cfg, args)
+    seed = _seed(cfg, args, 0)
     if "bundle" not in cfg:
         raise ConfigError("dual-check config needs a 'bundle' entry")
     bundle = bundle_from_config(cfg["bundle"])
     p = cfg.get("p", 2)
-    try:
-        pf = float(p)
-    except (TypeError, ValueError):
-        raise ConfigError(f"exponent p must be numeric, got {p!r}") from None
-    if not 1.0 < pf < float("inf"):
-        raise ConfigError("exponent must lie in (1, inf) for duality operations")
+    _config_value("exponent p", _duality_exponent, p)
     q = conjugate_exponent(p)
     instance = bundle_digest(bundle)
 
@@ -253,7 +248,7 @@ def cmd_dual_check(cfg: dict, args) -> int:
     if "section" in cfg:
         v = section_from_config(bundle, {"vectors": cfg["section"]})
 
-    samples = _config_value("samples", int, cfg.get("samples", 100))
+    samples = _integer("samples", cfg.get("samples", 100), 0)
     rng = instance_rng(seed, 0, stream=5)
     rows = []
 
@@ -292,12 +287,9 @@ def cmd_dual_check(cfg: dict, args) -> int:
 
     diagram = check_reflexivity_diagram(bundle, p, samples=max(4, samples // 4),
                                         seed=seed)
-    rows.append((instance, seed, "diagram", "max-pairing-residual",
-                 diagram.max_pairing_residual, 0.0, diagram.max_pairing_residual,
-                 _EXPLICIT_TOL, diagram.max_pairing_residual <= _EXPLICIT_TOL))
-    rows.append((instance, seed, "diagram", "max-bidual-norm-gap",
-                 diagram.max_bidual_norm_gap, 0.0, diagram.max_bidual_norm_gap,
-                 _SAMPLED_TOL, diagram.max_bidual_norm_gap <= _SAMPLED_TOL))
+    check("diagram", "max-pairing-residual", diagram.max_pairing_residual, 0.0,
+          _EXPLICIT_TOL)
+    check("diagram", "max-bidual-norm-gap", diagram.max_bidual_norm_gap, 0.0, _SAMPLED_TOL)
 
     run = _run_digest("dual-check", cfg, seed, [])
     out = ReportBundle(Path(args.out))
@@ -307,16 +299,11 @@ def cmd_dual_check(cfg: dict, args) -> int:
         rows,
     )
     failed = [r for r in rows if not r[-1]]
-    out.summary = "\n".join(
-        [
-            "# dual-check run", "",
-            f"run-config digest: `{run}`",
-            f"instance: `{instance}`",
-            f"seed: {seed}", f"exponent: {p} (conjugate {float(q)!r})",
-            f"rows: {len(rows)}, failing: {len(failed)}", "",
-            "overall: " + ("**FAIL**" if failed else "all residuals within tolerance"),
-            "",
-        ]
+    out.summary = _summary(
+        "dual-check", run, f"`{instance}`", seed,
+        f"exponent: {p} (conjugate {float(q)!r})",
+        f"rows: {len(rows)}, failing: {len(failed)}", "",
+        "overall: " + ("**FAIL**" if failed else "all residuals within tolerance"),
     )
     out.write()
     return 1 if failed else 0
@@ -356,7 +343,7 @@ def _catalogue_entry(bundle, entry: dict):
 
 
 def cmd_criterion(cfg: dict, args) -> int:
-    seed = _seed(cfg, args)
+    seed = _seed(cfg, args, 0)
     if "bundle" not in cfg:
         raise ConfigError("criterion config needs a 'bundle' entry")
     bundle = bundle_from_config(cfg["bundle"])
@@ -367,47 +354,42 @@ def cmd_criterion(cfg: dict, args) -> int:
         {"tag": "mixed-sum"},
         {"tag": "mixed-max"},
     ]
-    probes = _config_value("probes", int, cfg.get("probes", 6))
+    probes = _integer("probes", cfg.get("probes", 6), 1)
 
     add_rows = []
     verdict_rows = []
-    unexpected = 0
     rng = instance_rng(seed, 0, stream=9)
+
+    def record(check, passed, residual, expected="PASS", probe="", mask=""):
+        """Add a row for the current entry's norm; True if its verdict is unexpected."""
+        verdict = "PASS" if passed else "FAIL"
+        add_rows.append((instance, seed, norm.name, p_check, check, probe, mask,
+                         residual, verdict, expected))
+        return verdict != expected
+
+    unexpected = 0
     for entry in entries:
         norm, p_check, expect = _catalogue_entry(bundle, entry)
         rep = restriction_additivity_check(norm, p_check, probes=probes, seed=seed)
-        verdict = "PASS" if rep.passed else "FAIL"
-        unexpected += verdict != expect
         mask = "|".join(str(a) for a in rep.witness_subset) if rep.witness_subset else ""
-        add_rows.append((instance, seed, norm.name, p_check, "restriction-additivity",
-                         rep.witness_probe, mask, rep.max_residual, verdict, expect))
+        unexpected += record("restriction-additivity", rep.passed, rep.max_residual, expect,
+                             rep.witness_probe, mask)
+        verdict_rows.append((norm.name, p_check, "PASS" if rep.passed else "FAIL", expect))
         cont = weak_star_continuity_check(norm, probes=max(2, probes // 2), seed=seed)
-        add_rows.append((instance, seed, norm.name, p_check, "weak-star-continuity",
-                         "", "", cont.max_limit_proxy,
-                         "PASS" if cont.passed else "FAIL", "PASS"))
-        unexpected += not cont.passed
+        unexpected += record("weak-star-continuity", cont.passed, cont.max_limit_proxy)
 
+        v = random_section(bundle, rng)
         if rep.passed:
-            v = random_section(bundle, rng)
             rec = reconstruct_pointwise_norm(norm, p_check, v)
             gap = float(np.max(np.abs(rec.values - pointwise_norm(v).values)))
-            ok = gap <= 1e-9
-            add_rows.append((instance, seed, norm.name, p_check,
-                             "pointwise-reconstruction", "", "", gap,
-                             "PASS" if ok else "FAIL", "PASS"))
-            unexpected += not ok
+            unexpected += record("pointwise-reconstruction", gap <= 1e-9, gap)
         else:
             try:
-                reconstruct_pointwise_norm(norm, p_check, random_section(bundle, rng))
+                reconstruct_pointwise_norm(norm, p_check, v)
                 refused = False
             except ValueError:
                 refused = True
-            add_rows.append((instance, seed, norm.name, p_check,
-                             "reconstruction-refusal", "", "",
-                             0.0 if refused else 1.0,
-                             "PASS" if refused else "FAIL", "PASS"))
-            unexpected += not refused
-        verdict_rows.append((norm.name, p_check, verdict, expect))
+            unexpected += record("reconstruction-refusal", refused, 0.0 if refused else 1.0)
 
     run = _run_digest("criterion", cfg, seed, [])
     out = ReportBundle(Path(args.out))
@@ -416,18 +398,14 @@ def cmd_criterion(cfg: dict, args) -> int:
          "subset", "residual", "verdict", "expected"),
         add_rows,
     )
-    lines = [
-        "# criterion run", "",
-        f"run-config digest: `{run}`",
-        f"instance: `{instance}`",
-        f"seed: {seed}", "",
+    out.summary = _summary(
+        "criterion", run, f"`{instance}`", seed, "",
         "| norm | exponent | additivity | expected |",
         "| --- | --- | --- | --- |",
-    ]
-    lines += [f"| {n} | {p} | {v} | {e} |" for n, p, v, e in verdict_rows]
-    lines += ["", "overall: " + ("**UNEXPECTED VERDICTS PRESENT**" if unexpected
-                                 else "all verdicts as expected"), ""]
-    out.summary = "\n".join(lines)
+        *(f"| {n} | {p} | {v} | {e} |" for n, p, v, e in verdict_rows), "",
+        "overall: " + ("**UNEXPECTED VERDICTS PRESENT**" if unexpected
+                       else "all verdicts as expected"),
+    )
     out.write()
     return 1 if unexpected else 0
 

@@ -62,12 +62,10 @@ class AbstractModuleNorm:
     norms, row ``i`` being the section ``Section.from_coords(bundle, X[i])``.
     """
 
-    def __init__(self, bundle: Bundle, fn: Callable[[np.ndarray], np.ndarray], name: str,
-                 claimed_exponent=None):
+    def __init__(self, bundle: Bundle, fn: Callable[[np.ndarray], np.ndarray], name: str):
         self.bundle = bundle
         self._fn = fn
         self.name = name
-        self.claimed_exponent = claimed_exponent
 
     def evaluate_rows(self, X: np.ndarray) -> np.ndarray:
         """Norms of the sections whose flat coordinates are the rows of X."""
@@ -102,8 +100,7 @@ class AbstractModuleNorm:
         return f"AbstractModuleNorm({self.name!r})"
 
 
-def _catalogue_norm(bundle: Bundle, exponents, name: str, combine=None,
-                    claimed_exponent=None) -> AbstractModuleNorm:
+def _catalogue_norm(bundle: Bundle, exponents, name: str, combine=None) -> AbstractModuleNorm:
     """A norm whose rows go through the bundle's fiber norms once; the
     weighted L^p norms of the fiber norms at each of ``exponents`` are
     folded with ``combine`` (e.g. ``np.add``) when there are several."""
@@ -115,13 +112,13 @@ def _catalogue_norm(bundle: Bundle, exponents, name: str, combine=None,
         norms = per_atom(X)
         return functools.reduce(combine, [_lp_columns(norms, weights, pf) for pf in powers])
 
-    return AbstractModuleNorm(bundle, fn, name, claimed_exponent=claimed_exponent)
+    return AbstractModuleNorm(bundle, fn, name)
 
 
 def induced_norm(bundle: Bundle, p) -> AbstractModuleNorm:
     """The section-space norm induced by the pointwise norm and exponent p."""
     p = as_exponent(p)
-    return _catalogue_norm(bundle, [p], f"induced-p{p}", claimed_exponent=p)
+    return _catalogue_norm(bundle, [p], f"induced-p{p}")
 
 
 def sup_over_atoms_norm(bundle: Bundle) -> AbstractModuleNorm:

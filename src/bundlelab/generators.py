@@ -23,7 +23,7 @@ from .norms import (
     WeightedLpNorm,
     check_facet_candidates,
 )
-from .serialize import ConfigError, bundle_digest
+from .serialize import ConfigError, _known_fields, bundle_digest
 
 __all__ = [
     "InstanceRecipe",
@@ -63,10 +63,8 @@ def recipe_from_config(cfg: dict) -> InstanceRecipe:
     """An instance recipe from its config mapping.
 
     Fields the instance draws would reject later (exponents, kinds, ranges)
-    are checked here, so every invalid field is a ``ConfigError``.
+    are checked here, so every invalid or unknown field is a ``ConfigError``.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("recipe config must be a mapping")
     casts = {
         "seed": int,
         "instance_count": int,
@@ -79,6 +77,7 @@ def recipe_from_config(cfg: dict) -> InstanceRecipe:
         "constant_fraction": float,
         "zero_fiber_fraction": float,
     }
+    _known_fields(cfg, casts, "recipe config")
     try:
         recipe = InstanceRecipe(**{key: cast(cfg[key]) for key, cast in casts.items() if key in cfg})
         if not recipe.exponents:

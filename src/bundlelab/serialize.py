@@ -50,6 +50,15 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
 
 
+def _known_fields(cfg, allowed, context: str) -> None:
+    """Reject a config that is not a mapping or names a field not in ``allowed``."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context} must be a mapping")
+    unknown = set(cfg) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{context} has unknown fields: {sorted(unknown)}")
+
+
 def _require(cfg: dict, key: str, context: str):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{context} must be a mapping")
@@ -133,12 +142,8 @@ def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Sectio
 def budget_from_config(cfg: dict | None) -> SearchBudget:
     if cfg is None:
         return SearchBudget()
-    if not isinstance(cfg, dict):
-        raise ConfigError("budget config must be a mapping")
-    allowed = {"restarts", "iterations", "seed", "init_step", "min_step", "penalty"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"budget config has unknown fields: {sorted(unknown)}")
+    _known_fields(cfg, ("restarts", "iterations", "seed", "init_step", "min_step", "penalty"),
+                  "budget config")
     try:
         return SearchBudget(**cfg)
     except (TypeError, ValueError) as exc:

@@ -67,6 +67,7 @@ __all__ = [
     "REQUIRED_TAGS",
     "SUITE_TAGS",
     "SUITE_NAMES",
+    "suite_names",
     "default_recipe",
     "suite_hilbert",
     "suite_convexity_upper",
@@ -560,18 +561,23 @@ def suite_criterion(seed: int = 0, triple_count: int = 200) -> list[TheoremRepor
 # -- orchestration ---------------------------------------------------------------
 
 
+def suite_names(tags) -> list[str]:
+    """The suites that ``tags`` (one tag or a list; ``"all"`` means every
+    suite) select, in run order; raises ValueError on an unknown tag."""
+    if isinstance(tags, str):
+        tags = (tags,)
+    for t in tags:
+        if t != "all" and t not in SUITE_TAGS:
+            raise ValueError(f"unknown suite tag {t!r}; valid tags: {sorted(SUITE_TAGS)} or 'all'")
+    return list(SUITE_NAMES) if "all" in tags else list(tags)
+
+
 def run_suites(tags=("all",), recipes: dict | None = None, eps_grid=None,
                budget: SearchBudget | None = None, seed: int = 0) -> list[TheoremReport]:
     """Run the named suites (or all of them) and return their reports."""
-    if isinstance(tags, str):
-        tags = (tags,)
-    names = list(SUITE_NAMES) if "all" in tags else list(tags)
-    for name in names:
-        if name not in SUITE_TAGS:
-            raise ValueError(f"unknown suite: {name!r} (choose from {sorted(SUITE_TAGS)})")
     recipes = recipes or {}
     reports = []
-    for name in names:
+    for name in suite_names(tags):
         recipe = recipes.get(name)
         if name == "hilbert":
             reports.extend(suite_hilbert(recipe))

@@ -96,7 +96,8 @@ class TestModulus:
         err = capsys.readouterr().err
         assert "config error: fiber dimension required (fiber at atom index 0)" in err
 
-    @pytest.mark.parametrize("grid", ["0:1:0.1", "1.0:0.5:0.1", "0.5:2.5:0.5", "abc"])
+    @pytest.mark.parametrize("grid", ["0:1:0.1", "1.0:0.5:0.1", "0.5:2.5:0.5", "abc",
+                                      "0.5:1:0", "nan:1:0.1"])
     def test_bad_grid_is_config_error(self, tmp_path, grid):
         cfg = write_config(
             tmp_path,
@@ -166,6 +167,20 @@ class TestSuite:
         assert main(["suite", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "valid tags" in capsys.readouterr().err
 
+    def test_config_seed_reseeds_recipes_like_the_flag(self, tmp_path):
+        """A top-level seed and --seed pick the same instances."""
+        base = {"suites": ["hilbert"], "recipes": {"hilbert": {
+            "instance_count": 1, "atom_range": [2, 2], "dim_range": [2, 2]}}}
+        runs = [(dict(base, seed=5), []), (base, ["--seed", "5"])]
+        tables = []
+        for k, (payload, extra) in enumerate(runs):
+            cfg = write_config(tmp_path, payload, name=f"run{k}.json")
+            out = tmp_path / f"r{k}"
+            assert main(["suite", "--config", cfg, "--out", str(out), *extra]) == 0
+            tables.append((out / "suite_reports.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert read_csv(tmp_path / "r0" / "suite_reports.csv")[1][2] == "01c80470cc82"
+
     def test_unknown_recipe_key(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"suites": ["uc-upper"], "recipes": {"bogus": {"seed": 1}}}
@@ -234,6 +249,14 @@ class TestDualCheck:
         cfg = write_config(tmp_path, {"bundle": self.BUNDLE, "p": 1})
         assert main(["dual-check", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "exponent must lie in (1, inf)" in capsys.readouterr().err
+
+    def test_rational_string_exponent(self, tmp_path):
+        cfg = write_config(tmp_path, {"bundle": self.BUNDLE, "p": "3/2", "samples": 4,
+                                      "dual_section": [[3.0], [4.0]]})
+        out = tmp_path / "reports"
+        assert main(["dual-check", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out / "dual_residuals.csv")
+        assert len(rows) > 1 and all(r[8] == "true" for r in rows[1:])
 
     def test_degenerate_bundle_diagram_only(self, tmp_path):
         bundle = {
@@ -413,6 +436,11 @@ class TestExitCodes:
             ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"kinds": ["nope"]}}}),
             ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"exponents": []}}}),
             ("dual-check", {"bundle": BUNDLE, "p": 2, "samples": "many"}),
+            ("dual-check", {"bundle": BUNDLE, "p": 2, "samples": 2.7}),
+            ("dual-check", {"bundle": BUNDLE, "p": 2, "samples": -5}),
+            ("criterion", {"bundle": BUNDLE, "probes": 0}),
+            ("criterion", {"bundle": BUNDLE, "probes": True}),
+            ("suite", {"suites": 5}),
             ("criterion", {"bundle": BUNDLE, "norms": [{"tag": "induced", "p": 0.5}]}),
             ("modulus", {"norm": {"kind": "polytope_gauge",
                                   "vertices": np.vstack([np.eye(20), -np.eye(20)]).tolist()}}),
@@ -425,13 +453,21 @@ class TestExitCodes:
         ],
         ids=["degenerate-bundle", "bad-p", "bad-norm", "bad-grid", "bad-seed",
              "bad-recipe-exponent", "bad-recipe-kind", "no-recipe-exponents", "bad-samples",
-             "bad-entry-p",
+             "fractional-samples", "negative-samples", "zero-probes", "bool-probes",
+             "suites-not-a-list", "bad-entry-p",
              "gauge-too-large", "polyhedral-max-too-large", "recipe-too-large"],
     )
     def test_config_value_errors_exit_two(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_unknown_recipe_field_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"suites": ["hilbert"],
+                                      "recipes": {"hilbert": {"instance_cout": 1}}})
+        assert main(["suite", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "instance_cout" in err
 
     def test_reports_leave_out_search_counters(self, tmp_path):
         cfg = write_config(tmp_path, {"norm": self.NORM, "grid": [1.0],
