@@ -276,8 +276,9 @@ def _atom_norms(bundle: Bundle):
 
 
 def _lp_columns(per_atom: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
-    """Weighted L^p norm of each column of an ``(atoms, m)`` array of
-    fiber norms, for ``weights`` of shape ``(atoms, 1)``.
+    """Weighted L^p norm over axis 0 of an ``(atoms, ...)`` array of fiber
+    norms, for ``weights`` of shape ``(atoms, 1, ...)`` that broadcasts
+    against it.
 
     The sum adds the rows in order across contiguous columns, never along a
     short last axis (see ``bundlelab.norms``).  With 8 or more atoms it adds
@@ -285,27 +286,32 @@ def _lp_columns(per_atom: np.ndarray, weights: np.ndarray, p: float) -> np.ndarr
     can differ from a row-major sum.
     """
     if p == math.inf:
-        return per_atom.max(axis=0, initial=0.0)
+        return np.maximum.reduce(per_atom, axis=0, initial=0.0)
     return _sum_columns(weights * per_atom**p) ** (1.0 / p)
 
 
 def _section_norms(bundle: Bundle, exponents):
     """Section-space norms of one bundle at several exponents, as a
-    ``SearchGroup`` evaluator: ``evaluate(X, counts)`` takes the first
-    ``counts[0]`` rows of ``X`` at ``exponents[0]``, the next ``counts[1]``
-    at ``exponents[1]``, and so on.  The fiber norms of all rows come from
-    one ``_atom_norms`` call.
+    ``SearchGroup`` evaluator: ``evaluate(A, counts)`` takes a block ``A``
+    of shape ``(k, lanes, total)`` and gives the ``(k, lanes)`` norms of the
+    first ``counts[0]`` lanes at ``exponents[0]``, the next ``counts[1]`` at
+    ``exponents[1]``, and so on.  The fiber norms of all rows come from one
+    ``_atom_norms`` call on the block's rows (copied once if the block is not
+    contiguous); each exponent then reads its own lane columns.
     """
     powers = [float(as_exponent(p)) for p in exponents]
     per_atom = _atom_norms(bundle)
-    weights = bundle.space.weights[:, None]
+    weights = bundle.space.weights[:, None, None]
 
-    def evaluate(X: np.ndarray, counts) -> np.ndarray:
-        norms = per_atom(X)
-        out = np.empty(len(X))
+    def evaluate(A: np.ndarray, counts) -> np.ndarray:
+        k, lanes, total = A.shape
+        norms = per_atom(A.reshape(-1, total)).reshape(-1, k, lanes)
+        out = np.empty((k, lanes))
         start = 0
         for pf, count in zip(powers, counts):
-            out[start : start + count] = _lp_columns(norms[:, start : start + count], weights, pf)
+            if count:
+                out[:, start : start + count] = _lp_columns(
+                    norms[:, :, start : start + count], weights, pf)
             start += count
         return out
 
@@ -313,14 +319,14 @@ def _section_norms(bundle: Bundle, exponents):
 
 
 def _exponent_norm(evaluate, j: int, n: int):
-    """The batched norm of the ``j``-th of ``n`` exponents of a
-    ``_section_norms`` evaluator."""
+    """The batched norm, rows ``(m, total)`` to ``(m,)``, of the ``j``-th of
+    ``n`` exponents of a ``_section_norms`` evaluator."""
 
     def norm_batch(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         counts = [0] * n
         counts[j] = len(X)
-        return evaluate(X, counts)
+        return evaluate(X[None], counts)[0]
 
     return norm_batch
 

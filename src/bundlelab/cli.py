@@ -205,6 +205,11 @@ def cmd_suite(cfg: dict, args) -> int:
             raise ConfigError(
                 f"recipe for unknown suite {name!r}; valid tags: {sorted(SUITE_TAGS)}"
             )
+        if name not in names:
+            raise ConfigError(
+                f"recipe for suite {name!r}, which the run does not select; "
+                f"selected suites: {sorted(names)}"
+            )
         recipes[name] = recipe_from_config(rcfg)
     if seed is None:
         seed = 0

@@ -224,32 +224,39 @@ def _polyhedral_ball_vertices_2d(spec: PolyhedralMaxNorm) -> np.ndarray:
 #: search runs alone).  Wider batches share the per-step call overhead;
 #: working memory grows with the lanes of a batch (22 rows per lane plus
 #: evaluator temporaries).  ``cli.main`` on the benchmark's section-modulus
-#: configs 0-7 at seed 0 (2-vCPU VM, BLAS on one thread; time as the median
-#: of three runs, peak RSS as the mean over the configs of each's median):
+#: configs 0-7 at seed 0, in fresh processes (2-vCPU VM, BLAS on one thread;
+#: time as the sum over the configs of each's median of three runs, peak RSS
+#: as the mean over the configs of each's median):
 #:
 #:     cap     time     peak RSS
-#:     1000    9.48 s   80.70 MiB
-#:     2000    7.95 s   81.04 MiB
-#:     3000    7.51 s   81.42 MiB
-#:     5000    7.02 s   81.94 MiB
+#:     1000    5.34 s   38.83 MiB
+#:     2000    5.26 s   38.89 MiB
+#:     3000    4.60 s   39.00 MiB
+#:     5000    4.63 s   39.12 MiB
+#:     8000    4.59 s   39.13 MiB
 #:
-#: 2000 is the widest of these within 0.5 MiB of cap 1000's peak.
-_MAX_LANE_COORDS = 2000
+#: The largest part of any of these calls holds 4896 lane coordinates, so
+#: from 5000 up each part runs as one batch and these runs do not change;
+#: 5000 is the widest cap that changes them, 0.23 MiB above cap 2000's peak.
+#: A wider one would only raise the working memory of larger runs.
+_MAX_LANE_COORDS = 5000
 
 #: lane coordinates x ``budget.iterations`` of a ``pair_search`` call above
 #: which it splits its searches over forked children.  A fork round trip
-#: (fork, pipe, exit, wait) costs about 7 ms with ``gc.freeze()`` on and an
-#: 80 MiB heap, and parts end unevenly since searches converge at different
-#: iterations.  The calls ``suite_convexity_upper`` makes on the benchmark's
-#: section-modulus configs 0-7 at seed 0, and prefixes of their groups, each
-#: timed alone and in two parts (2-vCPU VM, BLAS on one thread; the minimum
-#: of three runs), summed by work:
+#: (fork, pipe, exit, wait) costs about 3 ms with ``gc.freeze()`` on and the
+#: CLI's 35 MiB heap, and parts end unevenly since searches converge at
+#: different iterations.  The calls ``suite_convexity_upper`` makes on the
+#: benchmark's section-modulus configs 0-7 at seed 0, and every prefix of
+#: their groups that holds two or more searches, each timed alone and in two
+#: parts (2-vCPU VM, BLAS on one thread; the minimum of three runs), summed
+#: by work:
 #:
-#:     work          calls   alone    2 parts   ratio
-#:     below 20k      6      0.46 s   0.45 s    0.99
-#:     20k - 40k     13      1.52 s   1.28 s    0.84
-#:     40k - 100k    22      5.12 s   3.60 s    0.70
-#:     100k and up   18      6.26 s   4.46 s    0.71
+#:     work          calls   alone     2 parts   ratio
+#:     below 10k       2      0.09 s    0.09 s   1.08
+#:     10k - 20k      10      0.56 s    0.57 s   1.02
+#:     20k - 40k      28      2.68 s    2.30 s   0.86
+#:     40k - 100k     60     10.97 s    7.87 s   0.72
+#:     100k and up    84     27.24 s   18.33 s   0.67
 _MIN_FORK_WORK = 20_000
 
 # A coordinate step moves each lane's pair (V, W) along one axis e_i by the
@@ -282,10 +289,12 @@ class Search(NamedTuple):
 class SearchGroup(NamedTuple):
     """Searches that share one norm evaluator.
 
-    ``evaluate(X, counts)`` returns the norms of the rows of ``X``: the
-    first ``counts[0]`` rows under the norm of ``searches[0]``, the next
-    ``counts[1]`` under that of ``searches[1]``, and so on (a count may be 0).
-    It must be row-independent: the norm of a row has the same bits whatever
+    ``evaluate(A, counts)`` takes a block ``A`` of shape ``(k, lanes, dim)``,
+    ``k`` rows per lane, whose lanes belong to the searches in order: the
+    first ``counts[0]`` lanes to ``searches[0]``, the next ``counts[1]`` to
+    ``searches[1]``, and so on (a count may be 0).  It returns the ``(k,
+    lanes)`` norms, each lane's rows under the norm of its own search.  It
+    must be row-independent: the norm of a row has the same bits whatever
     the other rows of the call, and however many there are.
     """
 
@@ -294,8 +303,13 @@ class SearchGroup(NamedTuple):
 
 
 def single_norm_group(norm_batch, search: Search) -> SearchGroup:
-    """A group of one search under a plain batched norm evaluator."""
-    return SearchGroup(lambda X, counts: norm_batch(X), [search])
+    """A group of one search under a plain batched norm evaluator, which
+    takes rows ``(m, dim)`` to their ``(m,)`` norms."""
+
+    def evaluate(A, counts):
+        return norm_batch(A.reshape(-1, A.shape[-1])).reshape(A.shape[:-1])
+
+    return SearchGroup(evaluate, [search])
 
 
 def _midpoint_gap(mid_norms, sep_norms):
@@ -494,22 +508,14 @@ def _layout(groups, blocks):
 
 def _group_norms(layout, A, asked):
     """Norms of the rows of ``A``, shape ``(k, lanes, dim)``: ``k`` rows per
-    lane, each group's lanes by its own evaluator.  Adds the rows asked of
-    each search to ``asked``, indexed by search position.
-
-    A group block goes to its evaluator as it lies, ``k`` slabs of lanes,
-    unless it holds several searches and ``k > 1``: each search's rows must
-    then be consecutive, so the block is copied lane by lane.
+    lane, each group's lanes by its own evaluator, which gets its block of
+    lanes as it lies.  Adds the rows asked of each search to ``asked``,
+    indexed by search position.
     """
-    k, _, dim = A.shape
+    k = len(A)
     out = np.empty(A.shape[:-1])
     for evaluate, a, b, counts, members in layout:
-        counts = [c * k for c in counts]
-        if k == 1 or len(members) == 1:
-            out[:, a:b] = evaluate(A[:, a:b].reshape(-1, dim), counts).reshape(k, b - a)
-        else:
-            rows = A[:, a:b].transpose(1, 0, 2).reshape(-1, dim)
-            out[:, a:b] = evaluate(rows, counts).reshape(b - a, k).T
+        out[:, a:b] = evaluate(A[:, a:b], counts)
         for lanes, rows in members:
             asked[lanes.position] += rows * k
     return out
@@ -625,6 +631,7 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
         pairs = pairs_buf[: 2 * _N_PAT * n_lanes * dim].reshape(-1, n_lanes, dim)
         mids, diffs = pairs[:_N_PAT], pairs[_N_PAT:]
         moves = _END_STEPS[:, None] * step
+        floor = eps_lane - FEASIBILITY_SLACK
         for i in range(dim):
             ends[:3] = V
             ends[3:] = W
@@ -649,21 +656,21 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
             pen[~ok] = np.inf
             # descent acceptance: best improving pattern per lane (fixed
             # tie-break through argmin keeps runs deterministic)
-            best_p = np.argmin(pen, axis=0)
+            best_p = pen.argmin(axis=0)
             min_pen = pen[best_p, lanes]
             acc = min_pen < best_pen
-            if np.any(acc):
+            if acc.any():
                 V[acc] = ends[_V_END[best_p[acc]], lanes[acc]]
                 W[acc] = ends[_W_END[best_p[acc]], lanes[acc]]
                 best_pen[acc] = min_pen[acc]
                 improved |= acc
             # feasible incumbent: any candidate meeting the separation may
             # update it, accepted or not
-            obj[~(ok & (sep >= eps_lane - FEASIBILITY_SLACK))] = np.inf
-            best_f = np.argmin(obj, axis=0)
+            obj[~(ok & (sep >= floor))] = np.inf
+            best_f = obj.argmin(axis=0)
             min_obj = obj[best_f, lanes]
             hit = min_obj < feas_obj
-            if np.any(hit):
+            if hit.any():
                 feas_obj[hit] = min_obj[hit]
                 feas_V[hit] = ends[_V_END[best_f[hit]], lanes[hit]]
                 feas_W[hit] = ends[_W_END[best_f[hit]], lanes[hit]]

@@ -71,6 +71,9 @@ _SUPPORT_BLOCK = 1 << 20
 #: smallest positive normal double; a norm below it has lost precision
 _TINY = float(np.finfo(float).tiny)
 
+#: the float64 dtype, a singleton that ``_columns`` compares by identity
+_FLOAT = np.dtype(float)
+
 
 def _sign_nonzero(x: np.ndarray) -> np.ndarray:
     s = np.sign(x)
@@ -78,15 +81,19 @@ def _sign_nonzero(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _columns(V) -> tuple[np.ndarray, tuple]:
+def _columns(V) -> tuple[np.ndarray, tuple | None]:
     """A batch of rows, shape ``(..., d)``, as its ``(d, m)`` transpose.
 
-    Also returns the batch shape ``(...)`` for ``_unbatch``.  A lone row is
-    doubled: numpy hands a product with one row or column to BLAS as a
-    matrix-vector product, whose last bits differ from the matrix product a
-    batch gets, so beside a twin a row's norm does not depend on the size of
-    its batch.
+    Also returns the batch shape ``(...)`` for ``_unbatch``, or ``None`` for
+    a 2-D float64 array of two or more rows, which is returned at once as
+    its transpose view (the search kernel's hot path).  Any other batch is
+    converted and flattened to rows, and a lone row is doubled: numpy hands
+    a product with one row or column to BLAS as a matrix-vector product,
+    whose last bits differ from the matrix product a batch gets, so beside a
+    twin a row's norm does not depend on the size of its batch.
     """
+    if type(V) is np.ndarray and V.ndim == 2 and V.dtype is _FLOAT and len(V) >= 2:
+        return V.T, None
     V = np.asarray(V, dtype=float)
     rows = V.reshape(-1, V.shape[-1])
     if len(rows) == 1:
@@ -94,22 +101,26 @@ def _columns(V) -> tuple[np.ndarray, tuple]:
     return rows.T, V.shape[:-1]
 
 
-def _unbatch(values: np.ndarray, shape: tuple):
+def _unbatch(values: np.ndarray, shape: tuple | None):
     # drops the twin of a lone row; [()] turns the 0-d result of a single
     # vector into a scalar
+    if shape is None:
+        return values
     return values[: math.prod(shape)].reshape(shape)[()]
 
 
 def _sum_columns(T: np.ndarray) -> np.ndarray:
-    """Column sums of a C-ordered ``(n, m)`` array, adding its rows in order.
+    """Sums over axis 0 of a C-ordered ``(n, ...)`` array, adding its rows
+    in order.
 
-    numpy adds the rows one after another when ``m >= 2`` but sums a single
-    column by its pairwise loop; that column gets a twin, so a column's sum
-    has the same bits alone as beside others.
+    numpy adds the rows one after another when a row has two or more
+    entries but sums a single column by its pairwise loop; that column gets
+    a twin, so a column's sum has the same bits alone as beside others.
     """
-    if T.shape[1] == 1:
-        return np.sum(np.repeat(T, 2, axis=1), axis=0)[:1]
-    return np.sum(T, axis=0)
+    if T.size == len(T) > 0:
+        pair = np.repeat(T.reshape(len(T), 1), 2, axis=1)
+        return np.add.reduce(pair, axis=0)[:1].reshape(T.shape[1:])
+    return np.add.reduce(T, axis=0)
 
 
 def _as_matrix(values, name) -> np.ndarray:
@@ -293,7 +304,7 @@ class WeightedLpNorm(NormSpec):
         A = np.abs(VT, order="C")
         w = self.weights[:, None]
         if self._r_is_inf:
-            return _unbatch(np.max(w * A, axis=0), shape)
+            return _unbatch(np.maximum.reduce(w * A, axis=0), shape)
         rf = self._rf
         return _unbatch(_sum_columns(w * A**rf) ** (1.0 / rf), shape)
 
@@ -353,7 +364,7 @@ class PolyhedralMaxNorm(NormSpec):
 
     def norm_batch(self, V) -> np.ndarray:
         VT, shape = _columns(V)
-        return _unbatch(np.max(np.abs(self.functionals @ VT), axis=0), shape)
+        return _unbatch(np.maximum.reduce(np.abs(self.functionals @ VT), axis=0), shape)
 
     def _make_dual(self) -> "PolytopeGaugeNorm":
         return PolytopeGaugeNorm(np.vstack([self.functionals, -self.functionals]))
@@ -551,7 +562,7 @@ class PolytopeGaugeNorm(NormSpec):
 
     def norm_batch(self, V) -> np.ndarray:
         VT, shape = _columns(V)
-        return _unbatch(np.max(self._facets @ VT, axis=0), shape)
+        return _unbatch(np.maximum.reduce(self._facets @ VT, axis=0), shape)
 
     def _make_dual(self) -> "PolyhedralMaxNorm":
         return PolyhedralMaxNorm(self.vertices)

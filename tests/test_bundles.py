@@ -1,13 +1,16 @@
 """Bundles over finite atomic measure spaces: sections, pointwise norms,
 weighted p-norms, module action, and fiber and section modulus curves."""
 
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundlelab import convexity
 from bundlelab.bundles import (
     Bundle,
     Fiber,
@@ -18,6 +21,7 @@ from bundlelab.bundles import (
     pointwise_norm,
     section_lp_norm,
     section_modulus_curve,
+    section_modulus_curves,
     section_norm_fn,
 )
 from bundlelab.convexity import SearchBudget
@@ -222,7 +226,7 @@ def test_section_norm_fn_matches_per_row_formula(p):
 @pytest.mark.parametrize("atoms", range(8, 13))
 def test_section_norms_are_row_independent(atoms, p):
     """With 8 or more atoms, a row's section norm has the same bits alone,
-    in a one-row segment, and inside a batch."""
+    as the one lane of an exponent in a block, and inside a batch."""
     rng = np.random.default_rng(atoms)
     shared = WeightedLpNorm(3, [1.0, 0.5])
     fibers = [Fiber(2, shared) if x % 3 == 0 else Fiber(1, WeightedLpNorm(2, [rng.uniform(0.5, 2.0)]))
@@ -234,9 +238,12 @@ def test_section_norms_are_row_independent(atoms, p):
     evaluate = _section_norms(b, [p, p])
     for i in range(len(X)):
         assert norm_batch(X[i : i + 1])[0] == full[i]
-        # row i alone in the first exponent's segment, the rest in the second
+        # row i alone in the first exponent's lane, the rest in the second;
+        # a second slab of the block holds the rows in reverse order
         rows = np.vstack([X[i : i + 1], np.delete(X, i, axis=0)])
-        assert evaluate(rows, [1, len(X) - 1])[0] == full[i]
+        assert evaluate(rows[None], [1, len(X) - 1])[0, 0] == full[i]
+        block = evaluate(np.stack([rows, rows[::-1]]), [1, len(X) - 1])
+        assert block[0, 0] == block[1, -1] == full[i]
 
 
 class TestModuleAction:
@@ -308,6 +315,78 @@ class TestSectionModulus:
         )
         target = np.array([1.0 - math.sqrt(1.0 - (e / 2.0) ** 2) for e in curve.epsilons])
         assert np.max(np.abs(curve.deltas - target)) <= 2e-3
+
+    # three bundles of total dimension 4, so that all their searches meet in
+    # one kernel call, each bundle's two exponents in one evaluator block
+    EPS = [0.5, 1.5, 2.0]
+    BUDGET = SearchBudget(restarts=4, iterations=40, min_step=1e-4)
+    EXPONENTS = [1.5, 3]
+
+    @staticmethod
+    def _block_bundles():
+        square = np.array([[1.0, 0.2], [0.1, 1.0], [-1.0, -0.2], [-0.1, -1.0]])
+        constant = Bundle(MeasureSpace(["a", "b"], [0.6, 1.7]),
+                          [Fiber(2, WeightedLpNorm(3, [1.0, 2.0]))] * 2)
+        with_zero = Bundle(MeasureSpace(["a", "b", "c"], [1.0, 0.5, 2.0]),
+                           [Fiber(2, InnerProductNorm([[2.0, 0.3], [0.3, 1.0]])), Fiber(0),
+                            Fiber(2, PolytopeGaugeNorm(square))])
+        mixed = Bundle(MeasureSpace(["a", "b"], [1.3, 0.8]),
+                       [Fiber(1, WeightedLpNorm(2, [1.3])),
+                        Fiber(3, PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3],
+                                                    [0.4, 0.0, 1.0], [1.0, 1.0, 1.0]]))])
+        return [constant, with_zero, mixed]
+
+    @staticmethod
+    def _curve_bits(curves) -> list:
+        """Raw and clamped deltas, witnesses and search counters of each curve."""
+        return [(c.raw_deltas.tobytes(), c.deltas.tobytes(),
+                 b"".join(v.tobytes() + w.tobytes() for v, w in c.witnesses), c.meta["search"])
+                for c in curves]
+
+    def test_multi_search_blocks_keep_every_bit(self, monkeypatch):
+        """Each bundle's exponents share one evaluator block.  Run in several
+        lockstep batches, split over a forked child, or one (bundle,
+        exponent) at a time, every curve has the same bits, and those bits
+        are pinned."""
+        bundles = self._block_bundles()
+        batches = []
+        search_batch = convexity._search_batch
+        monkeypatch.setattr(convexity, "_search_batch",
+                            lambda groups, batch, *args: batches.append(len(batch))
+                            or search_batch(groups, batch, *args))
+
+        def run():
+            curves = section_modulus_curves(bundles, self.EXPONENTS, self.EPS, self.BUDGET)
+            return [c for per_bundle in curves for c in per_bundle]
+
+        monkeypatch.setattr(convexity, "_worker_count", lambda: 1)
+        monkeypatch.setattr(convexity, "_MAX_LANE_COORDS", 500)
+        several = run()
+        # the section searches of one kernel call took several batches
+        assert len(batches) > 3 and max(batches) < len(bundles) * len(self.EXPONENTS)
+
+        monkeypatch.undo()
+        monkeypatch.setattr(convexity, "_worker_count", lambda: 2)
+        monkeypatch.setattr(convexity, "_MIN_FORK_WORK", 0)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        split = run()
+        assert len(forks) == 2  # one for the fiber searches, one for the sections
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        monkeypatch.undo()
+        alone = [section_modulus_curve(b, p, self.EPS, self.BUDGET)
+                 for b in bundles for p in self.EXPONENTS]
+        expected = self._curve_bits(alone)
+        assert self._curve_bits(several) == expected
+        assert self._curve_bits(split) == expected
+        assert any(c.meta["search"]["repaired"] for c in alone)
+        h = hashlib.sha256()
+        for raw, deltas, witnesses, _ in expected:
+            h.update(raw + deltas + witnesses)
+        assert h.hexdigest() == "d35bd6c0ecb1461961f578c21325c438f7eec8b4a5da9eb84150d81166b9fecb"
 
     def test_degenerate_bundle_rejected(self):
         space = MeasureSpace(["a"], [1.0])

@@ -469,6 +469,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "instance_cout" in err
 
+    def test_recipe_for_unselected_suite_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"suites": ["hilbert"], "recipes": {
+            "hilbert": {"instance_count": 1, "atom_range": [2, 2], "dim_range": [2, 2]},
+            "uc-lower": {"instance_count": 500}}})
+        assert main(["suite", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'uc-lower'" in err and "['hilbert']" in err
+        assert not (tmp_path / "r").exists()
+
     def test_reports_leave_out_search_counters(self, tmp_path):
         cfg = write_config(tmp_path, {"norm": self.NORM, "grid": [1.0],
                                       "budget": {"restarts": 4, "iterations": 5}})
@@ -506,3 +515,27 @@ def test_report_digests_runs_a_config_file(tmp_path, capsys):
     kept = tmp_path / "keep" / f"{name}-{'-'}-{'-'}".replace("/", "_")
     assert (kept / "dual_residuals.csv").is_file()
     assert line[4] == tool._load_workloads().output_digest(kept)
+
+
+def test_layer_bench_times_every_layer(tmp_path):
+    """One repeat of the per-layer harness on this checkout loaded twice, in
+    its own interpreter so that it can pin the BLAS pools before numpy
+    loads."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "layers.json"
+    subprocess.run([sys.executable, str(root / "tools" / "layer_bench.py"), "--checkout", str(root),
+                    "--checkout", str(root), "--repeats", "1", "--out", str(out)],
+                   check=True, capture_output=True, timeout=300)
+    report = json.loads(out.read_text())
+    layers = report["layers"]
+    kinds = ("inner_product", "weighted_lp", "polyhedral_max", "polytope_gauge")
+    assert set(layers) == {f"norm_batch.{k}.rows_{m}" for k in kinds for m in (2, 64, 1024)} | {
+        "section_evaluator", "search_batch", "repair"}
+    for timing in layers.values():
+        assert timing["repeats"] == 1 and len(timing["seconds_per_call"]) == 2
+        for stats in timing["seconds_per_call"]:
+            assert 0.0 < stats["q1"] == stats["median"] == stats["q3"] and stats["iqr"] == 0.0
+        [ratio] = timing["ratio_to_first"]
+        assert ratio["median"] > 0.0
+    assert report["checkouts"] == [str(root)] * 2
+    assert report["machine"]["blas_threads"] == "1" and report["machine"]["usable_cpus"] >= 1
