@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,7 +42,6 @@ __all__ = [
     "section_lp_norm",
     "module_action",
     "random_section",
-    "section_norm_fn",
     "section_modulus_curve",
     "section_modulus_curves",
     "parallelogram_residual",
@@ -331,20 +329,6 @@ def _exponent_norm(evaluate, j: int, n: int):
     return norm_batch
 
 
-def section_norm_fn(bundle: Bundle, p):
-    """Batched evaluator of the section-space norm on flattened coordinates.
-
-    Returns ``(norm_batch, total_dim, lift, unlift)`` where ``lift`` gives
-    a Section's flat vector ``coords`` and ``unlift`` is
-    ``Section.from_coords``.  Zero-dimensional fibers contribute no
-    coordinates.  ``norm_batch`` is the one-exponent case of the evaluator
-    the section modulus searches use.
-    """
-    norm_batch = _exponent_norm(_section_norms(bundle, [p]), 0, 1)
-    return (norm_batch, bundle.total_dimension, operator.attrgetter("coords"),
-            functools.partial(Section.from_coords, bundle))
-
-
 def section_modulus_curves(
     bundles: Sequence[Bundle],
     exponents,
@@ -361,8 +345,8 @@ def section_modulus_curves(
     per total dimension, where each bundle's exponents share its fiber norm
     evaluations.  Every curve of a bundle holds that bundle's fiber curves
     in ``meta["fiber_curves"]``, one per positive-dimensional fiber in atom
-    order.  Each curve equals the one ``section_modulus_curve`` gives for
-    its bundle and exponent alone.
+    order.  Each curve equals the one this function gives for its bundle
+    and exponent alone.
     """
     eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     budget = budget or DEFAULT_BUDGET
@@ -418,7 +402,6 @@ def section_modulus_curve(
     p,
     eps_grid=None,
     budget: SearchBudget | None = None,
-    fiber_budget: SearchBudget | None = None,
 ) -> ModulusCurve:
     """Modulus curve of the section-space norm for exponent p.
 
@@ -427,7 +410,7 @@ def section_modulus_curve(
     fiber curves are kept in ``meta["fiber_curves"]`` (see
     ``section_modulus_curves``).
     """
-    return section_modulus_curves([bundle], [p], eps_grid, budget, fiber_budget)[0][0]
+    return section_modulus_curves([bundle], [p], eps_grid, budget)[0][0]
 
 
 def parallelogram_residual(v: Section, w: Section) -> float:

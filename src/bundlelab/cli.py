@@ -197,7 +197,9 @@ def cmd_modulus(cfg: dict, args) -> int:
 def cmd_suite(cfg: dict, args) -> int:
     grid = _resolve_grid(cfg, args)
     seed = _seed(cfg, args, None)
-    budget = budget_from_config(cfg.get("budget")) if cfg.get("budget") else None
+    # an empty or absent budget keeps each suite's own
+    budget = cfg.get("budget")
+    budget = None if budget in (None, {}) else budget_from_config(budget)
     names = _config_value("suites", suite_names, cfg.get("suites", "all"))
     recipes = {}
     for name, rcfg in (cfg.get("recipes") or {}).items():

@@ -13,9 +13,7 @@ two differ where delta is steep: for a round norm at eps = 2,
 ``delta(2) - delta(2 - slack)`` is about ``sqrt(slack)`` (3.2e-5), and a
 weighted l^2 estimate there sits 2.25e-5 below ``delta(2)``.  The same
 kernel, with the objective ``1 - defect/4`` on the separation grid
-``[0.0]``, maximizes the parallelogram defect.  A separate coordinate ascent
-maximizes a linear functional on the unit sphere; it is the tests' oracle
-for dual and operator norms.
+``[0.0]``, maximizes the parallelogram defect.
 
 All searches are deterministic functions of their budget: starts come from
 seeded sphere samples plus structured pairs (axis, sign-pattern, polytope
@@ -67,7 +65,6 @@ __all__ = [
     "structured_pairs",
     "structured_pairs_for_fn",
     "parallelogram_defects",
-    "maximize_linear_on_sphere",
     "modulus_grid_estimate_2d",
 ]
 
@@ -834,48 +831,6 @@ def parallelogram_defects(specs: Sequence[NormSpec], budget: SearchBudget | None
             u = spec.unit(np.ones(1))
             out.append((0.0, (u, -u)))
     return out
-
-
-def maximize_linear_on_sphere(norm_batch, dim: int, coeffs, budget: SearchBudget | None = None):
-    """Multi-start maximization of <c, v> over the unit sphere.
-
-    The tests' independent oracle for dual and operator norms: derivative
-    -free coordinate ascent with projection, no closed forms involved.  A
-    ``pair_search`` objective must map into [0, 1], which for <c, v> would
-    take a bound on the very dual norm searched for.
-    """
-    budget = budget or SearchBudget(restarts=32, iterations=150)
-    c = np.asarray(coeffs, dtype=float)
-    rng = np.random.default_rng(budget.seed)
-    X = rng.standard_normal((budget.restarts, dim))
-    X[np.linalg.norm(X, axis=1) < 1e-12] = 1.0
-    pts = [row for row in _unit_rows(norm_batch, X)]
-    pts.extend(_unit_rows(norm_batch, np.eye(dim)))
-    pts.extend(_unit_rows(norm_batch, -np.eye(dim)))
-    V = _unit_rows(norm_batch, np.array(pts))
-    best = V @ c
-    step = np.full(len(V), budget.init_step)
-    for _ in range(budget.iterations):
-        improved = np.zeros(len(V), dtype=bool)
-        for i in range(dim):
-            for sgn in (1.0, -1.0):
-                cand = V.copy()
-                cand[:, i] += sgn * step
-                nc = norm_batch(cand)
-                ok = nc > 1e-12
-                cand = cand / np.where(ok, nc, 1.0)[:, None]
-                cand[~ok] = V[~ok]
-                val = cand @ c
-                acc = ok & (val > best)
-                if np.any(acc):
-                    V[acc] = cand[acc]
-                    best[acc] = val[acc]
-                    improved |= acc
-        step[~improved] *= 0.5
-        if np.all(step < budget.min_step):
-            break
-    j = int(np.argmax(best))
-    return float(best[j]), V[j].copy()
 
 
 # -- dense planar grid oracle ----------------------------------------------

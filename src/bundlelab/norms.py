@@ -19,10 +19,8 @@ its hull, and the polyhedral maximizer is the best-scoring row of its
 dual gauge's ``F``.  ``F`` is enumerated with numpy alone, from the
 hyperplanes through d linearly independent vertices, one from each of d
 antipodal pairs, and checked at construction against the gauge's defining
-linear program solved over its basic solutions.  The LP itself
-(``PolytopeGaugeNorm._norm_lp``, with scipy's HiGHS, imported on first
-use) is only a test oracle, so building and evaluating norms never loads
-scipy.
+linear program solved over its basic solutions.  No library code solves
+the LP itself; only the tests' oracle does (``tests/oracles.py``).
 
 Batched kernels are coordinate-major: ``norm_batch`` takes rows of shape
 ``(..., d)`` but works on the ``(d, m)`` transpose and reduces over axis 0,
@@ -386,6 +384,9 @@ class PolyhedralMaxNorm(NormSpec):
         return [self.functionals]
 
 
+# No library code calls this.  ``perfbench/tracer.py`` reads ``norms.linprog``
+# by attribute on every traced run, so it stays until the tracer drops that
+# lookup; then it goes too.
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call."""
     from scipy.optimize import linprog as solve
@@ -490,8 +491,8 @@ class PolytopeGaugeNorm(NormSpec):
     same antipodal pairs and bases, but solve their own systems; a vertex
     lost while pairing is caught by the listed vertices, each of which must
     have gauge at most 1 under the facet form.  The LP itself (minimal
-    t >= 0 with v inside t times the hull, ``_norm_lp``) is the oracle of
-    the tests.
+    t >= 0 with v inside t times the hull) is solved only by the tests'
+    oracle, ``tests/oracles.py``.
     """
 
     kind = "polytope_gauge"
@@ -532,29 +533,6 @@ class PolytopeGaugeNorm(NormSpec):
                 f"a listed vertex has gauge {worst!r} under the facet form, "
                 f"which misses part of the hull"
             )
-
-    def _norm_lp(self, P):
-        """Gauges of the rows of ``P``, shape ``(..., d)`` -> ``(...)``, from
-        the defining LP; a single ``(d,)`` vector gives a scalar.
-
-        All rows are solved as one block-diagonal LP: minimize the sum of
-        ``1' lam_k`` subject to ``V' lam_k = p_k``, ``lam_k >= 0``.  The
-        blocks share no variable, so each block of the optimum is optimal
-        for its own row, and a row's gauge is the sum of its block.
-        """
-        P = np.asarray(P, dtype=float)
-        rows = P.reshape(-1, self.dimension)
-        m, k = len(rows), self.vertices.shape[0]
-        res = linprog(
-            np.ones(m * k),
-            A_eq=np.kron(np.eye(m), self.vertices.T),
-            b_eq=rows.ravel(),
-            bounds=(0, None),
-            method="highs",
-        )
-        if res.status != 0:
-            raise RuntimeError(f"gauge LP failed with status {res.status}")
-        return _unbatch(res.x.reshape(m, k).sum(axis=1), P.shape[:-1])
 
     def norm(self, v) -> float:
         v = self._check_vec(v)

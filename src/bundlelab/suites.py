@@ -275,18 +275,18 @@ def _live_bundles(recipe):
 
 
 def suite_convexity_upper(recipe=None, eps_grid=None,
-                          budget: SearchBudget | None = None,
-                          fiber_budget: SearchBudget | None = None) -> list[TheoremReport]:
+                          budget: SearchBudget | None = None) -> list[TheoremReport]:
     """The section-space modulus never exceeds the worst fiber modulus
     (up to the paired-optimizer tolerance 2e-3), for every exponent.  The
     fiber floor comes from the fiber curves the section search was seeded
-    from (``meta["fiber_curves"]``), so no fiber is searched twice."""
+    from (``meta["fiber_curves"]``), so no fiber is searched twice.
+    ``budget`` sets the section searches; fibers are searched under
+    ``SUITE_BUDGET``."""
     recipe = recipe or default_recipe("uc-upper")
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or SUITE_BUDGET
-    fiber_budget = fiber_budget or SUITE_BUDGET
     bundles, live = _live_bundles(recipe)
-    curves = iter(section_modulus_curves(live, recipe.exponents, eps, budget, fiber_budget))
+    curves = iter(section_modulus_curves(live, recipe.exponents, eps, budget, SUITE_BUDGET))
     reports = []
     for bundle in bundles:
         inst = bundle_digest(bundle)
@@ -312,19 +312,18 @@ def suite_convexity_upper(recipe=None, eps_grid=None,
 
 
 def suite_convexity_lower(recipe=None, eps_grid=None,
-                          budget: SearchBudget | None = None,
-                          fiber_budget: SearchBudget | None = None) -> list[TheoremReport]:
+                          budget: SearchBudget | None = None) -> list[TheoremReport]:
     """Qualitative transfer of uniform convexity: when every fiber keeps a
     macroscopic modulus at one fifth of the separation, the section-space
     estimate stays above the optimizer floor.  No explicit transfer function
-    is available, so only the implication is asserted."""
+    is available, so only the implication is asserted.  ``budget`` sets the
+    section searches; fibers are searched under ``SUITE_BUDGET``."""
     recipe = recipe or default_recipe("uc-lower")
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or SUITE_BUDGET
-    fiber_budget = fiber_budget or SUITE_BUDGET
     bundles, live = _live_bundles(recipe)
-    floors_fifth = iter(_fiber_floors_raw(live, eps / 5.0, fiber_budget))
-    curves = iter(section_modulus_curves(live, recipe.exponents, eps, budget, fiber_budget))
+    floors_fifth = iter(_fiber_floors_raw(live, eps / 5.0, SUITE_BUDGET))
+    curves = iter(section_modulus_curves(live, recipe.exponents, eps, budget, SUITE_BUDGET))
     reports = []
     for bundle in bundles:
         inst = bundle_digest(bundle)

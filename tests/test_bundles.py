@@ -22,7 +22,6 @@ from bundlelab.bundles import (
     section_lp_norm,
     section_modulus_curve,
     section_modulus_curves,
-    section_norm_fn,
 )
 from bundlelab.convexity import SearchBudget
 from bundlelab.measure import MeasureSpace, ScalarField
@@ -32,6 +31,8 @@ from bundlelab.norms import (
     PolytopeGaugeNorm,
     WeightedLpNorm,
 )
+
+from oracles import section_norm_batch
 
 
 def euclid(dim=2):
@@ -207,12 +208,12 @@ def test_section_norm_fn_matches_per_row_formula(p):
             Fiber(2, PolytopeGaugeNorm(square)),
         ],
     )
-    norm_batch, total, _, unlift = section_norm_fn(b, p)
-    X = np.random.default_rng(4).standard_normal((31, total))
+    norm_batch = section_norm_batch(b, p)
+    X = np.random.default_rng(4).standard_normal((31, b.total_dimension))
     live = [x for x, f in enumerate(b.fibers) if f.dimension]
     want = []
     for row in X:
-        v = unlift(row)
+        v = Section.from_coords(b, row)
         n = {x: b.fibers[x].norm.norm(v.vectors[x]) for x in live}
         if p == math.inf:
             want.append(max(n.values()))
@@ -232,8 +233,8 @@ def test_section_norms_are_row_independent(atoms, p):
     fibers = [Fiber(2, shared) if x % 3 == 0 else Fiber(1, WeightedLpNorm(2, [rng.uniform(0.5, 2.0)]))
               for x in range(atoms)]
     b = Bundle(MeasureSpace([f"a{x}" for x in range(atoms)], rng.uniform(0.5, 2.0, atoms)), fibers)
-    norm_batch, total, _, _ = section_norm_fn(b, p)
-    X = rng.standard_normal((20, total))
+    norm_batch = section_norm_batch(b, p)
+    X = rng.standard_normal((20, b.total_dimension))
     full = norm_batch(X)
     evaluate = _section_norms(b, [p, p])
     for i in range(len(X)):
@@ -310,9 +311,9 @@ class TestRestriction:
 class TestSectionModulus:
     def test_constant_euclid_p2_matches_closed_form(self):
         b = two_atom_euclid((1.0, 2.0))
-        curve = section_modulus_curve(
-            b, 2, eps_grid=[0.5, 1.0, 1.5], budget=SearchBudget(restarts=4, iterations=20), fiber_budget=SearchBudget(restarts=10, iterations=50)
-        )
+        [[curve]] = section_modulus_curves(
+            [b], [2], [0.5, 1.0, 1.5], SearchBudget(restarts=4, iterations=20),
+            SearchBudget(restarts=10, iterations=50))
         target = np.array([1.0 - math.sqrt(1.0 - (e / 2.0) ** 2) for e in curve.epsilons])
         assert np.max(np.abs(curve.deltas - target)) <= 2e-3
 

@@ -450,12 +450,15 @@ class TestExitCodes:
                 "fibers": [{"dimension": 20, "norm": {"kind": "polyhedral_max",
                                                       "functionals": np.eye(20).tolist()}}]}}),
             ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"dim_range": [11, 11]}}}),
+            ("suite", {"suites": ["hilbert"], "budget": []}),
+            ("suite", {"suites": ["hilbert"], "budget": 0}),
         ],
         ids=["degenerate-bundle", "bad-p", "bad-norm", "bad-grid", "bad-seed",
              "bad-recipe-exponent", "bad-recipe-kind", "no-recipe-exponents", "bad-samples",
              "fractional-samples", "negative-samples", "zero-probes", "bool-probes",
              "suites-not-a-list", "bad-entry-p",
-             "gauge-too-large", "polyhedral-max-too-large", "recipe-too-large"],
+             "gauge-too-large", "polyhedral-max-too-large", "recipe-too-large",
+             "suite-budget-list", "suite-budget-zero"],
     )
     def test_config_value_errors_exit_two(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)

@@ -18,7 +18,6 @@ from bundlelab.bundles import (
     _exponent_norm,
     _section_norms,
     section_modulus_curve,
-    section_norm_fn,
 )
 from bundlelab.convexity import (
     DEFAULT_EPS_GRID,
@@ -26,7 +25,6 @@ from bundlelab.convexity import (
     Search,
     SearchBudget,
     SearchGroup,
-    maximize_linear_on_sphere,
     modulus_curve,
     modulus_curves,
     modulus_grid_estimate_2d,
@@ -43,6 +41,8 @@ from bundlelab.norms import (
     PolytopeGaugeNorm,
     WeightedLpNorm,
 )
+
+from oracles import maximize_linear_on_sphere, section_norm_batch
 
 TEST_BUDGET = SearchBudget(restarts=16, iterations=80)
 
@@ -376,7 +376,7 @@ class TestBatchedSearch:
         shared = Bundle(MeasureSpace(["a", "b", "c"], [0.7, 1.0, 1.4]),
                         [Fiber(1, line), Fiber(1, InnerProductNorm([[2.0]])), Fiber(1, line)])
         for bundle, exponents in ((mixed, [1.5, 2, 3, math.inf]), (shared, [2, math.inf])):
-            searches = [Search(structured_pairs_for_fn(section_norm_fn(bundle, p)[0], 3))
+            searches = [Search(structured_pairs_for_fn(section_norm_batch(bundle, p), 3))
                         for p in exponents]
             groups.append(SearchGroup(_section_norms(bundle, exponents), searches))
         return groups

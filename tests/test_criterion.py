@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlelab.bundles import Bundle, Fiber, Section, pointwise_norm, section_norm_fn
+from bundlelab.bundles import Bundle, Fiber, Section, pointwise_norm
 from bundlelab import criterion
 from bundlelab.criterion import (
     ENUMERATION_CAP,
@@ -29,6 +29,8 @@ from bundlelab.criterion import (
 )
 from bundlelab.measure import MeasureSpace
 from bundlelab.norms import InnerProductNorm, PolyhedralMaxNorm, PolytopeGaugeNorm, WeightedLpNorm
+
+from oracles import section_norm_batch
 
 
 def euclid(dim=2):
@@ -64,7 +66,7 @@ class TestNormCatalogue:
 
     def test_axiom_check_catches_non_homogeneous_fn(self):
         b = plane_bundle()
-        norm_batch = section_norm_fn(b, 2)[0]
+        norm_batch = section_norm_batch(b, 2)
         fake = AbstractModuleNorm(b, lambda X: norm_batch(X) + 1.0, "shifted")
         with pytest.raises(AssertionError, match="homogeneity"):
             fake.check_axioms()

@@ -15,9 +15,7 @@ from bundlelab.bundles import (
     Section,
     pointwise_norm,
     section_lp_norm,
-    section_norm_fn,
 )
-from bundlelab.convexity import maximize_linear_on_sphere
 from bundlelab.duality import (
     bidual_pointwise_norm,
     check_reflexivity_diagram,
@@ -29,6 +27,8 @@ from bundlelab.duality import (
 from bundlelab.generators import InstanceRecipe, instance_rng, random_bundle, random_section
 from bundlelab.measure import MeasureSpace, conjugate_exponent, lp_norm
 from bundlelab.norms import InnerProductNorm, WeightedLpNorm
+
+from oracles import maximize_linear_on_sphere, section_norm_batch
 
 
 def euclid(dim=2):
@@ -159,11 +159,11 @@ class TestOperatorNorm:
         b = wlp3_bundle()
         rng = np.random.default_rng(5)
         omega = Section(b.dual(), list(rng.standard_normal((3, 2))))
-        norm_batch, total, lift, _ = section_norm_fn(b, 2)
         coeffs = np.concatenate(
             [w * o for w, o in zip(b.space.weights, omega.vectors)]
         )
-        searched, _ = maximize_linear_on_sphere(norm_batch, total, coeffs)
+        searched, _ = maximize_linear_on_sphere(section_norm_batch(b, 2), b.total_dimension,
+                                                coeffs)
         closed = operator_norm(omega, 2)
         assert searched <= closed + 1e-9
         assert closed - searched <= 1e-6

