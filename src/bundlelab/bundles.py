@@ -288,6 +288,14 @@ def _lp_columns(per_atom: np.ndarray, weights: np.ndarray, p: float) -> np.ndarr
     return _sum_columns(weights * per_atom**p) ** (1.0 / p)
 
 
+def _section_lp_rows(bundle: Bundle, X: np.ndarray, p) -> np.ndarray:
+    """Section-space norms at exponent ``p`` of the flat rows ``X``, shape
+    ``(n, total)``, by the section evaluator's own route (``_atom_norms``
+    and ``_lp_columns``); a row's norm does not depend on its batch."""
+    return _lp_columns(_atom_norms(bundle)(X), bundle.space.weights[:, None],
+                       float(as_exponent(p)))
+
+
 def _section_norms(bundle: Bundle, exponents):
     """Section-space norms of one bundle at several exponents, as a
     ``SearchGroup`` evaluator: ``evaluate(A, counts)`` takes a block ``A``

@@ -9,6 +9,12 @@ operator norm of such a functional is computed in closed form from a
 constructed maximizer (per-atom norming directions with a Holder magnitude
 profile) and coincides with the weighted L^q norm of the pointwise-norm
 field.
+
+Pairings, maximizers and operator norms are computed on batches of flat
+coordinate rows ``(n, total)``, atom by atom (``_pairing_rows``,
+``_holder_rows``); ``pairing_field``, ``integrated_pairing``,
+``holder_maximizer`` and ``operator_norm`` are their one-row cases, so a
+section's values have the same bits alone as in any batch.
 """
 
 from __future__ import annotations
@@ -18,15 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import Bundle, Section, _same_bundle, pointwise_norm, random_section
+from .bundles import Bundle, Section, _same_bundle
 from .measure import ScalarField, as_exponent
+from .norms import _sum_columns
 
 __all__ = [
     "pairing_field",
     "integrated_pairing",
     "holder_maximizer",
     "operator_norm",
-    "bidual_pointwise_norm",
     "ReflexivityReport",
     "check_reflexivity_diagram",
 ]
@@ -40,42 +46,87 @@ def _duality_exponent(p):
     return p
 
 
+def _pairing_rows(bundle: Bundle, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Atomwise pairings of the flat rows ``A`` and ``B``, shape ``(n,
+    total)``, of sections of ``bundle`` and of its dual, in either order: the
+    ``(atoms, n)`` array of each row pair's pairing at each atom (0 on
+    zero-dimensional fibers).  A row's pairings do not depend on its batch."""
+    o = bundle.offsets
+    products = np.ascontiguousarray((A * B).T)
+    out = np.zeros((bundle.space.atom_count, len(A)))
+    for x in np.flatnonzero(bundle.dimensions):
+        out[x] = _sum_columns(products[o[x] : o[x + 1]])
+    return out
+
+
+def _integral(space, P: np.ndarray) -> np.ndarray:
+    """Integrals against the base measure of the columns of the ``(atoms,
+    n)`` array ``P``."""
+    return _sum_columns(space.weights[:, None] * P)
+
+
 def pairing_field(s: Section, t: Section) -> ScalarField:
     """Atomwise pairing <s(x), t(x)> of a section with a section of the dual
     bundle, in either order."""
     _same_bundle(s.bundle, t.bundle, "section and dual section live on different bundles")
-    values = np.array(
-        [float(np.dot(a, b)) if len(a) else 0.0 for a, b in zip(s.vectors, t.vectors)]
-    )
-    return ScalarField(s.bundle.space, values)
+    return ScalarField(s.bundle.space,
+                       _pairing_rows(s.bundle, s.coords[None], t.coords[None])[:, 0])
 
 
 def integrated_pairing(s: Section, t: Section) -> float:
     """Integral of the pairing field against the base measure."""
-    f = pairing_field(s, t)
-    return float(np.sum(s.bundle.space.weights * f.values))
+    return float(_integral(s.bundle.space, pairing_field(s, t).values[:, None])[0])
 
 
 # -- operator norm via the constructed maximizer ----------------------------
 
 
 def _holder_magnitudes(g: np.ndarray, weights: np.ndarray, t: float) -> np.ndarray:
-    """Magnitude profile c >= 0 maximizing sum(w c g) under sum(w c^t) = 1."""
-    top = float(np.max(g, initial=0.0))
-    if top <= 0.0:
-        return np.zeros_like(g)
+    """Magnitude profiles c >= 0 maximizing sum(w c g) under sum(w c^t) = 1,
+    one per column of the ``(atoms, n)`` array ``g >= 0`` (zero in a column
+    where g is zero)."""
+    top = np.max(g, axis=0, initial=0.0)
+    live = top > 0.0
     # the profile is invariant under positive scaling of g: rescale first so
     # powers of subnormal entries cannot underflow to 0/0
-    g = g / top
+    g = g / np.where(live, top, 1.0)
     tt = t / (t - 1.0)  # conjugate of the constraint exponent
-    c = g ** (tt - 1.0)
-    scale = float(np.sum(weights * g**tt)) ** (1.0 / t)
-    return c / scale
+    scale = _sum_columns(weights[:, None] * g**tt) ** (1.0 / t)
+    return g ** (tt - 1.0) / np.where(live, scale, 1.0)
+
+
+def _holder_rows(bundle: Bundle, S: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """Holder maximizers and operator norms of the flat rows ``S``, shape
+    ``(n, total)``, of sections of ``bundle`` acting on the p-integrable
+    sections of ``bundle.dual()``.
+
+    Returns the maximizers as flat rows ``(n, total)`` of ``bundle.dual()``
+    and the operator norms ``(n,)``, each norm the integrated pairing of its
+    row with its maximizer.  Each atom's fiber maximizers come from one
+    ``linear_maximizer_batch`` call for all rows, and a lone row gets a twin,
+    as in ``norms._columns``, so a row has the same bits alone as in any
+    batch.
+    """
+    p = _duality_exponent(p)
+    n = len(S)
+    if n == 1:
+        S = np.repeat(S, 2, axis=0)
+    target = bundle.dual()
+    o = bundle.offsets
+    g = np.zeros((bundle.space.atom_count, len(S)))
+    M = np.zeros(S.shape)
+    for x, f in enumerate(target.fibers):
+        if f.dimension:
+            values, M[:, o[x] : o[x + 1]] = f.norm.linear_maximizer_batch(S[:, o[x] : o[x + 1]])
+            g[x] = np.maximum(values, 0.0)
+    c = _holder_magnitudes(g, target.space.weights, float(p))
+    M *= np.repeat(c, bundle.dimensions, axis=0).T
+    return M[:n], _integral(bundle.space, _pairing_rows(bundle, S, M))[:n]
 
 
 def holder_maximizer(s: Section, p) -> Section:
     """Unit-norm section of ``s.bundle.dual()`` attaining the operator norm
-    of ``s``.
+    of ``s``: the one-row case of ``_holder_rows``.
 
     At each atom the direction is a vector of norm one in the dual fiber on
     which ``s(x)`` attains its own fiber norm; magnitudes follow the Holder
@@ -83,23 +134,12 @@ def holder_maximizer(s: Section, p) -> Section:
     norm one (when s is nonzero) and pairs with s to exactly the operator
     norm.
     """
-    p = _duality_exponent(p)
-    target = s.bundle.dual()
-    g = np.zeros(target.space.atom_count)
-    directions = []
-    for x, f in enumerate(target.fibers):
-        if f.dimension == 0:
-            directions.append(np.zeros(0))
-            continue
-        value, u = f.norm.linear_maximizer(s.vectors[x])
-        g[x] = max(value, 0.0)
-        directions.append(u)
-    c = _holder_magnitudes(g, target.space.weights, float(p))
-    return Section(target, [c[x] * directions[x] for x in range(len(directions))])
+    return Section.from_coords(s.bundle.dual(), _holder_rows(s.bundle, s.coords[None], p)[0][0])
 
 
 def operator_norm(s: Section, p) -> float:
-    """Norm of ``s`` acting on the p-integrable sections of ``s.bundle.dual()``.
+    """Norm of ``s`` acting on the p-integrable sections of ``s.bundle.dual()``:
+    the one-row case of ``_holder_rows``.
 
     Computed as the pairing against the constructed Holder maximizer; by
     the fiberwise attainment and the Holder equality this equals the
@@ -108,23 +148,7 @@ def operator_norm(s: Section, p) -> float:
     acts on sections, and through the bidual a section acts on dual
     sections, by the same call.
     """
-    return integrated_pairing(s, holder_maximizer(s, p))
-
-
-def bidual_pointwise_norm(v: Section) -> ScalarField:
-    """Norm of each fiber vector measured in the double-dual fiber norm.
-
-    The double dual is constructed honestly (dual of the dual kind), so the
-    comparison with :func:`pointwise_norm` is a genuine numeric check of
-    the fiberwise embedding being isometric.
-    """
-    values = np.empty(v.bundle.space.atom_count)
-    for x, f in enumerate(v.bundle.fibers):
-        if f.dimension == 0:
-            values[x] = 0.0
-        else:
-            values[x] = f.norm.dual().dual().norm(v.vectors[x])
-    return ScalarField(v.bundle.space, values)
+    return float(_holder_rows(s.bundle, s.coords[None], p)[1][0])
 
 
 # -- reflexivity diagram ------------------------------------------------------
@@ -160,13 +184,17 @@ def check_reflexivity_diagram(
     canonical identifications, and that the fiberwise bidual embedding is
     isometric.
 
-    Functionals are represented by sections of ``bundle.dual()``.  Route
-    one integrates the pointwise pairing field (``pairing_field``); route
-    two evaluates the section on the functional as one flat contraction of
-    the coordinate vectors, with each coordinate weighted by its atom, and
-    shares no code with the pairing field.  On a constant bundle the chain
-    through the shared constant fiber pairs the ``(atoms, d)`` coordinate
-    matrices in one contraction against the weights.
+    Functionals are represented by sections of ``bundle.dual()``.  All
+    samples are drawn at once, from the stream one ``random_section`` call
+    per section would read: a section, then a functional, per sample.  Route
+    one integrates the atomwise pairings (``_pairing_rows``); route two
+    evaluates each section on its functional as one flat contraction of the
+    coordinate vectors, with each coordinate weighted by its atom, and shares
+    no code with route one.  On a constant bundle the chain through the
+    shared constant fiber pairs the ``(atoms, d)`` coordinate matrices in one
+    contraction against the weights.  The bidual gap compares each atom's
+    ``norm_batch`` under ``f.norm.dual().dual()`` with the one under
+    ``f.norm``.
     """
     p = _duality_exponent(p)
     rng = np.random.default_rng(seed)
@@ -176,32 +204,31 @@ def check_reflexivity_diagram(
             ["degenerate bundle: zero-dimensional fibers, diagram holds vacuously"],
         )
 
-    max_pair = 0.0
-    max_norm_gap = 0.0
-    max_chain = 0.0
     constant = bundle.is_constant
     weights = bundle.space.weights
-    coord_weights = np.repeat(weights, bundle.dimensions)
-    dual = bundle.dual()
-    for _ in range(samples):
-        v = random_section(bundle, rng)
-        omega = random_section(dual, rng)
-        # route one: functional applied to the section
-        lhs = float(np.sum(weights * pairing_field(omega, v).values))
-        # route two: section evaluated on the functional's representative
-        rhs = float(np.dot(coord_weights * omega.coords, v.coords))
-        max_pair = max(max_pair, abs(lhs - rhs))
+    draws = rng.standard_normal((samples, 2, bundle.total_dimension))
+    V, omega = draws[:, 0], draws[:, 1]
+    # route one: functional applied to the section
+    lhs = _integral(bundle.space, _pairing_rows(bundle, omega, V))
+    # route two: section evaluated on the functional's representative
+    rhs = np.einsum("si,si->s", np.repeat(weights, bundle.dimensions) * omega, V)
+    max_pair = float(np.max(np.abs(lhs - rhs), initial=0.0))
 
-        gap = np.max(np.abs(bidual_pointwise_norm(v).values - pointwise_norm(v).values))
-        max_norm_gap = max(max_norm_gap, float(gap))
+    max_norm_gap = 0.0
+    o = bundle.offsets
+    for x, f in enumerate(bundle.fibers):
+        if f.dimension:
+            X = V[:, o[x] : o[x + 1]]
+            gap = np.abs(f.norm.dual().dual().norm_batch(X) - f.norm.norm_batch(X))
+            max_norm_gap = max(max_norm_gap, float(np.max(gap, initial=0.0)))
 
-        if constant:
-            # through the constant fiber: both sections as (atoms, d)
-            # matrices over the fixed space, contracted against the weights
-            shape = (bundle.space.atom_count, -1)
-            chain = float(np.einsum("x,xi,xi->", weights, omega.coords.reshape(shape),
-                                    v.coords.reshape(shape)))
-            max_chain = max(max_chain, abs(chain - lhs))
+    max_chain = 0.0
+    if constant:
+        # through the constant fiber: both sections as (atoms, d) matrices
+        # over the fixed space, contracted against the weights
+        shape = (samples, bundle.space.atom_count, bundle.fibers[0].dimension)
+        chain = np.einsum("x,sxi,sxi->s", weights, omega.reshape(shape), V.reshape(shape))
+        max_chain = float(np.max(np.abs(chain - lhs), initial=0.0))
 
     passed = max_pair <= PAIRING_TOL and max_norm_gap <= BIDUAL_NORM_TOL and (
         not constant or max_chain <= PAIRING_TOL

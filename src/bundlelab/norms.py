@@ -8,19 +8,23 @@ Four concrete kinds share one interface:
 * ``PolytopeGaugeNorm``: Minkowski gauge of a symmetric spanning polytope.
 
 Each kind knows its exact dual (``dual()``), can evaluate batches of
-vectors (``norm_batch``), produces a unit-sphere maximizer of any linear
-functional (``linear_maximizer``).  All evaluation is pure; instances
-are immutable by convention after construction.
+vectors (``norm_batch``), and produces unit-sphere maximizers of a batch of
+linear functionals (``linear_maximizer_batch``).  A single vector's norm
+has its own route (``norm``); ``unit`` and ``linear_maximizer`` are the
+one-row cases of the batched code, with the same bits.  All evaluation is
+pure; instances are immutable by convention after construction.
 
 Every kind evaluates in closed form.  The two polyhedral kinds are each
 other's duals, and each unit ball's vertices are the other's facet
 normals: the gauge norm is ``max(F v)`` over the facet matrix ``F`` of
-its hull, and the polyhedral maximizer is the best-scoring row of its
-dual gauge's ``F``.  ``F`` is enumerated with numpy alone, from the
-hyperplanes through d linearly independent vertices, one from each of d
-antipodal pairs, and checked at construction against the gauge's defining
-linear program solved over its basic solutions.  No library code solves
-the LP itself; only the tests' oracle does (``tests/oracles.py``).
+its hull, and both kinds' maximizers pick the best-scoring of unit
+candidates computed once per spec: the rows of the dual gauge's ``F`` for
+the polyhedral kind, the vertices scaled by their gauges for the gauge.
+``F`` is enumerated with numpy alone, from the hyperplanes through d
+linearly independent vertices, one from each of d antipodal pairs, and
+checked at construction against the gauge's defining linear program solved
+over its basic solutions.  No library code solves the LP itself; only the
+tests' oracle does (``tests/oracles.py``).
 
 Batched kernels are coordinate-major: ``norm_batch`` takes rows of shape
 ``(..., d)`` but works on the ``(d, m)`` transpose and reduces over axis 0,
@@ -32,6 +36,7 @@ instead of by numpy's pairwise unrolling, so their last bits can differ.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -65,9 +70,6 @@ _FACET_TOL = 1e-9
 
 #: elements of one block of the support test, bounding its working memory
 _SUPPORT_BLOCK = 1 << 20
-
-#: smallest positive normal double; a norm below it has lost precision
-_TINY = float(np.finfo(float).tiny)
 
 #: the float64 dtype, a singleton that ``_columns`` compares by identity
 _FLOAT = np.dtype(float)
@@ -161,17 +163,22 @@ class NormSpec:
     def unit(self, v) -> np.ndarray:
         """Projection of a nonzero vector onto the unit sphere."""
         arr = self._check_vec(v)
-        with np.errstate(over="ignore", under="ignore"):
-            n = self.norm(arr)
-        if not _TINY <= n < math.inf and np.any(arr) and np.all(np.isfinite(arr)):
-            # the norm under- or overflowed; it is positively homogeneous,
-            # so normalize the max-abs entry to 1 first
-            arr = arr / np.max(np.abs(arr))
-            n = self.norm(arr)
-        if n <= 0.0:
+        if not np.any(arr):
             raise ValueError("cannot normalize the zero vector")
-        u = arr / n
-        return u / self.norm(u)
+        return self._units(arr[None])[0]
+
+    def _units(self, X: np.ndarray) -> np.ndarray:
+        """The nonzero rows of X, shape ``(m, dimension)``, projected onto the
+        unit sphere.
+
+        Each row is first scaled by a power of two to a largest entry in
+        [0.5, 1): exact, and no norm of a subnormal or huge row under- or
+        overflows.  A row's bits do not depend on its batch.
+        """
+        _, e = np.frexp(np.abs(X).max(axis=1))
+        X = np.ldexp(X, -e[:, None])
+        U = X / self.norm_batch(X)[:, None]
+        return U / self.norm_batch(U)[:, None]
 
     # -- structure -------------------------------------------------------
 
@@ -184,18 +191,47 @@ class NormSpec:
         raise NotImplementedError
 
     def linear_maximizer(self, c) -> tuple[float, np.ndarray]:
-        """Maximize <c, v> over the unit ball.
+        """Maximize <c, v> over the unit ball: ``linear_maximizer_batch`` of
+        the one row ``c``, as ``(value, witness)``."""
+        values, witnesses = self.linear_maximizer_batch(self._check_vec(c)[None])
+        return float(values[0]), witnesses[0]
 
-        Returns ``(value, witness)`` where the witness lies on the unit
-        sphere (within 1e-9) and the value equals the dual norm of ``c``.
-        For ``c = 0`` the witness is an arbitrary unit vector.
+    def linear_maximizer_batch(self, C) -> tuple[np.ndarray, np.ndarray]:
+        """Maximize <c, v> over the unit ball for each row c of C, shape
+        ``(m, dimension)``.
+
+        Returns ``(values, witnesses)`` of shapes ``(m,)`` and ``(m,
+        dimension)``: each witness lies on the unit sphere (within 1e-9) and
+        each value, ``<c, witness>``, is the dual norm of ``c``.  A zero row
+        has value 0 at the first unit coordinate vector.  The kind's
+        ``_witnesses`` sees each row scaled by a power of two to a largest
+        entry in [0.5, 1), so subnormal and huge rows neither under- nor
+        overflow.  A lone row gets a twin, as in ``_columns``, so every row
+        has the same bits alone as in any batch.
         """
-        raise NotImplementedError
+        C = np.asarray(C, dtype=float)
+        if C.ndim != 2 or C.shape[1] != self.dimension:
+            raise ValueError(
+                f"rows of dimension {self.dimension} expected, got shape {C.shape}")
+        m = len(C)
+        if m == 1:
+            C = np.repeat(C, 2, axis=0)
+        live = C.any(axis=1)
+        _, e = np.frexp(np.abs(C).max(axis=1))
+        # zero rows get a stand-in row, and their answer below
+        U = self._witnesses(np.where(live[:, None], np.ldexp(C, -e[:, None]), 1.0))
+        values = _sum_columns(np.multiply(C.T, U.T, order="C"))
+        if not live.all():
+            U[~live] = self._units(np.eye(self.dimension)[:1])
+            values[~live] = 0.0
+        return values[:m], U[:m]
 
-    def _zero_covector_maximizer(self) -> tuple[float, np.ndarray]:
-        """``linear_maximizer``'s answer for ``c = 0``: value 0 at the first
-        unit coordinate vector."""
-        return 0.0, self.unit(np.eye(self.dimension)[0])
+    def _witnesses(self, S: np.ndarray) -> np.ndarray:
+        """Unit-sphere maximizers of <s, v> for the nonzero rows s of S, each
+        scaled to a largest entry in [0.5, 1).  The polyhedral kinds pick the
+        best-scoring of their unit candidates, ``_candidates``."""
+        P = self._candidates
+        return P[np.argmax(P @ S.T, axis=0)]
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -251,17 +287,8 @@ class InnerProductNorm(NormSpec):
         inv = np.linalg.inv(self.gram)
         return InnerProductNorm(0.5 * (inv + inv.T))
 
-    def linear_maximizer(self, c):
-        c = self._check_vec(c)
-        if not np.any(c):
-            return self._zero_covector_maximizer()
-        x = np.linalg.solve(self.gram, c)
-        if not _TINY <= np.max(np.abs(x)) < math.inf:
-            # the solve under- or overflowed; the witness is positively
-            # homogeneous in c, so solve for c scaled to max-abs 1
-            x = np.linalg.solve(self.gram, c / np.max(np.abs(c)))
-        witness = self.unit(x)
-        return float(c @ witness), witness
+    def _witnesses(self, S):
+        return self._units(np.linalg.solve(self.gram, S.T).T)
 
     def config_dict(self):
         return {"kind": self.kind, "gram": self.gram.tolist()}
@@ -314,24 +341,17 @@ class WeightedLpNorm(NormSpec):
         rq = conjugate_exponent(self.r)
         return WeightedLpNorm(rq, self.weights ** (1.0 - float(rq)))
 
-    def linear_maximizer(self, c):
-        c = self._check_vec(c)
-        if not np.any(c):
-            return self._zero_covector_maximizer()
+    def _witnesses(self, S):
+        if self._r_is_inf:
+            return self._units(_sign_nonzero(S) / self.weights)
         if self.r == 1:
-            j = int(np.argmax(np.abs(c) / self.weights))
-            u = np.zeros(self.dimension)
-            u[j] = _sign_nonzero(c[j : j + 1])[0] / self.weights[j]
-        elif self.r == math.inf:
-            u = _sign_nonzero(c) / self.weights
-        else:
-            # the maximizer is positively homogeneous in c: rescale first so
-            # powers of subnormal entries cannot underflow to zero
-            a = np.abs(c) / np.max(np.abs(c))
-            t = 1.0 / (self._rf - 1.0)
-            u = _sign_nonzero(c) * (a / self.weights) ** t
-        u = self.unit(u)
-        return float(c @ u), u
+            j = np.argmax(np.abs(S) / self.weights, axis=1)
+            rows = np.arange(len(S))
+            U = np.zeros_like(S)
+            U[rows, j] = _sign_nonzero(S[rows, j]) / self.weights[j]
+            return self._units(U)
+        t = 1.0 / (self._rf - 1.0)
+        return self._units(_sign_nonzero(S) * (np.abs(S) / self.weights) ** t)
 
     def config_dict(self):
         r = "inf" if self.r == math.inf else (
@@ -367,15 +387,11 @@ class PolyhedralMaxNorm(NormSpec):
     def _make_dual(self) -> "PolytopeGaugeNorm":
         return PolytopeGaugeNorm(np.vstack([self.functionals, -self.functionals]))
 
-    def linear_maximizer(self, c):
-        c = self._check_vec(c)
-        if not np.any(c):
-            return self._zero_covector_maximizer()
+    @functools.cached_property
+    def _candidates(self) -> np.ndarray:
         # the facet normals of conv(+-A), held by the dual gauge, are the
         # vertices of the unit ball {v : |A v| <= 1}
-        F = self.dual()._facets
-        u = self.unit(F[int(np.argmax(F @ c))])
-        return float(c @ u), u
+        return self._units(self.dual()._facets)
 
     def config_dict(self):
         return {"kind": self.kind, "functionals": self.functionals.tolist()}
@@ -545,15 +561,9 @@ class PolytopeGaugeNorm(NormSpec):
     def _make_dual(self) -> "PolyhedralMaxNorm":
         return PolyhedralMaxNorm(self.vertices)
 
-    def linear_maximizer(self, c):
-        c = self._check_vec(c)
-        if not np.any(c):
-            return self._zero_covector_maximizer()
-        scores = (self.vertices @ c) / self._vertex_gauges
-        j = int(np.argmax(scores))
-        u = self.vertices[j] / self._vertex_gauges[j]
-        u = u / self.norm_batch(u[None, :])[0]
-        return float(c @ u), u
+    @functools.cached_property
+    def _candidates(self) -> np.ndarray:
+        return self._units(self.vertices / self._vertex_gauges[:, None])
 
     def config_dict(self):
         return {"kind": self.kind, "vertices": self.vertices.tolist()}

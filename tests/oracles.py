@@ -7,12 +7,15 @@ with.  No library code calls them, so they live here, not under ``src/``.
   solved by scipy's HiGHS.
 * ``section_norm_batch``: the one-exponent section-space norm, as the
   section modulus searches evaluate it.
+* ``bidual_pointwise_norm``: a section's fiber norms in the double-dual
+  fiber norms, one single-vector ``norm`` call per atom.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 
 from bundlelab.bundles import _exponent_norm, _section_norms
+from bundlelab.measure import ScalarField
 from bundlelab.convexity import SearchBudget, _unit_rows
 
 
@@ -87,3 +90,12 @@ def section_norm_batch(bundle, p):
     ``(m, total)`` to ``(m,)``: the one-exponent case of the evaluator that
     the section modulus searches use."""
     return _exponent_norm(_section_norms(bundle, [p]), 0, 1)
+
+
+def bidual_pointwise_norm(v):
+    """Norm of each fiber vector of the section ``v`` measured in the
+    double-dual fiber norm, built honestly as the dual of the dual kind (0 on
+    zero-dimensional fibers)."""
+    values = [f.norm.dual().dual().norm(u) if f.dimension else 0.0
+              for f, u in zip(v.bundle.fibers, v.vectors)]
+    return ScalarField(v.bundle.space, values)

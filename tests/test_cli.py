@@ -14,7 +14,10 @@ import pytest
 
 from bundlelab import cli
 from bundlelab.cli import main
+from bundlelab.duality import operator_norm
+from bundlelab.generators import instance_rng, random_section
 from bundlelab.norms import InnerProductNorm
+from bundlelab.serialize import bundle_from_config
 
 SMALL_BUDGET = {"restarts": 16, "iterations": 80}
 
@@ -230,13 +233,13 @@ class TestDualCheck:
     def test_holder_attainment_fails_off_the_unit_sphere(self, tmp_path, monkeypatch):
         """A fiber maximizer 1% off the unit sphere gives a maximizing section
         of norm 1.01, which the explicit attainment row must report."""
-        exact = InnerProductNorm.linear_maximizer
+        exact = InnerProductNorm.linear_maximizer_batch
 
-        def scaled(self, c):
-            value, u = exact(self, c)
-            return value, 1.01 * u
+        def scaled(self, C):
+            values, U = exact(self, C)
+            return values, 1.01 * U
 
-        monkeypatch.setattr(InnerProductNorm, "linear_maximizer", scaled)
+        monkeypatch.setattr(InnerProductNorm, "linear_maximizer_batch", scaled)
         row = self._attainment_row(tmp_path, [[3.0], [4.0]], 1)
         assert (row[2], float(row[5]), row[8]) == ("explicit", 1.0, "false")
         assert float(row[6]) == pytest.approx(0.01, rel=1e-9)
@@ -244,6 +247,23 @@ class TestDualCheck:
     def test_holder_attainment_of_the_zero_functional(self, tmp_path):
         row = self._attainment_row(tmp_path, [[0.0], [0.0]], 0)
         assert (float(row[4]), float(row[5]), row[8]) == (0.0, 0.0, "true")
+
+    def test_sampled_rows_equal_the_one_section_operator_norms(self, tmp_path):
+        """Each sampled row's value is, bit for bit, ``operator_norm`` of the
+        section drawn for it by one ``random_section`` call per covector
+        field and per section."""
+        payload = {"bundle": PINNED_BUNDLE, "p": 3, "samples": 7, "seed": 4}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "reports"
+        assert main(["dual-check", "--config", cfg, "--out", str(out)]) == 0
+        rows = {(r[2], r[3]): float(r[4]) for r in read_csv(out / "dual_residuals.csv")[1:]}
+        bundle = bundle_from_config(PINNED_BUNDLE)
+        rng = instance_rng(4, 0, stream=5)
+        for s in range(7):
+            omega = random_section(bundle.dual(), rng)
+            v = random_section(bundle, rng)
+            assert rows[f"s{s}", "operator-norm-vs-dual-lq"] == operator_norm(omega, 3)
+            assert rows[f"s{s}", "swapped-operator-norm-vs-lp"] == operator_norm(v, 1.5)
 
     def test_exponent_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bundle": self.BUNDLE, "p": 1})
@@ -347,7 +367,10 @@ PINNED_BUNDLE = {
         ("dual-check", {"bundle": PINNED_BUNDLE, "p": 3, "samples": 6, "seed": 2,
                         "dual_section": [[1.0, -0.5], [0.25, 2.0], [1.5]],
                         "section": [[0.5, 1.0], [-1.0, 0.75], [2.0]]}, "dual_residuals.csv",
-         "799adaaa02db8c87f2fcccbbf1c92efb85d5a28fd5edc1d1bc998f04c25246b7"),
+         # retaken when dual-check's rows moved onto batches of flat rows:
+         # values within 2e-16 relative, references unchanged, residuals
+         # within 4.5e-16 absolute, every verdict unchanged
+         "46dfe25d026a5e7eddc81ad23ca140386ead8e8ca3c7328fadd4f5c535dc2a24"),
     ],
     ids=["criterion", "dual-check"],
 )
@@ -533,7 +556,8 @@ def test_layer_bench_times_every_layer(tmp_path):
     layers = report["layers"]
     kinds = ("inner_product", "weighted_lp", "polyhedral_max", "polytope_gauge")
     assert set(layers) == {f"norm_batch.{k}.rows_{m}" for k in kinds for m in (2, 64, 1024)} | {
-        "section_evaluator", "search_batch", "repair"}
+        f"linear_maximizer.{k}" for k in kinds} | {
+        "section_evaluator", "search_batch", "repair", "dual_check"}
     for timing in layers.values():
         assert timing["repeats"] == 1 and len(timing["seconds_per_call"]) == 2
         for stats in timing["seconds_per_call"]:

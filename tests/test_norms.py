@@ -359,6 +359,40 @@ def test_unit_and_maximizer_at_extreme_magnitudes(spec, magnitude):
         assert value == pytest.approx(float(v @ witness), rel=1e-12)
 
 
+def three_d_kinds():
+    return [
+        InnerProductNorm([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+        WeightedLpNorm("3/2", [1.0, 2.0, 0.5]),
+        PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+        PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]],
+                                     -np.eye(3), [[-1.0, -1.0, -0.5]]])),
+    ]
+
+
+@pytest.mark.parametrize("spec", extreme_magnitude_kinds() + three_d_kinds(),
+                         ids=lambda s: s.digest())
+def test_linear_maximizer_batch_is_row_independent(spec):
+    """Each row of a mixed batch (a zero row, rows at 1e-300 and 1e300,
+    ordinary rows) has the value and witness bits of its one-row call, also
+    in the reversed batch."""
+    rng = np.random.default_rng(31)
+    d = spec.dimension
+    C = np.vstack([np.zeros(d), 1e-300 * rng.standard_normal(d), rng.standard_normal((4, d)),
+                   1e300 * rng.standard_normal(d), rng.standard_normal((5, d))])
+    values, witnesses = spec.linear_maximizer_batch(C)
+    assert values.shape == (len(C),) and witnesses.shape == C.shape
+    for i, c in enumerate(C):
+        value, witness = spec.linear_maximizer(c)
+        assert np.float64(value).tobytes() == values[i].tobytes()
+        assert witness.tobytes() == witnesses[i].tobytes()
+        top = np.max(np.abs(c))
+        # the dual norm is homogeneous; scaled, its single-vector route cannot overflow
+        assert value == pytest.approx(top and top * spec.dual().norm(c / top), rel=1e-9)
+    back_values, back_witnesses = spec.linear_maximizer_batch(C[::-1])
+    assert back_values[::-1].tobytes() == values.tobytes()
+    assert back_witnesses[::-1].tobytes() == witnesses.tobytes()
+
+
 class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown norm kind"):

@@ -1,14 +1,16 @@
-"""Per-layer timings of the section-modulus search kernel.
+"""Per-layer timings of the section-modulus search kernel and of dual-check.
 
     python3 tools/layer_bench.py [--checkout DIR ...] [--repeats N] [--out FILE]
 
-Times four layers of the kernel that ``bundlelab suite`` runs for the
-section-modulus workload, on the ``src/`` of each ``--checkout`` (default:
-the checkout holding this script), in this process, with BLAS and OpenMP
-pools pinned to one thread:
+Times layers of the kernel that ``bundlelab suite`` runs for the
+section-modulus workload, and of ``bundlelab dual-check``, on the ``src/``
+of each ``--checkout`` (default: the checkout holding this script), in this
+process, with BLAS and OpenMP pools pinned to one thread:
 
 * ``norm_batch.<kind>.rows_<m>``: one ``norm_batch`` call of each norm kind
   (dimension 3) on ``m`` rows, for three row counts;
+* ``linear_maximizer.<kind>``: one single-vector ``linear_maximizer`` call
+  of each norm kind (dimension 3);
 * ``section_evaluator``: the section-space evaluator of a fixed 3-atom
   bundle (total dimension 9) at exponents 1.5 and 3, as the kernel calls it:
   one ``convexity._group_norms`` call on a 16-slab block (the midpoints and
@@ -17,13 +19,18 @@ pools pinned to one thread:
   searches under the workload's budget (4 restarts, 20 iterations, grid
   1, 2);
 * ``repair``: one ``convexity._repair_separation_batch`` of 64 lanes under
-  the bundle's exponent-1.5 norm.
+  the bundle's exponent-1.5 norm;
+* ``dual_check``: one warm in-process ``cli.main`` run of ``dual-check`` on
+  config 0 of the benchmark's duality-sampled workload (seed 0), writing
+  its reports to a temporary directory.
 
 Each checkout's package is imported under its own module name, so that
-several checkouts load side by side.  A repeat times every layer of every
-checkout in turn (in reverse checkout order on odd repeats), each over the
-same number of calls, sized to take about 20 ms; a machine whose speed
-drifts over minutes then moves every checkout alike.  The JSON written to
+several checkouts load side by side.  Every layer of every checkout is
+called once untimed, so lazy set-up stays out of the timings.  A repeat
+times every layer of every checkout in turn (in reverse checkout order on
+odd repeats), each over the same number of calls, sized to take about
+20 ms; a machine whose speed drifts over minutes then moves every checkout
+alike.  The JSON written to
 ``--out`` (default: standard output) holds, per layer and checkout, the
 median, the quartiles and the interquartile range of the seconds per call
 over the repeats; with two or more checkouts, also the quartiles of each
@@ -45,6 +52,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -85,8 +93,20 @@ def _section_group(bl):
     return bl.convexity.SearchGroup(evaluate, searches)
 
 
-def _layers(bl) -> dict:
-    """Name -> zero-argument callable of every timed layer."""
+def _dual_check_config(workdir: Path) -> Path:
+    """Config 0 (seed 0) of the benchmark's duality-sampled workload, written
+    to ``workdir``."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = workdir / "dual_check.json"
+    path.write_text(json.dumps(workloads.WORKLOADS["duality-sampled"].config(0, 0)))
+    return path
+
+
+def _layers(bl, config: Path, out: Path) -> dict:
+    """Name -> zero-argument callable of every timed layer; ``dual_check``
+    reads ``config`` and writes to ``out``."""
     cv = bl.convexity
     rng = np.random.default_rng(0)
     layers = {}
@@ -94,6 +114,8 @@ def _layers(bl) -> dict:
         for m in ROW_COUNTS:
             rows = rng.standard_normal((m, 3))
             layers[f"norm_batch.{kind}.rows_{m}"] = lambda spec=spec, rows=rows: spec.norm_batch(rows)
+        c = rng.standard_normal(3)
+        layers[f"linear_maximizer.{kind}"] = lambda spec=spec, c=c: spec.linear_maximizer(c)
 
     group = _section_group(bl)
     lanes = [cv._Lanes(j, 0, j, np.zeros(34, dtype=int)) for j in range(2)]
@@ -115,6 +137,9 @@ def _layers(bl) -> dict:
     W = cv._unit_rows(norm, rng.standard_normal((64, 9)))
     sep = np.full(64, 1.5)
     layers["repair"] = lambda: cv._repair_separation_batch(norm, V, W, sep)
+
+    argv = ["dual-check", "--config", str(config), "--out", str(out)]
+    layers["dual_check"] = lambda: bl.cli.main(argv)
     return layers
 
 
@@ -126,7 +151,7 @@ def _load(checkout: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("bundles", "convexity", "measure", "norms"):
+    for sub in ("bundles", "cli", "convexity", "measure", "norms"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -144,6 +169,10 @@ def _time(layer_sets: list, repeats: int) -> dict:
     samples = {name: [[] for _ in layer_sets] for name in names}
     number = {}
     for name in names:
+        # first calls run lazy set-up (a polyhedral norm's dual, a run's
+        # caches), which the timings leave out
+        for layers in layer_sets[1:]:
+            layers[name]()
         t0 = time.perf_counter()
         layer_sets[0][name]()
         number[name] = max(1, int(TARGET_S / max(time.perf_counter() - t0, 1e-7)))
@@ -188,9 +217,12 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     checkouts = args.checkout or [ROOT]
-    layer_sets = [_layers(_load(c, f"bundlelab_{k}")) for k, c in enumerate(checkouts)]
-    report = {"checkouts": [str(c.resolve()) for c in checkouts], "machine": _machine(),
-              "layers": _time(layer_sets, args.repeats)}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _dual_check_config(Path(tmp))
+        layer_sets = [_layers(_load(c, f"bundlelab_{k}"), config, Path(tmp) / f"out_{k}")
+                      for k, c in enumerate(checkouts)]
+        report = {"checkouts": [str(c.resolve()) for c in checkouts], "machine": _machine(),
+                  "layers": _time(layer_sets, args.repeats)}
     text = json.dumps(report, indent=1)
     if args.out is None:
         print(text)
