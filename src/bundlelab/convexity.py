@@ -22,8 +22,9 @@ Restart lanes are vectorized: a coordinate step normalizes six endpoints
 per lane and evaluates the midpoints and differences of the eight move
 patterns built from them, 22 norm rows per lane.  ``pair_search`` runs many
 searches of one dimension in lockstep: each search owns a block of lanes
-that its own norm evaluator handles, and leaves the batch once all its
-lanes have converged.  Every evaluator must be row-independent (a row's
+that its own norm evaluator handles.  A lane leaves the batch once it has
+converged, keeping its best feasible pair, and a search is done when its
+last lane has left.  Every evaluator must be row-independent (a row's
 norm has the same bits whatever the other rows of the call and however
 many); since every other step is per lane, a search then gives the same
 bits in any batch as alone.  A call with enough work also splits its
@@ -187,7 +188,7 @@ def structured_pairs(spec: NormSpec) -> list:
     if isinstance(spec, PolytopeGaugeNorm):
         verts = spec.vertices
     elif isinstance(spec, PolyhedralMaxNorm) and spec.dimension == 2:
-        verts = _polyhedral_ball_vertices_2d(spec)
+        verts = spec._candidates
     if verts is not None and len(verts) >= 2:
         V = _unit_rows(spec.norm_batch, np.asarray(verts, dtype=float))
         for i in range(len(V)):
@@ -196,23 +197,6 @@ def structured_pairs(spec: NormSpec) -> list:
                 if len(pairs) >= _MAX_EXTRA_PAIRS:
                     return pairs[:_MAX_EXTRA_PAIRS]
     return pairs[:_MAX_EXTRA_PAIRS]
-
-
-def _polyhedral_ball_vertices_2d(spec: PolyhedralMaxNorm) -> np.ndarray:
-    """Vertices of the planar unit ball {v : max_i |<a_i, v>| <= 1}."""
-    A = spec.functionals
-    pts = []
-    for i in range(len(A)):
-        for j in range(i + 1, len(A)):
-            M = np.array([A[i], A[j]])
-            if abs(np.linalg.det(M)) < 1e-12:
-                continue
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    x = np.linalg.solve(M, np.array([si, sj]))
-                    if abs(spec.norm(x) - 1.0) <= 1e-9:
-                        pts.append(x)
-    return np.array(pts) if pts else np.empty((0, 2))
 
 
 # -- core pair search ------------------------------------------------------
@@ -340,11 +324,14 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     Searches run in lockstep batches of at most ``_MAX_LANE_COORDS`` lane
     coordinates (a larger search runs alone).  Each search owns a contiguous
     block of lanes, which its group's evaluator handles together with the
-    blocks of the group's other searches in the batch, and leaves the batch
-    once all its lanes have step below ``budget.min_step``.  Every step
-    other than the evaluator is per lane, so a search gives the same bits
-    in any batch as alone, provided every evaluator is row-independent (see
-    ``SearchGroup``).
+    blocks of the group's other searches in the batch.  A lane retires at
+    the end of the iteration in which its step falls below
+    ``budget.min_step``: it is compacted out of the batch and keeps its
+    feasible incumbent, and the repair of a lane without one starts from
+    its last pair.  A search is done when its last lane retires, which sets
+    its ``iterations``.  Every step other than the evaluator is per lane, so
+    a search gives the same bits in any batch as alone, provided every
+    evaluator is row-independent (see ``SearchGroup``).
 
     The searches are split into contiguous parts of about equal lane
     coordinates, one per worker (``_worker_count``), each batched as above;
@@ -560,64 +547,71 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
     rho = budget.penalty
     asked = [0] * len(batch)
     V, W, searches = _start_lanes(groups, batch, dim, eps_values, budget, X, Y, asked)
-    live = searches
-    layout = _layout(groups, [(s, len(s.eps_idx)) for s in live])
+    counts = [len(s.eps_idx) for s in searches]
+    layout = _layout(groups, list(zip(searches, counts)))
 
     def lane_norms(R):
         return _group_norms(layout, R[None], asked)[0]
 
     V = _unit_rows(lane_norms, V)
     W = _unit_rows(lane_norms, W)
-    eps_lane = eps_values[np.concatenate([s.eps_idx for s in live])]
-    step = np.full(len(eps_lane), budget.init_step)
+    batch_eps = eps_values[np.concatenate([s.eps_idx for s in searches])]
+    step = np.full(len(batch_eps), budget.init_step)
 
     mid0, sep0 = _group_norms(layout, np.stack([(V + W) * 0.5, V - W]), asked)
     obj0 = objective(mid0, sep0)
-    best_pen = obj0 + rho * np.maximum(0.0, eps_lane - sep0)
-    feas_obj = np.where(sep0 >= eps_lane - FEASIBILITY_SLACK, obj0, np.inf)
+    best_pen = obj0 + rho * np.maximum(0.0, batch_eps - sep0)
+    # indexed by batch lane, live or retired: the feasible incumbent, or for
+    # a retired lane without one, its last pair, from which the repair starts
+    feas_obj = np.where(sep0 >= batch_eps - FEASIBILITY_SLACK, obj0, np.inf)
     feas_V = V.copy()
     feas_W = W.copy()
+    stops = np.cumsum(counts)
+    slices = [slice(int(b - n), int(b)) for n, b in zip(counts, stops)]
+    owner = np.repeat(np.arange(len(searches)), counts)
+    left = np.array(counts)  # live lanes per search
+    at = np.arange(len(batch_eps))  # batch lane of each live lane
+    eps_lane = batch_eps  # separation of each live lane
+    live = list(range(len(searches)))
     results = [None] * len(searches)
 
     def finish(done, iterations):
-        """Record the results of the searches ``done``, (lanes, slice) pairs."""
+        """Record the results of the searches at positions ``done``."""
         # lanes that never produced a feasible pair get repaired by pushing one
         # endpoint toward the antipode of the other (always reaches separation 2)
-        broken = [sl.start + np.nonzero(~np.isfinite(feas_obj[sl]))[0] for _, sl in done]
+        broken = [slices[k].start + np.nonzero(~np.isfinite(feas_obj[slices[k]]))[0]
+                  for k in done]
         idx = np.concatenate(broken)
         if len(idx):
-            repair_layout = _layout(groups, [(s, len(b)) for (s, _), b in zip(done, broken)])
+            repair_layout = _layout(groups, [(searches[k], len(b)) for k, b in zip(done, broken)])
 
             def norm_batch(R):
                 return _group_norms(repair_layout, R[None], asked)[0]
 
-            fixed = _repair_separation_batch(norm_batch, V[idx], W[idx], eps_lane[idx])
-            feas_V[idx] = V[idx]
+            last_V = feas_V[idx]
+            fixed = _repair_separation_batch(norm_batch, last_V, feas_W[idx], batch_eps[idx])
             feas_W[idx] = fixed
-            mid = norm_batch((V[idx] + fixed) * 0.5)
-            sep = None if objective is _midpoint_gap else norm_batch(V[idx] - fixed)
+            mid = norm_batch((last_V + fixed) * 0.5)
+            sep = None if objective is _midpoint_gap else norm_batch(last_V - fixed)
             feas_obj[idx] = objective(mid, sep)
-        for (s, sl), b in zip(done, broken):
+        for k, b in zip(done, broken):
+            s, sl = searches[k], slices[k]
             objs, fV, fW = feas_obj[sl], feas_V[sl], feas_W[sl]
             raw = np.empty(n_eps)
             witnesses = []
             for e in range(n_eps):
-                at = np.nonzero(s.eps_idx == e)[0]
-                j = at[int(np.argmin(objs[at]))]
+                of_e = np.nonzero(s.eps_idx == e)[0]
+                j = of_e[int(np.argmin(objs[of_e]))]
                 raw[e] = min(max(objs[j], 0.0), 1.0)
                 witnesses.append((fV[j].copy(), fW[j].copy()))
             counters = {"iterations": iterations, "lanes": len(s.eps_idx),
-                        "repaired": len(b), "rows": asked[s.position]}
-            results[s.position] = (raw, witnesses, counters)
-
-    def lane_slices():
-        stops = np.cumsum([len(s.eps_idx) for s in live])
-        return [slice(int(b - len(s.eps_idx)), int(b)) for s, b in zip(live, stops)]
+                        "repaired": len(b), "rows": asked[k]}
+            results[k] = (raw, witnesses, counters)
 
     # endpoint-major: slab e holds endpoint e of every lane, so the pair
     # arithmetic runs over whole slabs; then the midpoints and the
     # differences of the pattern pairs.  Both live in buffers that a batch
-    # allocates once and views in a shorter prefix as searches leave it.
+    # allocates once and views in a shorter prefix as lanes retire.
     ends_buf = np.empty(len(_END_STEPS) * len(eps_lane) * dim)
     pairs_buf = np.empty(2 * _N_PAT * len(eps_lane) * dim)
     for it in range(budget.iterations):
@@ -666,29 +660,34 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
             obj[~(ok & (sep >= floor))] = np.inf
             best_f = obj.argmin(axis=0)
             min_obj = obj[best_f, lanes]
-            hit = min_obj < feas_obj
+            hit = min_obj < feas_obj[at]
             if hit.any():
-                feas_obj[hit] = min_obj[hit]
-                feas_V[hit] = ends[_V_END[best_f[hit]], lanes[hit]]
-                feas_W[hit] = ends[_W_END[best_f[hit]], lanes[hit]]
+                j = at[hit]
+                feas_obj[j] = min_obj[hit]
+                feas_V[j] = ends[_V_END[best_f[hit]], lanes[hit]]
+                feas_W[j] = ends[_W_END[best_f[hit]], lanes[hit]]
         step[~improved] *= 0.5
 
-        # a search whose lanes all have step below min_step is done: record
-        # its result and compact its lanes out of the batch
-        slices = lane_slices()
-        done = np.logical_and.reduceat(step < budget.min_step, [sl.start for sl in slices])
-        if np.any(done):
-            finish([(s, sl) for s, sl, d in zip(live, slices, done) if d], it + 1)
-            keep = np.repeat(~done, [len(s.eps_idx) for s in live])
-            V, W, step, eps_lane = V[keep], W[keep], step[keep], eps_lane[keep]
-            best_pen, feas_obj = best_pen[keep], feas_obj[keep]
-            feas_V, feas_W = feas_V[keep], feas_W[keep]
-            live = [s for s, d in zip(live, done) if not d]
+        # a lane whose step fell below min_step, or that used the last
+        # iteration, retires: it leaves the batch with its feasible incumbent,
+        # or with its last pair when it has none.  A search whose last lane
+        # retired is done: record its result
+        gone = (step < budget.min_step) | (it + 1 == budget.iterations)
+        if gone.any():
+            out = at[gone]
+            stuck = ~np.isfinite(feas_obj[out])
+            feas_V[out[stuck]] = V[gone][stuck]
+            feas_W[out[stuck]] = W[gone][stuck]
+            left -= np.bincount(owner[out], minlength=len(searches))
+            if not left[live].all():
+                finish([k for k in live if not left[k]], it + 1)
+                live = [k for k in live if left[k]]
             if not live:
                 break
-            layout = _layout(groups, [(s, len(s.eps_idx)) for s in live])
-    if live:
-        finish(list(zip(live, lane_slices())), budget.iterations)
+            keep = ~gone
+            V, W, step, eps_lane = V[keep], W[keep], step[keep], eps_lane[keep]
+            best_pen, at = best_pen[keep], at[keep]
+            layout = _layout(groups, [(searches[k], int(left[k])) for k in live])
     return results
 
 
@@ -844,7 +843,7 @@ def _structural_angles(spec: NormSpec) -> np.ndarray:
     if isinstance(spec, PolytopeGaugeNorm):
         pts.extend(spec.vertices)
     elif isinstance(spec, PolyhedralMaxNorm):
-        pts.extend(_polyhedral_ball_vertices_2d(spec))
+        pts.extend(spec._candidates)
     angles = np.array([math.atan2(p[1], p[0]) for p in pts if np.any(p)])
     return np.concatenate([angles, angles + math.pi])
 

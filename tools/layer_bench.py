@@ -18,6 +18,10 @@ process, with BLAS and OpenMP pools pinned to one thread:
 * ``search_batch``: one ``convexity._search_batch`` of that group's two
   searches under the workload's budget (4 restarts, 20 iterations, grid
   1, 2);
+* ``fiber_search``: one ``convexity._search_batch`` of the fiber searches
+  of the four dimension-3 norms above, from their structured start pairs,
+  under the suites' fiber budget (``suites.SUITE_BUDGET``: 16 restarts,
+  80 iterations) on the grid 1, 2;
 * ``repair``: one ``convexity._repair_separation_batch`` of 64 lanes under
   the bundle's exponent-1.5 norm;
 * ``dual_check``: one warm in-process ``cli.main`` run of ``dual-check`` on
@@ -132,6 +136,16 @@ def _layers(bl, config: Path, out: Path) -> dict:
     layers["search_batch"] = lambda: cv._search_batch(
         [group], [(0, 0), (0, 1)], 9, eps, budget, cv._midpoint_gap, X, Y)
 
+    fibers = [cv.single_norm_group(spec.norm_batch, cv.Search(cv.structured_pairs(spec)))
+              for spec in _kinds(bl.norms).values()]
+    fiber_budget = bl.suites.SUITE_BUDGET
+    starts = np.random.default_rng(fiber_budget.seed)
+    FX = starts.standard_normal((fiber_budget.restarts, 3))
+    FY = starts.standard_normal((fiber_budget.restarts, 3))
+    layers["fiber_search"] = lambda: cv._search_batch(
+        fibers, [(g, 0) for g in range(len(fibers))], 3, eps, fiber_budget, cv._midpoint_gap,
+        FX, FY)
+
     norm = bl.bundles._exponent_norm(group.evaluate, 0, 2)
     V = cv._unit_rows(norm, rng.standard_normal((64, 9)))
     W = cv._unit_rows(norm, rng.standard_normal((64, 9)))
@@ -151,7 +165,7 @@ def _load(checkout: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("bundles", "cli", "convexity", "measure", "norms"):
+    for sub in ("bundles", "cli", "convexity", "measure", "norms", "suites"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
