@@ -243,31 +243,28 @@ def _atom_norms(bundle: Bundle):
     to the ``(atoms, m)`` array of each row's fiber norm at each atom (0 on
     zero-dimensional fibers).
 
-    Each distinct fiber norm is evaluated by one ``norm_batch`` call for all
-    rows and all atoms that carry it, so a row's norms have the same bits
+    Each run of adjacent atoms that share a fiber norm (by digest) is
+    evaluated by one ``norm_batch`` call on its coordinates as rows
+    ``(m * atoms in the run, dim)``, so a row's norms have the same bits
     alone as inside any batch.
     """
-    offsets = bundle.offsets
+    offsets = bundle.offsets.tolist()
     n_atoms = bundle.space.atom_count
-    by_spec: dict = {}
+    runs = []  # [spec, first atom, stop atom] of each run
+    last = None
     for x, f in enumerate(bundle.fibers):
-        if f.dimension > 0:
-            by_spec.setdefault(f.norm.digest(), (f.norm, []))[1].append(x)
-    # the flat coordinates of every atom of one spec: a slice for a single
-    # atom, else an index array of shape (atoms, dim)
-    blocks = [
-        (spec, atoms, slice(offsets[atoms[0]], offsets[atoms[0] + 1]) if len(atoms) == 1
-         else offsets[atoms][:, None] + np.arange(spec.dimension))
-        for spec, atoms in by_spec.values()
-    ]
+        key = f.norm.digest() if f.dimension else None
+        if key is not None and key == last:
+            runs[-1][2] = x + 1
+        elif key is not None:
+            runs.append([f.norm, x, x + 1])
+        last = key
 
     def per_atom(X: np.ndarray) -> np.ndarray:
         out = np.zeros((n_atoms, len(X)))
-        for spec, atoms, cols in blocks:
-            if isinstance(cols, slice):
-                out[atoms[0]] = spec.norm_batch(X[:, cols])
-            else:
-                out[atoms] = spec.norm_batch(X[:, cols].transpose(1, 0, 2))
+        for spec, a, b in runs:
+            rows = X[:, offsets[a] : offsets[b]].reshape(-1, spec.dimension)
+            out[a:b] = spec.norm_batch(rows).reshape(len(X), b - a).T
         return out
 
     return per_atom
@@ -391,7 +388,7 @@ def section_modulus_curves(
             # trim the quadratically-many axis pairs: the leading block already
             # covers every cross-atom pair through the first axis, and the
             # witness lifts are the load-bearing starts here
-            pairs = structured_pairs_for_fn(norm_batch, total)[: max(12, 3 * total)]
+            pairs = structured_pairs_for_fn(norm_batch, total, max(12, 3 * total))
             searches.append((j, meta, Search(np.array(pairs), lifts)))
         if searches:
             by_total.setdefault(total, []).append((i, evaluate, searches))

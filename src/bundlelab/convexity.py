@@ -35,6 +35,7 @@ through a pipe; by the same contract the split moves no bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -157,28 +158,31 @@ def _unit_rows(norm_batch, rows: np.ndarray) -> np.ndarray:
     return U / norm_batch(U)[:, None]
 
 
-def structured_pairs_for_fn(norm_batch, dim: int) -> list:
-    """Deterministic start pairs for a black-box norm: axis, antipodal
-    and Hamming-neighbor sign-pattern pairs (the latter for dim <= 6)."""
-    axes = _unit_rows(norm_batch, np.eye(dim))
-    pairs = [(axes[0], -axes[0])]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            pairs.append((axes[i], axes[j]))
-            pairs.append((axes[i], -axes[j]))
-    if 2 <= dim <= 6:
-        signs = np.array(
-            [[1.0 if (s >> k) & 1 else -1.0 for k in range(dim)] for s in range(2**dim)]
-        )
-        signs = _unit_rows(norm_batch, signs)
-        for s in range(2**dim):
-            for k in range(dim):
-                t = s ^ (1 << k)
-                if s < t:
-                    pairs.append((signs[s], signs[t]))
-                if len(pairs) >= _MAX_EXTRA_PAIRS:
-                    return pairs[:_MAX_EXTRA_PAIRS]
-    return pairs[:_MAX_EXTRA_PAIRS]
+def structured_pairs_for_fn(norm_batch, dim: int, count: int = _MAX_EXTRA_PAIRS) -> list:
+    """The first ``count`` (at most ``_MAX_EXTRA_PAIRS``) deterministic start
+    pairs for a black-box norm: axis, antipodal and Hamming-neighbor
+    sign-pattern pairs (the latter for dim <= 6).  The sign patterns are
+    normalized only when the axis pairs fall short of ``count``."""
+
+    def pairs():
+        axes = _unit_rows(norm_batch, np.eye(dim))
+        yield axes[0], -axes[0]
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                yield axes[i], axes[j]
+                yield axes[i], -axes[j]
+        if 2 <= dim <= 6:
+            signs = np.array(
+                [[1.0 if (s >> k) & 1 else -1.0 for k in range(dim)] for s in range(2**dim)]
+            )
+            signs = _unit_rows(norm_batch, signs)
+            for s in range(2**dim):
+                for k in range(dim):
+                    t = s ^ (1 << k)
+                    if s < t:
+                        yield signs[s], signs[t]
+
+    return list(itertools.islice(pairs(), min(count, _MAX_EXTRA_PAIRS)))
 
 
 def structured_pairs(spec: NormSpec) -> list:
@@ -312,7 +316,10 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     witness pairs with ``||v|| = ||w|| = 1`` within 1e-9 and
     ``||v - w|| >= eps - 1e-9``, and the counters ``iterations`` (used),
     ``lanes``, ``repaired`` (lanes that never met the separation and were
-    repaired by bisection) and ``rows`` (rows its evaluator was asked for).
+    repaired by bisection) and ``rows`` (rows its evaluator was asked for;
+    the repair asks 14 per lane and round of three halvings, in two calls,
+    and stops at a fixed point, so its share depends on the lanes).  No
+    report prints the counters.
 
     Each lane holds one pair.  An iteration steps every coordinate in turn:
     the six endpoints V +- s e_i, V, W +- s e_i and W are normalized, and
@@ -585,14 +592,14 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
         if len(idx):
             repair_layout = _layout(groups, [(searches[k], len(b)) for k, b in zip(done, broken)])
 
-            def norm_batch(R):
-                return _group_norms(repair_layout, R[None], asked)[0]
+            def norms(A):
+                return _group_norms(repair_layout, A, asked)
 
             last_V = feas_V[idx]
-            fixed = _repair_separation_batch(norm_batch, last_V, feas_W[idx], batch_eps[idx])
+            fixed = _repair_separation_batch(norms, last_V, feas_W[idx], batch_eps[idx])
             feas_W[idx] = fixed
-            mid = norm_batch((last_V + fixed) * 0.5)
-            sep = None if objective is _midpoint_gap else norm_batch(last_V - fixed)
+            mid = norms(((last_V + fixed) * 0.5)[None])[0]
+            sep = None if objective is _midpoint_gap else norms((last_V - fixed)[None])[0]
             feas_obj[idx] = objective(mid, sep)
         for k, b in zip(done, broken):
             s, sl = searches[k], slices[k]
@@ -691,32 +698,59 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
     return results
 
 
-def _repair_separation_batch(norm_batch, V, W, eps):
+def _repair_separation_batch(norms, V, W, eps):
     """Bisect each w toward the antipode -v until separation >= eps.
 
     Separation is monotone along the path w -> -v after renormalization
     (it reaches exactly 2 at the endpoint), so the bisection always lands
-    on a feasible point; all rows are processed in lockstep.
+    on a feasible point; all rows are processed in lockstep.  ``norms``
+    maps a block ``(k, lanes, dim)`` to its ``(k, lanes)`` norms.
+
+    The 60 halvings go three per round: a round evaluates the seven points
+    that the next three halvings could test, in two calls (the points, then
+    their separations), and walks each lane's path through them; every
+    tested point is the one the halving would test alone, so the bits are
+    those of one halving at a time.  A round computes from the brackets
+    alone, so once one moves no bracket, every later one would repeat it,
+    and the repair stops there.
     """
     n = len(eps)
+    lanes = np.arange(n)
     lo = np.zeros(n)
     hi = np.ones(n)  # s = 1 is the antipode -v, separation 2
-    for _ in range(60):
-        s = 0.5 * (lo + hi)
-        raw = (1.0 - s)[:, None] * W - s[:, None] * V
-        nr = norm_batch(raw)
+    S = np.empty((7, n))
+    for _ in range(60 // 3):
+        # heap order: the midpoint, then the two points the next halving
+        # could test, then their four; a good point's child is toward lo
+        S[0] = 0.5 * (lo + hi)
+        S[1] = 0.5 * (lo + S[0])
+        S[2] = 0.5 * (S[0] + hi)
+        S[3] = 0.5 * (lo + S[1])
+        S[4] = 0.5 * (S[1] + S[0])
+        S[5] = 0.5 * (S[0] + S[2])
+        S[6] = 0.5 * (S[2] + hi)
+        raw = (1.0 - S)[:, :, None] * W - S[:, :, None] * V
+        nr = norms(raw)
         degen = nr < 1e-12
-        cand = raw / np.where(degen, 1.0, nr)[:, None]
-        sep = norm_batch(V - cand)
+        cand = raw / np.where(degen, 1.0, nr)[:, :, None]
+        sep = norms(V - cand)
         good = ~degen & (sep >= eps)
-        hi[good] = s[good]
-        lo[~good] = s[~good]
+        new_lo, new_hi = lo.copy(), hi.copy()
+        node = np.zeros(n, dtype=int)
+        for _ in range(3):
+            s, g = S[node, lanes], good[node, lanes]
+            new_hi[g] = s[g]
+            new_lo[~g] = s[~g]
+            node = 2 * node + 2 - g
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     raw = (1.0 - hi)[:, None] * W - hi[:, None] * V
-    nr = norm_batch(raw)
+    nr = norms(raw[None])[0]
     degen = nr < 1e-12
     cand = np.where(degen[:, None], -V, raw / np.where(degen, 1.0, nr)[:, None])
     # second normalization pass squeezes renormalization drift below 1e-12
-    return cand / norm_batch(cand)[:, None]
+    return cand / norms(cand[None])[0][:, None]
 
 
 def _isotonic_clamp(raw: np.ndarray, witnesses: list):

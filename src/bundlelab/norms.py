@@ -16,10 +16,13 @@ pure; instances are immutable by convention after construction.
 
 Every kind evaluates in closed form.  The two polyhedral kinds are each
 other's duals, and each unit ball's vertices are the other's facet
-normals: the gauge norm is ``max(F v)`` over the facet matrix ``F`` of
-its hull, and both kinds' maximizers pick the best-scoring of unit
-candidates computed once per spec: the rows of the dual gauge's ``F`` for
-the polyhedral kind, the vertices scaled by their gauges for the gauge.
+normals.  Both evaluate ``max |A v|`` over the rows of a matrix: the
+polyhedral kind over its functionals, the gauge over one facet normal of
+each antipodal pair {a, -a} of the facet matrix ``F`` of its hull, which
+equals ``max(F v)`` bit for bit.  Both kinds' maximizers pick the
+best-scoring of unit candidates computed once per spec: the rows of the
+dual gauge's ``F`` for the polyhedral kind, the vertices scaled by their
+gauges for the gauge.
 ``F`` is enumerated with numpy alone, from the hyperplanes through d
 linearly independent vertices, one from each of d antipodal pairs, and
 checked at construction against the gauge's defining linear program solved
@@ -121,6 +124,14 @@ def _sum_columns(T: np.ndarray) -> np.ndarray:
         pair = np.repeat(T.reshape(len(T), 1), 2, axis=1)
         return np.add.reduce(pair, axis=0)[:1].reshape(T.shape[1:])
     return np.add.reduce(T, axis=0)
+
+
+def _max_abs_batch(A: np.ndarray, V) -> np.ndarray:
+    """max_i |<a_i, v>| over the rows a_i of A, for each row v of V, shape
+    ``(..., d)``: the batched norm of both polyhedral kinds."""
+    VT, shape = _columns(V)
+    P = A @ VT
+    return _unbatch(np.maximum.reduce(np.abs(P, out=P), axis=0), shape)
 
 
 def _as_matrix(values, name) -> np.ndarray:
@@ -381,8 +392,7 @@ class PolyhedralMaxNorm(NormSpec):
         return float(np.max(np.abs(self.functionals @ v)))
 
     def norm_batch(self, V) -> np.ndarray:
-        VT, shape = _columns(V)
-        return _unbatch(np.maximum.reduce(np.abs(self.functionals @ VT), axis=0), shape)
+        return _max_abs_batch(self.functionals, V)
 
     def _make_dual(self) -> "PolytopeGaugeNorm":
         return PolytopeGaugeNorm(np.vstack([self.functionals, -self.functionals]))
@@ -462,9 +472,10 @@ def _gauge_bases(H: np.ndarray) -> np.ndarray:
     return B[np.linalg.matrix_rank(B) == d]
 
 
-def _gauge_facets(H: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _gauge_facets(H: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Facet normals ``a`` (facets ``<a, x> = 1``) of conv(+-H), from the
-    independent bases ``B`` of ``_gauge_bases``.
+    independent bases ``B`` of ``_gauge_bases``, and one normal of each
+    antipodal pair {a, -a} of them.
 
     For each basis and each sign pattern s, the hyperplane through the
     vertices s_k h_k solves ``B a = s``; it bounds a facet when no vertex
@@ -472,7 +483,9 @@ def _gauge_facets(H: np.ndarray, B: np.ndarray) -> np.ndarray:
     polytope comes from several bases; the first candidate with each set
     of (signed) vertices on it is kept.  Candidates run basis by basis, and
     within a basis over the sign patterns in ``itertools.product((1, -1),
-    repeat=d)`` order, so the row order is fixed by ``H`` alone.
+    repeat=d)`` order, so the row order is fixed by ``H`` alone.  The
+    facets of a symmetric polytope come in pairs {a, -a}, the second the
+    exact negation of the first.
     """
     k, d = len(B), H.shape[1]
     h = 2 ** (d - 1)
@@ -493,7 +506,10 @@ def _gauge_facets(H: np.ndarray, B: np.ndarray) -> np.ndarray:
     HA = A @ H.T
     on_facet = (HA >= 1.0 - _FACET_TOL).astype(np.int8) - (HA <= _FACET_TOL - 1.0)
     _, first = np.unique(on_facet, axis=0, return_index=True)
-    return A[np.sort(first)]
+    first = np.sort(first)
+    # a candidate and its negation come from the same bases, so both are
+    # kept or neither is; the one solved with s_1 = +1 stands for the pair
+    return A[first], A[first[~negated[first]]]
 
 
 class PolytopeGaugeNorm(NormSpec):
@@ -501,14 +517,16 @@ class PolytopeGaugeNorm(NormSpec):
 
     ``norm`` and ``norm_batch`` evaluate the exact facet form
     ``max(F v)``, with the facet matrix ``F`` enumerated at construction
-    (``_gauge_facets``).  The construction cross-check compares that form
-    on 8 probes, to ``GAUGE_SOLVER_TOL``, with the optimum of the defining
-    linear program over its basic solutions.  Both routes start from the
-    same antipodal pairs and bases, but solve their own systems; a vertex
-    lost while pairing is caught by the listed vertices, each of which must
-    have gauge at most 1 under the facet form.  The LP itself (minimal
-    t >= 0 with v inside t times the hull) is solved only by the tests'
-    oracle, ``tests/oracles.py``.
+    (``_gauge_facets``), as ``max |H v|`` over the half ``H`` of ``F``
+    that holds one normal of each pair {a, -a}: the same bits from half
+    the rows, since negation is exact.  The construction cross-check
+    compares that form on 8 probes, to ``GAUGE_SOLVER_TOL``, with the
+    optimum of the defining linear program over its basic solutions.  Both
+    routes start from the same antipodal pairs and bases, but solve their
+    own systems; a vertex lost while pairing is caught by the listed
+    vertices, each of which must have gauge at most 1 under the facet form.
+    The LP itself (minimal t >= 0 with v inside t times the hull) is solved
+    only by the tests' oracle, ``tests/oracles.py``.
     """
 
     kind = "polytope_gauge"
@@ -521,7 +539,7 @@ class PolytopeGaugeNorm(NormSpec):
         pairs = _antipodal_pairs(V)
         self.vertices = V
         self._bases = _gauge_bases(pairs)
-        self._facets = _gauge_facets(pairs, self._bases)
+        self._facets, self._half_facets = _gauge_facets(pairs, self._bases)
         # Gauge of each listed vertex (1 for true extreme points).
         self._vertex_gauges = np.max(V @ self._facets.T, axis=1)
         self._cross_check()
@@ -552,11 +570,10 @@ class PolytopeGaugeNorm(NormSpec):
 
     def norm(self, v) -> float:
         v = self._check_vec(v)
-        return float(np.max(self._facets @ v))
+        return float(np.max(np.abs(self._half_facets @ v)))
 
     def norm_batch(self, V) -> np.ndarray:
-        VT, shape = _columns(V)
-        return _unbatch(np.maximum.reduce(self._facets @ VT, axis=0), shape)
+        return _max_abs_batch(self._half_facets, V)
 
     def _make_dual(self) -> "PolyhedralMaxNorm":
         return PolyhedralMaxNorm(self.vertices)

@@ -15,6 +15,7 @@ from bundlelab.bundles import (
     Bundle,
     Fiber,
     Section,
+    _atom_norms,
     _section_norms,
     module_action,
     parallelogram_residual,
@@ -245,6 +246,43 @@ def test_section_norms_are_row_independent(atoms, p):
         assert evaluate(rows[None], [1, len(X) - 1])[0, 0] == full[i]
         block = evaluate(np.stack([rows, rows[::-1]]), [1, len(X) - 1])
         assert block[0, 0] == block[1, -1] == full[i]
+
+
+def _atom_norm_bundles():
+    """A constant bundle of each norm kind, and a bundle whose one shared
+    spec sits on atoms that are not adjacent, with a zero-dimensional fiber
+    inside one of its runs."""
+    square = [[1.0, 0.5], [-0.3, 1.0], [-1.0, -0.5], [0.3, -1.0]]
+    kinds = [InnerProductNorm([[2.0, 0.3], [0.3, 1.0]]), WeightedLpNorm(3, [1.0, 0.5]),
+             WeightedLpNorm(math.inf, [1.0, 2.0]),
+             PolyhedralMaxNorm([[1.0, 0.0], [0.4, 1.0], [1.0, -1.0]]), PolytopeGaugeNorm(square)]
+    space = MeasureSpace([f"a{x}" for x in range(4)], [1.0, 2.0, 0.5, 1.5])
+    bundles = [Bundle(space, [Fiber(2, spec)] * 4) for spec in kinds]
+    shared, other = WeightedLpNorm(1.5, [1.0, 0.5]), PolytopeGaugeNorm(square)
+    space = MeasureSpace([f"a{x}" for x in range(7)], [1.0, 2.0, 0.5, 1.5, 0.7, 1.1, 0.9])
+    bundles.append(Bundle(space, [Fiber(2, shared), Fiber(2, other), Fiber(2, shared),
+                                  Fiber(2, shared), Fiber(0), Fiber(2, shared), Fiber(2, other)]))
+    return bundles
+
+
+@pytest.mark.parametrize("b", _atom_norm_bundles(),
+                         ids=["inner", "lp3", "lpinf", "polyhedral", "gauge", "interleaved"])
+def test_atom_norms_match_per_atom_slices(b):
+    """``_atom_norms`` gives each atom's fiber norms the bits of that atom's
+    own ``norm_batch`` call on its coordinate slice, for one row, for many,
+    and for rows that are a strided view; no rows give no norms."""
+    per_atom = _atom_norms(b)
+    o = b.offsets
+    rng = np.random.default_rng(b.total_dimension)
+    wide = rng.standard_normal((25, b.total_dimension + 3))
+    for X in (wide[:, : b.total_dimension], np.ascontiguousarray(wide[:1, : b.total_dimension]),
+              np.ascontiguousarray(wide[:, : b.total_dimension])):
+        want = np.zeros((b.space.atom_count, len(X)))
+        for x, f in enumerate(b.fibers):
+            if f.dimension:
+                want[x] = f.norm.norm_batch(X[:, o[x] : o[x + 1]])
+        assert np.array_equal(per_atom(X), want)
+    assert per_atom(np.zeros((0, b.total_dimension))).shape == (b.space.atom_count, 0)
 
 
 class TestModuleAction:

@@ -557,7 +557,8 @@ def test_layer_bench_times_every_layer(tmp_path):
     kinds = ("inner_product", "weighted_lp", "polyhedral_max", "polytope_gauge")
     assert set(layers) == {f"norm_batch.{k}.rows_{m}" for k in kinds for m in (2, 64, 1024)} | {
         f"linear_maximizer.{k}" for k in kinds} | {
-        "section_evaluator", "search_batch", "fiber_search", "repair", "dual_check"}
+        "section_evaluator", "section_evaluator_constant", "search_batch", "fiber_search",
+        "repair", "dual_check"}
     for timing in layers.values():
         assert timing["repeats"] == 1 and len(timing["seconds_per_call"]) == 2
         for stats in timing["seconds_per_call"]:

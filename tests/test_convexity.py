@@ -43,7 +43,7 @@ from bundlelab.norms import (
 )
 from bundlelab.suites import SUITE_BUDGET
 
-from oracles import maximize_linear_on_sphere, section_norm_batch
+from oracles import maximize_linear_on_sphere, repair_one_halving_at_a_time, section_norm_batch
 
 TEST_BUDGET = SearchBudget(restarts=16, iterations=80)
 
@@ -619,3 +619,103 @@ class TestBatchedSearch:
         cpus = len(os.sched_getaffinity(0))
         expected = 1 if per_thread is None else max(1, cpus // per_thread)
         assert convexity._worker_count() == expected
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 9])
+def test_structured_pairs_build_only_the_pairs_kept(dim):
+    """The first ``count`` pairs have the bits of the full list's, and the
+    sign patterns are normalized only when the axis pairs fall short."""
+    spec = WeightedLpNorm(3, np.linspace(0.5, 2.0, dim))
+    rows = []
+
+    def counting(X):
+        rows.append(len(X))
+        return spec.norm_batch(X)
+
+    full = structured_pairs_for_fn(spec.norm_batch, dim)
+    for count in (1, 12, max(12, 3 * dim), 200):
+        rows.clear()
+        kept = structured_pairs_for_fn(counting, dim, count)
+        assert len(kept) == min(count, len(full))
+        for (v, w), (fv, fw) in zip(kept, full):
+            assert np.array_equal(v, fv) and np.array_equal(w, fw)
+        axis_pairs = 1 + dim * (dim - 1)
+        signs = 2 <= dim <= 6 and count > axis_pairs
+        assert rows == [dim, dim] + [2**dim, 2**dim] * signs
+
+
+# -- the separation repair -------------------------------------------------
+
+
+def _repair_lanes(norm_batch, dim, seed):
+    """Unit pairs and separations for the repair: random lanes, lanes whose
+    path passes through the origin (w = v, so the point at s = 1/2 is 0),
+    lanes that start antipodal, and separation 2 on every fourth lane."""
+    rng = np.random.default_rng(seed)
+    V = convexity._unit_rows(norm_batch, rng.standard_normal((40, dim)))
+    W = convexity._unit_rows(norm_batch, rng.standard_normal((40, dim)))
+    W[:6] = V[:6]
+    W[6:9] = -V[6:9]
+    eps = rng.uniform(0.05, 2.0, 40)
+    eps[::4] = 2.0
+    return V, W, eps
+
+
+def _repair_kinds():
+    """``(norm_batch, dim)`` of one norm of each kind in dimension 3 (two
+    weighted l^r), and of a 3-atom section norm."""
+    space = MeasureSpace(["a", "b", "c"], [0.7, 1.0, 1.4])
+    square = [[1.0, 0.5], [-0.3, 1.0], [-1.0, -0.5], [0.3, -1.0]]
+    bundle = Bundle(space, [Fiber(1, WeightedLpNorm(2, [1.0])), Fiber(2, PolytopeGaugeNorm(square)),
+                            Fiber(1, WeightedLpNorm(2, [3.0]))])
+    section = _section_norms(bundle, [1.5])
+    kinds = [(spec.norm_batch, 3) for spec in (
+        InnerProductNorm([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+        WeightedLpNorm(1, [1.0, 2.0, 0.5]), WeightedLpNorm(3, [1.0, 2.0, 0.5]),
+        PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0]]),
+        PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]],
+                                     -np.eye(3), [[-1.0, -1.0, -0.5]]])))]
+    kinds.append((_exponent_norm(section, 0, 1), 4))
+    return kinds
+
+
+@pytest.mark.parametrize("kind", range(6))
+def test_repair_matches_one_halving_at_a_time(kind):
+    """Three halvings per round and the early stop give the bits of 60 plain
+    halvings, on every lane."""
+    norm_batch, dim = _repair_kinds()[kind]
+    V, W, eps = _repair_lanes(norm_batch, dim, kind)
+
+    def norms(A):
+        return norm_batch(A.reshape(-1, dim)).reshape(A.shape[:-1])
+
+    want, _ = repair_one_halving_at_a_time(norm_batch, V, W, eps)
+    fixed = convexity._repair_separation_batch(norms, V, W, eps)
+    assert np.array_equal(fixed, want)
+    assert np.all(norm_batch(V - fixed) >= eps - FEASIBILITY_SLACK)
+
+
+def test_repair_stops_once_a_round_moves_no_bracket():
+    """The repair stops in the round after the one holding the last halving
+    that moves a bracket, so it makes fewer calls than 20 rounds would and
+    far fewer than 120 one-row calls (two per halving)."""
+    norm_batch, dim = _repair_kinds()[0]
+    V, W, _ = _repair_lanes(norm_batch, dim, 0)
+    # without the antipodal starts, whose brackets shrink toward 0 for well
+    # over 60 halvings; at separation 2 every lane crosses at 1/2 or above,
+    # where a bracket is one ulp wide after 53 halvings
+    V, W = np.vstack([V[:6], V[9:]]), np.vstack([W[:6], W[9:]])
+    eps = np.full(len(V), 2.0)
+    calls = []
+
+    def norms(A):
+        calls.append(A.shape[:-1])
+        return norm_batch(A.reshape(-1, dim)).reshape(A.shape[:-1])
+
+    convexity._repair_separation_batch(norms, V, W, eps)
+    _, settled = repair_one_halving_at_a_time(norm_batch, V, W, eps)
+    rounds = -(-settled // 3) + 1
+    assert rounds < 20
+    # two seven-point calls per round, then two one-point calls
+    assert calls == [(7, len(eps))] * (2 * rounds) + [(1, len(eps))] * 2
+    assert len(calls) < 2 * 20 + 2

@@ -208,14 +208,16 @@ class TestPolytopeGauge:
 
     @pytest.mark.parametrize("fault", ["scaled", "missing"])
     def test_cross_check_catches_a_wrong_facet_form(self, fault):
+        # the faults go into the half facet matrix, which the norm evaluates
         g = PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]], -np.eye(3), [[-1.0, -1.0, -0.5]]]))
         g._cross_check()
         if fault == "scaled":
-            g._facets = g._facets * (1.0 + 1e-6)
+            g._half_facets = g._half_facets * (1.0 + 1e-6)
         else:
-            # drop the facet that attains the gauge of the first probe
+            # drop the facet pair that attains the gauge of the first probe
             probe = np.random.default_rng(7).standard_normal(3)
-            g._facets = np.delete(g._facets, int(np.argmax(g._facets @ probe)), axis=0)
+            H = g._half_facets
+            g._half_facets = np.delete(H, int(np.argmax(np.abs(H @ probe))), axis=0)
         with pytest.raises(AssertionError, match="routes disagree"):
             g._cross_check()
 
@@ -357,6 +359,44 @@ def test_unit_and_maximizer_at_extreme_magnitudes(spec, magnitude):
         assert np.all(np.isfinite(witness))
         assert spec.norm(witness) == pytest.approx(1.0, abs=1e-9)
         assert value == pytest.approx(float(v @ witness), rel=1e-12)
+
+
+def facet_test_gauges():
+    """The gauges of ``extreme_magnitude_kinds()`` and of ``one_norm_of_each_kind``
+    in dimensions 2-5, the duals of their polyhedral kinds, the cube, and
+    random symmetric polytopes."""
+    kinds = extreme_magnitude_kinds() + [s for d in (2, 3, 4, 5) for s in one_norm_of_each_kind(d)]
+    gauges = [s for s in kinds if isinstance(s, PolytopeGaugeNorm)]
+    gauges += [s.dual() for s in kinds if isinstance(s, PolyhedralMaxNorm)]
+    gauges.append(PolytopeGaugeNorm(np.array(list(itertools.product((1.0, -1.0), repeat=3)))))
+    rng = np.random.default_rng(19)
+    for dim in (2, 3, 3, 4, 5):
+        half = rng.standard_normal((dim + 3, dim)) * rng.uniform(0.1, 10.0)
+        gauges.append(PolytopeGaugeNorm(np.vstack([half, -half])))
+    return gauges
+
+
+@pytest.mark.parametrize("g", facet_test_gauges(), ids=lambda g: g.digest())
+def test_facets_split_into_exact_pairs(g):
+    """``_facets`` is ``_half_facets`` and its exact negation, row for row
+    up to order, and holds no row twice."""
+    F, H = g._facets, g._half_facets
+    assert len(F) == 2 * len(H) == len(np.unique(F, axis=0))
+    assert np.array_equal(np.unique(F, axis=0), np.unique(np.vstack([H, -H]), axis=0))
+
+
+@pytest.mark.parametrize("g", facet_test_gauges(), ids=lambda g: g.digest())
+def test_half_form_equals_the_full_facet_form(g):
+    """``max |H v|`` over one facet of each pair has the bits of ``max(F
+    v)`` over all facets, one vector at a time and in batches."""
+    rng = np.random.default_rng(g.dimension)
+    for magnitude in (1e-300, 1e-5, 1.0, 1e5, 1e300):
+        V = magnitude * rng.standard_normal((33, g.dimension))
+        full = np.maximum.reduce(g._facets @ V.T, axis=0)
+        assert np.array_equal(g.norm_batch(V), full)
+        assert np.array_equal(g.norm_batch(V[:2]), full[:2])
+        assert [g.norm(v) for v in V[:5]] == [float(np.max(g._facets @ v)) for v in V[:5]]
+    assert g.norm(np.zeros(g.dimension)) == 0.0
 
 
 def three_d_kinds():

@@ -15,6 +15,8 @@ process, with BLAS and OpenMP pools pinned to one thread:
   bundle (total dimension 9) at exponents 1.5 and 3, as the kernel calls it:
   one ``convexity._group_norms`` call on a 16-slab block (the midpoints and
   differences of one coordinate step), 34 lanes per exponent;
+* ``section_evaluator_constant``: the same for the constant bundle whose
+  three atoms all carry the dimension-3 polytope gauge below;
 * ``search_batch``: one ``convexity._search_batch`` of that group's two
   searches under the workload's budget (4 restarts, 20 iterations, grid
   1, 2);
@@ -23,7 +25,8 @@ process, with BLAS and OpenMP pools pinned to one thread:
   under the suites' fiber budget (``suites.SUITE_BUDGET``: 16 restarts,
   80 iterations) on the grid 1, 2;
 * ``repair``: one ``convexity._repair_separation_batch`` of 64 lanes under
-  the bundle's exponent-1.5 norm;
+  the bundle's exponent-1.5 norm, through the group's block evaluator (as
+  rows, for checkouts whose repair takes a plain batched norm);
 * ``dual_check``: one warm in-process ``cli.main`` run of ``dual-check`` on
   config 0 of the benchmark's duality-sampled workload (seed 0), writing
   its reports to a temporary directory.
@@ -81,12 +84,12 @@ def _kinds(norms):
     }
 
 
-def _section_group(bl):
-    """The fixed 3-atom bundle's search group at exponents 1.5 and 3."""
-    kinds = _kinds(bl.norms)
+def _section_group(bl, kinds=("inner_product", "weighted_lp", "polytope_gauge")):
+    """The search group at exponents 1.5 and 3 of the fixed 3-atom bundle
+    whose atoms carry the dimension-3 norms ``kinds``."""
+    norms = _kinds(bl.norms)
     space = bl.measure.MeasureSpace(["a", "b", "c"], [0.7, 1.0, 1.4])
-    bundle = bl.bundles.Bundle(space, [bl.bundles.Fiber(3, kinds[k]) for k in
-                                       ("inner_product", "weighted_lp", "polytope_gauge")])
+    bundle = bl.bundles.Bundle(space, [bl.bundles.Fiber(3, norms[k]) for k in kinds])
     exponents = [1.5, 3]
     evaluate = bl.bundles._section_norms(bundle, exponents)
     searches = []
@@ -123,10 +126,12 @@ def _layers(bl, config: Path, out: Path) -> dict:
 
     group = _section_group(bl)
     lanes = [cv._Lanes(j, 0, j, np.zeros(34, dtype=int)) for j in range(2)]
-    layout = cv._layout([group], [(s, 34) for s in lanes])
     block = rng.standard_normal((16, 68, 9))
     asked = [0, 0]
-    layers["section_evaluator"] = lambda: cv._group_norms(layout, block, asked)
+    for name, g in (("section_evaluator", group),
+                    ("section_evaluator_constant", _section_group(bl, ["polytope_gauge"] * 3))):
+        layout = cv._layout([g], [(s, 34) for s in lanes])
+        layers[name] = lambda layout=layout: cv._group_norms(layout, block, asked)
 
     budget = cv.SearchBudget(restarts=4, iterations=20)
     eps = np.array([1.0, 2.0])
@@ -150,7 +155,13 @@ def _layers(bl, config: Path, out: Path) -> dict:
     V = cv._unit_rows(norm, rng.standard_normal((64, 9)))
     W = cv._unit_rows(norm, rng.standard_normal((64, 9)))
     sep = np.full(64, 1.5)
-    layers["repair"] = lambda: cv._repair_separation_batch(norm, V, W, sep)
+
+    def repair_norms(A):
+        # a block (k, lanes, dim); older checkouts, whose repair takes a
+        # plain batched norm, pass rows (lanes, dim)
+        return norm(A) if A.ndim == 2 else group.evaluate(A, [A.shape[1], 0])
+
+    layers["repair"] = lambda: cv._repair_separation_batch(repair_norms, V, W, sep)
 
     argv = ["dual-check", "--config", str(config), "--out", str(out)]
     layers["dual_check"] = lambda: bl.cli.main(argv)
