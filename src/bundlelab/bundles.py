@@ -31,7 +31,7 @@ from .convexity import (
     pair_search,
     structured_pairs_for_fn,
 )
-from .measure import MeasureSpace, ScalarField, as_exponent, lp_norm
+from .measure import MeasureSpace, ScalarField, as_exponent
 from .norms import NormSpec, _sum_columns
 
 __all__ = [
@@ -209,16 +209,15 @@ def _same_bundle(a: Bundle, b: Bundle, message: str) -> None:
 
 
 def pointwise_norm(section: Section) -> ScalarField:
-    """Fiber norm of the section at each atom (0 on zero-dimensional fibers)."""
-    values = np.empty(section.bundle.space.atom_count)
-    for x, (f, v) in enumerate(zip(section.bundle.fibers, section.vectors)):
-        values[x] = 0.0 if f.dimension == 0 else f.norm.norm(v)
-    return ScalarField(section.bundle.space, values)
+    """Fiber norm of the section at each atom (0 on zero-dimensional fibers):
+    the one-row case of ``_atom_norms``."""
+    return ScalarField(section.bundle.space, _atom_norms(section.bundle)(section.coords[None])[:, 0])
 
 
 def section_lp_norm(section: Section, p) -> float:
-    """Weighted L^p norm of the pointwise-norm field (the section-space norm)."""
-    return lp_norm(pointwise_norm(section), p)
+    """Weighted L^p norm of the pointwise-norm field (the section-space norm):
+    the one-row case of ``_section_lp_rows``."""
+    return float(_section_lp_rows(section.bundle, section.coords[None], p)[0])
 
 
 def module_action(f, section: Section) -> Section:
@@ -321,19 +320,6 @@ def _section_norms(bundle: Bundle, exponents):
     return evaluate
 
 
-def _exponent_norm(evaluate, j: int, n: int):
-    """The batched norm, rows ``(m, total)`` to ``(m,)``, of the ``j``-th of
-    ``n`` exponents of a ``_section_norms`` evaluator."""
-
-    def norm_batch(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        counts = [0] * n
-        counts[j] = len(X)
-        return evaluate(X[None], counts)[0]
-
-    return norm_batch
-
-
 def section_modulus_curves(
     bundles: Sequence[Bundle],
     exponents,
@@ -369,7 +355,7 @@ def section_modulus_curves(
         evaluate = _section_norms(bundle, exponents)
         searches = []
         for j, p in enumerate(exponents):
-            norm_batch = _exponent_norm(evaluate, j, len(exponents))
+            norm_batch = functools.partial(_section_lp_rows, bundle, p=p)
             meta = {"section_space": True, "p": float(p) if p != math.inf else "inf",
                     "fiber_curves": own}
             if total == 1:
@@ -419,7 +405,9 @@ def section_modulus_curve(
 
 
 def parallelogram_residual(v: Section, w: Section) -> float:
-    """Integrated parallelogram residual in the p = 2 section norm."""
-    splus = section_lp_norm(v + w, 2)
-    sminus = section_lp_norm(v - w, 2)
-    return abs(splus**2 + sminus**2 - 2.0 * section_lp_norm(v, 2) ** 2 - 2.0 * section_lp_norm(w, 2) ** 2)
+    """Integrated parallelogram residual in the p = 2 section norm, from one
+    ``_section_lp_rows`` call on the rows v + w, v - w, v and w."""
+    _same_bundle(v.bundle, w.bundle, "sections live on different bundles")
+    splus, sminus, nv, nw = _section_lp_rows(
+        v.bundle, np.stack([v.coords + w.coords, v.coords - w.coords, v.coords, w.coords]), 2)
+    return float(abs(splus**2 + sminus**2 - 2.0 * nv**2 - 2.0 * nw**2))

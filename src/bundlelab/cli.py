@@ -50,7 +50,7 @@ from .duality import (
     operator_norm,
 )
 from .generators import instance_rng, random_section, recipe_from_config
-from .measure import as_exponent, conjugate_exponent, lp_norm
+from .measure import as_exponent, conjugate_exponent
 from .norms import norm_spec_from_config
 from .reportio import (
     ReportBundle,
@@ -268,8 +268,7 @@ def cmd_dual_check(cfg: dict, args) -> int:
     if omega is not None:
         vstar = holder_maximizer(omega, p)
         opn = integrated_pairing(omega, vstar)
-        check("explicit", "operator-norm-vs-dual-lq", opn,
-              lp_norm(pointwise_norm(omega), q), _EXPLICIT_TOL)
+        check("explicit", "operator-norm-vs-dual-lq", opn, section_lp_norm(omega, q), _EXPLICIT_TOL)
         # the maximizer is a unit section, or zero for the zero functional
         check("explicit", "holder-attainment", section_lp_norm(vstar, p),
               1.0 if np.any(omega.coords) else 0.0, _EXPLICIT_TOL)

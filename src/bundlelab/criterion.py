@@ -48,6 +48,8 @@ ADDITIVITY_TOL = 1e-9
 CONTINUITY_TOL = 1e-6
 ENUMERATION_CAP = 16
 SAMPLED_SUBSETS = 4096
+_AXIOM_TOL = 1e-9
+_INEQUALITY_TOL = 1e-12
 #: (probe, subset) pairs per ``evaluate_rows`` call of the additivity check.
 #: Full enumeration at 16 atoms (2-3 dimensional fibers of all four kinds,
 #: 8 probes, one BLAS thread, 2-vCPU VM), median of 5: 256 pairs 1.28 s,
@@ -79,7 +81,7 @@ class AbstractModuleNorm:
         _same_bundle(section.bundle, self.bundle, "section does not live on this norm's bundle")
         return float(self.evaluate_rows(section.coords[None, :])[0])
 
-    def check_axioms(self, probes: int = 16, seed: int = 0, tol: float = 1e-9):
+    def check_axioms(self, probes: int = 16, seed: int = 0):
         """Randomized spot check of norm axioms; raises AssertionError on failure."""
         rng = np.random.default_rng(seed)
         if self.bundle.total_dimension == 0:
@@ -91,9 +93,9 @@ class AbstractModuleNorm:
             nv, nw = self.evaluate(v), self.evaluate(w)
             if nv <= 0.0:
                 raise AssertionError(f"{self.name}: vanishing on a nonzero section")
-            if abs(self.evaluate(v.scale(t)) - abs(t) * nv) > tol * max(1.0, nv):
+            if abs(self.evaluate(v.scale(t)) - abs(t) * nv) > _AXIOM_TOL * max(1.0, nv):
                 raise AssertionError(f"{self.name}: homogeneity violated")
-            if self.evaluate(v + w) > nv + nw + tol * max(1.0, nv + nw):
+            if self.evaluate(v + w) > nv + nw + _AXIOM_TOL * max(1.0, nv + nw):
                 raise AssertionError(f"{self.name}: triangle inequality violated")
 
     def __repr__(self):
@@ -365,7 +367,7 @@ class MeasureInequalityReport:
     subsets_checked: int
 
 
-def measure_inequality_report(triple: AtomicMeasureTriple, tol: float = 1e-12) -> MeasureInequalityReport:
+def measure_inequality_report(triple: AtomicMeasureTriple) -> MeasureInequalityReport:
     """Exhaustively test: set-level power inequality implies density-level.
 
     Set level: ``mu1(E)^a <= mu2(E)^a + mu3(E)^a`` for every subset E (full
@@ -384,7 +386,7 @@ def measure_inequality_report(triple: AtomicMeasureTriple, tol: float = 1e-12) -
     set_margin = s1 - (s2 + s3)
     scale = max(1.0, float(np.max(s2 + s3))) if len(s2) else 1.0
     j = int(np.argmax(set_margin))
-    set_holds = bool(set_margin[j] <= tol * scale)
+    set_holds = bool(set_margin[j] <= _INEQUALITY_TOL * scale)
     atoms = np.array(triple.space.atoms, dtype=object)
     witness_subset = tuple(atoms[[(j >> i) & 1 == 1 for i in range(k)]])
 
@@ -393,7 +395,7 @@ def measure_inequality_report(triple: AtomicMeasureTriple, tol: float = 1e-12) -
     density_margin = d1 - d2
     dscale = max(1.0, float(np.max(d2))) if k else 1.0
     i = int(np.argmax(density_margin)) if k else 0
-    density_holds = bool(k == 0 or density_margin[i] <= tol * dscale)
+    density_holds = bool(k == 0 or density_margin[i] <= _INEQUALITY_TOL * dscale)
 
     return MeasureInequalityReport(
         set_holds,

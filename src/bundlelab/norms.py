@@ -9,10 +9,10 @@ Four concrete kinds share one interface:
 
 Each kind knows its exact dual (``dual()``), can evaluate batches of
 vectors (``norm_batch``), and produces unit-sphere maximizers of a batch of
-linear functionals (``linear_maximizer_batch``).  A single vector's norm
-has its own route (``norm``); ``unit`` and ``linear_maximizer`` are the
-one-row cases of the batched code, with the same bits.  All evaluation is
-pure; instances are immutable by convention after construction.
+linear functionals (``linear_maximizer_batch``).  ``norm``, ``unit`` and
+``linear_maximizer`` are the one-row cases of the batched code, with the
+same bits.  All evaluation is pure; instances are immutable by convention
+after construction.
 
 Every kind evaluates in closed form.  The two polyhedral kinds are each
 other's duals, and each unit ball's vertices are the other's facet
@@ -157,7 +157,8 @@ class NormSpec:
     # -- evaluation ------------------------------------------------------
 
     def norm(self, v) -> float:
-        raise NotImplementedError
+        """``norm_batch`` of the one row ``v``, with its bits in any batch."""
+        return float(self.norm_batch(self._check_vec(v)))
 
     def norm_batch(self, V: np.ndarray) -> np.ndarray:
         """Norms of the rows of V, shape (m, dimension) -> (m,)."""
@@ -284,11 +285,6 @@ class InnerProductNorm(NormSpec):
         self.gram = G
         self._chol = L  # G = L L'
 
-    def norm(self, v) -> float:
-        v = self._check_vec(v)
-        y = v @ self._chol
-        return float(math.sqrt(max(y @ y, 0.0)))
-
     def norm_batch(self, V) -> np.ndarray:
         VT, shape = _columns(V)
         Y = VT.T @ self._chol
@@ -326,13 +322,6 @@ class WeightedLpNorm(NormSpec):
         # batch-norm hot path
         self._r_is_inf = self.r == math.inf
         self._rf = math.inf if self._r_is_inf else float(self.r)
-
-    def norm(self, v) -> float:
-        v = self._check_vec(v)
-        if self._r_is_inf:
-            return float(np.max(self.weights * np.abs(v)))
-        rf = self._rf
-        return float(np.sum(self.weights * np.abs(v) ** rf, axis=-1) ** (1.0 / rf))
 
     def norm_batch(self, V) -> np.ndarray:
         VT, shape = _columns(V)
@@ -386,10 +375,6 @@ class PolyhedralMaxNorm(NormSpec):
         if np.linalg.matrix_rank(A) < self.dimension:
             raise ValueError("functionals must span the dual space")
         self.functionals = A
-
-    def norm(self, v) -> float:
-        v = self._check_vec(v)
-        return float(np.max(np.abs(self.functionals @ v)))
 
     def norm_batch(self, V) -> np.ndarray:
         return _max_abs_batch(self.functionals, V)
@@ -515,7 +500,7 @@ def _gauge_facets(H: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 class PolytopeGaugeNorm(NormSpec):
     """Minkowski gauge of the convex hull of a symmetric spanning vertex list.
 
-    ``norm`` and ``norm_batch`` evaluate the exact facet form
+    ``norm_batch`` evaluates the exact facet form
     ``max(F v)``, with the facet matrix ``F`` enumerated at construction
     (``_gauge_facets``), as ``max |H v|`` over the half ``H`` of ``F``
     that holds one normal of each pair {a, -a}: the same bits from half
@@ -567,10 +552,6 @@ class PolytopeGaugeNorm(NormSpec):
                 f"a listed vertex has gauge {worst!r} under the facet form, "
                 f"which misses part of the hull"
             )
-
-    def norm(self, v) -> float:
-        v = self._check_vec(v)
-        return float(np.max(np.abs(self._half_facets @ v)))
 
     def norm_batch(self, V) -> np.ndarray:
         return _max_abs_batch(self._half_facets, V)

@@ -5,6 +5,10 @@ with.  No library code calls them, so they live here, not under ``src/``.
   operator norms.
 * ``gauge_lp_norm``: a polytope gauge from its defining linear program,
   solved by scipy's HiGHS.
+* ``single_vector_norm``: one vector's norm by its kind's matrix-vector
+  formula.
+* ``exponent_norm``: one search's batched norm from a ``SearchGroup``
+  evaluator.
 * ``section_norm_batch``: the one-exponent section-space norm, as the
   section modulus searches evaluate it.
 * ``bidual_pointwise_norm``: a section's fiber norms in the double-dual
@@ -13,10 +17,12 @@ with.  No library code calls them, so they live here, not under ``src/``.
   kernel, one halving at a time and all 60 of them.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
-from bundlelab.bundles import _exponent_norm, _section_norms
+from bundlelab.bundles import _section_norms
 from bundlelab.measure import ScalarField
 from bundlelab.convexity import SearchBudget, _unit_rows
 
@@ -87,11 +93,42 @@ def gauge_lp_norm(gauge, P):
     return res.x.reshape(m, k).sum(axis=1).reshape(P.shape[:-1])[()]
 
 
+def single_vector_norm(spec, v) -> float:
+    """The norm of one vector ``(d,)`` under a norm kind, by that kind's own
+    matrix-vector formula rather than its batched kernel; the gauge by its
+    full facet form ``max(F v)``."""
+    v = np.asarray(v, dtype=float)
+    if spec.kind == "inner_product":
+        y = v @ spec._chol
+        return float(math.sqrt(max(y @ y, 0.0)))
+    if spec.kind == "weighted_lp":
+        if spec.r == math.inf:
+            return float(np.max(spec.weights * np.abs(v)))
+        rf = float(spec.r)
+        return float(np.sum(spec.weights * np.abs(v) ** rf) ** (1.0 / rf))
+    if spec.kind == "polyhedral_max":
+        return float(np.max(np.abs(spec.functionals @ v)))
+    return float(np.max(spec._facets @ v))
+
+
+def exponent_norm(evaluate, j: int, n: int):
+    """The batched norm, rows ``(m, total)`` to ``(m,)``, of the ``j``-th of
+    ``n`` searches of a ``SearchGroup`` evaluator ``evaluate(A, counts)``."""
+
+    def norm_batch(X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        counts = [0] * n
+        counts[j] = len(X)
+        return evaluate(X[None], counts)[0]
+
+    return norm_batch
+
+
 def section_norm_batch(bundle, p):
     """The section-space norm at exponent ``p`` on flat coordinates, rows
     ``(m, total)`` to ``(m,)``: the one-exponent case of the evaluator that
     the section modulus searches use."""
-    return _exponent_norm(_section_norms(bundle, [p]), 0, 1)
+    return exponent_norm(_section_norms(bundle, [p]), 0, 1)
 
 
 def bidual_pointwise_norm(v):

@@ -16,6 +16,7 @@ from bundlelab.bundles import (
     Fiber,
     Section,
     _atom_norms,
+    _section_lp_rows,
     _section_norms,
     module_action,
     parallelogram_residual,
@@ -193,6 +194,15 @@ class TestSectionNorm:
         v = Section(b, [[3.0, 4.0], [5.0, 12.0]])
         assert section_lp_norm(v, math.inf) == pytest.approx(13.0, abs=1e-12)
 
+    @pytest.mark.parametrize("fibers", [0, 3], ids=["no-atoms", "zero-dimensional"])
+    def test_degenerate_bundles_give_zero(self, fibers):
+        space = MeasureSpace([f"a{x}" for x in range(fibers)], [1.0] * fibers)
+        v = Section(Bundle(space, [Fiber(0)] * fibers), [np.zeros(0)] * fibers)
+        assert pointwise_norm(v).values.tolist() == [0.0] * fibers
+        for p in (1, 1.5, 2, math.inf):
+            assert section_lp_norm(v, p) == 0.0
+        assert parallelogram_residual(v, v) == 0.0
+
 
 @pytest.mark.parametrize("p", [1.5, math.inf])
 def test_section_norm_fn_matches_per_row_formula(p):
@@ -270,7 +280,9 @@ def _atom_norm_bundles():
 def test_atom_norms_match_per_atom_slices(b):
     """``_atom_norms`` gives each atom's fiber norms the bits of that atom's
     own ``norm_batch`` call on its coordinate slice, for one row, for many,
-    and for rows that are a strided view; no rows give no norms."""
+    and for rows that are a strided view; no rows give no norms.  Each
+    row's ``pointwise_norm`` and ``section_lp_norm``, the one-row cases,
+    have the bits of that row in the batch."""
     per_atom = _atom_norms(b)
     o = b.offsets
     rng = np.random.default_rng(b.total_dimension)
@@ -283,6 +295,14 @@ def test_atom_norms_match_per_atom_slices(b):
                 want[x] = f.norm.norm_batch(X[:, o[x] : o[x + 1]])
         assert np.array_equal(per_atom(X), want)
     assert per_atom(np.zeros((0, b.total_dimension))).shape == (b.space.atom_count, 0)
+    X = wide[:, : b.total_dimension]
+    norms = per_atom(X)
+    batched = {p: _section_lp_rows(b, X, p) for p in (1.5, 2, math.inf)}
+    for i, row in enumerate(X):
+        s = Section.from_coords(b, row)
+        assert pointwise_norm(s).values.tobytes() == norms[:, i].tobytes()
+        for p, values in batched.items():
+            assert np.float64(section_lp_norm(s, p)).tobytes() == values[i].tobytes()
 
 
 class TestModuleAction:

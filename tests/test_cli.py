@@ -556,7 +556,7 @@ def test_layer_bench_times_every_layer(tmp_path):
     layers = report["layers"]
     kinds = ("inner_product", "weighted_lp", "polyhedral_max", "polytope_gauge")
     assert set(layers) == {f"norm_batch.{k}.rows_{m}" for k in kinds for m in (2, 64, 1024)} | {
-        f"linear_maximizer.{k}" for k in kinds} | {
+        f"{layer}.{k}" for layer in ("norm", "linear_maximizer") for k in kinds} | {
         "section_evaluator", "section_evaluator_constant", "search_batch", "fiber_search",
         "repair", "dual_check"}
     for timing in layers.values():

@@ -15,7 +15,6 @@ from bundlelab import convexity
 from bundlelab.bundles import (
     Bundle,
     Fiber,
-    _exponent_norm,
     _section_norms,
     section_modulus_curve,
 )
@@ -43,7 +42,12 @@ from bundlelab.norms import (
 )
 from bundlelab.suites import SUITE_BUDGET
 
-from oracles import maximize_linear_on_sphere, repair_one_halving_at_a_time, section_norm_batch
+from oracles import (
+    exponent_norm,
+    maximize_linear_on_sphere,
+    repair_one_halving_at_a_time,
+    section_norm_batch,
+)
 
 TEST_BUDGET = SearchBudget(restarts=16, iterations=80)
 
@@ -423,7 +427,7 @@ class TestBatchedSearch:
         solo = []
         for group in groups:
             for j, search in enumerate(group.searches):
-                norm = _exponent_norm(group.evaluate, j, len(group.searches))
+                norm = exponent_norm(group.evaluate, j, len(group.searches))
                 solo += pair_search([single_norm_group(norm, search)], 3, self.EPS, self.BUDGET)
         assert len(batched) == len(solo) == 5 + 4 + 2
         self._assert_identical(batched, solo)
@@ -675,7 +679,7 @@ def _repair_kinds():
         PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0]]),
         PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]],
                                      -np.eye(3), [[-1.0, -1.0, -0.5]]])))]
-    kinds.append((_exponent_norm(section, 0, 1), 4))
+    kinds.append((exponent_norm(section, 0, 1), 4))
     return kinds
 
 

@@ -85,6 +85,21 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_no_norm_kind_defines_its_own_norm():
+    """A single vector's norm has one route, ``NormSpec.norm``, the one-row
+    ``norm_batch``: no norm kind of the package defines ``norm``."""
+    from bundlelab.norms import NormSpec
+
+    kinds, todo = [], [NormSpec]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        kinds += subclasses
+        todo += subclasses
+    kinds = [cls for cls in kinds if cls.__module__.startswith("bundlelab.")]
+    assert len(kinds) >= 4
+    assert [cls.__name__ for cls in kinds if "norm" in vars(cls)] == []
+
+
 def _imported_modules(node) -> list:
     if isinstance(node, ast.Import):
         return [a.name for a in node.names]

@@ -388,14 +388,15 @@ def test_facets_split_into_exact_pairs(g):
 @pytest.mark.parametrize("g", facet_test_gauges(), ids=lambda g: g.digest())
 def test_half_form_equals_the_full_facet_form(g):
     """``max |H v|`` over one facet of each pair has the bits of ``max(F
-    v)`` over all facets, one vector at a time and in batches."""
+    v)`` over all facets, in batches and for one vector at a time (``norm``,
+    the one-row batch)."""
     rng = np.random.default_rng(g.dimension)
     for magnitude in (1e-300, 1e-5, 1.0, 1e5, 1e300):
         V = magnitude * rng.standard_normal((33, g.dimension))
         full = np.maximum.reduce(g._facets @ V.T, axis=0)
         assert np.array_equal(g.norm_batch(V), full)
         assert np.array_equal(g.norm_batch(V[:2]), full[:2])
-        assert [g.norm(v) for v in V[:5]] == [float(np.max(g._facets @ v)) for v in V[:5]]
+        assert [g.norm(v) for v in V[:5]] == full[:5].tolist()
     assert g.norm(np.zeros(g.dimension)) == 0.0
 
 
@@ -414,17 +415,20 @@ def three_d_kinds():
 def test_linear_maximizer_batch_is_row_independent(spec):
     """Each row of a mixed batch (a zero row, rows at 1e-300 and 1e300,
     ordinary rows) has the value and witness bits of its one-row call, also
-    in the reversed batch."""
+    in the reversed batch, and its ``norm`` has the bits of its row of
+    ``norm_batch``."""
     rng = np.random.default_rng(31)
     d = spec.dimension
     C = np.vstack([np.zeros(d), 1e-300 * rng.standard_normal(d), rng.standard_normal((4, d)),
                    1e300 * rng.standard_normal(d), rng.standard_normal((5, d))])
     values, witnesses = spec.linear_maximizer_batch(C)
     assert values.shape == (len(C),) and witnesses.shape == C.shape
+    norms = spec.norm_batch(C)
     for i, c in enumerate(C):
         value, witness = spec.linear_maximizer(c)
         assert np.float64(value).tobytes() == values[i].tobytes()
         assert witness.tobytes() == witnesses[i].tobytes()
+        assert np.float64(spec.norm(c)).tobytes() == norms[i].tobytes()
         top = np.max(np.abs(c))
         # the dual norm is homogeneous; scaled, its single-vector route cannot overflow
         assert value == pytest.approx(top and top * spec.dual().norm(c / top), rel=1e-9)

@@ -9,8 +9,9 @@ process, with BLAS and OpenMP pools pinned to one thread:
 
 * ``norm_batch.<kind>.rows_<m>``: one ``norm_batch`` call of each norm kind
   (dimension 3) on ``m`` rows, for three row counts;
-* ``linear_maximizer.<kind>``: one single-vector ``linear_maximizer`` call
-  of each norm kind (dimension 3);
+* ``norm.<kind>`` and ``linear_maximizer.<kind>``: one single-vector
+  ``norm`` and ``linear_maximizer`` call of each norm kind (dimension 3), on
+  the same vector;
 * ``section_evaluator``: the section-space evaluator of a fixed 3-atom
   bundle (total dimension 9) at exponents 1.5 and 3, as the kernel calls it:
   one ``convexity._group_norms`` call on a 16-slab block (the midpoints and
@@ -25,8 +26,9 @@ process, with BLAS and OpenMP pools pinned to one thread:
   under the suites' fiber budget (``suites.SUITE_BUDGET``: 16 restarts,
   80 iterations) on the grid 1, 2;
 * ``repair``: one ``convexity._repair_separation_batch`` of 64 lanes under
-  the bundle's exponent-1.5 norm, through the group's block evaluator (as
-  rows, for checkouts whose repair takes a plain batched norm);
+  the bundle's exponent-1.5 norm, through the group's block evaluator (with
+  the rows as a one-slab block, for checkouts whose repair takes a plain
+  batched norm);
 * ``dual_check``: one warm in-process ``cli.main`` run of ``dual-check`` on
   config 0 of the benchmark's duality-sampled workload (seed 0), writing
   its reports to a temporary directory.
@@ -86,16 +88,17 @@ def _kinds(norms):
 
 def _section_group(bl, kinds=("inner_product", "weighted_lp", "polytope_gauge")):
     """The search group at exponents 1.5 and 3 of the fixed 3-atom bundle
-    whose atoms carry the dimension-3 norms ``kinds``."""
+    whose atoms carry the dimension-3 norms ``kinds``, with each search's
+    structured start pairs under the bundle's section-space norm."""
     norms = _kinds(bl.norms)
     space = bl.measure.MeasureSpace(["a", "b", "c"], [0.7, 1.0, 1.4])
     bundle = bl.bundles.Bundle(space, [bl.bundles.Fiber(3, norms[k]) for k in kinds])
     exponents = [1.5, 3]
     evaluate = bl.bundles._section_norms(bundle, exponents)
     searches = []
-    for j in range(len(exponents)):
-        norm_batch = bl.bundles._exponent_norm(evaluate, j, len(exponents))
-        pairs = bl.convexity.structured_pairs_for_fn(norm_batch, 9)[:27]
+    for p in exponents:
+        pairs = bl.convexity.structured_pairs_for_fn(
+            lambda X, p=p: bl.bundles._section_lp_rows(bundle, X, p), 9)[:27]
         searches.append(bl.convexity.Search(np.array(pairs)))
     return bl.convexity.SearchGroup(evaluate, searches)
 
@@ -122,6 +125,7 @@ def _layers(bl, config: Path, out: Path) -> dict:
             rows = rng.standard_normal((m, 3))
             layers[f"norm_batch.{kind}.rows_{m}"] = lambda spec=spec, rows=rows: spec.norm_batch(rows)
         c = rng.standard_normal(3)
+        layers[f"norm.{kind}"] = lambda spec=spec, c=c: spec.norm(c)
         layers[f"linear_maximizer.{kind}"] = lambda spec=spec, c=c: spec.linear_maximizer(c)
 
     group = _section_group(bl)
@@ -151,15 +155,16 @@ def _layers(bl, config: Path, out: Path) -> dict:
         fibers, [(g, 0) for g in range(len(fibers))], 3, eps, fiber_budget, cv._midpoint_gap,
         FX, FY)
 
-    norm = bl.bundles._exponent_norm(group.evaluate, 0, 2)
-    V = cv._unit_rows(norm, rng.standard_normal((64, 9)))
-    W = cv._unit_rows(norm, rng.standard_normal((64, 9)))
-    sep = np.full(64, 1.5)
-
     def repair_norms(A):
-        # a block (k, lanes, dim); older checkouts, whose repair takes a
-        # plain batched norm, pass rows (lanes, dim)
-        return norm(A) if A.ndim == 2 else group.evaluate(A, [A.shape[1], 0])
+        # the first exponent's norms of a block (k, lanes, dim), or of rows
+        # (lanes, dim), which older checkouts' repair passes
+        if A.ndim == 2:
+            return group.evaluate(A[None], [len(A), 0])[0]
+        return group.evaluate(A, [A.shape[1], 0])
+
+    V = cv._unit_rows(repair_norms, rng.standard_normal((64, 9)))
+    W = cv._unit_rows(repair_norms, rng.standard_normal((64, 9)))
+    sep = np.full(64, 1.5)
 
     layers["repair"] = lambda: cv._repair_separation_batch(repair_norms, V, W, sep)
 
