@@ -125,6 +125,22 @@ class Bundle:
             self._dual._dual = self
         return self._dual
 
+    @functools.cached_property
+    def _norm_runs(self) -> list:
+        """``[spec, first atom, stop atom]`` of each run of adjacent atoms
+        that share a fiber norm (by digest), skipping zero-dimensional
+        fibers; built on first use, like ``dual()``."""
+        runs = []
+        last = None
+        for x, f in enumerate(self.fibers):
+            key = f.norm.digest() if f.dimension else None
+            if key is not None and key == last:
+                runs[-1][2] = x + 1
+            elif key is not None:
+                runs.append([f.norm, x, x + 1])
+            last = key
+        return runs
+
     def __repr__(self):
         kinds = [f.norm.kind if f.norm else "zero" for f in self.fibers]
         return f"Bundle(atoms={self.space.atom_count}, dims={self.dimensions.tolist()}, kinds={kinds})"
@@ -242,22 +258,14 @@ def _atom_norms(bundle: Bundle):
     to the ``(atoms, m)`` array of each row's fiber norm at each atom (0 on
     zero-dimensional fibers).
 
-    Each run of adjacent atoms that share a fiber norm (by digest) is
-    evaluated by one ``norm_batch`` call on its coordinates as rows
-    ``(m * atoms in the run, dim)``, so a row's norms have the same bits
-    alone as inside any batch.
+    Each run of adjacent atoms that share a fiber norm (``Bundle._norm_runs``,
+    built once per bundle) is evaluated by one ``norm_batch`` call on its
+    coordinates as rows ``(m * atoms in the run, dim)``, so a row's norms
+    have the same bits alone as inside any batch.
     """
     offsets = bundle.offsets.tolist()
     n_atoms = bundle.space.atom_count
-    runs = []  # [spec, first atom, stop atom] of each run
-    last = None
-    for x, f in enumerate(bundle.fibers):
-        key = f.norm.digest() if f.dimension else None
-        if key is not None and key == last:
-            runs[-1][2] = x + 1
-        elif key is not None:
-            runs.append([f.norm, x, x + 1])
-        last = key
+    runs = bundle._norm_runs
 
     def per_atom(X: np.ndarray) -> np.ndarray:
         out = np.zeros((n_atoms, len(X)))

@@ -26,8 +26,14 @@ gauges for the gauge.
 ``F`` is enumerated with numpy alone, from the hyperplanes through d
 linearly independent vertices, one from each of d antipodal pairs, and
 checked at construction against the gauge's defining linear program solved
-over its basic solutions.  No library code solves the LP itself; only the
-tests' oracle does (``tests/oracles.py``).
+over its basic solutions.  Construction makes no numpy call per vertex
+or per candidate beyond the pairing's walk: the vertex pairing compares
+all rows through pairwise distance matrices and the facet support test
+all candidates, both in blocks of at most ``_SUPPORT_BLOCK`` elements, and
+the facets are deduplicated by one unique over their sign rows packed as
+byte strings.
+No library code solves the LP itself; only the tests' oracle does
+(``tests/oracles.py``).
 
 Batched kernels are coordinate-major: ``norm_batch`` takes rows of shape
 ``(..., d)`` but works on the ``(d, m)`` transpose and reduces over axis 0,
@@ -71,7 +77,8 @@ MAX_FACET_CANDIDATES = 1 << 19
 #: test that a vertex lies on a facet
 _FACET_TOL = 1e-9
 
-#: elements of one block of the support test, bounding its working memory
+#: elements of one block of the facet support test and of each pairwise
+#: distance matrix of the vertex pairing, bounding their working memory
 _SUPPORT_BLOCK = 1 << 20
 
 #: the float64 dtype, a singleton that ``_columns`` compares by identity
@@ -430,18 +437,39 @@ def _antipodal_pairs(V: np.ndarray) -> np.ndarray:
     Raises if a row has no antipode.  Rows within 1e-9 (relative to the
     largest entry) of an earlier row or of its negation join that row's
     pair; rows at the origin lie inside the hull and are dropped.
+
+    The distances ``max_k |V_ik + V_jk|`` and ``max_k |V_ik - V_jk|`` of
+    a block of rows i to every row j are one matrix against the stacked
+    rows ``[-V; V]``, built coordinate by coordinate in blocks of at most
+    ``_SUPPORT_BLOCK`` elements; a walk over the block's rows then keeps
+    each row that no earlier kept row has joined.  ``a - (-b)`` is
+    ``a + b``, ``a - b`` is ``-(b - a)`` and a maximum does not round, so
+    the masks have the bits of one row's reductions against all rows.
     """
+    n, d = V.shape
     tol = _pair_tol(V)
-    pairs = []
-    paired = np.zeros(len(V), dtype=bool)
-    for i, row in enumerate(V):
-        antipodes = np.max(np.abs(V + row), axis=1) <= tol
-        if not np.any(antipodes):
+    nonzero = (np.max(np.abs(V), axis=1) > tol).tolist()
+    W = np.concatenate((-V, V))
+    paired = np.zeros(n, dtype=bool)
+    kept = []
+    step = max(1, _SUPPORT_BLOCK // (2 * n))
+    for start in range(0, n, step):
+        rows = V[start : start + step]
+        dist = np.abs(rows[:, :1] - W[:, 0])
+        for k in range(1, d):
+            np.maximum(dist, np.abs(rows[:, k, None] - W[:, k]), out=dist)
+        near = dist <= tol
+        antipodes = near[:, :n]
+        if not np.all(np.any(antipodes, axis=1)):
             raise ValueError("vertex list must be symmetric (closed under negation)")
-        if not paired[i] and np.max(np.abs(row)) > tol:
-            pairs.append(row)
-            paired |= antipodes | (np.max(np.abs(V - row), axis=1) <= tol)
-    return np.array(pairs)
+        joins = antipodes | near[:, n:]
+        for i in range(start, start + len(rows)):
+            if nonzero[i] and not paired[i]:
+                kept.append(i)
+                paired |= joins[i - start]
+    if not kept:
+        raise ValueError("vertex list has no vertex away from the origin")
+    return V[kept]
 
 
 def _gauge_bases(H: np.ndarray) -> np.ndarray:
@@ -455,6 +483,19 @@ def _gauge_bases(H: np.ndarray) -> np.ndarray:
     check_facet_candidates(m, d)
     B = H[np.array(list(itertools.combinations(range(m), d)))]
     return B[np.linalg.matrix_rank(B) == d]
+
+
+def _first_distinct_rows(R: np.ndarray) -> np.ndarray:
+    """Indices, in increasing order, of the first occurrence of each
+    distinct row of a C-contiguous ``int8`` array ``R``.
+
+    Each row is packed into one opaque byte string, so the unique runs on a
+    1-D array; its stable sort gives the same first indices as
+    ``np.unique(R, axis=0, return_index=True)``, at a fraction of its
+    per-call overhead.
+    """
+    packed = R.view(np.dtype((np.void, R.shape[1])))[:, 0]
+    return np.sort(np.unique(packed, return_index=True)[1])
 
 
 def _gauge_facets(H: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,27 +512,32 @@ def _gauge_facets(H: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     repeat=d)`` order, so the row order is fixed by ``H`` alone.  The
     facets of a symmetric polytope come in pairs {a, -a}, the second the
     exact negation of the first.
+
+    Every step is one array pass over all candidates: one stacked solve,
+    the support test in blocks of at most ``_SUPPORT_BLOCK`` products, and
+    one 1-D unique over the candidates' sign rows packed as byte strings
+    (``_first_distinct_rows``).
     """
     k, d = len(B), H.shape[1]
     h = 2 ** (d - 1)
-    # the patterns with s_1 = +1; those with s_1 = -1 are their negations,
-    # in reverse order, and negating the right side negates the solution
-    bits = (np.arange(h)[:, None] >> np.arange(d - 2, -1, -1)) & 1
-    half = np.hstack([np.ones((h, 1)), 1.0 - 2.0 * bits])
+    # the patterns with s_1 = +1 (bit d - 1 of every index below h is 0);
+    # those with s_1 = -1 are their negations, in reverse order, and
+    # negating the right side negates the solution
+    half = 1.0 - 2.0 * ((np.arange(h)[:, None] >> np.arange(d - 1, -1, -1)) & 1)
     # a (1, d, h) right side: a stack of matrices under every numpy version
     A = np.swapaxes(np.linalg.solve(B, half.T[None]), 1, 2).reshape(-1, d)
-    blocks = np.array_split(A, max(1, -(-len(A) * len(H) // _SUPPORT_BLOCK)))
+    parts = -(-len(A) * len(H) // _SUPPORT_BLOCK)
+    blocks = np.array_split(A, parts) if parts > 1 else [A]
     keep = np.concatenate([np.max(np.abs(a @ H.T), axis=1) <= 1.0 + _FACET_TOL
                            for a in blocks]).reshape(k, h)
     # -a passes the test exactly when a does
-    b, j = np.nonzero(np.hstack([keep, keep[:, ::-1]]))
+    b, j = np.nonzero(np.concatenate((keep, keep[:, ::-1]), axis=1))
     negated = j >= h
     A = A.reshape(k, h, d)[b, np.where(negated, 2 * h - 1 - j, j)]
     A[negated] *= -1.0
     HA = A @ H.T
     on_facet = (HA >= 1.0 - _FACET_TOL).astype(np.int8) - (HA <= _FACET_TOL - 1.0)
-    _, first = np.unique(on_facet, axis=0, return_index=True)
-    first = np.sort(first)
+    first = _first_distinct_rows(on_facet)
     # a candidate and its negation come from the same bases, so both are
     # kept or neither is; the one solved with s_1 = +1 stands for the pair
     return A[first], A[first[~negated[first]]]

@@ -15,6 +15,10 @@ with.  No library code calls them, so they live here, not under ``src/``.
   fiber norms, one single-vector ``norm`` call per atom.
 * ``repair_one_halving_at_a_time``: the separation repair of the search
   kernel, one halving at a time and all 60 of them.
+* ``antipodal_pairs_row_by_row``: a gauge's vertex pairing, three
+  reductions per vertex row.
+* ``first_distinct_rows_by_axis_unique``: the facet dedup by numpy's
+  row-wise ``unique``.
 """
 
 import math
@@ -25,6 +29,7 @@ from scipy.optimize import linprog
 from bundlelab.bundles import _section_norms
 from bundlelab.measure import ScalarField
 from bundlelab.convexity import SearchBudget, _unit_rows
+from bundlelab.norms import _pair_tol
 
 
 def maximize_linear_on_sphere(norm_batch, dim: int, coeffs, budget: SearchBudget | None = None):
@@ -168,3 +173,26 @@ def repair_one_halving_at_a_time(norm_batch, V, W, eps):
     degen = nr < 1e-12
     cand = np.where(degen[:, None], -V, raw / np.where(degen, 1.0, nr)[:, None])
     return cand / norm_batch(cand)[:, None], settled
+
+
+def antipodal_pairs_row_by_row(V):
+    """``norms._antipodal_pairs`` one vertex row at a time: the row's
+    distances to every row and to every row's negation, then the row is
+    kept unless an earlier kept row has joined it."""
+    tol = _pair_tol(V)
+    pairs = []
+    paired = np.zeros(len(V), dtype=bool)
+    for i, row in enumerate(V):
+        antipodes = np.max(np.abs(V + row), axis=1) <= tol
+        if not np.any(antipodes):
+            raise ValueError("vertex list must be symmetric (closed under negation)")
+        if not paired[i] and np.max(np.abs(row)) > tol:
+            pairs.append(row)
+            paired |= antipodes | (np.max(np.abs(V - row), axis=1) <= tol)
+    return np.array(pairs)
+
+
+def first_distinct_rows_by_axis_unique(R):
+    """``norms._first_distinct_rows`` by numpy's row-wise ``unique``."""
+    _, first = np.unique(R, axis=0, return_index=True)
+    return np.sort(first)

@@ -558,7 +558,8 @@ def test_layer_bench_times_every_layer(tmp_path):
     assert set(layers) == {f"norm_batch.{k}.rows_{m}" for k in kinds for m in (2, 64, 1024)} | {
         f"{layer}.{k}" for layer in ("norm", "linear_maximizer") for k in kinds} | {
         "section_evaluator", "section_evaluator_constant", "search_batch", "fiber_search",
-        "repair", "dual_check"}
+        "repair", "dual_check"} | {
+        f"gauge_build.{size}" for size in ("2x4", "3x5", "3x40", "2x256")}
     for timing in layers.values():
         assert timing["repeats"] == 1 and len(timing["seconds_per_call"]) == 2
         for stats in timing["seconds_per_call"]:

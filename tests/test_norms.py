@@ -19,7 +19,11 @@ from bundlelab.norms import (
     norm_spec_from_config,
 )
 
-from oracles import gauge_lp_norm
+from oracles import (
+    antipodal_pairs_row_by_row,
+    first_distinct_rows_by_axis_unique,
+    gauge_lp_norm,
+)
 
 
 def brute_dual_norm(spec, c, samples=20000, seed=1):
@@ -257,6 +261,9 @@ class TestPolytopeGauge:
     def test_degenerate_vertices_rejected(self):
         with pytest.raises(ValueError):
             PolytopeGaugeNorm([[1.0, 0.0], [-1.0, 0.0]])
+        # spanning, but every vertex lies within the pairing tolerance of 0
+        with pytest.raises(ValueError, match="no vertex away from the origin"):
+            PolytopeGaugeNorm(1e-12 * np.vstack([np.eye(2), -np.eye(2)]))
 
 
 def one_norm_of_each_kind(dim, r=1.5):
@@ -398,6 +405,63 @@ def test_half_form_equals_the_full_facet_form(g):
         assert np.array_equal(g.norm_batch(V[:2]), full[:2])
         assert [g.norm(v) for v in V[:5]] == full[:5].tolist()
     assert g.norm(np.zeros(g.dimension)) == 0.0
+
+
+def seeded_vertex_lists(count=240):
+    """Symmetric vertex lists in dimensions 2-4 at scales 1e-3 to 1e3, with
+    rows within the pairing tolerance of a row or of its negation, rows at
+    the origin, and rows in shuffled order."""
+    lists = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 3
+        half = rng.standard_normal((int(rng.integers(d, d + 4)), d)) * 10.0 ** rng.uniform(-3, 3)
+        V = np.vstack([half, -half])
+        tol = norms._pair_tol(V)
+        near = V[rng.integers(0, len(V), size=int(rng.integers(0, 4)))]
+        near = near + rng.uniform(-0.9, 0.9, near.shape) * tol
+        zeros = np.zeros((int(rng.integers(0, 3)), d))
+        V = np.vstack([V, near, -near, zeros])
+        lists.append(V[rng.permutation(len(V))])
+    return lists
+
+
+def gauge_outcome(V):
+    """Shapes and bytes of the pairs and of every array a gauge built from
+    ``V`` holds, and of its norms of fixed probes; or the error it raised."""
+    try:
+        g = PolytopeGaugeNorm(V)
+    except (ValueError, AssertionError) as exc:
+        return repr(exc)
+    probes = np.random.default_rng(3).standard_normal((17, g.dimension))
+    arrays = (norms._antipodal_pairs(g.vertices), g._bases, g._facets, g._half_facets,
+              g._vertex_gauges, g.norm_batch(probes))
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("block", [norms._SUPPORT_BLOCK, 16], ids=["one-block", "small-blocks"])
+def test_gauge_construction_matches_the_row_by_row_oracle(monkeypatch, block):
+    """The blocked pairing and the packed-row facet dedup build every gauge
+    array with the bits of the row-by-row pairing and numpy's row-wise
+    unique, in one block or in many, and refuse an asymmetric list with the
+    same error."""
+    lists = [g.vertices for g in facet_test_gauges()] + seeded_vertex_lists()
+    asymmetric = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [2.0, 2.0]])
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_antipodal_pairs", antipodal_pairs_row_by_row)
+        m.setattr(norms, "_first_distinct_rows", first_distinct_rows_by_axis_unique)
+        expected = [gauge_outcome(V) for V in lists]
+        with pytest.raises(ValueError) as oracle_error:
+            PolytopeGaugeNorm(asymmetric)
+    monkeypatch.setattr(norms, "_SUPPORT_BLOCK", block)
+    # nearly every list builds, so arrays are compared, not only errors
+    assert sum(not isinstance(e, str) for e in expected) >= 250
+    for V, want in zip(lists, expected):
+        assert gauge_outcome(V) == want
+    with pytest.raises(ValueError) as error:
+        PolytopeGaugeNorm(asymmetric)
+    assert str(error.value) == str(oracle_error.value) == (
+        "vertex list must be symmetric (closed under negation)")
 
 
 def three_d_kinds():

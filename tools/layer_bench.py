@@ -29,6 +29,10 @@ process, with BLAS and OpenMP pools pinned to one thread:
   the bundle's exponent-1.5 norm, through the group's block evaluator (with
   the rows as a one-slab block, for checkouts whose repair takes a plain
   batched norm);
+* ``gauge_build.<d>x<pairs>``: one ``PolytopeGaugeNorm`` construction
+  (vertex pairing, facet enumeration and the cross-check) from ``pairs``
+  seeded standard normal rows in dimension ``d`` and their negations, at
+  the benchmark's sizes 2x4 and 3x5 and the large sizes 3x40 and 2x256;
 * ``dual_check``: one warm in-process ``cli.main`` run of ``dual-check`` on
   config 0 of the benchmark's duality-sampled workload (seed 0), writing
   its reports to a temporary directory.
@@ -69,6 +73,8 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 ROW_COUNTS = (2, 64, 1024)
+#: (dimension, antipodal pairs) of the timed gauge constructions
+GAUGE_SIZES = ((2, 4), (3, 5), (3, 40), (2, 256))
 #: seconds one timed measurement of a layer aims at
 TARGET_S = 0.02
 
@@ -167,6 +173,12 @@ def _layers(bl, config: Path, out: Path) -> dict:
     sep = np.full(64, 1.5)
 
     layers["repair"] = lambda: cv._repair_separation_batch(repair_norms, V, W, sep)
+
+    for d, pairs in GAUGE_SIZES:
+        half = np.random.default_rng(1000 * d + pairs).standard_normal((pairs, d))
+        vertices = np.vstack([half, -half])
+        layers[f"gauge_build.{d}x{pairs}"] = (
+            lambda vertices=vertices: bl.norms.PolytopeGaugeNorm(vertices))
 
     argv = ["dual-check", "--config", str(config), "--out", str(out)]
     layers["dual_check"] = lambda: bl.cli.main(argv)
