@@ -24,7 +24,6 @@ from .convexity import (
     Search,
     SearchBudget,
     SearchGroup,
-    _line_curve,
     check_eps_grid,
     curve_from_search,
     modulus_curves,
@@ -97,16 +96,8 @@ class Bundle:
 
     @property
     def is_constant(self) -> bool:
-        """Same dimension and same norm content at every atom."""
-        if self.space.atom_count == 0:
-            return True
-        first = self.fibers[0]
-        for f in self.fibers[1:]:
-            if f.dimension != first.dimension:
-                return False
-            if f.dimension > 0 and f.norm.digest() != first.norm.digest():
-                return False
-        return True
+        """Same dimension and same norm content (by digest) at every atom."""
+        return len(set(self.dimensions.tolist())) <= 1 and len(self._norm_runs) <= 1
 
     def dual(self) -> "Bundle":
         """Bundle of dual fibers over the same measure space.
@@ -366,9 +357,6 @@ def section_modulus_curves(
             norm_batch = functools.partial(_section_lp_rows, bundle, p=p)
             meta = {"section_space": True, "p": float(p) if p != math.inf else "inf",
                     "fiber_curves": own}
-            if total == 1:
-                out[i][j] = _line_curve(norm_batch, eps, budget, meta)
-                continue
             # single-atom lifts of each fiber's witness pairs: a pair supported
             # on one atom has the same separation, unit norms and midpoint gap
             # as its fiber pair, so these lifts keep the estimate on the
@@ -384,8 +372,7 @@ def section_modulus_curves(
             # witness lifts are the load-bearing starts here
             pairs = structured_pairs_for_fn(norm_batch, total, max(12, 3 * total))
             searches.append((j, meta, Search(np.array(pairs), lifts)))
-        if searches:
-            by_total.setdefault(total, []).append((i, evaluate, searches))
+        by_total.setdefault(total, []).append((i, evaluate, searches))
     for total, items in by_total.items():
         groups = [SearchGroup(evaluate, [s for _, _, s in searches])
                   for _, evaluate, searches in items]

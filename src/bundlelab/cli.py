@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import _section_lp_rows, pointwise_norm, section_lp_norm, section_modulus_curve
+from .bundles import pointwise_norm, section_modulus_curve
 from .convexity import DEFAULT_EPS_GRID, check_eps_grid, modulus_curve
 from .criterion import (
     induced_norm,
@@ -41,14 +41,7 @@ from .criterion import (
     sup_over_atoms_norm,
     weak_star_continuity_check,
 )
-from .duality import (
-    _duality_exponent,
-    _holder_rows,
-    check_reflexivity_diagram,
-    holder_maximizer,
-    integrated_pairing,
-    operator_norm,
-)
+from .duality import _duality_exponent, _duality_rows, check_reflexivity_diagram
 from .generators import instance_rng, random_section, recipe_from_config
 from .measure import as_exponent, conjugate_exponent
 from .norms import norm_spec_from_config
@@ -265,33 +258,30 @@ def cmd_dual_check(cfg: dict, args) -> int:
         rows.append((instance, seed, sample, quantity, value, reference,
                      residual, tol, residual <= tol))
 
+    if omega is not None or v is not None:
+        # an absent section is a zero row of its own one-row call
+        zero = np.zeros(bundle.total_dimension)
+        opn, dual_lq, attained, swapped, v_norm, lhs = (float(x[0]) for x in _duality_rows(
+            bundle, (zero if omega is None else omega.coords)[None],
+            (zero if v is None else v.coords)[None], p))
     if omega is not None:
-        vstar = holder_maximizer(omega, p)
-        opn = integrated_pairing(omega, vstar)
-        check("explicit", "operator-norm-vs-dual-lq", opn, section_lp_norm(omega, q), _EXPLICIT_TOL)
+        check("explicit", "operator-norm-vs-dual-lq", opn, dual_lq, _EXPLICIT_TOL)
         # the maximizer is a unit section, or zero for the zero functional
-        check("explicit", "holder-attainment", section_lp_norm(vstar, p),
+        check("explicit", "holder-attainment", attained,
               1.0 if np.any(omega.coords) else 0.0, _EXPLICIT_TOL)
     if v is not None:
-        check("explicit", "swapped-operator-norm-vs-lp", operator_norm(v, q),
-              section_lp_norm(v, p), _EXPLICIT_TOL)
+        check("explicit", "swapped-operator-norm-vs-lp", swapped, v_norm, _EXPLICIT_TOL)
     if omega is not None and v is not None:
-        lhs = integrated_pairing(omega, v)
-        bound = opn * section_lp_norm(v, p)
+        bound = opn * v_norm
         rows.append((instance, seed, "explicit", "holder-inequality-slack", lhs,
                      bound, max(0.0, lhs - bound), _EXPLICIT_TOL,
                      lhs <= bound + _EXPLICIT_TOL))
 
     if not bundle.degenerate:
-        dual = bundle.dual()
         # one draw, in the order of one random_section call per covector
         # field and per section, sample by sample
         draws = rng.standard_normal((samples, 2, bundle.total_dimension))
-        omegas, vs = draws[:, 0], draws[:, 1]
-        opn = _holder_rows(dual, omegas, p)[1]
-        dual_lq = _section_lp_rows(dual, omegas, q)
-        swapped = _holder_rows(bundle, vs, q)[1]
-        v_norms = _section_lp_rows(bundle, vs, p)
+        opn, dual_lq, _, swapped, v_norms, _ = _duality_rows(bundle, draws[:, 0], draws[:, 1], p)
         for s in range(samples):
             check(f"s{s}", "operator-norm-vs-dual-lq", float(opn[s]), float(dual_lq[s]),
                   _SAMPLED_TOL)

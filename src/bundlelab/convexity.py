@@ -13,7 +13,9 @@ two differ where delta is steep: for a round norm at eps = 2,
 ``delta(2) - delta(2 - slack)`` is about ``sqrt(slack)`` (3.2e-5), and a
 weighted l^2 estimate there sits 2.25e-5 below ``delta(2)``.  The same
 kernel, with the objective ``1 - defect/4`` on the separation grid
-``[0.0]``, maximizes the parallelogram defect.
+``[0.0]``, maximizes the parallelogram defect.  A line is answered by the
+kernel without a search: its unit sphere is {u, -u}, so every separated
+pair is antipodal, and a line's modulus is 1 and its defect 0 at every eps.
 
 All searches are deterministic functions of their budget: starts come from
 seeded sphere samples plus structured pairs (axis, sign-pattern, polytope
@@ -349,8 +351,24 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     ``budget.iterations`` exceed ``_MIN_FORK_WORK``.  An evaluator's side
     effects in a child are lost with it, and a child's exception is raised
     here as a ``RuntimeError`` carrying its traceback.
+
+    A line (``dim == 1``) is answered before any split, without lanes: its
+    unit sphere is {u, -u}, so ``raw`` is the objective at midpoint norm 0
+    and separation 2 at every eps, and each witness is ``(u, -u)``, with
+    ``u`` normalized from 1 by the search's own group evaluator (counters:
+    0 iterations, 0 lanes, 2 rows).
     """
     eps_values = np.asarray(eps_values, dtype=float)
+    if dim == 1:
+        n_eps = len(eps_values)
+        raw = np.clip(objective(np.zeros(n_eps), np.full(n_eps, 2.0)), 0.0, 1.0)
+        results = []
+        for group in groups:
+            counts = [1] * len(group.searches)
+            U = _unit_rows(lambda R: group.evaluate(R[None], counts)[0], np.ones((len(counts), 1)))
+            results += [(raw.copy(), [(u.copy(), -u) for _ in eps_values],
+                         {"iterations": 0, "lanes": 0, "repaired": 0, "rows": 2}) for u in U]
+        return results
     rng = np.random.default_rng(budget.seed)
     X = rng.standard_normal((budget.restarts, dim))
     Y = rng.standard_normal((budget.restarts, dim))
@@ -772,15 +790,6 @@ def _isotonic_clamp(raw: np.ndarray, witnesses: list):
 # -- public wrappers -------------------------------------------------------
 
 
-def _line_curve(norm_batch, eps, budget, meta) -> ModulusCurve:
-    # the unit sphere of a line is a two-point set; the only separated pair
-    # is antipodal with midpoint zero, so the modulus is 1 at every eps
-    u = _unit_rows(norm_batch, np.ones((1, 1)))[0]
-    raw = np.ones(len(eps))
-    wits = [(u.copy(), -u.copy()) for _ in eps]
-    return ModulusCurve(eps, raw.copy(), raw, wits, budget, dict(meta, dim=1))
-
-
 def curve_from_search(eps, budget: SearchBudget, result, meta: dict) -> ModulusCurve:
     """A ``ModulusCurve`` from one ``pair_search`` result; the search
     counters go to ``meta["search"]``."""
@@ -790,14 +799,13 @@ def curve_from_search(eps, budget: SearchBudget, result, meta: dict) -> ModulusC
 
 
 def _spec_searches(specs: Sequence[NormSpec], eps, budget: SearchBudget,
-                   objective=_midpoint_gap) -> dict:
-    """``pair_search`` results of the specs of dimension two and up, keyed by
-    index, from structured start pairs.  Each distinct spec (by digest) is
-    searched once, in one kernel call per dimension, and every index that
-    holds it gets that result."""
-    digests = {k: spec.digest() for k, spec in enumerate(specs) if spec.dimension > 1}
+                   objective=_midpoint_gap) -> list:
+    """``pair_search`` results of the specs, in order, from structured start
+    pairs.  Each distinct spec (by digest) is searched once, in one kernel
+    call per dimension, and every index that holds it gets that result."""
+    digests = [spec.digest() for spec in specs]
     first: dict = {}
-    for k, d in digests.items():
+    for k, d in enumerate(digests):
         first.setdefault(d, k)
     by_dim: dict = {}
     for k in first.values():
@@ -807,7 +815,7 @@ def _spec_searches(specs: Sequence[NormSpec], eps, budget: SearchBudget,
         groups = [single_norm_group(specs[k].norm_batch,
                                     Search(_pairs_array(structured_pairs(specs[k]), dim))) for k in ks]
         results.update(zip(ks, pair_search(groups, dim, eps, budget, objective=objective)))
-    return {k: results[first[d]] for k, d in digests.items()}
+    return [results[first[d]] for d in digests]
 
 
 def modulus_curves(specs: Sequence[NormSpec], eps_grid=None,
@@ -821,12 +829,8 @@ def modulus_curves(specs: Sequence[NormSpec], eps_grid=None,
     """
     eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     budget = budget or DEFAULT_BUDGET
-    results = _spec_searches(specs, eps, budget)
-    return [
-        curve_from_search(eps, budget, results[k], _spec_meta(spec)) if k in results
-        else _line_curve(spec.norm_batch, eps, budget, _spec_meta(spec))
-        for k, spec in enumerate(specs)
-    ]
+    return [curve_from_search(eps, budget, result, _spec_meta(spec))
+            for spec, result in zip(specs, _spec_searches(specs, eps, budget))]
 
 
 def _spec_meta(spec: NormSpec) -> dict:
@@ -854,16 +858,8 @@ def parallelogram_defects(specs: Sequence[NormSpec], budget: SearchBudget | None
     kinds give 0 up to roundoff; every other shipped kind has a sign-pattern
     or vertex start pair with a macroscopic defect."""
     budget = budget or DEFECT_BUDGET
-    results = _spec_searches(specs, [0.0], budget, _defect_objective)
-    out = []
-    for k, spec in enumerate(specs):
-        if k in results:
-            raw, [pair], _ = results[k]
-            out.append((4.0 * (1.0 - float(raw[0])), pair))
-        else:
-            u = spec.unit(np.ones(1))
-            out.append((0.0, (u, -u)))
-    return out
+    return [(4.0 * (1.0 - float(raw[0])), pair)
+            for raw, [pair], _ in _spec_searches(specs, [0.0], budget, _defect_objective)]
 
 
 # -- dense planar grid oracle ----------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,7 +151,6 @@ class AdditivityReport:
     witness_subset: tuple
     subsets_checked: int
     enumeration: str
-    notes: list = field(default_factory=list)
 
 
 def _subset_masks(atom_count: int, cap: int, samples: int, seed: int):

@@ -14,7 +14,10 @@ Pairings, maximizers and operator norms are computed on batches of flat
 coordinate rows ``(n, total)``, atom by atom (``_pairing_rows``,
 ``_holder_rows``); ``pairing_field``, ``integrated_pairing``,
 ``holder_maximizer`` and ``operator_norm`` are their one-row cases, so a
-section's values have the same bits alone as in any batch.
+section's values have the same bits alone as in any batch.  The quantities
+that dual-check and the duality suite compare (operator norms, L^p and L^q
+norms, the maximizers' norms and the integrated pairings) come from one
+route, ``_duality_rows``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import Bundle, Section, _same_bundle
-from .measure import ScalarField, as_exponent
+from .bundles import Bundle, Section, _same_bundle, _section_lp_rows
+from .measure import ScalarField, as_exponent, conjugate_exponent
 from .norms import _sum_columns
 
 __all__ = [
@@ -103,14 +106,11 @@ def _holder_rows(bundle: Bundle, S: np.ndarray, p) -> tuple[np.ndarray, np.ndarr
     Returns the maximizers as flat rows ``(n, total)`` of ``bundle.dual()``
     and the operator norms ``(n,)``, each norm the integrated pairing of its
     row with its maximizer.  Each atom's fiber maximizers come from one
-    ``linear_maximizer_batch`` call for all rows, and a lone row gets a twin,
-    as in ``norms._columns``, so a row has the same bits alone as in any
-    batch.
+    ``linear_maximizer_batch`` call for all rows.  A row has the same bits
+    alone as in any batch without a twin of its own here: the maximizers
+    and every sum (``_sum_columns``) twin a lone row themselves.
     """
     p = _duality_exponent(p)
-    n = len(S)
-    if n == 1:
-        S = np.repeat(S, 2, axis=0)
     target = bundle.dual()
     o = bundle.offsets
     g = np.zeros((bundle.space.atom_count, len(S)))
@@ -121,7 +121,24 @@ def _holder_rows(bundle: Bundle, S: np.ndarray, p) -> tuple[np.ndarray, np.ndarr
             g[x] = np.maximum(values, 0.0)
     c = _holder_magnitudes(g, target.space.weights, float(p))
     M *= np.repeat(c, bundle.dimensions, axis=0).T
-    return M[:n], _integral(bundle.space, _pairing_rows(bundle, S, M))[:n]
+    return M, _integral(bundle.space, _pairing_rows(bundle, S, M))
+
+
+def _duality_rows(bundle: Bundle, omegas: np.ndarray, vs: np.ndarray, p) -> tuple:
+    """The duality quantities of the flat rows ``omegas`` of
+    ``bundle.dual()`` and ``vs`` of ``bundle``, both ``(n, total)``, with
+    ``q`` conjugate to ``p``, each ``(n,)``: the operator norm of each
+    omega on the p-integrable sections and its L^q norm, the L^p norm of
+    its Holder maximizer, the operator norm of each v on the q-integrable
+    dual sections and its L^p norm, and the integrated pairing of each row
+    pair.  A row's values do not depend on its batch.
+    """
+    q = conjugate_exponent(p)
+    dual = bundle.dual()
+    maximizers, opn = _holder_rows(dual, omegas, p)
+    return (opn, _section_lp_rows(dual, omegas, q), _section_lp_rows(bundle, maximizers, p),
+            _holder_rows(bundle, vs, q)[1], _section_lp_rows(bundle, vs, p),
+            _integral(bundle.space, _pairing_rows(bundle, omegas, vs)))
 
 
 def holder_maximizer(s: Section, p) -> Section:

@@ -41,6 +41,8 @@ ALL_KINDS = ("inner_product", "weighted_lp", "polyhedral_max", "polytope_gauge")
 #: a polyhedral norm of dimension d is drawn with d + 1 to d + EXTRA_ROWS rows
 EXTRA_ROWS = 3
 UC_KINDS = ("inner_product", "weighted_lp")
+#: atom counts of ``random_measure_triple``
+TRIPLE_ATOM_RANGE = (2, 10)
 
 
 @dataclass(frozen=True)
@@ -172,14 +174,14 @@ def bundles_from_recipe(recipe: InstanceRecipe) -> Iterator[tuple[int, Bundle]]:
 # -- measure triples for the power-inequality lemma ---------------------------
 
 
-def random_measure_triple(seed: int, index: int, atom_range=(2, 10)) -> AtomicMeasureTriple:
+def random_measure_triple(seed: int, index: int) -> AtomicMeasureTriple:
     """Candidate triples mixing always-valid constructions and free draws.
 
     The caller still rejection-tests the set-level hypothesis; the families
     here just make acceptance common enough to be useful.
     """
     rng = instance_rng(seed, index, stream=7)
-    k = _rand_int(rng, atom_range)
+    k = _rand_int(rng, TRIPLE_ATOM_RANGE)
     space = MeasureSpace([f"a{i}" for i in range(k)], rng.uniform(0.2, 2.0, size=k))
     f2 = rng.uniform(0.0, 2.0, size=k)
     f3 = rng.uniform(0.0, 2.0, size=k)

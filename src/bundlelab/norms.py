@@ -73,6 +73,11 @@ GAUGE_SOLVER_TOL = 1e-10
 #: that could go above the limit is refused when it is read.
 MAX_FACET_CANDIDATES = 1 << 19
 
+#: seeded standard normal probes on which the gauge's construction
+#: cross-check compares its facet form with the LP's basic solutions
+_CROSS_CHECK_PROBES = 8
+_CROSS_CHECK_SEED = 7
+
 #: slack of a facet candidate's support test max |<h, a>| <= 1, and of the
 #: test that a vertex lies on a facet
 _FACET_TOL = 1e-9
@@ -426,8 +431,10 @@ def check_facet_candidates(pairs: int, dim: int) -> None:
 
 
 def _pair_tol(V: np.ndarray) -> float:
-    """Distance within which two rows of ``V`` count as the same vertex."""
-    return 1e-9 * max(1.0, float(np.max(np.abs(V))))
+    """Distance within which two rows of ``V`` count as the same vertex:
+    relative to the largest entry, so scaling ``V`` by a power of two
+    scales it alike."""
+    return 1e-9 * float(np.max(np.abs(V)))
 
 
 def _antipodal_pairs(V: np.ndarray) -> np.ndarray:
@@ -436,7 +443,7 @@ def _antipodal_pairs(V: np.ndarray) -> np.ndarray:
 
     Raises if a row has no antipode.  Rows within 1e-9 (relative to the
     largest entry) of an earlier row or of its negation join that row's
-    pair; rows at the origin lie inside the hull and are dropped.
+    pair; zero rows lie inside the hull and are dropped.
 
     The distances ``max_k |V_ik + V_jk|`` and ``max_k |V_ik - V_jk|`` of
     a block of rows i to every row j are one matrix against the stacked
@@ -448,7 +455,7 @@ def _antipodal_pairs(V: np.ndarray) -> np.ndarray:
     """
     n, d = V.shape
     tol = _pair_tol(V)
-    nonzero = (np.max(np.abs(V), axis=1) > tol).tolist()
+    nonzero = np.any(V, axis=1).tolist()
     W = np.concatenate((-V, V))
     paired = np.zeros(n, dtype=bool)
     kept = []
@@ -575,9 +582,9 @@ class PolytopeGaugeNorm(NormSpec):
         self._vertex_gauges = np.max(V @ self._facets.T, axis=1)
         self._cross_check()
 
-    def _cross_check(self, probes: int = 8, seed: int = 7) -> None:
-        rng = np.random.default_rng(seed)
-        P = rng.standard_normal((probes, self.dimension))
+    def _cross_check(self) -> None:
+        rng = np.random.default_rng(_CROSS_CHECK_SEED)
+        P = rng.standard_normal((_CROSS_CHECK_PROBES, self.dimension))
         # the LP's optimum is attained at a basic solution: p = sum_k l_k h_k
         # over the d pair rows h_k of one basis, with cost sum_k |l_k|
         lam = np.linalg.solve(np.swapaxes(self._bases, 1, 2), P.T[None])

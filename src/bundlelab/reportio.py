@@ -50,14 +50,12 @@ def csv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def plot_data(columns: dict, comment: str = "") -> str:
-    """Bare columnar plot data: ``# names`` header then whitespace rows."""
+def plot_data(columns: dict, comment: str) -> str:
+    """Bare columnar plot data: a ``# comment`` line, a ``# names`` header,
+    then whitespace rows."""
     names = list(columns)
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("# " + "  ".join(names))
+    lines = [f"# {comment}", "# " + "  ".join(names)]
     for i in range(len(arrays[0])):
         lines.append("  ".join(repr(float(a[i])) for a in arrays))
     return "\n".join(lines) + "\n"

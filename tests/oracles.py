@@ -186,7 +186,7 @@ def antipodal_pairs_row_by_row(V):
         antipodes = np.max(np.abs(V + row), axis=1) <= tol
         if not np.any(antipodes):
             raise ValueError("vertex list must be symmetric (closed under negation)")
-        if not paired[i] and np.max(np.abs(row)) > tol:
+        if not paired[i] and np.any(row):
             pairs.append(row)
             paired |= antipodes | (np.max(np.abs(V - row), axis=1) <= tol)
     return np.array(pairs)

@@ -84,6 +84,23 @@ class TestBundle:
         mixed = Bundle(space, [Fiber(2, euclid()), Fiber(2, WeightedLpNorm(1, [1.0, 1.0]))])
         assert not mixed.is_constant
 
+    @pytest.mark.parametrize("fibers, constant", [
+        ([], True),
+        ([Fiber(0), Fiber(0), Fiber(0)], True),
+        # distinct objects of one digest
+        ([Fiber(2, WeightedLpNorm(3, [1.0, 2.0])), Fiber(2, WeightedLpNorm(3, [1.0, 2.0])),
+          Fiber(2, WeightedLpNorm(3, [1.0, 2.0]))], True),
+        ([Fiber(2, WeightedLpNorm(3, [1.0, 2.0])), Fiber(2, WeightedLpNorm(3, [1.0, 2.0])),
+          Fiber(2, WeightedLpNorm(3, [2.0, 1.0]))], False),
+        ([Fiber(2, euclid()), Fiber(2, WeightedLpNorm(2, [1.0, 1.0])), Fiber(2, euclid())], False),
+        ([Fiber(2, euclid()), Fiber(0), Fiber(2, euclid())], False),
+        ([Fiber(1, euclid(1)), Fiber(1, euclid(1)), Fiber(2, euclid())], False),
+    ], ids=["no-atoms", "all-zero", "equal-digests", "digests-differ", "a-b-a", "zero-between",
+            "mixed-dims"])
+    def test_is_constant_cases(self, fibers, constant):
+        space = MeasureSpace([f"a{x}" for x in range(len(fibers))], [1.0] * len(fibers))
+        assert Bundle(space, fibers).is_constant is constant
+
     def test_dual_is_cached_and_correct(self):
         space = MeasureSpace(["a"], [1.0])
         b = Bundle(space, [Fiber(2, WeightedLpNorm(3, [1.0, 2.0]))])
@@ -364,6 +381,23 @@ class TestRestriction:
             part = section_lp_norm(module_action([1.0, 0.0], v), p) ** float(p)
             rest = section_lp_norm(module_action([0.0, 1.0], v), p) ** float(p)
             assert part + rest == pytest.approx(whole, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2, math.inf])
+def test_a_line_section_space_is_answered_by_the_kernel(p):
+    """A bundle of total dimension 1 (one 1-D fiber beside zero fibers) has a
+    line for its section space: the kernel gives modulus exactly 1.0 at every
+    eps, witnessed by (u, -u) with u the section norm's ``_unit_rows`` of 1."""
+    bundle = Bundle(MeasureSpace(["a", "b", "c"], [0.5, 1.5, 2.0]),
+                    [Fiber(0), Fiber(1, WeightedLpNorm(1.5, [0.7])), Fiber(0)])
+    eps = [0.5, 1.0, 2.0]
+    curve = section_modulus_curve(bundle, p, eps, SearchBudget(restarts=4, iterations=10))
+    u = convexity._unit_rows(lambda X: _section_lp_rows(bundle, X, p), np.ones((1, 1)))[0]
+    assert curve.raw_deltas.tolist() == curve.deltas.tolist() == [1.0] * 3
+    for v, w in curve.witnesses:
+        assert np.array_equal(v, u) and np.array_equal(w, -u)
+    [fiber_curve] = curve.meta["fiber_curves"]
+    assert fiber_curve.raw_deltas.tolist() == [1.0] * 3
 
 
 class TestSectionModulus:

@@ -14,10 +14,12 @@ import pytest
 
 from bundlelab import cli
 from bundlelab.cli import main
-from bundlelab.duality import operator_norm
+from bundlelab.bundles import section_lp_norm
+from bundlelab.duality import holder_maximizer, integrated_pairing, operator_norm
 from bundlelab.generators import instance_rng, random_section
+from bundlelab.measure import conjugate_exponent
 from bundlelab.norms import InnerProductNorm
-from bundlelab.serialize import bundle_from_config
+from bundlelab.serialize import bundle_from_config, section_from_config
 
 SMALL_BUDGET = {"restarts": 16, "iterations": 80}
 
@@ -265,6 +267,41 @@ class TestDualCheck:
             assert rows[f"s{s}", "operator-norm-vs-dual-lq"] == operator_norm(omega, 3)
             assert rows[f"s{s}", "swapped-operator-norm-vs-lp"] == operator_norm(v, 1.5)
 
+    @pytest.mark.parametrize("given", ["both", "dual_section", "section"])
+    def test_explicit_rows_equal_the_one_row_functions(self, tmp_path, given):
+        """Each explicit row's value and reference are, bit for bit, those of
+        the public one-row functions on the configured sections, and the
+        explicit rows are the same with 50 samples drawn beside them as with
+        none."""
+        dual_section = [[1.0, -0.5], [0.25, 2.0], [1.5]]
+        section = [[0.5, 1.0], [-1.0, 0.75], [2.0]]
+        p, q = 3, conjugate_exponent(3)
+        bundle = bundle_from_config(PINNED_BUNDLE)
+        omega = section_from_config(bundle, {"vectors": dual_section}, dual=True)
+        v = section_from_config(bundle, {"vectors": section})
+        vstar = holder_maximizer(omega, p)
+        opn = integrated_pairing(omega, vstar)
+        payload, want = {"bundle": PINNED_BUNDLE, "p": p}, {}
+        if given != "section":
+            payload["dual_section"] = dual_section
+            want["operator-norm-vs-dual-lq"] = (opn, section_lp_norm(omega, q))
+            want["holder-attainment"] = (section_lp_norm(vstar, p), 1.0)
+        if given != "dual_section":
+            payload["section"] = section
+            want["swapped-operator-norm-vs-lp"] = (operator_norm(v, q), section_lp_norm(v, p))
+        if given == "both":
+            want["holder-inequality-slack"] = (integrated_pairing(omega, v),
+                                               opn * section_lp_norm(v, p))
+        tables = []
+        for samples in (0, 50):
+            cfg = write_config(tmp_path, dict(payload, samples=samples))
+            out = tmp_path / f"reports{samples}"
+            assert main(["dual-check", "--config", cfg, "--out", str(out)]) == 0
+            explicit = [r for r in read_csv(out / "dual_residuals.csv")[1:] if r[2] == "explicit"]
+            assert {r[3]: (float(r[4]), float(r[5])) for r in explicit} == want
+            tables.append(explicit)
+        assert tables[0] == tables[1]
+
     def test_exponent_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bundle": self.BUNDLE, "p": 1})
         assert main(["dual-check", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
@@ -381,6 +418,26 @@ def test_report_bytes_are_pinned(tmp_path, command, payload, table, sha256):
     out = tmp_path / "reports"
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     assert hashlib.sha256((out / table).read_bytes()).hexdigest() == sha256
+
+
+def test_low_dimensional_suite_run_bytes_are_pinned(tmp_path):
+    """Every report file but the timestamped summary of a run of all six
+    suites keeps its bytes, on recipes that draw 1-D and zero-dimensional
+    fibers: a degenerate bundle, one of total dimension 1 beside a zero
+    fiber, and one of two 1-D fibers and a zero fiber."""
+    suites = ["hilbert", "uc-upper", "uc-lower", "pointwise", "duality", "criterion"]
+    recipe = {"seed": 9, "instance_count": 5, "atom_range": [1, 3], "dim_range": [1, 2],
+              "zero_fiber_fraction": 0.4, "exponents": [1.5, 2]}
+    cfg = write_config(tmp_path, {"suites": suites, "recipes": {s: recipe for s in suites}})
+    out = tmp_path / "reports"
+    assert main(["suite", "--config", cfg, "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name != "summary.md":
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+    # pinned at the commit before lines went through the search kernel
+    assert h.hexdigest() == "751d9573cfba3257f58f3745f094a9068ec12859f634315a1a5c6f7ed26dc0c1"
 
 
 def test_a_gauge_run_never_imports_scipy(tmp_path):

@@ -290,6 +290,25 @@ class TestParallelogramDefect:
         assert defect > 1e-3  # p=3 is genuinely non-Hilbert
 
 
+LINES = [InnerProductNorm([[3.0]]), WeightedLpNorm(1.5, [0.7]), WeightedLpNorm(2, [2.0]),
+         WeightedLpNorm("inf", [1.3]), PolyhedralMaxNorm([[2.0], [-0.5]]),
+         PolytopeGaugeNorm([[1.7], [-1.7]])]
+
+
+@pytest.mark.parametrize("spec", LINES, ids=lambda s: s.kind)
+def test_a_line_is_answered_by_the_kernel(spec):
+    """On a line, modulus curves and defects come from ``pair_search`` like
+    any other dimension: raw and clamped deltas exactly 1.0, defect exactly
+    0.0, each witness (u, -u) with u the ``_unit_rows`` of 1."""
+    u = convexity._unit_rows(spec.norm_batch, np.ones((1, 1)))[0]
+    curve = modulus_curve(spec, [0.5, 1.0, 2.0], SearchBudget(restarts=4, iterations=10))
+    assert curve.raw_deltas.tolist() == curve.deltas.tolist() == [1.0] * 3
+    [(defect, pair)] = parallelogram_defects([spec])
+    assert defect == 0.0
+    for v, w in curve.witnesses + [pair]:
+        assert np.array_equal(v, u) and np.array_equal(w, -u)
+
+
 def test_parallelogram_defects_batch_matches_solo_runs(monkeypatch):
     """One batched call, a kernel call per dimension, gives the bits of each
     spec alone: every kind, dimensions 1-3, and two specs of one kind."""
@@ -312,7 +331,7 @@ def test_parallelogram_defects_batch_matches_solo_runs(monkeypatch):
 
     monkeypatch.setattr(convexity, "pair_search", counting)
     batched = parallelogram_defects(specs, budget)
-    assert dims == [2, 3]
+    assert dims == [1, 2, 3]
     solo = [parallelogram_defects([spec], budget)[0] for spec in specs]
     for spec, (d_a, (v_a, w_a)), (d_b, (v_b, w_b)) in zip(specs, batched, solo):
         assert d_a == d_b and np.array_equal(v_a, v_b) and np.array_equal(w_a, w_b)

@@ -1,7 +1,8 @@
 """Every demo runs to completion at a small size, so none of them calls a
 name the package no longer has.  Every name a module lists in ``__all__``
-exists and has a caller outside the tests, and scipy stays confined to the
-one lazy import in ``norms.linprog``."""
+exists and has a caller outside the tests, scipy stays confined to the
+one lazy import in ``norms.linprog``, and the duality quantities keep one
+composer."""
 
 import ast
 import importlib
@@ -123,3 +124,14 @@ def test_scipy_stays_in_the_linprog_shim():
                 calls.append(f"{path.name}:{node.lineno}")
     assert imports == ["norms.linprog"]
     assert calls == []
+
+
+def test_duality_quantities_have_one_composer():
+    """dual-check and the duality suite read their operator norms, L^p and
+    L^q norms and pairings from ``duality._duality_rows`` alone: neither
+    ``cli.py`` nor ``suites.py`` imports the row helpers it composes."""
+    helpers = {"_holder_rows", "_section_lp_rows", "_pairing_rows", "_integral"}
+    imported = {f"{name}:{alias.name}" for name in ("cli.py", "suites.py")
+                for node in ast.walk(_parse(PACKAGE / name)) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in helpers}
+    assert imported == set()

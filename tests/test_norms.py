@@ -261,9 +261,28 @@ class TestPolytopeGauge:
     def test_degenerate_vertices_rejected(self):
         with pytest.raises(ValueError):
             PolytopeGaugeNorm([[1.0, 0.0], [-1.0, 0.0]])
-        # spanning, but every vertex lies within the pairing tolerance of 0
-        with pytest.raises(ValueError, match="no vertex away from the origin"):
-            PolytopeGaugeNorm(1e-12 * np.vstack([np.eye(2), -np.eye(2)]))
+
+    @pytest.mark.parametrize("k", [-40, -660, -1000, 600])
+    def test_power_of_two_scaling_keeps_the_bits(self, k):
+        """The pairing tolerance is relative to the largest vertex entry, so
+        a vertex list scaled by 2^k, even far below 1e-9, gives the same
+        facets scaled by 2^-k and the same gauge values on rows scaled by
+        2^k, bit for bit."""
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((7, 3))
+        for half in (rng.standard_normal((5, 3)), np.vstack([np.eye(3), [[1.0, 1.0, 0.5]]])):
+            V = np.vstack([half, -half])
+            g, scaled = PolytopeGaugeNorm(V), PolytopeGaugeNorm(np.ldexp(V, k))
+            assert np.array_equal(scaled._facets, np.ldexp(g._facets, -k))
+            assert np.array_equal(scaled.norm_batch(np.ldexp(X, k)), g.norm_batch(X))
+
+    def test_thin_polytope_keeps_its_short_pair(self):
+        # the pair (0, +-1e-10) lies within 1e-9 of the origin but spans the
+        # second axis: the hull needs it
+        g = PolytopeGaugeNorm([[1.0, 0.0], [0.0, 1e-10], [-1.0, 0.0], [0.0, -1e-10]])
+        assert len(g._half_facets) == 2
+        assert np.array_equal(g.norm_batch(np.array([[1.0, 0.0], [0.0, 1e-10], [0.5, 5e-11]])),
+                              [1.0, 1.0, 1.0])
 
 
 def one_norm_of_each_kind(dim, r=1.5):

@@ -178,7 +178,7 @@ def test_hilbert_searches_all_defects_in_one_kernel_call_per_dimension(monkeypat
     fiber_dims = {f.dimension for _, b in bundles_from_recipe(recipe) for f in b.fibers}
     assert {1, 2, 3} <= fiber_dims
     reports = suite_hilbert(recipe)
-    assert sorted(dims) == [2, 3]
+    assert sorted(dims) == [1, 2, 3]
     assert len(reports) == 6 and all(not r.unexpected for r in reports)
 
 
