@@ -21,7 +21,6 @@ from .convexity import (
     DEFAULT_BUDGET,
     DEFAULT_EPS_GRID,
     ModulusCurve,
-    Search,
     SearchBudget,
     SearchGroup,
     check_eps_grid,
@@ -200,9 +199,9 @@ class Section:
 
 
 def random_section(bundle: Bundle, rng: np.random.Generator) -> Section:
-    """A section with independent standard normal coordinates, drawn atom by
-    atom in order."""
-    return Section(bundle, [rng.standard_normal(d) for d in bundle.dimensions])
+    """A section with independent standard normal coordinates, drawn as one
+    flat vector."""
+    return Section.from_coords(bundle, rng.standard_normal(bundle.total_dimension))
 
 
 def _same_bundle(a: Bundle, b: Bundle, message: str) -> None:
@@ -364,14 +363,14 @@ def section_modulus_curves(
             lifts = np.zeros((len(eps), len(atoms), 2, total))
             for k, (x, curve) in enumerate(zip(atoms, own)):
                 scale = 1.0 if p == math.inf else bundle.space.weights[x] ** (-1.0 / float(p))
-                for e, (a, b) in enumerate(curve.witnesses):
-                    lifts[e, k, 0, offsets[x] : offsets[x + 1]] = a * scale
-                    lifts[e, k, 1, offsets[x] : offsets[x + 1]] = b * scale
+                lifts[:, k, :, offsets[x] : offsets[x + 1]] = curve.witnesses * scale
             # trim the quadratically-many axis pairs: the leading block already
             # covers every cross-atom pair through the first axis, and the
             # witness lifts are the load-bearing starts here
             pairs = structured_pairs_for_fn(norm_batch, total, max(12, 3 * total))
-            searches.append((j, meta, Search(np.array(pairs), lifts)))
+            # each eps starts from the structured pairs, then from its lifts
+            pairs = np.broadcast_to(pairs, (len(eps),) + pairs.shape)
+            searches.append((j, meta, np.concatenate([pairs, lifts], axis=1)))
         by_total.setdefault(total, []).append((i, evaluate, searches))
     for total, items in by_total.items():
         groups = [SearchGroup(evaluate, [s for _, _, s in searches])

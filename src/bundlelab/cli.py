@@ -201,6 +201,9 @@ def cmd_suite(cfg: dict, args) -> int:
             raise ConfigError(
                 f"recipe for unknown suite {name!r}; valid tags: {sorted(SUITE_TAGS)}"
             )
+        if name == "criterion":
+            raise ConfigError("suite 'criterion' takes no recipe: it checks a fixed "
+                              "catalogue, and only the run seed changes it")
         if name not in names:
             raise ConfigError(
                 f"recipe for suite {name!r}, which the run does not select; "
@@ -210,10 +213,12 @@ def cmd_suite(cfg: dict, args) -> int:
     if seed is None:
         seed = 0
     else:
-        # a run seed reseeds every selected recipe (fixed offset per suite)
+        # a run seed reseeds every selected recipe (fixed offset per suite;
+        # criterion, which takes none, keeps its place k)
         for k, name in enumerate(sorted(names)):
-            base = recipes.get(name, default_recipe(name))
-            recipes[name] = dataclasses.replace(base, seed=seed + 1000 * k)
+            if name != "criterion":
+                base = recipes.get(name, default_recipe(name))
+                recipes[name] = dataclasses.replace(base, seed=seed + 1000 * k)
 
     reports = run_suites(names, recipes, grid, budget, seed)
     run = _run_digest("suite", cfg, seed, grid)
@@ -278,8 +283,8 @@ def cmd_dual_check(cfg: dict, args) -> int:
                      lhs <= bound + _EXPLICIT_TOL))
 
     if not bundle.degenerate:
-        # one draw, in the order of one random_section call per covector
-        # field and per section, sample by sample
+        # one flat draw: per sample, a covector field's coordinates, then a
+        # section's
         draws = rng.standard_normal((samples, 2, bundle.total_dimension))
         opn, dual_lq, _, swapped, v_norms, _ = _duality_rows(bundle, draws[:, 0], draws[:, 1], p)
         for s in range(samples):

@@ -18,8 +18,12 @@ kernel without a search: its unit sphere is {u, -u}, so every separated
 pair is antipodal, and a line's modulus is 1 and its defect 0 at every eps.
 
 All searches are deterministic functions of their budget: starts come from
-seeded sphere samples plus structured pairs (axis, sign-pattern, polytope
--vertex and antipodal pairs), and reductions run in fixed lane order.
+seeded sphere samples plus the search's own start pairs (structured axis,
+sign-pattern, polytope-vertex and antipodal pairs, or any others), and
+reductions run in fixed lane order.  A search is its array of start pairs,
+``(k, 2, dim)`` for every eps or ``(len(eps), k, 2, dim)`` with a row per
+eps, and its witnesses come back as one ``(len(eps), 2, dim)`` array of
+pairs ``(v, w)``.
 Restart lanes are vectorized: a coordinate step normalizes six endpoints
 per lane and evaluates the midpoints and differences of the eight move
 patterns built from them, 22 norm rows per lane.  ``pair_search`` runs many
@@ -59,7 +63,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DEFECT_BUDGET",
     "check_eps_grid",
-    "Search",
     "SearchGroup",
     "single_norm_group",
     "pair_search",
@@ -124,13 +127,14 @@ class ModulusCurve:
     is non-decreasing (isotonic clamp: reverse running minimum, which
     preserves that bound because a witness pair for a larger separation is
     feasible for a smaller one).  The raw estimates are kept alongside, and
-    each point carries its witness pair.
+    ``witnesses[i]``, shape ``(2, dim)``, is the witness pair ``(v, w)`` of
+    point i.
     """
 
     epsilons: np.ndarray
     deltas: np.ndarray
     raw_deltas: np.ndarray
-    witnesses: list
+    witnesses: np.ndarray
     budget: SearchBudget
     meta: dict = field(default_factory=dict)
 
@@ -160,49 +164,50 @@ def _unit_rows(norm_batch, rows: np.ndarray) -> np.ndarray:
     return U / norm_batch(U)[:, None]
 
 
-def structured_pairs_for_fn(norm_batch, dim: int, count: int = _MAX_EXTRA_PAIRS) -> list:
+def structured_pairs_for_fn(norm_batch, dim: int, count: int = _MAX_EXTRA_PAIRS) -> np.ndarray:
     """The first ``count`` (at most ``_MAX_EXTRA_PAIRS``) deterministic start
-    pairs for a black-box norm: axis, antipodal and Hamming-neighbor
-    sign-pattern pairs (the latter for dim <= 6).  The sign patterns are
-    normalized only when the axis pairs fall short of ``count``."""
-
-    def pairs():
-        axes = _unit_rows(norm_batch, np.eye(dim))
-        yield axes[0], -axes[0]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                yield axes[i], axes[j]
-                yield axes[i], -axes[j]
-        if 2 <= dim <= 6:
-            signs = np.array(
-                [[1.0 if (s >> k) & 1 else -1.0 for k in range(dim)] for s in range(2**dim)]
-            )
-            signs = _unit_rows(norm_batch, signs)
-            for s in range(2**dim):
-                for k in range(dim):
-                    t = s ^ (1 << k)
-                    if s < t:
-                        yield signs[s], signs[t]
-
-    return list(itertools.islice(pairs(), min(count, _MAX_EXTRA_PAIRS)))
+    pairs for a black-box norm, shape ``(k, 2, dim)``: axis, antipodal and
+    Hamming-neighbor sign-pattern pairs (the latter for dim <= 6).  The sign
+    patterns are normalized only when the axis pairs fall short of ``count``."""
+    count = min(count, _MAX_EXTRA_PAIRS)
+    axes = _unit_rows(norm_batch, np.eye(dim))
+    i, j = np.triu_indices(dim, 1)
+    # (e_0, -e_0), then (e_i, e_j) and (e_i, -e_j) for each i < j
+    V = [axes[:1], np.repeat(axes[i], 2, axis=0)]
+    W = [-axes[:1], np.stack([axes[j], -axes[j]], axis=1).reshape(-1, dim)]
+    if 2 <= dim <= 6 and count > 1 + len(i) * 2:
+        bits = (np.arange(2**dim)[:, None] >> np.arange(dim)) & 1
+        signs = _unit_rows(norm_batch, np.where(bits, 1.0, -1.0))
+        # each pattern s, then its neighbor with a clear bit k of s set
+        s, k = np.nonzero(bits == 0)
+        V.append(signs[s])
+        W.append(signs[s | (1 << k)])
+    return np.stack([np.concatenate(V), np.concatenate(W)], axis=1)[:count]
 
 
-def structured_pairs(spec: NormSpec) -> list:
-    """Structured start pairs for a norm kind, including polytope vertices."""
-    pairs = structured_pairs_for_fn(spec.norm_batch, spec.dimension)
-    verts = None
+def _exposed_vertices(spec: NormSpec) -> np.ndarray:
+    """Vertices of a kind's unit ball that the start pairs and the planar
+    grid include, as rows: a gauge's vertices and a planar polyhedral
+    kind's unit candidates (the vertices of its ball); none otherwise."""
     if isinstance(spec, PolytopeGaugeNorm):
-        verts = spec.vertices
-    elif isinstance(spec, PolyhedralMaxNorm) and spec.dimension == 2:
-        verts = spec._candidates
-    if verts is not None and len(verts) >= 2:
-        V = _unit_rows(spec.norm_batch, np.asarray(verts, dtype=float))
-        for i in range(len(V)):
-            for j in range(i + 1, len(V)):
-                pairs.append((V[i], V[j]))
-                if len(pairs) >= _MAX_EXTRA_PAIRS:
-                    return pairs[:_MAX_EXTRA_PAIRS]
-    return pairs[:_MAX_EXTRA_PAIRS]
+        return spec.vertices
+    if isinstance(spec, PolyhedralMaxNorm) and spec.dimension == 2:
+        return spec._candidates
+    return np.zeros((0, spec.dimension))
+
+
+def structured_pairs(spec: NormSpec) -> np.ndarray:
+    """Structured start pairs for a norm kind, shape ``(k, 2, dim)``: those of
+    ``structured_pairs_for_fn``, then pairs of exposed vertices, at most
+    ``_MAX_EXTRA_PAIRS`` in all."""
+    pairs = structured_pairs_for_fn(spec.norm_batch, spec.dimension)
+    verts = _exposed_vertices(spec)
+    room = _MAX_EXTRA_PAIRS - len(pairs)
+    if len(verts) < 2 or room <= 0:
+        return pairs
+    V = _unit_rows(spec.norm_batch, verts)
+    ij = np.array(list(itertools.islice(itertools.combinations(range(len(V)), 2), room)))
+    return np.concatenate([pairs, V[ij]])
 
 
 # -- core pair search ------------------------------------------------------
@@ -265,16 +270,12 @@ _V_END, _W_END = np.concatenate(
 _N_PAT = len(_V_END)
 
 
-class Search(NamedTuple):
-    """Start pairs of one search: ``extra_pairs`` join the lanes of every
-    separation, ``extras_by_eps[e]`` only those of separation ``e``."""
-
-    extra_pairs: Sequence = ()
-    extras_by_eps: Sequence[Sequence] | None = None
-
-
 class SearchGroup(NamedTuple):
     """Searches that share one norm evaluator.
+
+    A search is its array of start pairs: shape ``(k, 2, dim)``, pairs that
+    join the lanes of every separation, or ``(len(eps), k, 2, dim)``, whose
+    row ``e`` joins those of separation ``e`` only.
 
     ``evaluate(A, counts)`` takes a block ``A`` of shape ``(k, lanes, dim)``,
     ``k`` rows per lane, whose lanes belong to the searches in order: the
@@ -286,12 +287,12 @@ class SearchGroup(NamedTuple):
     """
 
     evaluate: Callable[[np.ndarray, Sequence[int]], np.ndarray]
-    searches: Sequence[Search]
+    searches: Sequence[np.ndarray]
 
 
-def single_norm_group(norm_batch, search: Search) -> SearchGroup:
-    """A group of one search under a plain batched norm evaluator, which
-    takes rows ``(m, dim)`` to their ``(m,)`` norms."""
+def single_norm_group(norm_batch, search: np.ndarray) -> SearchGroup:
+    """A group of one search (its start pairs) under a plain batched norm
+    evaluator, which takes rows ``(m, dim)`` to their ``(m,)`` norms."""
 
     def evaluate(A, counts):
         return norm_batch(A.reshape(-1, A.shape[-1])).reshape(A.shape[:-1])
@@ -315,20 +316,21 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     default, ``1 - ||(v+w)/2||``, reads no separations, so the repair below
     asks for none.  Returns one ``(raw, witnesses, counters)`` per search,
     in group order: per eps the least objective found, clamped into [0, 1],
-    witness pairs with ``||v|| = ||w|| = 1`` within 1e-9 and
-    ``||v - w|| >= eps - 1e-9``, and the counters ``iterations`` (used),
-    ``lanes``, ``repaired`` (lanes that never met the separation and were
-    repaired by bisection) and ``rows`` (rows its evaluator was asked for;
-    the repair asks 14 per lane and round of three halvings, in two calls,
-    and stops at a fixed point, so its share depends on the lanes).  No
-    report prints the counters.
+    the ``(len(eps), 2, dim)`` array of witness pairs ``(v, w)`` with
+    ``||v|| = ||w|| = 1`` within 1e-9 and ``||v - w|| >= eps - 1e-9``, and
+    the counters ``iterations`` (used), ``lanes``, ``repaired`` (lanes that
+    never met the separation and were repaired by bisection) and ``rows``
+    (rows its evaluator was asked for; the repair asks 14 per lane and
+    round of three halvings, in two calls, and stops at a fixed point, so
+    its share depends on the lanes).  No report prints the counters.
 
-    Each lane holds one pair.  An iteration steps every coordinate in turn:
-    the six endpoints V +- s e_i, V, W +- s e_i and W are normalized, and
-    the midpoints and differences of the eight move patterns built from
-    them are evaluated, 22 rows per lane and coordinate.  A lane keeps the
-    best pattern that lowers its penalized objective and halves its step
-    after an iteration without one.
+    Each lane holds one pair.  For each eps, a search's lanes start from the
+    restart pairs, then from its own start pairs (see ``SearchGroup``).  An
+    iteration steps every coordinate in turn: the six endpoints V +- s e_i,
+    V, W +- s e_i and W are normalized, and the midpoints and differences
+    of the eight move patterns built from them are evaluated, 22 rows per
+    lane and coordinate.  A lane keeps the best pattern that lowers its
+    penalized objective and halves its step after an iteration without one.
 
     Searches run in lockstep batches of at most ``_MAX_LANE_COORDS`` lane
     coordinates (a larger search runs alone).  Each search owns a contiguous
@@ -366,7 +368,7 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
         for group in groups:
             counts = [1] * len(group.searches)
             U = _unit_rows(lambda R: group.evaluate(R[None], counts)[0], np.ones((len(counts), 1)))
-            results += [(raw.copy(), [(u.copy(), -u) for _ in eps_values],
+            results += [(raw.copy(), np.tile([u, -u], (n_eps, 1, 1)),
                          {"iterations": 0, "lanes": 0, "repaired": 0, "rows": 2}) for u in U]
         return results
     rng = np.random.default_rng(budget.seed)
@@ -375,12 +377,8 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     X[np.linalg.norm(X, axis=1) < 1e-12] = 1.0
     Y[np.linalg.norm(Y, axis=1) < 1e-12] = 1.0
 
-    jobs = []
-    for g, group in enumerate(groups):
-        for j, s in enumerate(group.searches):
-            lanes = len(eps_values) * (budget.restarts + len(s.extra_pairs)) + (
-                0 if s.extras_by_eps is None else sum(len(e) for e in s.extras_by_eps))
-            jobs.append(((g, j), lanes * dim))
+    jobs = [((g, j), len(eps_values) * (budget.restarts + np.shape(s)[-3]) * dim)
+            for g, group in enumerate(groups) for j, s in enumerate(group.searches)]
     parts = _split(jobs, budget.iterations)
 
     def run(part, parent=None):
@@ -530,24 +528,18 @@ def _group_norms(layout, A, asked):
     return out
 
 
-def _pairs_array(pairs, dim: int) -> np.ndarray:
-    return np.asarray(pairs, dtype=float).reshape(-1, 2, dim)
-
-
 def _start_lanes(groups, batch, dim, eps_values, budget, X, Y, asked):
-    """Unnormalized start pairs of every lane of a batch of ``(group, index
-    in group)`` searches, and the lanes of each search: for each eps, the
-    restart pairs, the pairs shared by every eps, then the pairs of this eps."""
+    """Unnormalized start pairs ``V`` and ``W`` of every lane of a batch of
+    ``(group, index in group)`` searches, and the lanes of each search: for
+    each eps, the restart pairs, then the search's start pairs of this eps."""
     restarts, n_eps = budget.restarts, len(eps_values)
-    searches, extras = [], []
+    searches, starts = [], []
     for g, j in batch:
-        search = groups[g].searches[j]
-        shared = _pairs_array(search.extra_pairs, dim)
-        own = [_pairs_array(() if search.extras_by_eps is None else search.extras_by_eps[e], dim)
-               for e in range(n_eps)]
-        per_eps = [restarts + len(shared) + len(o) for o in own]
-        searches.append(_Lanes(len(searches), g, j, np.repeat(np.arange(n_eps), per_eps)))
-        extras.append((shared, own))
+        pairs = np.asarray(groups[g].searches[j], dtype=float)
+        pairs = np.broadcast_to(pairs, (n_eps,) + pairs.shape[-3:])
+        searches.append(_Lanes(len(searches), g, j,
+                               np.repeat(np.arange(n_eps), restarts + pairs.shape[1])))
+        starts.append(pairs)
     layout = _layout(groups, [(s, restarts) for s in searches])
 
     def restart_norms(R):
@@ -555,16 +547,16 @@ def _start_lanes(groups, batch, dim, eps_values, budget, X, Y, asked):
 
     XU = _unit_rows(restart_norms, np.tile(X, (len(searches), 1)))
     YU = _unit_rows(restart_norms, np.tile(Y, (len(searches), 1)))
-    lane_V, lane_W = [], []
-    for s, (shared, own) in zip(searches, extras):
+    lanes = []
+    for s, pairs in zip(searches, starts):
         Xs = XU[s.position * restarts : (s.position + 1) * restarts]
         Ys = YU[s.position * restarts : (s.position + 1) * restarts]
         # every other restart begins on a guaranteed-feasible antipodal pair
         Ys[::2] = -Xs[::2]
-        for o in own:
-            lane_V += [Xs, shared[:, 0], o[:, 0]]
-            lane_W += [Ys, shared[:, 1], o[:, 1]]
-    return np.concatenate(lane_V), np.concatenate(lane_W), searches
+        restart_pairs = np.broadcast_to(np.stack([Xs, Ys], axis=1), (n_eps, restarts, 2, dim))
+        lanes.append(np.concatenate([restart_pairs, pairs], axis=1).reshape(-1, 2, dim))
+    V, W = np.concatenate(lanes).transpose(1, 0, 2).copy()
+    return V, W, searches
 
 
 def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
@@ -620,18 +612,15 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
             sep = None if objective is _midpoint_gap else norms((last_V - fixed)[None])[0]
             feas_obj[idx] = objective(mid, sep)
         for k, b in zip(done, broken):
-            s, sl = searches[k], slices[k]
-            objs, fV, fW = feas_obj[sl], feas_V[sl], feas_W[sl]
-            raw = np.empty(n_eps)
-            witnesses = []
-            for e in range(n_eps):
-                of_e = np.nonzero(s.eps_idx == e)[0]
-                j = of_e[int(np.argmin(objs[of_e]))]
-                raw[e] = min(max(objs[j], 0.0), 1.0)
-                witnesses.append((fV[j].copy(), fW[j].copy()))
-            counters = {"iterations": iterations, "lanes": len(s.eps_idx),
+            # a search's lanes lie eps by eps, as many per eps; take the
+            # first best lane of each eps
+            sl, per_eps = slices[k], counts[k] // n_eps
+            best = feas_obj[sl].reshape(n_eps, per_eps).argmin(axis=1)
+            j = sl.start + per_eps * np.arange(n_eps) + best
+            counters = {"iterations": iterations, "lanes": counts[k],
                         "repaired": len(b), "rows": asked[k]}
-            results[k] = (raw, witnesses, counters)
+            results[k] = (np.clip(feas_obj[j], 0.0, 1.0), np.stack([feas_V[j], feas_W[j]], axis=1),
+                          counters)
 
     # endpoint-major: slab e holds endpoint e of every lane, so the pair
     # arithmetic runs over whole slabs; then the midpoints and the
@@ -771,20 +760,15 @@ def _repair_separation_batch(norms, V, W, eps):
     return cand / norms(cand[None])[0][:, None]
 
 
-def _isotonic_clamp(raw: np.ndarray, witnesses: list):
-    """Reverse running minimum with witness transfer (keeps upper bounds)."""
-    clamped = raw.copy()
-    wits = list(witnesses)
-    best = math.inf
-    best_w = None
-    for i in reversed(range(len(raw))):
-        if raw[i] <= best:
-            best = raw[i]
-            best_w = wits[i]
-        else:
-            clamped[i] = best
-            wits[i] = best_w
-    return clamped, wits
+def _isotonic_clamp(raw: np.ndarray, witnesses: np.ndarray):
+    """Reverse running minimum with witness transfer (keeps upper bounds):
+    point i takes the value and the witness of the first j >= i where
+    ``raw[j]`` is the least of ``raw[i:]``.  Those j are the points that
+    hold the least of their own suffix, so a second reverse running minimum,
+    over their indices, finds them."""
+    least = np.minimum.accumulate(raw[::-1])[::-1]
+    held = np.where(raw == least, np.arange(len(raw)), len(raw))
+    return least, witnesses[np.minimum.accumulate(held[::-1])[::-1]]
 
 
 # -- public wrappers -------------------------------------------------------
@@ -812,8 +796,7 @@ def _spec_searches(specs: Sequence[NormSpec], eps, budget: SearchBudget,
         by_dim.setdefault(specs[k].dimension, []).append(k)
     results = {}
     for dim, ks in by_dim.items():
-        groups = [single_norm_group(specs[k].norm_batch,
-                                    Search(_pairs_array(structured_pairs(specs[k]), dim))) for k in ks]
+        groups = [single_norm_group(specs[k].norm_batch, structured_pairs(specs[k])) for k in ks]
         results.update(zip(ks, pair_search(groups, dim, eps, budget, objective=objective)))
     return [results[first[d]] for d in digests]
 
@@ -869,11 +852,7 @@ _GRID_CHUNK = 256
 
 
 def _structural_angles(spec: NormSpec) -> np.ndarray:
-    pts = [np.eye(2)[0], np.eye(2)[1]]
-    if isinstance(spec, PolytopeGaugeNorm):
-        pts.extend(spec.vertices)
-    elif isinstance(spec, PolyhedralMaxNorm):
-        pts.extend(spec._candidates)
+    pts = np.vstack([np.eye(2), _exposed_vertices(spec)])
     angles = np.array([math.atan2(p[1], p[0]) for p in pts if np.any(p)])
     return np.concatenate([angles, angles + math.pi])
 
@@ -916,6 +895,4 @@ def modulus_grid_estimate_2d(
                 best[e] = min(best[e], float(np.min(obj[mask])))
     best = np.clip(best, 0.0, 1.0)
     # same isotonic clamp as the optimizer curve
-    for i in reversed(range(len(best) - 1)):
-        best[i] = min(best[i], best[i + 1])
-    return eps, best
+    return eps, np.minimum.accumulate(best[::-1])[::-1]

@@ -202,8 +202,8 @@ def check_reflexivity_diagram(
     isometric.
 
     Functionals are represented by sections of ``bundle.dual()``.  All
-    samples are drawn at once, from the stream one ``random_section`` call
-    per section would read: a section, then a functional, per sample.  Route
+    samples are drawn at once, as one flat draw: per sample, a section's
+    coordinates, then a functional's.  Route
     one integrates the atomwise pairings (``_pairing_rows``); route two
     evaluates each section on its functional as one flat contraction of the
     coordinate vectors, with each coordinate weighted by its atom, and shares

@@ -9,7 +9,7 @@ Four concrete kinds share one interface:
 
 Each kind knows its exact dual (``dual()``), can evaluate batches of
 vectors (``norm_batch``), and produces unit-sphere maximizers of a batch of
-linear functionals (``linear_maximizer_batch``).  ``norm``, ``unit`` and
+linear functionals (``linear_maximizer_batch``).  ``norm`` and
 ``linear_maximizer`` are the one-row cases of the batched code, with the
 same bits.  All evaluation is pure; instances are immutable by convention
 after construction.
@@ -183,13 +183,6 @@ class NormSpec:
                 f"vector of dimension {self.dimension} expected, got shape {arr.shape}"
             )
         return arr
-
-    def unit(self, v) -> np.ndarray:
-        """Projection of a nonzero vector onto the unit sphere."""
-        arr = self._check_vec(v)
-        if not np.any(arr):
-            raise ValueError("cannot normalize the zero vector")
-        return self._units(arr[None])[0]
 
     def _units(self, X: np.ndarray) -> np.ndarray:
         """The nonzero rows of X, shape ``(m, dimension)``, projected onto the

@@ -19,8 +19,13 @@ with.  No library code calls them, so they live here, not under ``src/``.
   reductions per vertex row.
 * ``first_distinct_rows_by_axis_unique``: the facet dedup by numpy's
   row-wise ``unique``.
+* ``structured_pairs_by_loops``: a kind's structured start pairs as a list
+  of ``(v, w)`` tuples, built by nested loops.
+* ``isotonic_clamp_by_loop``: the isotonic clamp of a modulus curve, one
+  point at a time from the right.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -28,8 +33,8 @@ from scipy.optimize import linprog
 
 from bundlelab.bundles import _section_norms
 from bundlelab.measure import ScalarField
-from bundlelab.convexity import SearchBudget, _unit_rows
-from bundlelab.norms import _pair_tol
+from bundlelab.convexity import _MAX_EXTRA_PAIRS, SearchBudget, _unit_rows
+from bundlelab.norms import PolyhedralMaxNorm, PolytopeGaugeNorm, _pair_tol
 
 
 def maximize_linear_on_sphere(norm_batch, dim: int, coeffs, budget: SearchBudget | None = None):
@@ -196,3 +201,62 @@ def first_distinct_rows_by_axis_unique(R):
     """``norms._first_distinct_rows`` by numpy's row-wise ``unique``."""
     _, first = np.unique(R, axis=0, return_index=True)
     return np.sort(first)
+
+
+def structured_pairs_by_loops(spec) -> list:
+    """``convexity.structured_pairs`` as ``(v, w)`` tuples: axis, antipodal
+    and Hamming-neighbor sign-pattern pairs (dim <= 6), then the pairs of a
+    gauge's vertices or a planar polyhedral kind's unit candidates, each
+    pair appended in nested loops and cut at ``_MAX_EXTRA_PAIRS``."""
+    dim = spec.dimension
+
+    def axis_and_sign_pairs():
+        axes = _unit_rows(spec.norm_batch, np.eye(dim))
+        yield axes[0], -axes[0]
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                yield axes[i], axes[j]
+                yield axes[i], -axes[j]
+        if 2 <= dim <= 6:
+            signs = np.array(
+                [[1.0 if (s >> k) & 1 else -1.0 for k in range(dim)] for s in range(2**dim)]
+            )
+            signs = _unit_rows(spec.norm_batch, signs)
+            for s in range(2**dim):
+                for k in range(dim):
+                    t = s ^ (1 << k)
+                    if s < t:
+                        yield signs[s], signs[t]
+
+    pairs = list(itertools.islice(axis_and_sign_pairs(), _MAX_EXTRA_PAIRS))
+    verts = None
+    if isinstance(spec, PolytopeGaugeNorm):
+        verts = spec.vertices
+    elif isinstance(spec, PolyhedralMaxNorm) and spec.dimension == 2:
+        verts = spec._candidates
+    if verts is not None and len(verts) >= 2:
+        V = _unit_rows(spec.norm_batch, np.asarray(verts, dtype=float))
+        for i in range(len(V)):
+            for j in range(i + 1, len(V)):
+                pairs.append((V[i], V[j]))
+                if len(pairs) >= _MAX_EXTRA_PAIRS:
+                    return pairs[:_MAX_EXTRA_PAIRS]
+    return pairs[:_MAX_EXTRA_PAIRS]
+
+
+def isotonic_clamp_by_loop(raw, witnesses):
+    """``convexity._isotonic_clamp`` one point at a time, from the right: a
+    point at or below every later raw value keeps its value and witness,
+    any other takes those of the last point kept."""
+    clamped = raw.copy()
+    wits = list(witnesses)
+    best = math.inf
+    best_w = None
+    for i in reversed(range(len(raw))):
+        if raw[i] <= best:
+            best = raw[i]
+            best_w = wits[i]
+        else:
+            clamped[i] = best
+            wits[i] = best_w
+    return clamped, wits

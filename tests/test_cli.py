@@ -193,6 +193,16 @@ class TestSuite:
         assert main(["suite", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "recipe for unknown suite" in capsys.readouterr().err
 
+    def test_a_criterion_recipe_is_refused(self, tmp_path, capsys):
+        """The criterion suite reads only the run seed, so a recipe for it
+        would be validated and then dropped: it is a configuration error."""
+        cfg = write_config(tmp_path, {"suites": ["criterion"], "recipes": {"criterion": {
+            "seed": 5, "instance_count": 1, "atom_range": [7, 7]}}})
+        out = tmp_path / "r"
+        assert main(["suite", "--config", cfg, "--out", str(out)]) == 2
+        assert "suite 'criterion' takes no recipe" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDualCheck:
     BUNDLE = {
@@ -428,7 +438,9 @@ def test_low_dimensional_suite_run_bytes_are_pinned(tmp_path):
     suites = ["hilbert", "uc-upper", "uc-lower", "pointwise", "duality", "criterion"]
     recipe = {"seed": 9, "instance_count": 5, "atom_range": [1, 3], "dim_range": [1, 2],
               "zero_fiber_fraction": 0.4, "exponents": [1.5, 2]}
-    cfg = write_config(tmp_path, {"suites": suites, "recipes": {s: recipe for s in suites}})
+    # criterion takes no recipe (it reads only the run seed)
+    cfg = write_config(tmp_path, {"suites": suites,
+                                  "recipes": {s: recipe for s in suites if s != "criterion"}})
     out = tmp_path / "reports"
     assert main(["suite", "--config", cfg, "--out", str(out)]) == 0
     h = hashlib.sha256()

@@ -21,7 +21,6 @@ from bundlelab.bundles import (
 from bundlelab.convexity import (
     DEFAULT_EPS_GRID,
     FEASIBILITY_SLACK,
-    Search,
     SearchBudget,
     SearchGroup,
     modulus_curve,
@@ -44,9 +43,11 @@ from bundlelab.suites import SUITE_BUDGET
 
 from oracles import (
     exponent_norm,
+    isotonic_clamp_by_loop,
     maximize_linear_on_sphere,
     repair_one_halving_at_a_time,
     section_norm_batch,
+    structured_pairs_by_loops,
 )
 
 TEST_BUDGET = SearchBudget(restarts=16, iterations=80)
@@ -305,7 +306,7 @@ def test_a_line_is_answered_by_the_kernel(spec):
     assert curve.raw_deltas.tolist() == curve.deltas.tolist() == [1.0] * 3
     [(defect, pair)] = parallelogram_defects([spec])
     assert defect == 0.0
-    for v, w in curve.witnesses + [pair]:
+    for v, w in list(curve.witnesses) + [pair]:
         assert np.array_equal(v, u) and np.array_equal(w, -u)
 
 
@@ -414,7 +415,7 @@ class TestBatchedSearch:
             PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0], [1.0, 1.0, 1.0]]),
             PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]], -np.eye(3), [[-1.0, -1.0, -0.5]]])),
         ]
-        groups = [single_norm_group(s.norm_batch, Search(structured_pairs(s))) for s in fibers]
+        groups = [single_norm_group(s.norm_batch, structured_pairs(s)) for s in fibers]
         line = WeightedLpNorm(2, [1.3])
         # a zero-dimensional fiber, and one spec on two atoms (evaluated once)
         mixed = Bundle(MeasureSpace(["a", "b", "c"], [1.0, 0.5, 2.0]),
@@ -422,7 +423,7 @@ class TestBatchedSearch:
         shared = Bundle(MeasureSpace(["a", "b", "c"], [0.7, 1.0, 1.4]),
                         [Fiber(1, line), Fiber(1, InnerProductNorm([[2.0]])), Fiber(1, line)])
         for bundle, exponents in ((mixed, [1.5, 2, 3, math.inf]), (shared, [2, math.inf])):
-            searches = [Search(structured_pairs_for_fn(section_norm_batch(bundle, p), 3))
+            searches = [structured_pairs_for_fn(section_norm_batch(bundle, p), 3)
                         for p in exponents]
             groups.append(SearchGroup(_section_norms(bundle, exponents), searches))
         return groups
@@ -466,6 +467,17 @@ class TestBatchedSearch:
         # retaken when converged lanes began to retire from the batch
         assert h.hexdigest() == "e43dcdf73d7f73bd34c7e062beff6c2068f5cec29cc0ab3456a23f58fbbdedb1"
 
+    def test_shared_start_pairs_equal_their_per_eps_copy(self):
+        """A search's ``(k, 2, dim)`` start pairs and their explicit
+        ``(len(eps), k, 2, dim)`` copy give the same bits and counters, and
+        the witnesses come back as one ``(len(eps), 2, dim)`` array."""
+        groups = self._groups()
+        copies = [SearchGroup(g.evaluate, [np.array([s] * len(self.EPS)) for s in g.searches])
+                  for g in groups]
+        shared = pair_search(groups, 3, self.EPS, self.BUDGET)
+        self._assert_identical(pair_search(copies, 3, self.EPS, self.BUDGET), shared)
+        assert all(witnesses.shape == (len(self.EPS), 2, 3) for _, witnesses, _ in shared)
+
     def test_a_coordinate_step_asks_22_rows_per_lane(self):
         """Six endpoints and the midpoints and differences of eight pairs
         per lane and coordinate; ``rows`` counts every row asked for."""
@@ -480,7 +492,7 @@ class TestBatchedSearch:
         for iterations in (3, 4):
             asked.clear()
             budget = SearchBudget(restarts=6, iterations=iterations, min_step=1e-12)
-            [(_, _, c)] = pair_search([single_norm_group(counting, Search(structured_pairs(spec)))],
+            [(_, _, c)] = pair_search([single_norm_group(counting, structured_pairs(spec))],
                                       3, self.EPS, budget)
             assert c["iterations"] == iterations and c["rows"] == sum(asked)
             counters.append(c)
@@ -503,7 +515,7 @@ class TestBatchedSearch:
                 steps.append(np.max(np.abs(A[0] - A[2]), axis=1))
             return spec.norm_batch(A.reshape(-1, 3)).reshape(A.shape[:-1])
 
-        [(_, _, c)] = pair_search([SearchGroup(evaluate, [Search(structured_pairs(spec))])],
+        [(_, _, c)] = pair_search([SearchGroup(evaluate, [structured_pairs(spec)])],
                                   3, self.EPS, self.BUDGET)
         widths = [len(s) for s in steps]
         # lanes converged at several iterations
@@ -516,7 +528,7 @@ class TestBatchedSearch:
         """An objective equal to the default, but not it, gives the same bits;
         only the repair asks it for separations, one row per repaired lane."""
         spec = WeightedLpNorm(3, [1.0, 2.0, 0.5])
-        group = single_norm_group(spec.norm_batch, Search(structured_pairs(spec)))
+        group = single_norm_group(spec.norm_batch, structured_pairs(spec))
         seen = []
 
         def gap(mid_norms, sep_norms):
@@ -590,7 +602,7 @@ class TestBatchedSearch:
                 raise ValueError("evaluator failed in the child")
             return norm.norm_batch(X)
 
-        group = SearchGroup(evaluate, [Search(structured_pairs(norm))] * 2)
+        group = SearchGroup(evaluate, [structured_pairs(norm)] * 2)
         with pytest.raises(RuntimeError, match="ValueError: evaluator failed in the child"):
             pair_search([group], 3, self.EPS, self.BUDGET)
         assert len(forks) == 1
@@ -605,7 +617,7 @@ class TestBatchedSearch:
             time.sleep(60)  # the child would outlive the test unless killed
             return norm.norm_batch(X)
 
-        group = SearchGroup(evaluate, [Search(structured_pairs(norm))] * 2)
+        group = SearchGroup(evaluate, [structured_pairs(norm)] * 2)
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             pair_search([group], 3, self.EPS, self.BUDGET)
@@ -665,6 +677,58 @@ def test_structured_pairs_build_only_the_pairs_kept(dim):
         axis_pairs = 1 + dim * (dim - 1)
         signs = 2 <= dim <= 6 and count > axis_pairs
         assert rows == [dim, dim] + [2**dim, 2**dim] * signs
+
+
+def _gauge_of_random_pairs(dim, pairs, seed):
+    half = np.random.default_rng(seed).standard_normal((pairs, dim))
+    return PolytopeGaugeNorm(np.vstack([half, -half]))
+
+
+@pytest.mark.parametrize("spec", [
+    # 19 axis and sign-pattern pairs, then 141 of the 3160 vertex pairs
+    _gauge_of_random_pairs(3, 40, 0),
+    # the vertices of the planar polyhedral ball are its unit candidates
+    PolyhedralMaxNorm([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    PolytopeGaugeNorm([[1.0, 0.5], [-0.3, 1.0], [-1.0, -0.5], [0.3, -1.0]]),
+    # no exposed vertices in 3-D for the polyhedral kind, none for l^r
+    PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+    WeightedLpNorm(3, [1.0, 2.0, 0.5]),
+    # axis and sign-pattern pairs alone overflow the cut
+    PolytopeGaugeNorm(np.vstack([np.eye(6), -np.eye(6)])),
+], ids=["gauge-3x40", "polyhedral-2d", "gauge-2d", "polyhedral-3d", "weighted-lp", "gauge-6d"])
+def test_structured_pairs_match_the_nested_loops(spec):
+    """The start-pair array holds, bit for bit and in order, the pairs that
+    nested loops over the axes, the sign patterns and the exposed vertices
+    build."""
+    pairs = structured_pairs(spec)
+    want = structured_pairs_by_loops(spec)
+    assert pairs.shape == (len(want), 2, spec.dimension)
+    for pair, (v, w) in zip(pairs, want):
+        assert np.array_equal(pair[0], v) and np.array_equal(pair[1], w)
+    if spec.dimension in (3, 6) and isinstance(spec, PolytopeGaugeNorm):
+        assert len(pairs) == 160
+
+
+@pytest.mark.parametrize("raw", [
+    [0.3, 0.1, 0.1, 0.2, 0.2, 0.5],  # ties and a plateau
+    [0.2, 0.0, 0.3, 0.0, 0.5, 0.5, 0.1],  # ties below a later point
+    [0.9, 0.7, 0.4, 0.2, 0.1],  # strictly decreasing
+    [0.25] * 5,  # all equal
+    [1.0, 0.6, 1.0, 1.0],  # values clamped to 1.0
+    [0.1, 0.2, 0.3, 0.4],  # already non-decreasing
+    [0.4],
+], ids=["ties", "ties-below", "decreasing", "all-equal", "clamped-to-one", "increasing", "one"])
+def test_isotonic_clamp_matches_the_loop(raw):
+    """Two reverse running minima give the loop's values and witnesses: point
+    i takes those of the first j >= i where raw[j] is the least of raw[i:]."""
+    raw = np.array(raw)
+    witnesses = np.random.default_rng(len(raw)).standard_normal((len(raw), 2, 3))
+    deltas, wits = convexity._isotonic_clamp(raw, witnesses)
+    want, want_wits = isotonic_clamp_by_loop(raw, witnesses)
+    assert deltas.tobytes() == want.tobytes()
+    assert wits.shape == witnesses.shape
+    for got, w in zip(wits, want_wits):
+        assert np.array_equal(got, w)
 
 
 # -- the separation repair -------------------------------------------------

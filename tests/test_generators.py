@@ -16,8 +16,10 @@ from bundlelab.generators import (
     random_section,
     recipe_from_config,
 )
+from bundlelab.bundles import Bundle, Fiber
 from bundlelab.criterion import measure_inequality_report
-from bundlelab.norms import PolyhedralMaxNorm, PolytopeGaugeNorm
+from bundlelab.measure import MeasureSpace
+from bundlelab.norms import PolyhedralMaxNorm, PolytopeGaugeNorm, WeightedLpNorm
 from bundlelab.serialize import ConfigError
 
 
@@ -113,6 +115,20 @@ def test_sections_are_reproducible():
         assert np.array_equal(a, b)
     omega = random_section(bundle.dual(), instance_rng(7, 0, stream=3))
     assert len(omega.vectors) == bundle.space.atom_count
+
+
+@pytest.mark.parametrize("dims", [[2, 3, 0, 1], [3, 3, 3], [0, 0], [5]])
+def test_a_random_section_is_one_flat_draw(dims):
+    """A flat draw reads the stream that one draw per atom, in atom order,
+    would read, and leaves the generator where those draws would."""
+    space = MeasureSpace([f"a{x}" for x in range(len(dims))], [1.0] * len(dims))
+    bundle = Bundle(space, [Fiber(d, WeightedLpNorm(2, [1.0] * d) if d else None) for d in dims])
+    rng, per_atom = np.random.default_rng(3), np.random.default_rng(3)
+    section = random_section(bundle, rng)
+    want = [per_atom.standard_normal(d) for d in dims]
+    for got, w in zip(section.vectors, want):
+        assert np.array_equal(got, w)
+    assert rng.standard_normal() == per_atom.standard_normal()
 
 
 def test_recipe_config_round_trip():
