@@ -10,7 +10,8 @@ the output directory.
     bundlelab criterion  --config run.json [--out DIR] [--seed N]
 
 Seed, grid, exponent, counts and suite names each have one reader, shared by
-every command that takes the setting.
+every command that takes the setting, and each command checks its top-level
+fields by name.
 
 Exit codes: 0 all verdicts as expected, 1 an unexpected FAIL, 2 bad
 configuration, 3 an internal error (a bug; the traceback is printed).  Reruns
@@ -33,6 +34,8 @@ import numpy as np
 from .bundles import pointwise_norm, section_modulus_curve
 from .convexity import DEFAULT_EPS_GRID, check_eps_grid, modulus_curve
 from .criterion import (
+    RECONSTRUCTION_TOL,
+    _finite_exponent,
     induced_norm,
     mixed_max_norm,
     mixed_sum_norm,
@@ -41,7 +44,8 @@ from .criterion import (
     sup_over_atoms_norm,
     weak_star_continuity_check,
 )
-from .duality import _duality_exponent, _duality_rows, check_reflexivity_diagram
+from .duality import (BIDUAL_NORM_TOL, PAIRING_TOL, _duality_exponent, _duality_rows,
+                      check_reflexivity_diagram)
 from .generators import instance_rng, random_section, recipe_from_config
 from .measure import as_exponent, conjugate_exponent
 from .norms import norm_spec_from_config
@@ -55,13 +59,15 @@ from .reportio import (
 )
 from .serialize import (
     ConfigError,
+    _integer,
+    _known_fields,
     budget_from_config,
     bundle_digest,
     bundle_from_config,
     digest,
     section_from_config,
 )
-from .suites import SUITE_TAGS, default_recipe, run_suites, suite_names
+from .suites import SUITE_RECIPES, SUITE_TAGS, run_suites, suite_names
 
 _EXPLICIT_TOL = 1e-9
 _SAMPLED_TOL = 1e-6
@@ -74,13 +80,6 @@ def _config_value(what: str, fn, *args):
         return fn(*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} invalid: {exc}") from None
-
-
-def _integer(what: str, value, least: int) -> int:
-    """A whole-number setting (seed or count): a JSON integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
-    return value
 
 
 def _seed(cfg: dict, args, fallback):
@@ -140,6 +139,7 @@ def _summary(command: str, run: str, instance: str, seed: int, *body: str) -> st
 
 
 def cmd_modulus(cfg: dict, args) -> int:
+    _known_fields(cfg, ("norm", "bundle", "p", "grid", "budget", "seed"), "modulus config")
     grid = _resolve_grid(cfg, args)
     budget = budget_from_config(cfg.get("budget"))
     # one seed for the search and the report; the budget's is the fallback
@@ -189,6 +189,7 @@ def cmd_modulus(cfg: dict, args) -> int:
 
 
 def cmd_suite(cfg: dict, args) -> int:
+    _known_fields(cfg, ("suites", "recipes", "grid", "budget", "seed"), "suite config")
     grid = _resolve_grid(cfg, args)
     seed = _seed(cfg, args, None)
     # an empty or absent budget keeps each suite's own
@@ -201,8 +202,8 @@ def cmd_suite(cfg: dict, args) -> int:
             raise ConfigError(
                 f"recipe for unknown suite {name!r}; valid tags: {sorted(SUITE_TAGS)}"
             )
-        if name == "criterion":
-            raise ConfigError("suite 'criterion' takes no recipe: it checks a fixed "
+        if name not in SUITE_RECIPES:
+            raise ConfigError(f"suite {name!r} takes no recipe: it checks a fixed "
                               "catalogue, and only the run seed changes it")
         if name not in names:
             raise ConfigError(
@@ -214,10 +215,10 @@ def cmd_suite(cfg: dict, args) -> int:
         seed = 0
     else:
         # a run seed reseeds every selected recipe (fixed offset per suite;
-        # criterion, which takes none, keeps its place k)
+        # a suite that takes none keeps its place k)
         for k, name in enumerate(sorted(names)):
-            if name != "criterion":
-                base = recipes.get(name, default_recipe(name))
+            if name in SUITE_RECIPES:
+                base = recipes.get(name, SUITE_RECIPES[name])
                 recipes[name] = dataclasses.replace(base, seed=seed + 1000 * k)
 
     reports = run_suites(names, recipes, grid, budget, seed)
@@ -239,6 +240,8 @@ def cmd_suite(cfg: dict, args) -> int:
 
 
 def cmd_dual_check(cfg: dict, args) -> int:
+    _known_fields(cfg, ("bundle", "p", "samples", "seed", "dual_section", "section"),
+                  "dual-check config")
     seed = _seed(cfg, args, 0)
     if "bundle" not in cfg:
         raise ConfigError("dual-check config needs a 'bundle' entry")
@@ -295,9 +298,8 @@ def cmd_dual_check(cfg: dict, args) -> int:
 
     diagram = check_reflexivity_diagram(bundle, p, samples=max(4, samples // 4),
                                         seed=seed)
-    check("diagram", "max-pairing-residual", diagram.max_pairing_residual, 0.0,
-          _EXPLICIT_TOL)
-    check("diagram", "max-bidual-norm-gap", diagram.max_bidual_norm_gap, 0.0, _SAMPLED_TOL)
+    check("diagram", "max-pairing-residual", diagram.max_pairing_residual, 0.0, PAIRING_TOL)
+    check("diagram", "max-bidual-norm-gap", diagram.max_bidual_norm_gap, 0.0, BIDUAL_NORM_TOL)
 
     run = _run_digest("dual-check", cfg, seed, [])
     out = ReportBundle(Path(args.out))
@@ -320,48 +322,45 @@ def cmd_dual_check(cfg: dict, args) -> int:
 # -- criterion -------------------------------------------------------------------
 
 
-_CATALOGUE_EXPECT = {"induced": "PASS", "sup-over-atoms": "FAIL",
-                     "mixed-sum": "FAIL", "mixed-max": "FAIL"}
+#: tag -> (the entry's norm on a bundle, its expected additivity verdict);
+#: without ``norms`` a run checks every tag at its default exponents
+_CATALOGUE = {
+    "induced": (lambda b, e: induced_norm(b, e.get("p", 2)), "PASS"),
+    "sup-over-atoms": (lambda b, e: sup_over_atoms_norm(b), "FAIL"),
+    "mixed-sum": (lambda b, e: mixed_sum_norm(b, e.get("p1", 1.5), e.get("p2", 3)), "FAIL"),
+    "mixed-max": (lambda b, e: mixed_max_norm(b, e.get("p1", 1.5), e.get("p2", 3)), "FAIL"),
+}
 
 
 def _catalogue_entry(bundle, entry: dict):
-    if not isinstance(entry, dict) or "tag" not in entry:
+    _known_fields(entry, ("tag", "p", "p1", "p2", "p_check", "expect"), "norms entry")
+    if "tag" not in entry:
         raise ConfigError("each norms entry needs a 'tag' field")
-    tag = entry["tag"]
     for key in ("p", "p1", "p2", "p_check"):
         if key in entry:
             _config_value(f"norms entry {key}", as_exponent, entry[key])
-    if tag == "induced":
-        norm = induced_norm(bundle, entry.get("p", 2))
-    elif tag == "sup-over-atoms":
-        norm = sup_over_atoms_norm(bundle)
-    elif tag == "mixed-sum":
-        norm = mixed_sum_norm(bundle, entry.get("p1", 1.5), entry.get("p2", 3))
-    elif tag == "mixed-max":
-        norm = mixed_max_norm(bundle, entry.get("p1", 1.5), entry.get("p2", 3))
-    else:
-        raise ConfigError(
-            f"unknown norm tag {tag!r}; valid tags: {sorted(_CATALOGUE_EXPECT)}"
-        )
-    expect = entry.get("expect", _CATALOGUE_EXPECT[tag])
+    tag = entry["tag"]
+    if not isinstance(tag, str) or tag not in _CATALOGUE:
+        raise ConfigError(f"unknown norm tag {tag!r}; valid tags: {sorted(_CATALOGUE)}")
+    build, expect = _CATALOGUE[tag]
+    expect = entry.get("expect", expect)
     if expect not in ("PASS", "FAIL"):
         raise ConfigError("expect must be 'PASS' or 'FAIL'")
     p_check = entry.get("p_check", entry.get("p", 2))
-    return norm, p_check, expect
+    _config_value("norms entry p_check (or p)", _finite_exponent, p_check)
+    return build(bundle, entry), p_check, expect
 
 
 def cmd_criterion(cfg: dict, args) -> int:
+    _known_fields(cfg, ("bundle", "probes", "seed", "norms"), "criterion config")
     seed = _seed(cfg, args, 0)
     if "bundle" not in cfg:
         raise ConfigError("criterion config needs a 'bundle' entry")
     bundle = bundle_from_config(cfg["bundle"])
     instance = bundle_digest(bundle)
-    entries = cfg.get("norms") or [
-        {"tag": "induced", "p": 2},
-        {"tag": "sup-over-atoms"},
-        {"tag": "mixed-sum"},
-        {"tag": "mixed-max"},
-    ]
+    entries = cfg.get("norms", [{"tag": tag} for tag in _CATALOGUE])
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"norms must be a non-empty list of norm entries, got {entries!r}")
     probes = _integer("probes", cfg.get("probes", 6), 1)
 
     add_rows = []
@@ -390,7 +389,7 @@ def cmd_criterion(cfg: dict, args) -> int:
         if rep.passed:
             rec = reconstruct_pointwise_norm(norm, p_check, v)
             gap = float(np.max(np.abs(rec.values - pointwise_norm(v).values)))
-            unexpected += record("pointwise-reconstruction", gap <= 1e-9, gap)
+            unexpected += record("pointwise-reconstruction", gap <= RECONSTRUCTION_TOL, gap)
         else:
             try:
                 reconstruct_pointwise_norm(norm, p_check, v)

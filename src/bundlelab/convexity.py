@@ -849,6 +849,8 @@ def parallelogram_defects(specs: Sequence[NormSpec], budget: SearchBudget | None
 
 #: grid points paired with all others per block of the dense planar estimate
 _GRID_CHUNK = 256
+#: evenly spaced angles of the dense planar grid, before the structural ones
+GRID_SAMPLES = 4096
 
 
 def _structural_angles(spec: NormSpec) -> np.ndarray:
@@ -857,11 +859,7 @@ def _structural_angles(spec: NormSpec) -> np.ndarray:
     return np.concatenate([angles, angles + math.pi])
 
 
-def modulus_grid_estimate_2d(
-    spec: NormSpec,
-    eps_grid=None,
-    samples: int = 4096,
-):
+def modulus_grid_estimate_2d(spec: NormSpec, eps_grid=None):
     """Brute-force planar modulus estimate from a dense angle-pair grid.
 
     Independent of the descent optimizer: enumerates pairs of unit vectors
@@ -872,7 +870,7 @@ def modulus_grid_estimate_2d(
     if spec.dimension != 2:
         raise ValueError("dense grid estimation is only available in dimension 2")
     eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
-    base = np.linspace(0.0, 2.0 * math.pi, int(samples), endpoint=False)
+    base = np.linspace(0.0, 2.0 * math.pi, GRID_SAMPLES, endpoint=False)
     angles = np.concatenate([base, _structural_angles(spec)])
     angles = np.unique(np.round(np.mod(angles, 2.0 * math.pi), 12))
     P = np.column_stack([np.cos(angles), np.sin(angles)])

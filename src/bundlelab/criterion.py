@@ -46,8 +46,12 @@ __all__ = [
 
 ADDITIVITY_TOL = 1e-9
 CONTINUITY_TOL = 1e-6
+#: largest gap between a reconstructed pointwise norm and the inducing one
+RECONSTRUCTION_TOL = 1e-9
 ENUMERATION_CAP = 16
 SAMPLED_SUBSETS = 4096
+#: random section pairs of ``AbstractModuleNorm.check_axioms``
+AXIOM_PROBES = 8
 _AXIOM_TOL = 1e-9
 _INEQUALITY_TOL = 1e-12
 #: (probe, subset) pairs per ``evaluate_rows`` call of the additivity check.
@@ -81,12 +85,13 @@ class AbstractModuleNorm:
         _same_bundle(section.bundle, self.bundle, "section does not live on this norm's bundle")
         return float(self.evaluate_rows(section.coords[None, :])[0])
 
-    def check_axioms(self, probes: int = 16, seed: int = 0):
-        """Randomized spot check of norm axioms; raises AssertionError on failure."""
+    def check_axioms(self, seed: int = 0):
+        """Randomized spot check of norm axioms on ``AXIOM_PROBES`` section
+        pairs; raises AssertionError on failure."""
         rng = np.random.default_rng(seed)
         if self.bundle.total_dimension == 0:
             return
-        for _ in range(probes):
+        for _ in range(AXIOM_PROBES):
             v = random_section(self.bundle, rng)
             w = random_section(self.bundle, rng)
             t = float(rng.uniform(-3.0, 3.0))
@@ -153,14 +158,22 @@ class AdditivityReport:
     enumeration: str
 
 
-def _subset_masks(atom_count: int, cap: int, samples: int, seed: int):
-    if atom_count <= cap:
+def _finite_exponent(p) -> float:
+    """``p`` as a float: the checks here are out of scope at p = inf."""
+    p = as_exponent(p)
+    if p == math.inf:
+        raise ValueError("the sup-exponent analogue of this check is out of scope; use finite p")
+    return float(p)
+
+
+def _subset_masks(atom_count: int, seed: int):
+    if atom_count <= ENUMERATION_CAP:
         count = 2**atom_count
         idx = np.arange(count, dtype=np.uint32)
         masks = (idx[:, None] >> np.arange(atom_count)) & 1
         return masks.astype(bool), "full"
     rng = np.random.default_rng(seed)
-    masks = rng.integers(0, 2, size=(samples, atom_count)).astype(bool)
+    masks = rng.integers(0, 2, size=(SAMPLED_SUBSETS, atom_count)).astype(bool)
     return masks, "sampled"
 
 
@@ -181,34 +194,27 @@ def _probe_rows(norm: AbstractModuleNorm, probes, seed: int) -> np.ndarray:
     return P
 
 
-def restriction_additivity_check(
-    norm: AbstractModuleNorm,
-    p,
-    probes: int | Sequence[Section] = 8,
-    seed: int = 0,
-    cap: int = ENUMERATION_CAP,
-    samples: int = SAMPLED_SUBSETS,
-) -> AdditivityReport:
+def restriction_additivity_check(norm: AbstractModuleNorm, p,
+                                 probes: int | Sequence[Section] = 8,
+                                 seed: int = 0) -> AdditivityReport:
     """Does the p-th power of the norm split across complementary subsets?
 
     For every probe section v and subset E the residual
     ``| N(1_E v)^p + N(1_{X\\E} v)^p - N(v)^p |`` is evaluated; subsets are
-    fully enumerated up to ``cap`` atoms and sampled deterministically
-    beyond.  Probes are normalized so the 1e-9 verdict line is scale-free.
-    Every masked section goes through the norm itself, ``_MASK_CHUNK``
-    (probe, subset) pairs per ``evaluate_rows`` call.  A failing check names
-    the probe and subset of the first largest residual in probe-major,
-    subset-minor order; a passing one names none (probe -1, empty subset).
-    A nan residual counts as infinite.
+    fully enumerated up to ``ENUMERATION_CAP`` atoms, and beyond it
+    ``SAMPLED_SUBSETS`` are drawn deterministically.  Probes are normalized
+    so the 1e-9 verdict line is scale-free.  Every masked section goes
+    through the norm itself, ``_MASK_CHUNK`` (probe, subset) pairs per
+    ``evaluate_rows`` call.  A failing check names the probe and subset of
+    the first largest residual in probe-major, subset-minor order; a passing
+    one names none (probe -1, empty subset).  A nan residual counts as
+    infinite.
     """
-    p = as_exponent(p)
-    if p == math.inf:
-        raise ValueError("the sup-exponent analogue of this check is out of scope; use finite p")
-    pf = float(p)
+    pf = _finite_exponent(p)
     bundle = norm.bundle
     P = _probe_rows(norm, probes, seed)
     totals_p = norm.evaluate_rows(P) ** pf
-    masks, enumeration = _subset_masks(bundle.space.atom_count, cap, samples, seed)
+    masks, enumeration = _subset_masks(bundle.space.atom_count, seed)
     coord_masks = np.repeat(masks, bundle.dimensions, axis=1)
     atoms = np.array(bundle.space.atoms, dtype=object)
 
@@ -302,10 +308,7 @@ def reconstruct_pointwise_norm(norm: AbstractModuleNorm, p, section: Section) ->
     of the full norm, i.e. when the norm is not restriction-additive on
     this section.
     """
-    p = as_exponent(p)
-    if p == math.inf:
-        raise ValueError("the sup-exponent analogue of this check is out of scope; use finite p")
-    pf = float(p)
+    pf = _finite_exponent(p)
     bundle = norm.bundle
     weights = bundle.space.weights
     total_p = norm.evaluate(section) ** pf

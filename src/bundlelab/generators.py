@@ -7,7 +7,7 @@ reproduce identical bundles, sections and measure triples bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -23,7 +23,7 @@ from .norms import (
     WeightedLpNorm,
     check_facet_candidates,
 )
-from .serialize import ConfigError, _known_fields, bundle_digest
+from .serialize import ConfigError, _integer, _known_fields, bundle_digest
 
 __all__ = [
     "InstanceRecipe",
@@ -47,7 +47,8 @@ TRIPLE_ATOM_RANGE = (2, 10)
 
 @dataclass(frozen=True)
 class InstanceRecipe:
-    """Everything needed to regenerate a family of instances."""
+    """Everything needed to regenerate a family of instances; checks
+    itself on construction, like ``SearchBudget``."""
 
     seed: int = 0
     instance_count: int = 10
@@ -60,45 +61,39 @@ class InstanceRecipe:
     constant_fraction: float = 0.0
     zero_fiber_fraction: float = 0.0
 
-
-def recipe_from_config(cfg: dict) -> InstanceRecipe:
-    """An instance recipe from its config mapping.
-
-    Fields the instance draws would reject later (exponents, kinds, ranges)
-    are checked here, so every invalid or unknown field is a ``ConfigError``.
-    """
-    casts = {
-        "seed": int,
-        "instance_count": int,
-        "atom_range": tuple,
-        "dim_range": tuple,
-        "kinds": tuple,
-        "lp_exponents": tuple,
-        "weight_range": tuple,
-        "exponents": tuple,
-        "constant_fraction": float,
-        "zero_fiber_fraction": float,
-    }
-    _known_fields(cfg, casts, "recipe config")
-    try:
-        recipe = InstanceRecipe(**{key: cast(cfg[key]) for key, cast in casts.items() if key in cfg})
-        if not recipe.exponents:
+    def __post_init__(self):
+        for name in ("seed", "instance_count"):
+            _integer(name, getattr(self, name), 0)
+        for name in ("atom_range", "dim_range"):
+            for bound in getattr(self, name):
+                _integer(f"{name} bound", bound, 0)
+        if not self.exponents:
             raise ValueError("exponents must be non-empty")
-        for p in recipe.exponents + recipe.lp_exponents:
+        for p in [*self.exponents, *self.lp_exponents]:
             as_exponent(p)
-        unknown = set(recipe.kinds) - set(ALL_KINDS)
-        if unknown or not recipe.kinds:
+        unknown = set(self.kinds) - set(ALL_KINDS)
+        if unknown or not self.kinds:
             raise ValueError(f"kinds must be a non-empty subset of {list(ALL_KINDS)}")
         (a_lo, a_hi), (d_lo, d_hi), (w_lo, w_hi) = (
-            recipe.atom_range, recipe.dim_range, recipe.weight_range)
+            self.atom_range, self.dim_range, self.weight_range)
         if not (0 <= a_lo <= a_hi and 1 <= d_lo <= d_hi and 0 < w_lo <= w_hi):
             raise ValueError("ranges must be [lo, hi] with lo <= hi, at least 0 atoms, "
                              "dimension at least 1 and positive weights")
-        if {"polyhedral_max", "polytope_gauge"} & set(recipe.kinds):
-            check_facet_candidates(int(d_hi) + EXTRA_ROWS, int(d_hi))
+        if {"polyhedral_max", "polytope_gauge"} & set(self.kinds):
+            check_facet_candidates(d_hi + EXTRA_ROWS, d_hi)
+
+
+def recipe_from_config(cfg: dict) -> InstanceRecipe:
+    """An instance recipe from its config mapping, cast to the types of the
+    dataclass's defaults (integers are checked, never cast): every invalid or
+    unknown field is a ``ConfigError``."""
+    types = {f.name: type(f.default) for f in fields(InstanceRecipe)}
+    _known_fields(cfg, types, "recipe config")
+    try:
+        return InstanceRecipe(**{key: value if types[key] is int else types[key](value)
+                                 for key, value in cfg.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"recipe config invalid: {exc}") from None
-    return recipe
 
 
 def instance_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
@@ -107,12 +102,10 @@ def instance_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
 
 
 def _rand_int(rng, lohi) -> int:
-    lo, hi = int(lohi[0]), int(lohi[1])
-    return int(rng.integers(lo, hi + 1))
+    return int(rng.integers(lohi[0], lohi[1] + 1))
 
 
-def random_norm_spec(rng: np.random.Generator, kind: str, dim: int,
-                     lp_exponents=(1, 1.5, 2, 3, "inf")) -> NormSpec:
+def random_norm_spec(rng: np.random.Generator, kind: str, dim: int, lp_exponents) -> NormSpec:
     if kind == "inner_product":
         Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         lam = rng.uniform(0.5, 2.2, size=dim)

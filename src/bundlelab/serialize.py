@@ -15,6 +15,7 @@ Schema (all plain JSON, decimal notation, no localization):
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -57,6 +58,13 @@ def _known_fields(cfg, allowed, context: str) -> None:
     unknown = set(cfg) - set(allowed)
     if unknown:
         raise ConfigError(f"{context} has unknown fields: {sorted(unknown)}")
+
+
+def _integer(what: str, value, least: int) -> int:
+    """A whole-number setting (seed, count, range bound, dimension): a JSON integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _require(cfg: dict, key: str, context: str):
@@ -103,7 +111,7 @@ def bundle_from_config(cfg: dict) -> Bundle:
     for i, fc in enumerate(fiber_cfgs):
         if not isinstance(fc, dict) or "dimension" not in fc:
             raise ConfigError(f"fiber dimension required (fiber at atom index {i})")
-        dim = int(fc["dimension"])
+        dim = _integer(f"fiber dimension (fiber at atom index {i})", fc["dimension"], 0)
         if dim == 0:
             fibers.append(Fiber(0, None))
             continue
@@ -142,8 +150,7 @@ def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Sectio
 def budget_from_config(cfg: dict | None) -> SearchBudget:
     if cfg is None:
         return SearchBudget()
-    _known_fields(cfg, ("restarts", "iterations", "seed", "init_step", "min_step", "penalty"),
-                  "budget config")
+    _known_fields(cfg, [f.name for f in dataclasses.fields(SearchBudget)], "budget config")
     try:
         return SearchBudget(**cfg)
     except (TypeError, ValueError) as exc:

@@ -5,8 +5,9 @@ checks, and emits :class:`TheoremReport` rows.  Reports carry an expected
 verdict so fixtures that are supposed to fail (for example the sup-over
 -atoms norm under restriction additivity) do not count as unexpected.
 
-The registry below names every claim the suites are responsible for; an
-exhaustiveness test asserts the union of emitted tags covers it.
+The registry below names every claim the suites are responsible for, and
+``SUITE_TAGS`` each suite's claims; tests assert that these cover the
+registry and that each suite's small run emits exactly its own.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .convexity import (
     parallelogram_defects,
 )
 from .criterion import (
+    ADDITIVITY_TOL,
+    CONTINUITY_TOL,
+    RECONSTRUCTION_TOL,
     induced_norm,
     measure_inequality_report,
     mixed_max_norm,
@@ -41,9 +45,8 @@ from .criterion import (
     sup_over_atoms_norm,
     weak_star_continuity_check,
 )
-from .duality import _duality_rows, check_reflexivity_diagram
+from .duality import BIDUAL_NORM_TOL, PAIRING_TOL, _duality_rows, check_reflexivity_diagram
 from .generators import (
-    ALL_KINDS,
     UC_KINDS,
     InstanceRecipe,
     bundle_digest,
@@ -60,9 +63,8 @@ __all__ = [
     "TheoremReport",
     "REQUIRED_TAGS",
     "SUITE_TAGS",
-    "SUITE_NAMES",
     "suite_names",
-    "default_recipe",
+    "SUITE_RECIPES",
     "suite_hilbert",
     "suite_convexity_upper",
     "suite_convexity_lower",
@@ -105,7 +107,17 @@ SUITE_TAGS = {
     ),
 }
 
-SUITE_NAMES = tuple(SUITE_TAGS)
+#: modest default instance recipes, sized for interactive runs; the criterion
+#: suite is absent because it takes none: it checks a fixed catalogue at the
+#: run seed
+SUITE_RECIPES = {
+    "hilbert": InstanceRecipe(seed=11, instance_count=12, constant_fraction=0.2),
+    "uc-upper": InstanceRecipe(seed=23, instance_count=6, atom_range=(2, 3)),
+    "uc-lower": InstanceRecipe(seed=37, instance_count=6, atom_range=(2, 3), kinds=UC_KINDS,
+                               lp_exponents=(1.5, 2, 3, 4)),
+    "pointwise": InstanceRecipe(seed=41, instance_count=4, atom_range=(2, 3), dim_range=(2, 2)),
+    "duality": InstanceRecipe(seed=53, instance_count=6, constant_fraction=0.25),
+}
 
 #: reduced search effort for randomized sweeps (accuracy needs are 2e-3)
 SUITE_BUDGET = SearchBudget(restarts=16, iterations=80)
@@ -115,10 +127,10 @@ POINTWISE_BUDGET = SearchBudget(restarts=48, iterations=160)
 
 #: section pairs per instance of the integrated parallelogram identity
 HILBERT_SAMPLES = 4
-#: angles of the dense planar grid the fiber curves are compared with
-POINTWISE_GRID_SAMPLES = 4096
 #: random (functional, section) pairs per instance of the duality checks
 DUALITY_SAMPLES = 3
+#: accepted measure triples of the power-inequality check
+MEASURE_TRIPLES = 200
 
 #: note attached to the qualitative lower-bound reports
 SHRINK_NOTE = (
@@ -160,29 +172,6 @@ def make_report(suite, tag, instance, checks, expected="PASS", notes=None, data=
     )
 
 
-def default_recipe(suite: str) -> InstanceRecipe:
-    """Modest default instance recipes, sized for interactive runs.  The
-    criterion suite takes none: it checks a fixed catalogue at the run seed."""
-    if suite == "hilbert":
-        return InstanceRecipe(seed=11, instance_count=12, atom_range=(2, 4),
-                              dim_range=(2, 3), kinds=ALL_KINDS, constant_fraction=0.2)
-    if suite == "uc-upper":
-        return InstanceRecipe(seed=23, instance_count=6, atom_range=(2, 3),
-                              dim_range=(2, 3), kinds=ALL_KINDS, exponents=(1.5, 2, 3))
-    if suite == "uc-lower":
-        return InstanceRecipe(seed=37, instance_count=6, atom_range=(2, 3),
-                              dim_range=(2, 3), kinds=UC_KINDS,
-                              lp_exponents=(1.5, 2, 3, 4), exponents=(1.5, 2, 3))
-    if suite == "pointwise":
-        return InstanceRecipe(seed=41, instance_count=4, atom_range=(2, 3),
-                              dim_range=(2, 2), kinds=ALL_KINDS)
-    if suite == "duality":
-        return InstanceRecipe(seed=53, instance_count=6, atom_range=(2, 4),
-                              dim_range=(2, 3), kinds=ALL_KINDS,
-                              constant_fraction=0.25, exponents=(1.5, 2, 3))
-    raise ValueError(f"no instance recipe for suite {suite!r}")
-
-
 # -- hilbert equivalence -------------------------------------------------------
 
 
@@ -191,7 +180,7 @@ def suite_hilbert(recipe=None) -> list[TheoremReport]:
     the parallelogram identity; failures are certified by sections localized
     on a defective fiber.  The defects of all fibers are searched together,
     one kernel call per fiber dimension."""
-    recipe = recipe or default_recipe("hilbert")
+    recipe = recipe or SUITE_RECIPES["hilbert"]
     instances = list(bundles_from_recipe(recipe))
     specs = [f.norm for _, b in instances for f in b.fibers if f.dimension > 0]
     found = iter(parallelogram_defects(specs, SUITE_DEFECT_BUDGET))
@@ -273,7 +262,7 @@ def suite_convexity_upper(recipe=None, eps_grid=None,
     from (``meta["fiber_curves"]``), so no fiber is searched twice.
     ``budget`` sets the section searches; fibers are searched under
     ``SUITE_BUDGET``."""
-    recipe = recipe or default_recipe("uc-upper")
+    recipe = recipe or SUITE_RECIPES["uc-upper"]
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or SUITE_BUDGET
     bundles, live = _live_bundles(recipe)
@@ -309,7 +298,7 @@ def suite_convexity_lower(recipe=None, eps_grid=None,
     estimate stays above the optimizer floor.  No explicit transfer function
     is available, so only the implication is asserted.  ``budget`` sets the
     section searches; fibers are searched under ``SUITE_BUDGET``."""
-    recipe = recipe or default_recipe("uc-lower")
+    recipe = recipe or SUITE_RECIPES["uc-lower"]
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or SUITE_BUDGET
     bundles, live = _live_bundles(recipe)
@@ -349,7 +338,7 @@ def suite_pointwise_modulus(recipe=None, eps_grid=None,
     estimator run on sections supported on a single atom (planar fibers).
     The curves of all planar fibers of the recipe come from one
     ``modulus_curves`` call."""
-    recipe = recipe or default_recipe("pointwise")
+    recipe = recipe or SUITE_RECIPES["pointwise"]
     eps = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     budget = budget or POINTWISE_BUDGET
     instances = list(bundles_from_recipe(recipe))
@@ -366,7 +355,7 @@ def suite_pointwise_modulus(recipe=None, eps_grid=None,
                              "(dense pair grid is planar only)")
                 continue
             opt = next(planar).deltas
-            _, grid = modulus_grid_estimate_2d(f.norm, eps, samples=POINTWISE_GRID_SAMPLES)
+            _, grid = modulus_grid_estimate_2d(f.norm, eps)
             gap = float(np.max(np.abs(opt - grid)))
             checks.append(CheckRow(f"fiber-vs-grid-atom{x}", gap, 2e-3, gap <= 2e-3))
         if not checks:
@@ -398,7 +387,7 @@ def suite_duality(recipe=None) -> list[TheoremReport]:
     directions), the constructed maximizers attain them, and the bidual
     diagram commutes; constant bundles additionally route the check through
     the fixed fiber, and degenerate bundles pass vacuously."""
-    recipe = recipe or default_recipe("duality")
+    recipe = recipe or SUITE_RECIPES["duality"]
     reports = []
     instances = [(f"fixture{k}", b) for k, b in enumerate(_duality_fixtures())]
     instances += [(str(i), b) for i, b in bundles_from_recipe(recipe)]
@@ -436,16 +425,16 @@ def suite_duality(recipe=None) -> list[TheoremReport]:
         rep = check_reflexivity_diagram(bundle, recipe.exponents[0], samples=12,
                                         seed=int(rng.integers(0, 2**31)))
         d_checks = [
-            CheckRow("pairing-residual", rep.max_pairing_residual, 1e-9,
-                     rep.max_pairing_residual <= 1e-9),
-            CheckRow("bidual-norm-gap", rep.max_bidual_norm_gap, 1e-6,
-                     rep.max_bidual_norm_gap <= 1e-6),
+            CheckRow("pairing-residual", rep.max_pairing_residual, PAIRING_TOL,
+                     rep.max_pairing_residual <= PAIRING_TOL),
+            CheckRow("bidual-norm-gap", rep.max_bidual_norm_gap, BIDUAL_NORM_TOL,
+                     rep.max_bidual_norm_gap <= BIDUAL_NORM_TOL),
         ]
         reports.append(make_report("duality", "bidual-diagram", inst, d_checks, notes=rep.notes))
         if rep.constant_chain_checked:
             c_checks = [
-                CheckRow("constant-chain-residual", rep.max_constant_chain_residual, 1e-9,
-                         rep.max_constant_chain_residual <= 1e-9)
+                CheckRow("constant-chain-residual", rep.max_constant_chain_residual, PAIRING_TOL,
+                         rep.max_constant_chain_residual <= PAIRING_TOL)
             ]
             reports.append(make_report("duality", "constant-fiber-chain", inst, c_checks))
     return reports
@@ -464,7 +453,7 @@ def _criterion_bundle() -> Bundle:
     return Bundle(space, fibers)
 
 
-def suite_criterion(seed: int = 0, triple_count: int = 200) -> list[TheoremReport]:
+def suite_criterion(seed: int = 0) -> list[TheoremReport]:
     """Fixture catalogue for the norm-criterion checks: induced norms pass
     and round-trip; sup-over-atoms and mixed norms fail restriction
     additivity with explicit witnesses; the measure power-inequality lemma
@@ -482,11 +471,12 @@ def suite_criterion(seed: int = 0, triple_count: int = 200) -> list[TheoremRepor
         (induced_norm(bundle, 2), 3, "FAIL"),  # mismatched exponent must be caught
     ]
     for norm, p, expected in fixtures:
-        norm.check_axioms(probes=8, seed=seed)
+        norm.check_axioms(seed=seed)
         rep = restriction_additivity_check(norm, p, probes=6, seed=seed)
         witness = "" if rep.passed else f"subset-size-{len(rep.witness_subset)}"
         checks = [
-            CheckRow("power-additivity-residual", rep.max_residual, 1e-9, rep.passed, witness)
+            CheckRow("power-additivity-residual", rep.max_residual, ADDITIVITY_TOL, rep.passed,
+                     witness)
         ]
         reports.append(
             make_report("criterion", "restriction-additivity",
@@ -497,7 +487,7 @@ def suite_criterion(seed: int = 0, triple_count: int = 200) -> list[TheoremRepor
     for norm in (induced_norm(bundle, 2), sup_over_atoms_norm(bundle)):
         rep = weak_star_continuity_check(norm, probes=4, seed=seed)
         checks = [
-            CheckRow("limit-proxy-max", rep.max_limit_proxy, 1e-6, rep.passed)
+            CheckRow("limit-proxy-max", rep.max_limit_proxy, CONTINUITY_TOL, rep.passed)
         ]
         reports.append(
             make_report("criterion", "weak-star-continuity", f"{inst}:{norm.name}", checks)
@@ -511,7 +501,8 @@ def suite_criterion(seed: int = 0, triple_count: int = 200) -> list[TheoremRepor
             v = random_section(bundle, rng)
             rec = reconstruct_pointwise_norm(norm, p, v)
             worst = max(worst, float(np.max(np.abs(rec.values - pointwise_norm(v).values))))
-        checks = [CheckRow(f"round-trip-gap-p{p}", worst, 1e-9, worst <= 1e-9)]
+        checks = [CheckRow(f"round-trip-gap-p{p}", worst, RECONSTRUCTION_TOL,
+                           worst <= RECONSTRUCTION_TOL)]
         reports.append(
             make_report("criterion", "pointwise-norm-reconstruction",
                         f"{inst}:induced-p{p}", checks)
@@ -533,7 +524,7 @@ def suite_criterion(seed: int = 0, triple_count: int = 200) -> list[TheoremRepor
     accepted = 0
     violations = 0
     idx = 0
-    while accepted < triple_count:
+    while accepted < MEASURE_TRIPLES:
         triple = random_measure_triple(seed, idx)
         idx += 1
         rep = measure_inequality_report(triple)
@@ -561,7 +552,7 @@ def suite_names(tags) -> list[str]:
     for t in tags:
         if t != "all" and t not in SUITE_TAGS:
             raise ValueError(f"unknown suite tag {t!r}; valid tags: {sorted(SUITE_TAGS)} or 'all'")
-    return list(SUITE_NAMES) if "all" in tags else list(tags)
+    return list(SUITE_TAGS) if "all" in tags else list(tags)
 
 
 def run_suites(tags=("all",), recipes: dict | None = None, eps_grid=None,

@@ -581,6 +581,71 @@ class TestExitCodes:
         for path in out.iterdir():
             assert "repaired" not in path.read_text()
 
+    @pytest.mark.parametrize(
+        "field, recipe",
+        [
+            ("instance_count", {"instance_count": 2.5}),
+            ("instance_count", {"instance_count": "7"}),
+            ("seed", {"seed": True}),
+            ("seed", {"seed": 1.9}),
+            ("atom_range", {"atom_range": [2.5, 3]}),
+            ("dim_range", {"dim_range": [2, 2.5]}),
+        ],
+        ids=["fractional-count", "string-count", "bool-seed", "fractional-seed",
+             "fractional-atom-bound", "fractional-dim-bound"],
+    )
+    def test_recipe_integers_are_not_truncated(self, tmp_path, capsys, field, recipe):
+        cfg = write_config(tmp_path, {"suites": ["hilbert"], "recipes": {"hilbert": recipe}})
+        assert main(["suite", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and "must be an integer" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("dimension", [2.5, True, "1"], ids=["fractional", "bool", "string"])
+    def test_fiber_dimension_is_not_truncated(self, tmp_path, capsys, dimension):
+        bundle = {"space": {"atoms": ["a"], "weights": [1.0]},
+                  "fibers": [{"dimension": dimension, "norm": self.NORM}]}
+        cfg = write_config(tmp_path, {"bundle": bundle, "grid": [1.0]})
+        assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: fiber dimension (fiber at atom index 0) must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("modulus", {"norm": NORM, "grdi": [1.0]}, "grdi"),
+            ("suite", {"suite": ["pointwise"]}, "suite"),
+            ("dual-check", {"bundle": BUNDLE, "sample": 3}, "sample"),
+            ("criterion", {"bundle": BUNDLE, "probe": 2}, "probe"),
+        ],
+        ids=["modulus", "suite", "dual-check", "criterion"],
+    )
+    def test_unknown_top_level_field_is_named(self, tmp_path, capsys, command, payload, field):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {command} config has unknown fields: [{field!r}]" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "norms, message",
+        [
+            ([{"tag": "induced", "p": "inf"}], "norms entry p_check (or p) invalid"),
+            ([{"tag": "sup-over-atoms", "p_check": "inf"}],
+             "norms entry p_check (or p) invalid"),
+            ([{"tag": "induced", "p": 2, "p_chek": 3}],
+             "norms entry has unknown fields: ['p_chek']"),
+            ([], "norms must be a non-empty list"),
+        ],
+        ids=["induced-sup-exponent", "sup-exponent-check", "unknown-entry-field", "empty"],
+    )
+    def test_bad_criterion_norms_are_config_errors(self, tmp_path, capsys, norms, message):
+        cfg = write_config(tmp_path, {"bundle": self.BUNDLE, "norms": norms})
+        assert main(["criterion", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert not (tmp_path / "r").exists()
+
 
 def test_report_digests_keeps_each_configs_reports(tmp_path, capsys):
     path = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"

@@ -219,14 +219,15 @@ def test_bad_grids_rejected(bad):
         modulus_curve(spec, eps_grid=bad, budget=TEST_BUDGET)
 
 
-def test_grid_oracle_agrees_with_search_on_gauge():
+def test_grid_oracle_agrees_with_search_on_gauge(monkeypatch):
     """Two independent routes to the same planar curve: dense angle-pair
     enumeration vs multi-start descent."""
+    monkeypatch.setattr(convexity, "GRID_SAMPLES", 2048)
     spec = PolytopeGaugeNorm(
         [[1.2, 0.1], [0.2, 0.9], [-1.2, -0.1], [-0.2, -0.9]]
     )
     grid = [0.4, 0.8, 1.2, 1.6, 2.0]
-    eps, dense = modulus_grid_estimate_2d(spec, grid, samples=2048)
+    eps, dense = modulus_grid_estimate_2d(spec, grid)
     curve = modulus_curve(spec, grid, budget=TEST_BUDGET)
     assert np.max(np.abs(curve.deltas - dense)) <= 2e-3
 

@@ -48,7 +48,8 @@ def plane_bundle(weights=(1.0, 2.0, 0.5)):
 
 
 class TestNormCatalogue:
-    def test_axioms_pass_for_catalogue(self):
+    def test_axioms_pass_for_catalogue(self, monkeypatch):
+        monkeypatch.setattr(criterion, "AXIOM_PROBES", 16)
         b = plane_bundle()
         for norm in (
             induced_norm(b, 2),
@@ -56,15 +57,17 @@ class TestNormCatalogue:
             mixed_sum_norm(b, 2, 3),
             mixed_max_norm(b, 2, 3),
         ):
-            norm.check_axioms(probes=16, seed=0)
+            norm.check_axioms(seed=0)
 
-    def test_axiom_check_catches_degenerate_fn(self):
+    def test_axiom_check_catches_degenerate_fn(self, monkeypatch):
+        monkeypatch.setattr(criterion, "AXIOM_PROBES", 16)
         b = plane_bundle()
         fake = AbstractModuleNorm(b, lambda X: np.zeros(len(X)), "vanishing")
         with pytest.raises(AssertionError, match="vanishing on a nonzero"):
             fake.check_axioms()
 
-    def test_axiom_check_catches_non_homogeneous_fn(self):
+    def test_axiom_check_catches_non_homogeneous_fn(self, monkeypatch):
+        monkeypatch.setattr(criterion, "AXIOM_PROBES", 16)
         b = plane_bundle()
         norm_batch = section_norm_batch(b, 2)
         fake = AbstractModuleNorm(b, lambda X: norm_batch(X) + 1.0, "shifted")
@@ -233,11 +236,11 @@ class TestRestrictionAdditivity:
         assert rep.witness_probe == 0
         assert len(rep.witness_subset) >= 1
 
-    def test_sampled_enumeration_beyond_cap(self):
+    def test_sampled_enumeration_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(criterion, "ENUMERATION_CAP", 4)
+        monkeypatch.setattr(criterion, "SAMPLED_SUBSETS", 64)
         b = line_bundle([1.0] * 6)
-        rep = restriction_additivity_check(
-            induced_norm(b, 2), 2, probes=2, seed=5, cap=4, samples=64
-        )
+        rep = restriction_additivity_check(induced_norm(b, 2), 2, probes=2, seed=5)
         assert rep.enumeration == "sampled"
         assert rep.passed
         assert rep.subsets_checked == 64 * 2

@@ -101,7 +101,7 @@ def test_zero_fiber_fraction_produces_zero_fibers():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_random_norm_spec_kinds(kind, assert_norm_axioms):
     for seed in (0, 1, 2):
-        spec = random_norm_spec(instance_rng(seed, 0), kind, 2)
+        spec = random_norm_spec(instance_rng(seed, 0), kind, 2, InstanceRecipe().lp_exponents)
         assert spec.kind == kind
         assert_norm_axioms(spec, probes=16, seed=0)
 

@@ -21,9 +21,9 @@ from bundlelab.reportio import report_data_files, suite_reports_table
 from bundlelab.suites import (
     CheckRow,
     REQUIRED_TAGS,
+    SUITE_RECIPES,
     SUITE_TAGS,
     TheoremReport,
-    default_recipe,
     make_report,
     run_suites,
     suite_convexity_lower,
@@ -55,12 +55,8 @@ def test_every_suite_covers_its_tags():
 def test_default_recipes_exist_for_every_suite():
     """Every suite but criterion, which checks a fixed catalogue at the run
     seed, has a default recipe."""
-    for name in SUITE_TAGS:
-        if name == "criterion":
-            with pytest.raises(ValueError, match="no instance recipe for suite 'criterion'"):
-                default_recipe(name)
-            continue
-        recipe = default_recipe(name)
+    assert set(SUITE_RECIPES) == set(SUITE_TAGS) - {"criterion"}
+    for recipe in SUITE_RECIPES.values():
         assert isinstance(recipe, InstanceRecipe)
         assert recipe.instance_count >= 1
 
@@ -86,11 +82,12 @@ class TestSmallRuns:
         reports = suite_hilbert(TINY["hilbert"])
         assert reports
         assert all(not r.unexpected for r in reports)
-        assert {r.tag for r in reports} == {"hilbert-fiber-equivalence"}
+        assert {r.tag for r in reports} == SUITE_TAGS["hilbert"]
 
     def test_uc_upper(self):
         reports = suite_convexity_upper(TINY["uc-upper"], GRID)
         assert all(not r.unexpected for r in reports)
+        assert {r.tag for r in reports} == SUITE_TAGS["uc-upper"]
         for rep in reports:
             assert "epsilon" in rep.data
             for row in rep.checks:
@@ -99,35 +96,28 @@ class TestSmallRuns:
     def test_uc_lower(self):
         reports = suite_convexity_lower(TINY["uc-lower"], GRID)
         assert all(not r.unexpected for r in reports)
+        assert {r.tag for r in reports} == SUITE_TAGS["uc-lower"]
 
     def test_pointwise(self):
         reports = suite_pointwise_modulus(TINY["pointwise"], [1.0, 2.0])
         assert all(not r.unexpected for r in reports)
-        assert {r.tag for r in reports} == {"pointwise-modulus-equality"}
+        assert {r.tag for r in reports} == SUITE_TAGS["pointwise"]
 
     def test_duality(self):
         reports = suite_duality(TINY["duality"])
         assert all(not r.unexpected for r in reports)
-        tags = {r.tag for r in reports}
-        assert "dual-norm-isometry" in tags
-        assert "bidual-diagram" in tags
-        assert "constant-fiber-chain" in tags
+        assert {r.tag for r in reports} == SUITE_TAGS["duality"]
 
-    def test_criterion_includes_expected_failures(self):
-        reports = suite_criterion(seed=0, triple_count=40)
+    def test_criterion_includes_expected_failures(self, monkeypatch):
+        monkeypatch.setattr(suites, "MEASURE_TRIPLES", 40)
+        reports = suite_criterion(seed=0)
         assert all(not r.unexpected for r in reports)
         expected_fail = [r for r in reports if r.expected == "FAIL"]
         assert expected_fail, "counterexample catalogue must be exercised"
         for rep in expected_fail:
             assert rep.verdict == "FAIL"
             assert any(not row.passed and row.witness for row in rep.checks)
-        tags = {r.tag for r in reports}
-        assert {
-            "restriction-additivity",
-            "weak-star-continuity",
-            "pointwise-norm-reconstruction",
-            "measure-power-inequality",
-        } <= tags
+        assert {r.tag for r in reports} == SUITE_TAGS["criterion"]
 
 
 def test_run_suites_dispatch_and_determinism():
@@ -145,9 +135,9 @@ def test_duality_suite_bytes_do_not_depend_on_hash_seed():
     script = (
         "import sys\n"
         "from bundlelab.reportio import suite_reports_table\n"
-        "from bundlelab.suites import default_recipe, suite_duality\n"
+        "from bundlelab.suites import SUITE_RECIPES, suite_duality\n"
         "sys.stdout.write(suite_reports_table(suite_duality(), "
-        "default_recipe('duality').seed))\n"
+        "SUITE_RECIPES['duality'].seed))\n"
     )
     src = str(Path(bundlelab.__file__).resolve().parents[1])
     outputs = []

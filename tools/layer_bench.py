@@ -105,8 +105,7 @@ def _section_group(bl, kinds=("inner_product", "weighted_lp", "polytope_gauge"))
     for p in exponents:
         pairs = bl.convexity.structured_pairs_for_fn(
             lambda X, p=p: bl.bundles._section_lp_rows(bundle, X, p), 9)[:27]
-        # a search is its start-pair array; older checkouts wrap it in a Search
-        searches.append(getattr(bl.convexity, "Search", np.asarray)(np.array(pairs)))
+        searches.append(np.array(pairs))
     return bl.convexity.SearchGroup(evaluate, searches)
 
 
@@ -152,8 +151,7 @@ def _layers(bl, config: Path, out: Path) -> dict:
     layers["search_batch"] = lambda: cv._search_batch(
         [group], [(0, 0), (0, 1)], 9, eps, budget, cv._midpoint_gap, X, Y)
 
-    fibers = [cv.single_norm_group(spec.norm_batch,
-                                   getattr(cv, "Search", np.asarray)(cv.structured_pairs(spec)))
+    fibers = [cv.single_norm_group(spec.norm_batch, cv.structured_pairs(spec))
               for spec in _kinds(bl.norms).values()]
     fiber_budget = bl.suites.SUITE_BUDGET
     starts = np.random.default_rng(fiber_budget.seed)
