@@ -139,7 +139,7 @@ def _summary(command: str, run: str, instance: str, seed: int, *body: str) -> st
 
 
 def cmd_modulus(cfg: dict, args) -> int:
-    _known_fields(cfg, ("norm", "bundle", "p", "grid", "budget", "seed"), "modulus config")
+    _known_fields(cfg, "modulus config", optional=("norm", "bundle", "p", "grid", "budget", "seed"))
     grid = _resolve_grid(cfg, args)
     budget = budget_from_config(cfg.get("budget"))
     # one seed for the search and the report; the budget's is the fallback
@@ -189,7 +189,7 @@ def cmd_modulus(cfg: dict, args) -> int:
 
 
 def cmd_suite(cfg: dict, args) -> int:
-    _known_fields(cfg, ("suites", "recipes", "grid", "budget", "seed"), "suite config")
+    _known_fields(cfg, "suite config", optional=("suites", "recipes", "grid", "budget", "seed"))
     grid = _resolve_grid(cfg, args)
     seed = _seed(cfg, args, None)
     # an empty or absent budget keeps each suite's own
@@ -240,11 +240,9 @@ def cmd_suite(cfg: dict, args) -> int:
 
 
 def cmd_dual_check(cfg: dict, args) -> int:
-    _known_fields(cfg, ("bundle", "p", "samples", "seed", "dual_section", "section"),
-                  "dual-check config")
+    _known_fields(cfg, "dual-check config", ("bundle",),
+                  ("p", "samples", "seed", "dual_section", "section"))
     seed = _seed(cfg, args, 0)
-    if "bundle" not in cfg:
-        raise ConfigError("dual-check config needs a 'bundle' entry")
     bundle = bundle_from_config(cfg["bundle"])
     p = cfg.get("p", 2)
     _config_value("exponent p", _duality_exponent, p)
@@ -333,9 +331,7 @@ _CATALOGUE = {
 
 
 def _catalogue_entry(bundle, entry: dict):
-    _known_fields(entry, ("tag", "p", "p1", "p2", "p_check", "expect"), "norms entry")
-    if "tag" not in entry:
-        raise ConfigError("each norms entry needs a 'tag' field")
+    _known_fields(entry, "norms entry", ("tag",), ("p", "p1", "p2", "p_check", "expect"))
     for key in ("p", "p1", "p2", "p_check"):
         if key in entry:
             _config_value(f"norms entry {key}", as_exponent, entry[key])
@@ -352,10 +348,8 @@ def _catalogue_entry(bundle, entry: dict):
 
 
 def cmd_criterion(cfg: dict, args) -> int:
-    _known_fields(cfg, ("bundle", "probes", "seed", "norms"), "criterion config")
+    _known_fields(cfg, "criterion config", ("bundle",), ("probes", "seed", "norms"))
     seed = _seed(cfg, args, 0)
-    if "bundle" not in cfg:
-        raise ConfigError("criterion config needs a 'bundle' entry")
     bundle = bundle_from_config(cfg["bundle"])
     instance = bundle_digest(bundle)
     entries = cfg.get("norms", [{"tag": tag} for tag in _CATALOGUE])

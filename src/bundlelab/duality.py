@@ -211,7 +211,8 @@ def check_reflexivity_diagram(
     shared constant fiber pairs the ``(atoms, d)`` coordinate matrices in one
     contraction against the weights.  The bidual gap compares each atom's
     ``norm_batch`` under ``f.norm.dual().dual()`` with the one under
-    ``f.norm``.
+    ``f.norm``.  For the two polyhedral kinds the bidual is ``f.norm``
+    itself, so their gap is 0 by construction.
     """
     p = _duality_exponent(p)
     rng = np.random.default_rng(seed)

@@ -7,6 +7,8 @@ reproduce identical bundles, sections and measure triples bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -67,6 +69,13 @@ class InstanceRecipe:
         for name in ("atom_range", "dim_range"):
             for bound in getattr(self, name):
                 _integer(f"{name} bound", bound, 0)
+        # fractions and weight bounds are finite numbers, never bools or strings
+        for what, value, hi in (("constant_fraction", self.constant_fraction, 1),
+                                ("zero_fiber_fraction", self.zero_fiber_fraction, 1),
+                                *(("weight_range bound", w, math.inf) for w in self.weight_range)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                    math.isfinite(value) and 0 <= value <= hi):
+                raise ValueError(f"{what} must be a finite number in [0, {hi}], got {value!r}")
         if not self.exponents:
             raise ValueError("exponents must be non-empty")
         for p in [*self.exponents, *self.lp_exponents]:
@@ -84,13 +93,12 @@ class InstanceRecipe:
 
 
 def recipe_from_config(cfg: dict) -> InstanceRecipe:
-    """An instance recipe from its config mapping, cast to the types of the
-    dataclass's defaults (integers are checked, never cast): every invalid or
-    unknown field is a ``ConfigError``."""
-    types = {f.name: type(f.default) for f in fields(InstanceRecipe)}
-    _known_fields(cfg, types, "recipe config")
+    """An instance recipe from its config mapping, JSON lists read as tuples
+    and every other value as it is (the dataclass checks it, nothing is cast):
+    every invalid or unknown field is a ``ConfigError``."""
+    _known_fields(cfg, "recipe config", optional=[f.name for f in fields(InstanceRecipe)])
     try:
-        return InstanceRecipe(**{key: value if types[key] is int else types[key](value)
+        return InstanceRecipe(**{key: tuple(value) if isinstance(value, list) else value
                                  for key, value in cfg.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"recipe config invalid: {exc}") from None

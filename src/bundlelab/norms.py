@@ -155,10 +155,31 @@ def _as_matrix(values, name) -> np.ndarray:
     return arr
 
 
+def _field_json(value):
+    """A kind's field as JSON: an array's nested lists, or an exponent as
+    ``"inf"``, a ``Fraction``'s string or a float."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if value == math.inf:
+        return "inf"
+    return str(value) if isinstance(value, Fraction) else float(value)
+
+
+def _field_bytes(value) -> bytes:
+    """A kind's field as the float64 bytes of its digest: an array as it is,
+    an exponent as one float, -1 for infinity."""
+    if not isinstance(value, np.ndarray):
+        value = [-1.0 if value == math.inf else float(value)]
+    return np.ascontiguousarray(value, dtype=float).tobytes()
+
+
 class NormSpec:
     """Common interface for the concrete norm kinds."""
 
     kind: str = "abstract"
+    #: the constructor's arguments in order, also the attributes holding them:
+    #: ``config_dict``, ``digest`` and ``norm_spec_from_config`` read them
+    fields: tuple = ()
 
     def __init__(self, dimension: int):
         if int(dimension) < 1:
@@ -253,18 +274,16 @@ class NormSpec:
     # -- bookkeeping -------------------------------------------------------
 
     def config_dict(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind,
+                **{name: _field_json(getattr(self, name)) for name in self.fields}}
 
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(self.kind.encode())
         h.update(str(self.dimension).encode())
-        for part in self._digest_parts():
-            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        for name in self.fields:
+            h.update(_field_bytes(getattr(self, name)))
         return h.hexdigest()[:12]
-
-    def _digest_parts(self):
-        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}(dimension={self.dimension})"
@@ -274,6 +293,7 @@ class InnerProductNorm(NormSpec):
     """Norm induced by a symmetric positive definite Gram matrix."""
 
     kind = "inner_product"
+    fields = ("gram",)
 
     def __init__(self, gram):
         G = _as_matrix(gram, "gram")
@@ -302,17 +322,12 @@ class InnerProductNorm(NormSpec):
     def _witnesses(self, S):
         return self._units(np.linalg.solve(self.gram, S.T).T)
 
-    def config_dict(self):
-        return {"kind": self.kind, "gram": self.gram.tolist()}
-
-    def _digest_parts(self):
-        return [self.gram]
-
 
 class WeightedLpNorm(NormSpec):
     """Weighted l^r norm: (sum_i d_i |v_i|^r)^(1/r), max_i d_i |v_i| for r = inf."""
 
     kind = "weighted_lp"
+    fields = ("r", "weights")
 
     def __init__(self, r, weights):
         d = np.asarray(weights, dtype=float)
@@ -358,21 +373,12 @@ class WeightedLpNorm(NormSpec):
         t = 1.0 / (self._rf - 1.0)
         return self._units(_sign_nonzero(S) * (np.abs(S) / self.weights) ** t)
 
-    def config_dict(self):
-        r = "inf" if self.r == math.inf else (
-            str(self.r) if isinstance(self.r, Fraction) else float(self.r)
-        )
-        return {"kind": self.kind, "r": r, "weights": self.weights.tolist()}
-
-    def _digest_parts(self):
-        rf = -1.0 if self.r == math.inf else float(self.r)
-        return [np.array([rf]), self.weights]
-
 
 class PolyhedralMaxNorm(NormSpec):
     """Max of absolute values of finitely many spanning linear functionals."""
 
     kind = "polyhedral_max"
+    fields = ("functionals",)
 
     def __init__(self, functionals):
         A = _as_matrix(functionals, "functionals")
@@ -385,19 +391,15 @@ class PolyhedralMaxNorm(NormSpec):
         return _max_abs_batch(self.functionals, V)
 
     def _make_dual(self) -> "PolytopeGaugeNorm":
-        return PolytopeGaugeNorm(np.vstack([self.functionals, -self.functionals]))
+        dual = PolytopeGaugeNorm(np.vstack([self.functionals, -self.functionals]))
+        dual._dual = self  # the bidual is this norm: one polytope per pair
+        return dual
 
     @functools.cached_property
     def _candidates(self) -> np.ndarray:
         # the facet normals of conv(+-A), held by the dual gauge, are the
         # vertices of the unit ball {v : |A v| <= 1}
         return self._units(self.dual()._facets)
-
-    def config_dict(self):
-        return {"kind": self.kind, "functionals": self.functionals.tolist()}
-
-    def _digest_parts(self):
-        return [self.functionals]
 
 
 # No library code calls this.  ``perfbench/tracer.py`` reads ``norms.linprog``
@@ -561,6 +563,7 @@ class PolytopeGaugeNorm(NormSpec):
     """
 
     kind = "polytope_gauge"
+    fields = ("vertices",)
 
     def __init__(self, vertices):
         V = _as_matrix(vertices, "vertices")
@@ -603,44 +606,37 @@ class PolytopeGaugeNorm(NormSpec):
         return _max_abs_batch(self._half_facets, V)
 
     def _make_dual(self) -> "PolyhedralMaxNorm":
-        return PolyhedralMaxNorm(self.vertices)
+        dual = PolyhedralMaxNorm(self.vertices)
+        dual._dual = self  # the bidual is this gauge: its facets are enumerated once
+        return dual
 
     @functools.cached_property
     def _candidates(self) -> np.ndarray:
         return self._units(self.vertices / self._vertex_gauges[:, None])
 
-    def config_dict(self):
-        return {"kind": self.kind, "vertices": self.vertices.tolist()}
 
-    def _digest_parts(self):
-        return [self.vertices]
-
-
-def _polyhedral_from_config(cfg) -> PolyhedralMaxNorm:
-    spec = PolyhedralMaxNorm(cfg["functionals"])
-    # the dual gauge is built on first use, from at most one pair per row;
-    # a config it would refuse is refused here, while it is read
-    check_facet_candidates(*spec.functionals.shape)
-    return spec
-
-
-_KINDS = {
-    "inner_product": lambda cfg: InnerProductNorm(cfg["gram"]),
-    "weighted_lp": lambda cfg: WeightedLpNorm(cfg["r"], cfg["weights"]),
-    "polyhedral_max": _polyhedral_from_config,
-    "polytope_gauge": lambda cfg: PolytopeGaugeNorm(cfg["vertices"]),
-}
+_KINDS = {cls.kind: cls for cls in
+          (InnerProductNorm, WeightedLpNorm, PolyhedralMaxNorm, PolytopeGaugeNorm)}
 
 
 def norm_spec_from_config(cfg: dict) -> NormSpec:
-    """Rebuild a norm kind from its ``config_dict`` representation."""
+    """Rebuild a norm kind from its ``config_dict`` representation: the
+    kind's ``fields``, each required, and no other."""
     try:
         kind = cfg["kind"]
     except (TypeError, KeyError):
         raise ValueError("norm config must be a mapping with a 'kind' entry") from None
-    if kind not in _KINDS:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"unknown norm kind: {kind!r}")
-    try:
-        return _KINDS[kind](cfg)
-    except KeyError as exc:
-        raise ValueError(f"norm config for kind {kind!r} is missing field {exc}") from None
+    unknown = sorted(set(cfg) - {"kind", *cls.fields})
+    missing = [name for name in cls.fields if name not in cfg]
+    if unknown or missing:
+        raise ValueError(f"norm config for kind {kind!r} " + (
+            f"has unknown fields: {unknown}" if unknown else f"is missing field {missing[0]!r}"))
+    spec = cls(*(cfg[name] for name in cls.fields))
+    if cls is PolyhedralMaxNorm:
+        # the dual gauge is built on first use, from at most one pair per row;
+        # a config it would refuse is refused here, while it is read
+        check_facet_candidates(*spec.functionals.shape)
+    return spec

@@ -8,9 +8,12 @@ Schema (all plain JSON, decimal notation, no localization):
                  ``{"kind": "polyhedral_max", "functionals": [[...], ...]}``
                  ``{"kind": "polytope_gauge", "vertices": [[...], ...]}``
 * bundle:        ``{"space": {...}, "fibers": [{"dimension": d, "norm": {...}}, ...]}``
-                 (zero-dimensional fibers omit the norm)
+                 (zero-dimensional fibers carry no norm)
 * section:       ``{"vectors": [[...], ...]}`` (one row per atom, in order)
 * search budget: ``{"restarts": 64, "iterations": 200, "seed": 0, ...}``
+
+Every mapping takes only the fields listed (a budget may omit any); an
+unknown or missing field is a ``ConfigError`` that names it.
 """
 
 from __future__ import annotations
@@ -51,13 +54,17 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
 
 
-def _known_fields(cfg, allowed, context: str) -> None:
-    """Reject a config that is not a mapping or names a field not in ``allowed``."""
+def _known_fields(cfg, context: str, required=(), optional=()) -> None:
+    """Reject a config that is not a mapping, names a field that is neither
+    ``required`` nor ``optional``, or lacks a ``required`` one."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{context} must be a mapping")
-    unknown = set(cfg) - set(allowed)
+    unknown = set(cfg) - {*required, *optional}
     if unknown:
         raise ConfigError(f"{context} has unknown fields: {sorted(unknown)}")
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"{context}: {key} required")
 
 
 def _integer(what: str, value, least: int) -> int:
@@ -65,14 +72,6 @@ def _integer(what: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
     return value
-
-
-def _require(cfg: dict, key: str, context: str):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{context} must be a mapping")
-    if key not in cfg:
-        raise ConfigError(f"{context}: {key} required")
-    return cfg[key]
 
 
 # -- measure spaces -----------------------------------------------------------
@@ -83,10 +82,9 @@ def space_to_config(space: MeasureSpace) -> dict:
 
 
 def space_from_config(cfg: dict) -> MeasureSpace:
-    atoms = _require(cfg, "atoms", "measure space config")
-    weights = _require(cfg, "weights", "measure space config")
+    _known_fields(cfg, "measure space config", ("atoms", "weights"))
     try:
-        return MeasureSpace(atoms, weights)
+        return MeasureSpace(cfg["atoms"], cfg["weights"])
     except ValueError as exc:
         raise ConfigError(f"measure space config invalid: {exc}") from None
 
@@ -105,23 +103,23 @@ def bundle_to_config(bundle: Bundle) -> dict:
 
 
 def bundle_from_config(cfg: dict) -> Bundle:
-    space = space_from_config(_require(cfg, "space", "bundle config"))
-    fiber_cfgs = _require(cfg, "fibers", "bundle config")
+    _known_fields(cfg, "bundle config", ("space", "fibers"))
+    space = space_from_config(cfg["space"])
     fibers = []
-    for i, fc in enumerate(fiber_cfgs):
-        if not isinstance(fc, dict) or "dimension" not in fc:
-            raise ConfigError(f"fiber dimension required (fiber at atom index {i})")
-        dim = _integer(f"fiber dimension (fiber at atom index {i})", fc["dimension"], 0)
-        if dim == 0:
-            fibers.append(Fiber(0, None))
-            continue
-        if "norm" not in fc:
-            raise ConfigError(f"fiber norm required (fiber at atom index {i})")
+    for i, fc in enumerate(cfg["fibers"]):
+        where = f"fiber at atom index {i}"
+        # a fiber needs its dimension, and a norm exactly when that is above 0
+        _known_fields(fc, where, optional=("dimension", "norm"))
+        if "dimension" not in fc:
+            raise ConfigError(f"fiber dimension required ({where})")
+        dim = _integer(f"fiber dimension ({where})", fc["dimension"], 0)
+        if (dim > 0) != ("norm" in fc):
+            raise ConfigError(f"fiber norm required ({where})" if dim
+                              else f"zero-dimensional fibers carry no norm ({where})")
         try:
-            spec = norm_spec_from_config(fc["norm"])
-            fibers.append(Fiber(dim, spec))
+            fibers.append(Fiber(dim, norm_spec_from_config(fc["norm"]) if dim else None))
         except ValueError as exc:
-            raise ConfigError(f"fiber at atom index {i} invalid: {exc}") from None
+            raise ConfigError(f"{where} invalid: {exc}") from None
     try:
         return Bundle(space, fibers)
     except ValueError as exc:
@@ -137,9 +135,9 @@ def bundle_digest(bundle: Bundle) -> str:
 
 def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Section:
     """A section of ``bundle``, or of ``bundle.dual()`` with ``dual``."""
-    vectors = _require(cfg, "vectors", "section config")
+    _known_fields(cfg, "section config", ("vectors",))
     try:
-        return Section(bundle.dual() if dual else bundle, vectors)
+        return Section(bundle.dual() if dual else bundle, cfg["vectors"])
     except ValueError as exc:
         raise ConfigError(f"section config invalid: {exc}") from None
 
@@ -150,7 +148,7 @@ def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Sectio
 def budget_from_config(cfg: dict | None) -> SearchBudget:
     if cfg is None:
         return SearchBudget()
-    _known_fields(cfg, [f.name for f in dataclasses.fields(SearchBudget)], "budget config")
+    _known_fields(cfg, "budget config", optional=[f.name for f in dataclasses.fields(SearchBudget)])
     try:
         return SearchBudget(**cfg)
     except (TypeError, ValueError) as exc:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -16,10 +17,10 @@ from bundlelab import cli
 from bundlelab.cli import main
 from bundlelab.bundles import section_lp_norm
 from bundlelab.duality import holder_maximizer, integrated_pairing, operator_norm
-from bundlelab.generators import instance_rng, random_section
+from bundlelab.generators import instance_rng, random_section, recipe_from_config
 from bundlelab.measure import conjugate_exponent
 from bundlelab.norms import InnerProductNorm
-from bundlelab.serialize import bundle_from_config, section_from_config
+from bundlelab.serialize import budget_from_config, bundle_from_config, section_from_config
 
 SMALL_BUDGET = {"restarts": 16, "iterations": 80}
 
@@ -645,6 +646,69 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: {message}" in err
         assert not (tmp_path / "r").exists()
+
+    TWO_ATOMS = {"space": {"atoms": ["a", "b"], "weights": [1, 1]},
+                 "fibers": [{"dimension": 0},
+                            {"dimension": 1, "norm": {"kind": "inner_product", "gram": [[1.0]]}}]}
+
+    @pytest.mark.parametrize(
+        "path, key, value, message",
+        [
+            (("space",), "weigths", [5, 5], "measure space config has unknown fields: ['weigths']"),
+            (("fibers", 1, "norm"), "weights", [3.0],
+             "fiber at atom index 1 invalid: "
+             "norm config for kind 'inner_product' has unknown fields: ['weights']"),
+            (("fibers", 1), "dimesion", 2, "fiber at atom index 1 has unknown fields: ['dimesion']"),
+            (("fibers", 0), "norm", {"kind": "inner_product", "gram": [[1.0]]},
+             "zero-dimensional fibers carry no norm (fiber at atom index 0)"),
+            ((), "fibres", [], "bundle config has unknown fields: ['fibres']"),
+        ],
+        ids=["space", "norm", "fiber", "zero-fiber-norm", "bundle"],
+    )
+    def test_bundle_schema_mistakes_are_config_errors(self, tmp_path, capsys, path, key, value,
+                                                      message):
+        bundle = json.loads(json.dumps(self.TWO_ATOMS))
+        entry = bundle
+        for step in path:
+            entry = entry[step]
+        entry[key] = value
+        cfg = write_config(tmp_path, {"bundle": bundle, "samples": 2})
+        assert main(["dual-check", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("field, value", [("constant_fraction", True),
+                                              ("zero_fiber_fraction", 7),
+                                              ("weight_range", ["0.3", 2])],
+                             ids=["bool-fraction", "fraction-above-one", "string-weight"])
+    def test_recipe_number_mistakes_are_config_errors(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, {"suites": ["uc-upper"],
+                                      "recipes": {"uc-upper": {field: value}}})
+        assert main(["suite", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert f"config error: recipe config invalid: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_configs_pass_the_strict_readers():
+    """The configs the benchmark builds, at seeds 0-1 over one full cycle of
+    each workload, name only fields that the readers take."""
+    workloads = _load_workloads().WORKLOADS.values()
+    for workload, seed in itertools.product(workloads, (0, 1)):
+        for index in range(workload.cycle):
+            cfg = workload.config(seed, index)
+            if "bundle" in cfg:
+                bundle_from_config(cfg["bundle"])
+            for recipe in cfg.get("recipes", {}).values():
+                recipe_from_config(recipe)
+            budget_from_config(cfg.get("budget"))
 
 
 def test_report_digests_keeps_each_configs_reports(tmp_path, capsys):

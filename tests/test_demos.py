@@ -1,8 +1,8 @@
 """Every demo runs to completion at a small size, so none of them calls a
 name the package no longer has.  Every name a module lists in ``__all__``
 exists and has a caller outside the tests, scipy stays confined to the
-one lazy import in ``norms.linprog``, and the duality quantities keep one
-composer."""
+one lazy import in ``norms.linprog``, the duality quantities keep one
+composer, and each norm kind states its fields once."""
 
 import ast
 import importlib
@@ -86,9 +86,8 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert unused == []
 
 
-def test_no_norm_kind_defines_its_own_norm():
-    """A single vector's norm has one route, ``NormSpec.norm``, the one-row
-    ``norm_batch``: no norm kind of the package defines ``norm``."""
+def _norm_kinds() -> list:
+    """Every norm kind the package defines, at least the four of ``norms``."""
     from bundlelab.norms import NormSpec
 
     kinds, todo = [], [NormSpec]
@@ -98,7 +97,22 @@ def test_no_norm_kind_defines_its_own_norm():
         todo += subclasses
     kinds = [cls for cls in kinds if cls.__module__.startswith("bundlelab.")]
     assert len(kinds) >= 4
-    assert [cls.__name__ for cls in kinds if "norm" in vars(cls)] == []
+    return kinds
+
+
+def test_no_norm_kind_defines_its_own_norm():
+    """A single vector's norm has one route, ``NormSpec.norm``, the one-row
+    ``norm_batch``: no norm kind of the package defines ``norm``."""
+    assert [cls.__name__ for cls in _norm_kinds() if "norm" in vars(cls)] == []
+
+
+def test_no_norm_kind_writes_its_own_config_or_digest():
+    """A kind states its fields once, in ``fields``: ``NormSpec`` writes
+    every kind's config and digest from it, and no kind defines
+    ``config_dict`` or ``_digest_parts``."""
+    assert [f"{cls.__name__}.{name}" for cls in _norm_kinds()
+            for name in ("config_dict", "_digest_parts") if name in vars(cls)] == []
+    assert all(cls.fields for cls in _norm_kinds())
 
 
 def _imported_modules(node) -> list:

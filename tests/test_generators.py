@@ -156,6 +156,21 @@ def test_recipe_config_round_trip():
     assert a.space == b.space and list(a.dimensions) == list(b.dimensions)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("constant_fraction", True),
+    ("constant_fraction", "0.5"),
+    ("constant_fraction", -2.0),
+    ("zero_fiber_fraction", 7),
+    ("weight_range", [True, 2]),
+], ids=["fraction-bool", "fraction-string", "fraction-negative", "fraction-above-one",
+        "weight-bool"])
+def test_recipe_fractions_and_weights_are_numbers_in_range(field, value):
+    """Fractions are numbers in [0, 1] and weight bounds are numbers: no
+    bool or string is read as one, and the error names the field."""
+    with pytest.raises(ConfigError, match=f"recipe config invalid: {field}"):
+        recipe_from_config({field: value})
+
+
 def test_recipe_dimensions_stay_within_the_facet_limit():
     """A recipe is refused when its polyhedral draws could exceed the gauge
     facet limit, and the largest draw of an accepted one builds."""

@@ -2,6 +2,7 @@
 maximizer attainment, and config round trips."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -568,3 +569,57 @@ def test_dual_norm_is_support_function_property(cx, cy):
     value, witness = spec.linear_maximizer(c)
     assert value == pytest.approx(dual, abs=1e-9)
     assert float(c @ witness) == pytest.approx(dual, abs=1e-9)
+
+
+def listed_kinds():
+    """Every norm of the kind lists above."""
+    return (extreme_magnitude_kinds() + three_d_kinds()
+            + [s for d in (2, 3, 4, 5) for s in one_norm_of_each_kind(d)])
+
+
+@pytest.mark.parametrize("spec", listed_kinds(), ids=lambda s: s.digest())
+def test_config_round_trip_through_json_keeps_dict_and_digest(spec):
+    """``config_dict``, ``norm_spec_from_config`` and ``digest`` read one
+    field tuple, so a config read back writes the same dict and hashes the
+    same."""
+    cfg = spec.config_dict()
+    assert list(cfg) == ["kind", *type(spec).fields]
+    clone = norm_spec_from_config(json.loads(json.dumps(cfg)))
+    assert type(clone) is type(spec)
+    assert clone.config_dict() == cfg
+    assert clone.digest() == spec.digest()
+
+
+def test_config_values_keep_the_exponent_form():
+    assert WeightedLpNorm("3/2", [1.0, 2.0]).config_dict()["r"] == "3/2"
+    assert WeightedLpNorm(2.5, [1.0]).config_dict()["r"] == 2.5
+    assert WeightedLpNorm("inf", [1.0]).config_dict()["r"] == "inf"
+
+
+@pytest.mark.parametrize("spec", one_norm_of_each_kind(2), ids=lambda s: s.kind)
+def test_config_with_a_field_of_another_kind_is_refused(spec):
+    cfg = dict(spec.config_dict())
+    extra = "weights" if spec.kind != "weighted_lp" else "gram"
+    cfg[extra] = [1.0, 1.0]
+    with pytest.raises(ValueError, match=rf"kind '{spec.kind}' has unknown fields: \['{extra}'\]"):
+        norm_spec_from_config(cfg)
+
+
+@pytest.mark.parametrize("spec", one_norm_of_each_kind(2), ids=lambda s: s.kind)
+def test_config_missing_a_field_names_it(spec):
+    cfg = spec.config_dict()
+    name = type(spec).fields[-1]
+    del cfg[name]
+    with pytest.raises(ValueError, match=f"kind '{spec.kind}' is missing field '{name}'"):
+        norm_spec_from_config(cfg)
+
+
+@pytest.mark.parametrize("spec", [s for s in listed_kinds()
+                                  if isinstance(s, (PolyhedralMaxNorm, PolytopeGaugeNorm))],
+                         ids=lambda s: s.digest())
+def test_polyhedral_bidual_is_the_norm_itself(spec):
+    """Each polyhedral kind's dual links back to it, so its polytope and
+    facets are built once."""
+    dual = spec.dual()
+    assert dual.dual() is spec
+    assert dual.dual().dual() is dual

@@ -139,3 +139,46 @@ def test_budget_config_errors():
 def test_config_error_is_a_value_error():
     # CLI exit-code mapping relies on the subclass relationship
     assert issubclass(ConfigError, ValueError)
+
+
+def test_space_config_refuses_unknown_fields():
+    with pytest.raises(ConfigError, match=r"measure space config has unknown fields: \['weigths'\]"):
+        space_from_config({"atoms": ["a", "b"], "weights": [1, 1], "weigths": [5, 5]})
+
+
+def test_bundle_config_refuses_unknown_fields():
+    cfg = dict(bundle_to_config(sample_bundle()), extra=1)
+    with pytest.raises(ConfigError, match=r"bundle config has unknown fields: \['extra'\]"):
+        bundle_from_config(cfg)
+    with pytest.raises(ConfigError, match="bundle config: fibers required"):
+        bundle_from_config({"space": cfg["space"]})
+
+
+def test_fiber_config_refuses_unknown_fields():
+    cfg = bundle_to_config(sample_bundle())
+    cfg["fibers"][2]["dimesion"] = 2
+    with pytest.raises(ConfigError,
+                       match=r"fiber at atom index 2 has unknown fields: \['dimesion'\]"):
+        bundle_from_config(cfg)
+
+
+def test_fiber_norm_config_refuses_unknown_fields():
+    cfg = bundle_to_config(sample_bundle())
+    cfg["fibers"][0]["norm"]["weights"] = [3.0, 3.0]
+    with pytest.raises(ConfigError, match=r"fiber at atom index 0 invalid: norm config for kind "
+                                          r"'inner_product' has unknown fields: \['weights'\]"):
+        bundle_from_config(cfg)
+
+
+def test_zero_dimensional_fiber_carries_no_norm():
+    cfg = bundle_to_config(sample_bundle())
+    cfg["fibers"][1]["norm"] = cfg["fibers"][0]["norm"]
+    with pytest.raises(ConfigError,
+                       match=r"zero-dimensional fibers carry no norm \(fiber at atom index 1\)"):
+        bundle_from_config(cfg)
+
+
+def test_section_config_refuses_unknown_fields():
+    b = sample_bundle()
+    with pytest.raises(ConfigError, match=r"section config has unknown fields: \['vector'\]"):
+        section_from_config(b, {"vectors": [[1.0, 0.0], [], [0.0, 1.0]], "vector": []})

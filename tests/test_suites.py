@@ -72,6 +72,13 @@ def test_make_report_verdict_consistency():
     assert rep.verdict == "FAIL" and not rep.unexpected
 
 
+def test_check_row_passes_within_its_threshold_by_default():
+    assert CheckRow("at", 2e-3, 2e-3).passed is True
+    assert CheckRow("above", 2.5e-3, 2e-3).passed is False
+    # a row with its own rule keeps it
+    assert CheckRow("own-rule", 2.5e-3, 2e-3, True).passed is True
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(("no-such-suite",))
