@@ -29,8 +29,10 @@ per lane and evaluates the midpoints and differences of the eight move
 patterns built from them, 22 norm rows per lane.  ``pair_search`` runs many
 searches of one dimension in lockstep: each search owns a block of lanes
 that its own norm evaluator handles.  A lane leaves the batch once it has
-converged, keeping its best feasible pair, and a search is done when its
-last lane has left.  Every evaluator must be row-independent (a row's
+converged, or once a lane of its own (search, eps) row holds a feasible
+objective <= 0, which the clamp into [0, 1] makes final; it keeps its best
+feasible pair, and a search is done when its last lane has left.  Every
+evaluator must be row-independent (a row's
 norm has the same bits whatever the other rows of the call and however
 many); since every other step is per lane, a search then gives the same
 bits in any batch as alone.  A call with enough work also splits its
@@ -54,6 +56,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .measure import _real
 from .norms import NormSpec, PolyhedralMaxNorm, PolytopeGaugeNorm
 
 __all__ = [
@@ -104,7 +107,7 @@ class SearchBudget:
                 raise ValueError(f"budget {name} must be at least {least}, got {value}")
         for name in ("init_step", "min_step", "penalty"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _real(value):
                 raise TypeError(f"budget {name} must be a number, got {value!r}")
             if not 0.0 < value < math.inf:
                 raise ValueError(f"budget {name} must be finite and positive, got {value}")
@@ -217,20 +220,22 @@ def structured_pairs(spec: NormSpec) -> np.ndarray:
 #: working memory grows with the lanes of a batch (22 rows per lane plus
 #: evaluator temporaries).  ``cli.main`` on the benchmark's section-modulus
 #: configs 0-7 at seed 0, in fresh processes (2-vCPU VM, BLAS on one thread;
-#: time as the sum over the configs of each's median of three runs, peak RSS
-#: as the mean over the configs of each's median):
+#: time as the sum over the configs of each's median of five runs, peak RSS
+#: as the mean over the configs of each's median), with rows that reach 0
+#: retiring:
 #:
 #:     cap     time     peak RSS
-#:     1000    5.34 s   38.83 MiB
-#:     2000    5.26 s   38.89 MiB
-#:     3000    4.60 s   39.00 MiB
-#:     5000    4.63 s   39.12 MiB
-#:     8000    4.59 s   39.13 MiB
+#:     1000    2.23 s   38.85 MiB
+#:     2000    1.92 s   38.93 MiB
+#:     3000    1.82 s   39.02 MiB
+#:     5000    1.79 s   39.28 MiB
+#:     8000    1.77 s   39.29 MiB
 #:
 #: The largest part of any of these calls holds 4896 lane coordinates, so
-#: from 5000 up each part runs as one batch and these runs do not change;
-#: 5000 is the widest cap that changes them, 0.23 MiB above cap 2000's peak.
-#: A wider one would only raise the working memory of larger runs.
+#: from 5000 up each part runs as one batch and these runs do not change
+#: (their two rows differ by noise alone); 5000 is the widest cap that
+#: changes them, 0.35 MiB above cap 2000's peak.  A wider one would only
+#: raise the working memory of larger runs.
 _MAX_LANE_COORDS = 5000
 
 #: lane coordinates x ``budget.iterations`` of a ``pair_search`` call above
@@ -241,14 +246,18 @@ _MAX_LANE_COORDS = 5000
 #: benchmark's section-modulus configs 0-7 at seed 0, and every prefix of
 #: their groups that holds two or more searches, each timed alone and in two
 #: parts (2-vCPU VM, BLAS on one thread; the minimum of three runs), summed
-#: by work:
+#: by work, with rows that reach 0 retiring:
 #:
 #:     work          calls   alone     2 parts   ratio
-#:     below 10k       2      0.09 s    0.09 s   1.08
-#:     10k - 20k      10      0.56 s    0.57 s   1.02
-#:     20k - 40k      28      2.68 s    2.30 s   0.86
-#:     40k - 100k     60     10.97 s    7.87 s   0.72
-#:     100k and up    84     27.24 s   18.33 s   0.67
+#:     below 10k       2      0.03 s    0.04 s   1.60
+#:     10k - 20k      10      0.31 s    0.30 s   0.95
+#:     20k - 40k      28      1.28 s    1.02 s   0.79
+#:     40k - 100k     60      4.50 s    3.28 s   0.73
+#:     100k and up    84     10.93 s    7.58 s   0.69
+#:
+#: Two parts gain from 20k up.  Below, the 10k - 20k calls save about 1 ms
+#: each, which is noise: an earlier run of the same table read 0.96 below
+#: 10k and 0.92 from 10k to 20k.
 _MIN_FORK_WORK = 20_000
 
 # A coordinate step moves each lane's pair (V, W) along one axis e_i by the
@@ -321,8 +330,9 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     the counters ``iterations`` (used), ``lanes``, ``repaired`` (lanes that
     never met the separation and were repaired by bisection) and ``rows``
     (rows its evaluator was asked for; the repair asks 14 per lane and
-    round of three halvings, in two calls, and stops at a fixed point, so
-    its share depends on the lanes).  No report prints the counters.
+    round of three halvings, in two calls, until that lane's bracket stops
+    moving).  Every counter is per search: the same in any batch, in any
+    fork and alone.  No report prints the counters.
 
     Each lane holds one pair.  For each eps, a search's lanes start from the
     restart pairs, then from its own start pairs (see ``SearchGroup``).  An
@@ -337,11 +347,15 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     block of lanes, which its group's evaluator handles together with the
     blocks of the group's other searches in the batch.  A lane retires at
     the end of the iteration in which its step falls below
-    ``budget.min_step``: it is compacted out of the batch and keeps its
-    feasible incumbent, and the repair of a lane without one starts from
-    its last pair.  A search is done when its last lane retires, which sets
-    its ``iterations``.  Every step other than the evaluator is per lane, so
-    a search gives the same bits in any batch as alone, provided every
+    ``budget.min_step``, or in which some lane of its (search, eps) row
+    holds a feasible objective <= 0: the row then reports exactly 0 whatever
+    later steps find, and its witness is the first of its lanes with the
+    least objective.  A retiring lane is compacted out of the batch and
+    keeps its feasible incumbent, and the repair of a lane without one
+    starts from its last pair.  A search is done when its last lane
+    retires, which sets its ``iterations``.  Every step other than the
+    evaluator, retirement included, reads only the search's own lanes, so a
+    search gives the same bits in any batch as alone, provided every
     evaluator is row-independent (see ``SearchGroup``).
 
     The searches are split into contiguous parts of about equal lane
@@ -502,14 +516,13 @@ def _layout(groups, blocks):
     with rows, given ``(lanes, rows)`` blocks that lie consecutively in
     group order; a group keeps its blocks that have rows."""
     out, start = [], 0
-    for g, group in enumerate(groups):
-        members = [(lanes, rows) for lanes, rows in blocks if lanes.group == g and rows]
-        if members:
-            counts = [0] * len(group.searches)
-            for lanes, rows in members:
-                counts[lanes.index] = rows
-            out.append((group.evaluate, start, start + sum(counts), counts, members))
-            start += sum(counts)
+    for g, members in itertools.groupby([b for b in blocks if b[1]], lambda b: b[0].group):
+        members = list(members)
+        counts = [0] * len(groups[g].searches)
+        for lanes, rows in members:
+            counts[lanes.index] = rows
+        out.append((groups[g].evaluate, start, start + sum(counts), counts, members))
+        start += sum(counts)
     return out
 
 
@@ -586,6 +599,11 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
     stops = np.cumsum(counts)
     slices = [slice(int(b - n), int(b)) for n, b in zip(counts, stops)]
     owner = np.repeat(np.arange(len(searches)), counts)
+    # a search's lanes lie eps by eps, as many per eps: the batch lane where
+    # each (search, eps) row starts, and the row of each batch lane
+    per_eps = [n // n_eps for n in counts]
+    row_starts = np.concatenate([sl.start + n * np.arange(n_eps) for sl, n in zip(slices, per_eps)])
+    lane_row = np.repeat(np.arange(len(row_starts)), np.repeat(per_eps, n_eps))
     left = np.array(counts)  # live lanes per search
     at = np.arange(len(batch_eps))  # batch lane of each live lane
     eps_lane = batch_eps  # separation of each live lane
@@ -600,23 +618,24 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
                   for k in done]
         idx = np.concatenate(broken)
         if len(idx):
-            repair_layout = _layout(groups, [(searches[k], len(b)) for k, b in zip(done, broken)])
+            repair_owner = owner[idx]
 
-            def norms(A):
-                return _group_norms(repair_layout, A, asked)
+            def norms(A, lanes):
+                held = np.bincount(repair_owner[lanes], minlength=len(searches))
+                return _group_norms(_layout(groups, [(searches[k], int(held[k])) for k in done]),
+                                    A, asked)
 
             last_V = feas_V[idx]
             fixed = _repair_separation_batch(norms, last_V, feas_W[idx], batch_eps[idx])
             feas_W[idx] = fixed
-            mid = norms(((last_V + fixed) * 0.5)[None])[0]
-            sep = None if objective is _midpoint_gap else norms((last_V - fixed)[None])[0]
+            every = np.arange(len(idx))
+            mid = norms(((last_V + fixed) * 0.5)[None], every)[0]
+            sep = None if objective is _midpoint_gap else norms((last_V - fixed)[None], every)[0]
             feas_obj[idx] = objective(mid, sep)
         for k, b in zip(done, broken):
-            # a search's lanes lie eps by eps, as many per eps; take the
-            # first best lane of each eps
-            sl, per_eps = slices[k], counts[k] // n_eps
-            best = feas_obj[sl].reshape(n_eps, per_eps).argmin(axis=1)
-            j = sl.start + per_eps * np.arange(n_eps) + best
+            # the first best lane of each eps
+            best = feas_obj[slices[k]].reshape(n_eps, per_eps[k]).argmin(axis=1)
+            j = row_starts[k * n_eps : (k + 1) * n_eps] + best
             counters = {"iterations": iterations, "lanes": counts[k],
                         "repaired": len(b), "rows": asked[k]}
             results[k] = (np.clip(feas_obj[j], 0.0, 1.0), np.stack([feas_V[j], feas_W[j]], axis=1),
@@ -682,11 +701,13 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
                 feas_W[j] = ends[_W_END[best_f[hit]], lanes[hit]]
         step[~improved] *= 0.5
 
-        # a lane whose step fell below min_step, or that used the last
-        # iteration, retires: it leaves the batch with its feasible incumbent,
-        # or with its last pair when it has none.  A search whose last lane
-        # retired is done: record its result
-        gone = (step < budget.min_step) | (it + 1 == budget.iterations)
+        # a lane whose step fell below min_step, that used the last
+        # iteration, or whose (search, eps) row holds a feasible objective
+        # <= 0, which the clamp makes final, retires: it leaves the batch with
+        # its feasible incumbent, or with its last pair when it has none.  A
+        # search whose last lane retired is done: record its result
+        settled = np.minimum.reduceat(feas_obj, row_starts) <= 0.0
+        gone = (step < budget.min_step) | (it + 1 == budget.iterations) | settled[lane_row[at]]
         if gone.any():
             out = at[gone]
             stuck = ~np.isfinite(feas_obj[out])
@@ -710,54 +731,60 @@ def _repair_separation_batch(norms, V, W, eps):
 
     Separation is monotone along the path w -> -v after renormalization
     (it reaches exactly 2 at the endpoint), so the bisection always lands
-    on a feasible point; all rows are processed in lockstep.  ``norms``
-    maps a block ``(k, lanes, dim)`` to its ``(k, lanes)`` norms.
+    on a feasible point; all rows are processed in lockstep.  ``norms(A,
+    lanes)`` maps a block ``(k, len(lanes), dim)`` whose columns belong to
+    the lanes ``lanes`` (indices into ``V``, ascending) to its ``(k,
+    len(lanes))`` norms.
 
     The 60 halvings go three per round: a round evaluates the seven points
     that the next three halvings could test, in two calls (the points, then
     their separations), and walks each lane's path through them; every
     tested point is the one the halving would test alone, so the bits are
-    those of one halving at a time.  A round computes from the brackets
-    alone, so once one moves no bracket, every later one would repeat it,
-    and the repair stops there.
+    those of one halving at a time.  A round computes from a lane's own
+    bracket alone, so once one moves no bracket of a lane, every later one
+    would repeat it: the lane leaves the repair there, and later rounds
+    ask only for the lanes still active.
     """
     n = len(eps)
-    lanes = np.arange(n)
     lo = np.zeros(n)
     hi = np.ones(n)  # s = 1 is the antipode -v, separation 2
-    S = np.empty((7, n))
+    active = np.arange(n)
     for _ in range(60 // 3):
+        m = len(active)
+        a_lo, a_hi, a_V, a_W = lo[active], hi[active], V[active], W[active]
         # heap order: the midpoint, then the two points the next halving
         # could test, then their four; a good point's child is toward lo
-        S[0] = 0.5 * (lo + hi)
-        S[1] = 0.5 * (lo + S[0])
-        S[2] = 0.5 * (S[0] + hi)
-        S[3] = 0.5 * (lo + S[1])
+        S = np.empty((7, m))
+        S[0] = 0.5 * (a_lo + a_hi)
+        S[1] = 0.5 * (a_lo + S[0])
+        S[2] = 0.5 * (S[0] + a_hi)
+        S[3] = 0.5 * (a_lo + S[1])
         S[4] = 0.5 * (S[1] + S[0])
         S[5] = 0.5 * (S[0] + S[2])
-        S[6] = 0.5 * (S[2] + hi)
-        raw = (1.0 - S)[:, :, None] * W - S[:, :, None] * V
-        nr = norms(raw)
+        S[6] = 0.5 * (S[2] + a_hi)
+        raw = (1.0 - S)[:, :, None] * a_W - S[:, :, None] * a_V
+        nr = norms(raw, active)
         degen = nr < 1e-12
         cand = raw / np.where(degen, 1.0, nr)[:, :, None]
-        sep = norms(V - cand)
-        good = ~degen & (sep >= eps)
-        new_lo, new_hi = lo.copy(), hi.copy()
-        node = np.zeros(n, dtype=int)
+        good = ~degen & (norms(a_V - cand, active) >= eps[active])
+        new_lo, new_hi = a_lo.copy(), a_hi.copy()
+        node, cols = np.zeros(m, dtype=int), np.arange(m)
         for _ in range(3):
-            s, g = S[node, lanes], good[node, lanes]
+            s, g = S[node, cols], good[node, cols]
             new_hi[g] = s[g]
             new_lo[~g] = s[~g]
             node = 2 * node + 2 - g
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+        lo[active], hi[active] = new_lo, new_hi
+        active = active[(new_lo != a_lo) | (new_hi != a_hi)]
+        if not len(active):
             break
-        lo, hi = new_lo, new_hi
+    every = np.arange(n)
     raw = (1.0 - hi)[:, None] * W - hi[:, None] * V
-    nr = norms(raw[None])[0]
+    nr = norms(raw[None], every)[0]
     degen = nr < 1e-12
     cand = np.where(degen[:, None], -V, raw / np.where(degen, 1.0, nr)[:, None])
     # second normalization pass squeezes renormalization drift below 1e-12
-    return cand / norms(cand[None])[0][:, None]
+    return cand / norms(cand[None], every)[0][:, None]
 
 
 def _isotonic_clamp(raw: np.ndarray, witnesses: np.ndarray):

@@ -8,7 +8,6 @@ reproduce identical bundles, sections and measure triples bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .bundles import Bundle, Fiber, random_section
 from .criterion import AtomicMeasureTriple
-from .measure import MeasureSpace, as_exponent
+from .measure import MeasureSpace, _real, as_exponent
 from .norms import (
     InnerProductNorm,
     NormSpec,
@@ -73,8 +72,7 @@ class InstanceRecipe:
         for what, value, hi in (("constant_fraction", self.constant_fraction, 1),
                                 ("zero_fiber_fraction", self.zero_fiber_fraction, 1),
                                 *(("weight_range bound", w, math.inf) for w in self.weight_range)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                    math.isfinite(value) and 0 <= value <= hi):
+            if not _real(value) or not (math.isfinite(value) and 0 <= value <= hi):
                 raise ValueError(f"{what} must be a finite number in [0, {hi}], got {value!r}")
         if not self.exponents:
             raise ValueError("exponents must be non-empty")

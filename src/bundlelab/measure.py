@@ -27,10 +27,30 @@ __all__ = [
 ]
 
 
-def _as_weight_array(values, name) -> np.ndarray:
+def _real(value) -> bool:
+    """Whether ``value`` is a real number: an int or a float, numpy's
+    included, but not a bool or a string, which numpy would cast (a JSON
+    ``true`` or ``"2"`` is not a number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _reals(values) -> bool:
+    """Whether every entry of an array or of nested lists is ``_real``."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    if isinstance(values, (list, tuple)):
+        return all(map(_reals, values))
+    return _real(values)
+
+
+def _real_array(values, name: str, ndim: int) -> np.ndarray:
+    """``values``, entries that are all ``_real``, as a finite float array of
+    ``ndim`` dimensions; a ValueError otherwise."""
+    if not _reals(values):
+        raise ValueError(f"{name} must be real numbers, not booleans or strings")
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a one-dimensional sequence")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {('one', 'two')[ndim - 1]}-dimensional array")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
@@ -53,7 +73,7 @@ class MeasureSpace:
         self.atoms = tuple(atoms)
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atom ids must be unique")
-        self.weights = _as_weight_array(weights, "weights")
+        self.weights = _real_array(weights, "weights", 1)
         if len(self.weights) != len(self.atoms):
             raise ValueError("weights must match atoms in length")
         if np.any(self.weights <= 0.0):
@@ -103,10 +123,13 @@ class ScalarField:
 def as_exponent(p):
     """Validate an integrability exponent, returning float or Fraction.
 
-    Accepts ints, floats, :class:`fractions.Fraction`, ``math.inf`` and the
-    string ``"inf"``.  Rational inputs are kept exact so conjugates can be
-    formed in exact arithmetic.
+    Accepts ints, floats, :class:`fractions.Fraction`, ``math.inf``, the
+    string ``"inf"`` and fraction strings such as ``"3/2"``, but not a
+    bool.  Rational inputs are kept exact so conjugates can be formed in
+    exact arithmetic.
     """
+    if isinstance(p, (bool, np.bool_)):
+        raise ValueError(f"exponent must be a number or a string, got {p!r}")
     if isinstance(p, str):
         if p.strip().lower() in {"inf", "infinity"}:
             return math.inf

@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import as_exponent, conjugate_exponent
+from .measure import _real_array, as_exponent, conjugate_exponent
 
 __all__ = [
     "NormSpec",
@@ -144,15 +144,6 @@ def _max_abs_batch(A: np.ndarray, V) -> np.ndarray:
     VT, shape = _columns(V)
     P = A @ VT
     return _unbatch(np.maximum.reduce(np.abs(P, out=P), axis=0), shape)
-
-
-def _as_matrix(values, name) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a two-dimensional array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
 
 
 def _field_json(value):
@@ -296,7 +287,7 @@ class InnerProductNorm(NormSpec):
     fields = ("gram",)
 
     def __init__(self, gram):
-        G = _as_matrix(gram, "gram")
+        G = _real_array(gram, "gram", 2)
         if G.shape[0] != G.shape[1]:
             raise ValueError("gram matrix must be square")
         super().__init__(G.shape[0])
@@ -330,11 +321,9 @@ class WeightedLpNorm(NormSpec):
     fields = ("r", "weights")
 
     def __init__(self, r, weights):
-        d = np.asarray(weights, dtype=float)
-        if d.ndim != 1:
-            raise ValueError("weights must be one-dimensional")
+        d = _real_array(weights, "weights", 1)
         super().__init__(len(d))
-        if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+        if np.any(d <= 0.0):
             raise ValueError("weights must be finite and strictly positive")
         self.r = as_exponent(r)
         self.weights = d
@@ -381,7 +370,7 @@ class PolyhedralMaxNorm(NormSpec):
     fields = ("functionals",)
 
     def __init__(self, functionals):
-        A = _as_matrix(functionals, "functionals")
+        A = _real_array(functionals, "functionals", 2)
         super().__init__(A.shape[1])
         if np.linalg.matrix_rank(A) < self.dimension:
             raise ValueError("functionals must span the dual space")
@@ -566,7 +555,7 @@ class PolytopeGaugeNorm(NormSpec):
     fields = ("vertices",)
 
     def __init__(self, vertices):
-        V = _as_matrix(vertices, "vertices")
+        V = _real_array(vertices, "vertices", 2)
         super().__init__(V.shape[1])
         if np.linalg.matrix_rank(V) < self.dimension:
             raise ValueError("vertices must span the space")

@@ -13,7 +13,9 @@ Schema (all plain JSON, decimal notation, no localization):
 * search budget: ``{"restarts": 64, "iterations": 200, "seed": 0, ...}``
 
 Every mapping takes only the fields listed (a budget may omit any); an
-unknown or missing field is a ``ConfigError`` that names it.
+unknown or missing field is a ``ConfigError`` that names it.  Every number
+is a JSON number, never a bool or a string, but for the exponent strings
+shown.
 """
 
 from __future__ import annotations

@@ -156,12 +156,12 @@ def repair_one_halving_at_a_time(norm_batch, V, W, eps):
     midpoint by two ``norm_batch`` calls on rows ``(lanes, dim)``, then the
     point at the top of the bracket, normalized twice.
 
-    Returns the repaired rows and the number of halvings up to the last one
-    that moved a bracket."""
+    Returns the repaired rows and, per lane, the number of halvings up to
+    the last one that moved its bracket."""
     n = len(eps)
     lo = np.zeros(n)
     hi = np.ones(n)
-    settled = 0
+    settled = np.zeros(n, dtype=int)
     for halving in range(1, 61):
         s = 0.5 * (lo + hi)
         raw = (1.0 - s)[:, None] * W - s[:, None] * V
@@ -169,8 +169,7 @@ def repair_one_halving_at_a_time(norm_batch, V, W, eps):
         degen = nr < 1e-12
         cand = raw / np.where(degen, 1.0, nr)[:, None]
         good = ~degen & (norm_batch(V - cand) >= eps)
-        if np.any(s[good] != hi[good]) or np.any(s[~good] != lo[~good]):
-            settled = halving
+        settled[np.where(good, s != hi, s != lo)] = halving
         hi[good] = s[good]
         lo[~good] = s[~good]
     raw = (1.0 - hi)[:, None] * W - hi[:, None] * V

@@ -440,7 +440,7 @@ class TestSectionModulus:
         """Each bundle's exponents share one evaluator block.  Run in several
         lockstep batches, split over a forked child, or one (bundle,
         exponent) at a time, every curve has the same bits, and those bits
-        are pinned."""
+        are pinned, the deltas and the witnesses each by a digest."""
         bundles = self._block_bundles()
         batches = []
         search_batch = convexity._search_batch
@@ -476,11 +476,16 @@ class TestSectionModulus:
         assert self._curve_bits(several) == expected
         assert self._curve_bits(split) == expected
         assert any(c.meta["search"]["repaired"] for c in alone)
-        h = hashlib.sha256()
+        values, pairs = hashlib.sha256(), hashlib.sha256()
         for raw, deltas, witnesses, _ in expected:
-            h.update(raw + deltas + witnesses)
-        # retaken when converged lanes began to retire from the batch
-        assert h.hexdigest() == "cd592be13e8e541b528a21a586e0ce9e24f80a07b7815439264574bc37da47e7"
+            values.update(raw + deltas)
+            pairs.update(witnesses)
+        assert values.hexdigest() == (
+            "ca25d469aa727bec58fbc737952e8549f617277141d5f75c18916dcee668362b")
+        # retaken when rows that reach 0 began to retire: a row whose raw
+        # delta is 0 may report any pair that reaches 0
+        assert pairs.hexdigest() == (
+            "94ac18f93cd07614629f1787f77c8aef92bd6afba5bedc83a27f7d4d6051c0ab")
 
     def test_degenerate_bundle_rejected(self):
         space = MeasureSpace(["a"], [1.0])

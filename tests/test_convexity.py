@@ -458,15 +458,38 @@ class TestBatchedSearch:
         assert any(c["repaired"] for _, _, c in batched)
 
     def test_kernel_bits_are_pinned(self):
-        """Refactors of the search kernel keep its exact results: the SHA-256
-        of every raw delta and witness of these searches is fixed."""
+        """Refactors of the search kernel keep its exact estimates: the
+        SHA-256 of every raw delta of these searches is fixed."""
         h = hashlib.sha256()
-        for raw, witnesses, _ in pair_search(self._groups(), 3, self.EPS, self.BUDGET):
+        for raw, _, _ in pair_search(self._groups(), 3, self.EPS, self.BUDGET):
             h.update(raw.tobytes())
+        assert h.hexdigest() == "15c2caa1fbb34d4dc61ead9a43a5fd049f058dddbd370efaf0767c1fec69282c"
+
+    def test_kernel_witnesses_are_pinned(self):
+        """The SHA-256 of every witness pair of these searches is fixed.  A
+        row whose raw delta is 0 may report any pair that reaches 0, so its
+        witness moves with changes that keep every raw delta."""
+        h = hashlib.sha256()
+        for _, witnesses, _ in pair_search(self._groups(), 3, self.EPS, self.BUDGET):
             for v, w in witnesses:
                 h.update(v.tobytes() + w.tobytes())
-        # retaken when converged lanes began to retire from the batch
-        assert h.hexdigest() == "e43dcdf73d7f73bd34c7e062beff6c2068f5cec29cc0ab3456a23f58fbbdedb1"
+        # retaken when rows that reach 0 began to retire: such a row's
+        # witness became the first of its lanes with the least objective then
+        assert h.hexdigest() == "5d391ff62fd81c734a426866e2f2d5ceb3bd5c7cd0220de83dddc75e83bc68ce"
+
+    def test_a_row_that_reaches_zero_retires(self):
+        """The flat polytope gauge (search 4) holds a feasible pair of
+        objective 0 at every eps after its first iteration, so every lane
+        retires then, far below the 577,158 rows its 163 iterations asked
+        for before such rows retired; each witness reaches 0."""
+        spec = PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]],
+                                            -np.eye(3), [[-1.0, -1.0, -0.5]]]))
+        [(raw, witnesses, c)] = pair_search([self._groups()[4]], 3, self.EPS, self.BUDGET)
+        assert c["iterations"] == 1 and 10 * c["rows"] < 577_158
+        assert np.all(raw == 0.0)
+        for eps, (v, w) in zip(self.EPS, witnesses):
+            assert 1.0 - spec.norm((v + w) / 2) <= 0.0
+            assert spec.norm(v - w) >= eps - FEASIBILITY_SLACK
 
     def test_shared_start_pairs_equal_their_per_eps_copy(self):
         """A search's ``(k, 2, dim)`` start pairs and their explicit
@@ -774,7 +797,7 @@ def test_repair_matches_one_halving_at_a_time(kind):
     norm_batch, dim = _repair_kinds()[kind]
     V, W, eps = _repair_lanes(norm_batch, dim, kind)
 
-    def norms(A):
+    def norms(A, lanes):
         return norm_batch(A.reshape(-1, dim)).reshape(A.shape[:-1])
 
     want, _ = repair_one_halving_at_a_time(norm_batch, V, W, eps)
@@ -784,26 +807,25 @@ def test_repair_matches_one_halving_at_a_time(kind):
 
 
 def test_repair_stops_once_a_round_moves_no_bracket():
-    """The repair stops in the round after the one holding the last halving
-    that moves a bracket, so it makes fewer calls than 20 rounds would and
-    far fewer than 120 one-row calls (two per halving)."""
+    """Each lane leaves the repair in the round after the one holding the
+    last halving that moves its bracket, so every round asks only for the
+    lanes still active, and the blocks shrink as lanes settle; then two
+    one-point calls ask for every lane."""
     norm_batch, dim = _repair_kinds()[0]
-    V, W, _ = _repair_lanes(norm_batch, dim, 0)
-    # without the antipodal starts, whose brackets shrink toward 0 for well
-    # over 60 halvings; at separation 2 every lane crosses at 1/2 or above,
-    # where a bracket is one ulp wide after 53 halvings
-    V, W = np.vstack([V[:6], V[9:]]), np.vstack([W[:6], W[9:]])
-    eps = np.full(len(V), 2.0)
+    V, W, eps = _repair_lanes(norm_batch, dim, 0)
     calls = []
 
-    def norms(A):
-        calls.append(A.shape[:-1])
+    def norms(A, lanes):
+        calls.append((len(A), lanes.tolist()))
         return norm_batch(A.reshape(-1, dim)).reshape(A.shape[:-1])
 
     convexity._repair_separation_batch(norms, V, W, eps)
     _, settled = repair_one_halving_at_a_time(norm_batch, V, W, eps)
-    rounds = -(-settled // 3) + 1
-    assert rounds < 20
-    # two seven-point calls per round, then two one-point calls
-    assert calls == [(7, len(eps))] * (2 * rounds) + [(1, len(eps))] * 2
-    assert len(calls) < 2 * 20 + 2
+    rounds = np.minimum(-(-settled // 3) + 1, 60 // 3)
+    # the antipodal starts' brackets shrink toward 0 for all 20 rounds, and
+    # other lanes leave before
+    assert np.all(rounds[6:9] == 20) and rounds.min() < 20
+    want = []
+    for r in range(rounds.max()):
+        want += [(7, np.nonzero(rounds > r)[0].tolist())] * 2
+    assert calls == want + [(1, list(range(len(eps))))] * 2

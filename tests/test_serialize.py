@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,3 +183,37 @@ def test_section_config_refuses_unknown_fields():
     b = sample_bundle()
     with pytest.raises(ConfigError, match=r"section config has unknown fields: \['vector'\]"):
         section_from_config(b, {"vectors": [[1.0, 0.0], [], [0.0, 1.0]], "vector": []})
+
+
+def _one_atom(weight, norm):
+    """A one-atom bundle config with a 2-D fiber."""
+    return {"space": {"atoms": ["a"], "weights": [weight]},
+            "fibers": [{"dimension": 2, "norm": norm}]}
+
+
+LP = {"kind": "weighted_lp", "r": 2, "weights": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (_one_atom(True, LP), "measure space config invalid: weights must be real numbers"),
+    (_one_atom("2", LP), "measure space config invalid: weights must be real numbers"),
+    (_one_atom(1.0, dict(LP, r=True)), "exponent must be a number or a string, got True"),
+    (_one_atom(1.0, dict(LP, weights=["2", 1.0])), "invalid: weights must be real numbers"),
+    (_one_atom(1.0, dict(LP, weights=[2.0, True])), "invalid: weights must be real numbers"),
+    (_one_atom(1.0, {"kind": "inner_product", "gram": [[1.0, 0.0], [0.0, True]]}),
+     "invalid: gram must be real numbers"),
+    (_one_atom(1.0, {"kind": "polyhedral_max", "functionals": [[1.0, 0.0], ["0", 1.0]]}),
+     "invalid: functionals must be real numbers"),
+], ids=["atom-weight-true", "atom-weight-string", "r-true", "norm-weight-string",
+        "norm-weight-true", "gram-entry-true", "functional-entry-string"])
+def test_bundle_numbers_refuse_booleans_and_strings(cfg, message):
+    """numpy would cast ``true`` to 1.0 and ``"2"`` to 2.0; the schema's
+    numbers are JSON numbers."""
+    with pytest.raises(ConfigError, match=message):
+        bundle_from_config(cfg)
+
+
+def test_exponent_strings_still_load():
+    for r, want in (("3/2", Fraction(3, 2)), ("inf", math.inf)):
+        [fiber] = bundle_from_config(_one_atom(1.0, dict(LP, r=r))).fibers
+        assert fiber.norm.r == want

@@ -28,7 +28,8 @@ process, with BLAS and OpenMP pools pinned to one thread:
 * ``repair``: one ``convexity._repair_separation_batch`` of 64 lanes under
   the bundle's exponent-1.5 norm, through the group's block evaluator (with
   the rows as a one-slab block, for checkouts whose repair takes a plain
-  batched norm);
+  batched norm, and with the lanes of the block, for checkouts whose
+  repair names them);
 * ``gauge_build.<d>x<pairs>``: one ``PolytopeGaugeNorm`` construction
   (vertex pairing, facet enumeration and the cross-check) from ``pairs``
   seeded standard normal rows in dimension ``d`` and their negations, at
@@ -161,9 +162,10 @@ def _layers(bl, config: Path, out: Path) -> dict:
         fibers, [(g, 0) for g in range(len(fibers))], 3, eps, fiber_budget, cv._midpoint_gap,
         FX, FY)
 
-    def repair_norms(A):
+    def repair_norms(A, lanes=None):
         # the first exponent's norms of a block (k, lanes, dim), or of rows
-        # (lanes, dim), which older checkouts' repair passes
+        # (lanes, dim), which older checkouts' repair passes; the repair
+        # names the block's lanes since it lets settled lanes leave
         if A.ndim == 2:
             return group.evaluate(A[None], [len(A), 0])[0]
         return group.evaluate(A, [A.shape[1], 0])
