@@ -29,7 +29,7 @@ from .convexity import (
     pair_search,
     structured_pairs_for_fn,
 )
-from .measure import MeasureSpace, ScalarField, as_exponent
+from .measure import MeasureSpace, ScalarField, _reals, as_exponent
 from .norms import NormSpec, _sum_columns
 
 __all__ = [
@@ -147,6 +147,8 @@ class Section:
     def __init__(self, bundle: Bundle, vectors: Sequence):
         if len(vectors) != bundle.space.atom_count:
             raise ValueError("one vector per atom required")
+        if not all(map(_reals, vectors)):
+            raise ValueError("section vectors must be real numbers, not booleans or strings")
         arrays = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
         sizes = [len(a) for a in arrays]
         if sizes != bundle.dimensions.tolist():

@@ -32,13 +32,15 @@ that its own norm evaluator handles.  A lane leaves the batch once it has
 converged, or once a lane of its own (search, eps) row holds a feasible
 objective <= 0, which the clamp into [0, 1] makes final; it keeps its best
 feasible pair, and a search is done when its last lane has left.  Every
-evaluator must be row-independent (a row's
-norm has the same bits whatever the other rows of the call and however
-many); since every other step is per lane, a search then gives the same
-bits in any batch as alone.  A call with enough work also splits its
-searches into contiguous parts, one per usable CPU, and runs every part but
-the first in a forked child that pickles its results and counters back
-through a pipe; by the same contract the split moves no bit.
+row holds a feasible pair from the start: every other restart lane begins
+on an antipodal pair, whose separation 2 meets every eps.  Every evaluator
+must be row-independent (a row's norm has the same bits whatever the other
+rows of the call and however many); since every other step is per lane, a
+search then gives the same bits in any batch as alone.  A call with enough
+work also splits its searches into contiguous parts, one per usable CPU,
+and runs every part but the first in a forked child that pickles its
+results and counters back through a pipe; by the same contract the split
+moves no bit.
 """
 
 from __future__ import annotations
@@ -322,24 +324,27 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     grid ``eps_values`` under ``budget``.  ``objective(mid_norms,
     sep_norms)`` maps the norms of ``(v+w)/2`` and ``v-w`` of candidate
     pairs into [0, 1], elementwise, and may overwrite its arguments; the
-    default, ``1 - ||(v+w)/2||``, reads no separations, so the repair below
-    asks for none.  Returns one ``(raw, witnesses, counters)`` per search,
-    in group order: per eps the least objective found, clamped into [0, 1],
-    the ``(len(eps), 2, dim)`` array of witness pairs ``(v, w)`` with
-    ``||v|| = ||w|| = 1`` within 1e-9 and ``||v - w|| >= eps - 1e-9``, and
-    the counters ``iterations`` (used), ``lanes``, ``repaired`` (lanes that
-    never met the separation and were repaired by bisection) and ``rows``
-    (rows its evaluator was asked for; the repair asks 14 per lane and
-    round of three halvings, in two calls, until that lane's bracket stops
-    moving).  Every counter is per search: the same in any batch, in any
-    fork and alone.  No report prints the counters.
+    default is ``1 - ||(v+w)/2||``.  Returns one ``(raw, witnesses,
+    counters)`` per search, in group order: per eps the least objective
+    found, clamped into [0, 1], the ``(len(eps), 2, dim)`` array of witness
+    pairs ``(v, w)`` with ``||v|| = ||w|| = 1`` within 1e-9 and ``||v - w||
+    >= eps - 1e-9``, and the counters ``iterations`` (used), ``lanes`` and
+    ``rows`` (rows its evaluator was asked for).  Every counter is per
+    search: the same in any batch, in any fork and alone.  No report prints
+    the counters.
 
     Each lane holds one pair.  For each eps, a search's lanes start from the
-    restart pairs, then from its own start pairs (see ``SearchGroup``).  An
-    iteration steps every coordinate in turn: the six endpoints V +- s e_i,
-    V, W +- s e_i and W are normalized, and the midpoints and differences
-    of the eight move patterns built from them are evaluated, 22 rows per
-    lane and coordinate.  A lane keeps the best pattern that lowers its
+    restart pairs, then from its own start pairs (see ``SearchGroup``).
+    Every other restart pair, the first included, is antipodal, ``(u,
+    -u)``: separated by 2 up to roundoff, it meets every eps of the grid,
+    and a budget has at least one restart, so every (search, eps) row holds
+    a feasible pair from its first evaluation on.  A lane's feasible
+    incumbent is the best candidate it has met that meets its separation,
+    and a lane that meets none adds nothing to its row.  An iteration steps
+    every coordinate in turn: the six endpoints V +- s e_i, V, W +- s e_i
+    and W are normalized, and the midpoints and differences of the eight
+    move patterns built from them are evaluated, 22 rows per lane and
+    coordinate.  A lane keeps the best pattern that lowers its
     penalized objective and halves its step after an iteration without one.
 
     Searches run in lockstep batches of at most ``_MAX_LANE_COORDS`` lane
@@ -351,12 +356,12 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     holds a feasible objective <= 0: the row then reports exactly 0 whatever
     later steps find, and its witness is the first of its lanes with the
     least objective.  A retiring lane is compacted out of the batch and
-    keeps its feasible incumbent, and the repair of a lane without one
-    starts from its last pair.  A search is done when its last lane
-    retires, which sets its ``iterations``.  Every step other than the
-    evaluator, retirement included, reads only the search's own lanes, so a
-    search gives the same bits in any batch as alone, provided every
-    evaluator is row-independent (see ``SearchGroup``).
+    keeps its feasible incumbent.  A search is done when its last lane
+    retires, which sets its ``iterations``; the results are read once the
+    whole batch is done.  Every step other than the evaluator, retirement
+    included, reads only the search's own lanes, so a search gives the same
+    bits in any batch as alone, provided every evaluator is row-independent
+    (see ``SearchGroup``).
 
     The searches are split into contiguous parts of about equal lane
     coordinates, one per worker (``_worker_count``), each batched as above;
@@ -383,7 +388,7 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
             counts = [1] * len(group.searches)
             U = _unit_rows(lambda R: group.evaluate(R[None], counts)[0], np.ones((len(counts), 1)))
             results += [(raw.copy(), np.tile([u, -u], (n_eps, 1, 1)),
-                         {"iterations": 0, "lanes": 0, "repaired": 0, "rows": 2}) for u in U]
+                         {"iterations": 0, "lanes": 0, "rows": 2}) for u in U]
         return results
     rng = np.random.default_rng(budget.seed)
     X = rng.standard_normal((budget.restarts, dim))
@@ -591,8 +596,8 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
     mid0, sep0 = _group_norms(layout, np.stack([(V + W) * 0.5, V - W]), asked)
     obj0 = objective(mid0, sep0)
     best_pen = obj0 + rho * np.maximum(0.0, batch_eps - sep0)
-    # indexed by batch lane, live or retired: the feasible incumbent, or for
-    # a retired lane without one, its last pair, from which the repair starts
+    # indexed by batch lane, live or retired: the feasible incumbent, inf
+    # until the lane holds one (each row's antipodal restarts hold one here)
     feas_obj = np.where(sep0 >= batch_eps - FEASIBILITY_SLACK, obj0, np.inf)
     feas_V = V.copy()
     feas_W = W.copy()
@@ -605,41 +610,9 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
     row_starts = np.concatenate([sl.start + n * np.arange(n_eps) for sl, n in zip(slices, per_eps)])
     lane_row = np.repeat(np.arange(len(row_starts)), np.repeat(per_eps, n_eps))
     left = np.array(counts)  # live lanes per search
+    used = np.zeros(len(searches), dtype=int)  # iterations, set as a search ends
     at = np.arange(len(batch_eps))  # batch lane of each live lane
     eps_lane = batch_eps  # separation of each live lane
-    live = list(range(len(searches)))
-    results = [None] * len(searches)
-
-    def finish(done, iterations):
-        """Record the results of the searches at positions ``done``."""
-        # lanes that never produced a feasible pair get repaired by pushing one
-        # endpoint toward the antipode of the other (always reaches separation 2)
-        broken = [slices[k].start + np.nonzero(~np.isfinite(feas_obj[slices[k]]))[0]
-                  for k in done]
-        idx = np.concatenate(broken)
-        if len(idx):
-            repair_owner = owner[idx]
-
-            def norms(A, lanes):
-                held = np.bincount(repair_owner[lanes], minlength=len(searches))
-                return _group_norms(_layout(groups, [(searches[k], int(held[k])) for k in done]),
-                                    A, asked)
-
-            last_V = feas_V[idx]
-            fixed = _repair_separation_batch(norms, last_V, feas_W[idx], batch_eps[idx])
-            feas_W[idx] = fixed
-            every = np.arange(len(idx))
-            mid = norms(((last_V + fixed) * 0.5)[None], every)[0]
-            sep = None if objective is _midpoint_gap else norms((last_V - fixed)[None], every)[0]
-            feas_obj[idx] = objective(mid, sep)
-        for k, b in zip(done, broken):
-            # the first best lane of each eps
-            best = feas_obj[slices[k]].reshape(n_eps, per_eps[k]).argmin(axis=1)
-            j = row_starts[k * n_eps : (k + 1) * n_eps] + best
-            counters = {"iterations": iterations, "lanes": counts[k],
-                        "repaired": len(b), "rows": asked[k]}
-            results[k] = (np.clip(feas_obj[j], 0.0, 1.0), np.stack([feas_V[j], feas_W[j]], axis=1),
-                          counters)
 
     # endpoint-major: slab e holds endpoint e of every lane, so the pair
     # arithmetic runs over whole slabs; then the midpoints and the
@@ -703,88 +676,30 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
 
         # a lane whose step fell below min_step, that used the last
         # iteration, or whose (search, eps) row holds a feasible objective
-        # <= 0, which the clamp makes final, retires: it leaves the batch with
-        # its feasible incumbent, or with its last pair when it has none.  A
-        # search whose last lane retired is done: record its result
+        # <= 0, which the clamp makes final, retires with its feasible
+        # incumbent.  A search whose last lane retired is done
         settled = np.minimum.reduceat(feas_obj, row_starts) <= 0.0
         gone = (step < budget.min_step) | (it + 1 == budget.iterations) | settled[lane_row[at]]
         if gone.any():
-            out = at[gone]
-            stuck = ~np.isfinite(feas_obj[out])
-            feas_V[out[stuck]] = V[gone][stuck]
-            feas_W[out[stuck]] = W[gone][stuck]
-            left -= np.bincount(owner[out], minlength=len(searches))
-            if not left[live].all():
-                finish([k for k in live if not left[k]], it + 1)
-                live = [k for k in live if left[k]]
-            if not live:
+            ended = np.bincount(owner[at[gone]], minlength=len(searches))
+            left -= ended
+            used[(left == 0) & (ended > 0)] = it + 1
+            if not left.any():
                 break
             keep = ~gone
             V, W, step, eps_lane = V[keep], W[keep], step[keep], eps_lane[keep]
             best_pen, at = best_pen[keep], at[keep]
-            layout = _layout(groups, [(searches[k], int(left[k])) for k in live])
+            layout = _layout(groups, [(s, int(n)) for s, n in zip(searches, left)])
+
+    results = []
+    for k, sl in enumerate(slices):
+        # the first best lane of each eps
+        best = feas_obj[sl].reshape(n_eps, per_eps[k]).argmin(axis=1)
+        j = row_starts[k * n_eps : (k + 1) * n_eps] + best
+        counters = {"iterations": int(used[k]), "lanes": counts[k], "rows": asked[k]}
+        results.append((np.clip(feas_obj[j], 0.0, 1.0), np.stack([feas_V[j], feas_W[j]], axis=1),
+                        counters))
     return results
-
-
-def _repair_separation_batch(norms, V, W, eps):
-    """Bisect each w toward the antipode -v until separation >= eps.
-
-    Separation is monotone along the path w -> -v after renormalization
-    (it reaches exactly 2 at the endpoint), so the bisection always lands
-    on a feasible point; all rows are processed in lockstep.  ``norms(A,
-    lanes)`` maps a block ``(k, len(lanes), dim)`` whose columns belong to
-    the lanes ``lanes`` (indices into ``V``, ascending) to its ``(k,
-    len(lanes))`` norms.
-
-    The 60 halvings go three per round: a round evaluates the seven points
-    that the next three halvings could test, in two calls (the points, then
-    their separations), and walks each lane's path through them; every
-    tested point is the one the halving would test alone, so the bits are
-    those of one halving at a time.  A round computes from a lane's own
-    bracket alone, so once one moves no bracket of a lane, every later one
-    would repeat it: the lane leaves the repair there, and later rounds
-    ask only for the lanes still active.
-    """
-    n = len(eps)
-    lo = np.zeros(n)
-    hi = np.ones(n)  # s = 1 is the antipode -v, separation 2
-    active = np.arange(n)
-    for _ in range(60 // 3):
-        m = len(active)
-        a_lo, a_hi, a_V, a_W = lo[active], hi[active], V[active], W[active]
-        # heap order: the midpoint, then the two points the next halving
-        # could test, then their four; a good point's child is toward lo
-        S = np.empty((7, m))
-        S[0] = 0.5 * (a_lo + a_hi)
-        S[1] = 0.5 * (a_lo + S[0])
-        S[2] = 0.5 * (S[0] + a_hi)
-        S[3] = 0.5 * (a_lo + S[1])
-        S[4] = 0.5 * (S[1] + S[0])
-        S[5] = 0.5 * (S[0] + S[2])
-        S[6] = 0.5 * (S[2] + a_hi)
-        raw = (1.0 - S)[:, :, None] * a_W - S[:, :, None] * a_V
-        nr = norms(raw, active)
-        degen = nr < 1e-12
-        cand = raw / np.where(degen, 1.0, nr)[:, :, None]
-        good = ~degen & (norms(a_V - cand, active) >= eps[active])
-        new_lo, new_hi = a_lo.copy(), a_hi.copy()
-        node, cols = np.zeros(m, dtype=int), np.arange(m)
-        for _ in range(3):
-            s, g = S[node, cols], good[node, cols]
-            new_hi[g] = s[g]
-            new_lo[~g] = s[~g]
-            node = 2 * node + 2 - g
-        lo[active], hi[active] = new_lo, new_hi
-        active = active[(new_lo != a_lo) | (new_hi != a_hi)]
-        if not len(active):
-            break
-    every = np.arange(n)
-    raw = (1.0 - hi)[:, None] * W - hi[:, None] * V
-    nr = norms(raw[None], every)[0]
-    degen = nr < 1e-12
-    cand = np.where(degen[:, None], -V, raw / np.where(degen, 1.0, nr)[:, None])
-    # second normalization pass squeezes renormalization drift below 1e-12
-    return cand / norms(cand[None], every)[0][:, None]
 
 
 def _isotonic_clamp(raw: np.ndarray, witnesses: np.ndarray):

@@ -139,6 +139,14 @@ def random_norm_spec(rng: np.random.Generator, kind: str, dim: int, lp_exponents
     raise ValueError(f"unknown norm kind: {kind!r}")
 
 
+def _random_fiber(rng, recipe: InstanceRecipe) -> Fiber:
+    """A positive-dimensional fiber: its dimension, kind and norm, drawn in
+    that order."""
+    dim = _rand_int(rng, recipe.dim_range)
+    kind = recipe.kinds[int(rng.integers(0, len(recipe.kinds)))]
+    return Fiber(dim, random_norm_spec(rng, kind, dim, recipe.lp_exponents))
+
+
 def random_bundle(recipe: InstanceRecipe, index: int) -> Bundle:
     rng = instance_rng(recipe.seed, index, stream=1)
     n_atoms = _rand_int(rng, recipe.atom_range)
@@ -146,23 +154,10 @@ def random_bundle(recipe: InstanceRecipe, index: int) -> Bundle:
                                  np.log(recipe.weight_range[1]), size=n_atoms))
     space = MeasureSpace([f"a{i}" for i in range(n_atoms)], weights)
 
-    constant = rng.random() < recipe.constant_fraction
-    if constant:
-        dim = _rand_int(rng, recipe.dim_range)
-        kind = recipe.kinds[int(rng.integers(0, len(recipe.kinds)))]
-        spec = random_norm_spec(rng, kind, dim, recipe.lp_exponents)
-        fibers = [Fiber(dim, spec) for _ in range(n_atoms)]
-        return Bundle(space, fibers)
-
-    fibers = []
-    for _ in range(n_atoms):
-        if rng.random() < recipe.zero_fiber_fraction:
-            fibers.append(Fiber(0, None))
-            continue
-        dim = _rand_int(rng, recipe.dim_range)
-        kind = recipe.kinds[int(rng.integers(0, len(recipe.kinds)))]
-        fibers.append(Fiber(dim, random_norm_spec(rng, kind, dim, recipe.lp_exponents)))
-    return Bundle(space, fibers)
+    if rng.random() < recipe.constant_fraction:
+        return Bundle(space, [_random_fiber(rng, recipe)] * n_atoms)
+    return Bundle(space, [Fiber(0, None) if rng.random() < recipe.zero_fiber_fraction
+                          else _random_fiber(rng, recipe) for _ in range(n_atoms)])
 
 
 def bundles_from_recipe(recipe: InstanceRecipe) -> Iterator[tuple[int, Bundle]]:

@@ -13,8 +13,6 @@ with.  No library code calls them, so they live here, not under ``src/``.
   section modulus searches evaluate it.
 * ``bidual_pointwise_norm``: a section's fiber norms in the double-dual
   fiber norms, one single-vector ``norm`` call per atom.
-* ``repair_one_halving_at_a_time``: the separation repair of the search
-  kernel, one halving at a time and all 60 of them.
 * ``antipodal_pairs_row_by_row``: a gauge's vertex pairing, three
   reductions per vertex row.
 * ``first_distinct_rows_by_axis_unique``: the facet dedup by numpy's
@@ -148,35 +146,6 @@ def bidual_pointwise_norm(v):
     values = [f.norm.dual().dual().norm(u) if f.dimension else 0.0
               for f, u in zip(v.bundle.fibers, v.vectors)]
     return ScalarField(v.bundle.space, values)
-
-
-def repair_one_halving_at_a_time(norm_batch, V, W, eps):
-    """``convexity._repair_separation_batch`` as one plain bisection: 60
-    halvings of each lane's bracket on the path w -> -v, each testing its
-    midpoint by two ``norm_batch`` calls on rows ``(lanes, dim)``, then the
-    point at the top of the bracket, normalized twice.
-
-    Returns the repaired rows and, per lane, the number of halvings up to
-    the last one that moved its bracket."""
-    n = len(eps)
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    settled = np.zeros(n, dtype=int)
-    for halving in range(1, 61):
-        s = 0.5 * (lo + hi)
-        raw = (1.0 - s)[:, None] * W - s[:, None] * V
-        nr = norm_batch(raw)
-        degen = nr < 1e-12
-        cand = raw / np.where(degen, 1.0, nr)[:, None]
-        good = ~degen & (norm_batch(V - cand) >= eps)
-        settled[np.where(good, s != hi, s != lo)] = halving
-        hi[good] = s[good]
-        lo[~good] = s[~good]
-    raw = (1.0 - hi)[:, None] * W - hi[:, None] * V
-    nr = norm_batch(raw)
-    degen = nr < 1e-12
-    cand = np.where(degen[:, None], -V, raw / np.where(degen, 1.0, nr)[:, None])
-    return cand / norm_batch(cand)[:, None], settled
 
 
 def antipodal_pairs_row_by_row(V):

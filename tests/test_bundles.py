@@ -475,17 +475,20 @@ class TestSectionModulus:
         expected = self._curve_bits(alone)
         assert self._curve_bits(several) == expected
         assert self._curve_bits(split) == expected
-        assert any(c.meta["search"]["repaired"] for c in alone)
         values, pairs = hashlib.sha256(), hashlib.sha256()
         for raw, deltas, witnesses, _ in expected:
             values.update(raw + deltas)
             pairs.update(witnesses)
+        # retaken when the separation repair went: it had lowered two eps = 2
+        # estimates below the antipodal restart's, by under 2e-8
         assert values.hexdigest() == (
-            "ca25d469aa727bec58fbc737952e8549f617277141d5f75c18916dcee668362b")
+            "ee740d1bcfea11d4e6c6e6593079e3afa334fa134e2a665d1523560463c3cd40")
         # retaken when rows that reach 0 began to retire: a row whose raw
-        # delta is 0 may report any pair that reaches 0
+        # delta is 0 may report any pair that reaches 0; and when the
+        # separation repair went, which moved the witnesses of the estimates
+        # it had lowered
         assert pairs.hexdigest() == (
-            "94ac18f93cd07614629f1787f77c8aef92bd6afba5bedc83a27f7d4d6051c0ab")
+            "bf16f5ef5348f6ebad7239848773b6750c2ee0ebac853ea64f0d0387ca9a63c6")
 
     def test_degenerate_bundle_rejected(self):
         space = MeasureSpace(["a"], [1.0])

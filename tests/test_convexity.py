@@ -45,7 +45,6 @@ from oracles import (
     exponent_norm,
     isotonic_clamp_by_loop,
     maximize_linear_on_sphere,
-    repair_one_halving_at_a_time,
     section_norm_batch,
     structured_pairs_by_loops,
 )
@@ -455,7 +454,6 @@ class TestBatchedSearch:
         iterations = [c["iterations"] for _, _, c in batched]
         # searches leave the batch at different iterations, and some early
         assert len(set(iterations)) > 1 and min(iterations) < self.BUDGET.iterations
-        assert any(c["repaired"] for _, _, c in batched)
 
     def test_kernel_bits_are_pinned(self):
         """Refactors of the search kernel keep its exact estimates: the
@@ -463,7 +461,9 @@ class TestBatchedSearch:
         h = hashlib.sha256()
         for raw, _, _ in pair_search(self._groups(), 3, self.EPS, self.BUDGET):
             h.update(raw.tobytes())
-        assert h.hexdigest() == "15c2caa1fbb34d4dc61ead9a43a5fd049f058dddbd370efaf0767c1fec69282c"
+        # retaken when the separation repair went: it had lowered 7 of the
+        # eps = 2 estimates, from the antipodal restart's 1.0, by up to 2e-8
+        assert h.hexdigest() == "0967a6cf9a0bada0e6885f67f49bdfdd5d27f640b071cc203b0d44163c658377"
 
     def test_kernel_witnesses_are_pinned(self):
         """The SHA-256 of every witness pair of these searches is fixed.  A
@@ -474,8 +474,10 @@ class TestBatchedSearch:
             for v, w in witnesses:
                 h.update(v.tobytes() + w.tobytes())
         # retaken when rows that reach 0 began to retire: such a row's
-        # witness became the first of its lanes with the least objective then
-        assert h.hexdigest() == "5d391ff62fd81c734a426866e2f2d5ceb3bd5c7cd0220de83dddc75e83bc68ce"
+        # witness became the first of its lanes with the least objective
+        # then; and when the separation repair went, which moved the eps = 2
+        # witnesses of the estimates it had lowered
+        assert h.hexdigest() == "416cc00f22ee3b5d0e27f8933aebd3069d6cf4cd7ee1e5f2873ca89e317bb18d"
 
     def test_a_row_that_reaches_zero_retires(self):
         """The flat polytope gauge (search 4) holds a feasible pair of
@@ -520,8 +522,7 @@ class TestBatchedSearch:
                                       3, self.EPS, budget)
             assert c["iterations"] == iterations and c["rows"] == sum(asked)
             counters.append(c)
-        # the same lanes were repaired, so the extra iteration accounts for the rows
-        assert counters[0]["repaired"] == counters[1]["repaired"] > 0
+        # the extra iteration accounts for the rows
         assert counters[1]["rows"] - counters[0]["rows"] == 22 * 3 * counters[0]["lanes"]
 
     def test_converged_lanes_retire(self):
@@ -548,9 +549,9 @@ class TestBatchedSearch:
         assert min(np.min(s) for s in steps) >= self.BUDGET.min_step
         assert c["rows"] < c["lanes"] * c["iterations"] * 3 * 22
 
-    def test_objective_reaches_every_step_and_the_repair(self):
-        """An objective equal to the default, but not it, gives the same bits;
-        only the repair asks it for separations, one row per repaired lane."""
+    def test_objective_reaches_every_step(self):
+        """An objective equal to the default, but not it, gives the same bits
+        and counters, and every call hands it the separations."""
         spec = WeightedLpNorm(3, [1.0, 2.0, 0.5])
         group = single_norm_group(spec.norm_batch, structured_pairs(spec))
         seen = []
@@ -561,15 +562,14 @@ class TestBatchedSearch:
 
         [expected] = pair_search([group], 3, self.EPS, self.BUDGET)
         [result] = pair_search([group], 3, self.EPS, self.BUDGET, objective=gap)
-        self._assert_identical([result[:2] + ({},)], [expected[:2] + ({},)])
-        assert all(seen) and expected[2]["repaired"] > 0
-        assert result[2]["rows"] - expected[2]["rows"] == expected[2]["repaired"]
+        self._assert_identical([result], [expected])
+        assert seen and all(seen)
 
     def test_curve_meta_records_search_counters(self):
         spec = WeightedLpNorm(3, [1.0, 2.0])
         curve = modulus_curve(spec, [1.0, 2.0], budget=self.BUDGET)
         counters = curve.meta["search"]
-        assert set(counters) == {"iterations", "lanes", "repaired", "rows"}
+        assert set(counters) == {"iterations", "lanes", "rows"}
         assert 1 <= counters["iterations"] <= self.BUDGET.iterations
         assert counters["lanes"] == 2 * (self.BUDGET.restarts + len(structured_pairs(spec)))
 
@@ -615,7 +615,7 @@ class TestBatchedSearch:
         first, second = ({g for (g, _), _ in part} for part in parts[0])
         assert first & second == {4}
         self._assert_identical(forked, serial)
-        assert len(serial) == 11 and any(c["repaired"] for _, _, c in serial)
+        assert len(serial) == 11
 
     def test_child_error_raises_in_parent(self, forks):
         parent = os.getpid()
@@ -755,77 +755,31 @@ def test_isotonic_clamp_matches_the_loop(raw):
         assert np.array_equal(got, w)
 
 
-# -- the separation repair -------------------------------------------------
+# -- feasibility -----------------------------------------------------------
 
 
-def _repair_lanes(norm_batch, dim, seed):
-    """Unit pairs and separations for the repair: random lanes, lanes whose
-    path passes through the origin (w = v, so the point at s = 1/2 is 0),
-    lanes that start antipodal, and separation 2 on every fourth lane."""
-    rng = np.random.default_rng(seed)
-    V = convexity._unit_rows(norm_batch, rng.standard_normal((40, dim)))
-    W = convexity._unit_rows(norm_batch, rng.standard_normal((40, dim)))
-    W[:6] = V[:6]
-    W[6:9] = -V[6:9]
-    eps = rng.uniform(0.05, 2.0, 40)
-    eps[::4] = 2.0
-    return V, W, eps
-
-
-def _repair_kinds():
-    """``(norm_batch, dim)`` of one norm of each kind in dimension 3 (two
-    weighted l^r), and of a 3-atom section norm."""
-    space = MeasureSpace(["a", "b", "c"], [0.7, 1.0, 1.4])
-    square = [[1.0, 0.5], [-0.3, 1.0], [-1.0, -0.5], [0.3, -1.0]]
-    bundle = Bundle(space, [Fiber(1, WeightedLpNorm(2, [1.0])), Fiber(2, PolytopeGaugeNorm(square)),
-                            Fiber(1, WeightedLpNorm(2, [3.0]))])
-    section = _section_norms(bundle, [1.5])
-    kinds = [(spec.norm_batch, 3) for spec in (
-        InnerProductNorm([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]]),
-        WeightedLpNorm(1, [1.0, 2.0, 0.5]), WeightedLpNorm(3, [1.0, 2.0, 0.5]),
-        PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0]]),
-        PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]],
-                                     -np.eye(3), [[-1.0, -1.0, -0.5]]])))]
-    kinds.append((exponent_norm(section, 0, 1), 4))
-    return kinds
-
-
-@pytest.mark.parametrize("kind", range(6))
-def test_repair_matches_one_halving_at_a_time(kind):
-    """Three halvings per round and the early stop give the bits of 60 plain
-    halvings, on every lane."""
-    norm_batch, dim = _repair_kinds()[kind]
-    V, W, eps = _repair_lanes(norm_batch, dim, kind)
-
-    def norms(A, lanes):
-        return norm_batch(A.reshape(-1, dim)).reshape(A.shape[:-1])
-
-    want, _ = repair_one_halving_at_a_time(norm_batch, V, W, eps)
-    fixed = convexity._repair_separation_batch(norms, V, W, eps)
-    assert np.array_equal(fixed, want)
-    assert np.all(norm_batch(V - fixed) >= eps - FEASIBILITY_SLACK)
-
-
-def test_repair_stops_once_a_round_moves_no_bracket():
-    """Each lane leaves the repair in the round after the one holding the
-    last halving that moves its bracket, so every round asks only for the
-    lanes still active, and the blocks shrink as lanes settle; then two
-    one-point calls ask for every lane."""
-    norm_batch, dim = _repair_kinds()[0]
-    V, W, eps = _repair_lanes(norm_batch, dim, 0)
-    calls = []
-
-    def norms(A, lanes):
-        calls.append((len(A), lanes.tolist()))
-        return norm_batch(A.reshape(-1, dim)).reshape(A.shape[:-1])
-
-    convexity._repair_separation_batch(norms, V, W, eps)
-    _, settled = repair_one_halving_at_a_time(norm_batch, V, W, eps)
-    rounds = np.minimum(-(-settled // 3) + 1, 60 // 3)
-    # the antipodal starts' brackets shrink toward 0 for all 20 rounds, and
-    # other lanes leave before
-    assert np.all(rounds[6:9] == 20) and rounds.min() < 20
-    want = []
-    for r in range(rounds.max()):
-        want += [(7, np.nonzero(rounds > r)[0].tolist())] * 2
-    assert calls == want + [(1, list(range(len(eps))))] * 2
+@pytest.mark.parametrize("spec", [
+    InnerProductNorm([[2.0, 0.3], [0.3, 1.0]]),
+    InnerProductNorm([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+], ids=["ip-2d", "ip-3d"])
+def test_the_antipodal_restart_keeps_every_row_feasible(spec):
+    """With one restart, whose pair is antipodal, start pairs (e_i, e_j)
+    that no inner-product norm separates by 2, and too few iterations for
+    their lanes to climb to 2, every witness still meets its separation, and
+    the eps = 2 witness is antipodal: for unit v, w the parallelogram
+    identity leaves ||v + w||^2 = 4 - ||v - w||^2 <= 4e-9."""
+    dim = spec.dimension
+    axes = convexity._unit_rows(spec.norm_batch, np.eye(dim))
+    i, j = np.triu_indices(dim, 1)
+    search = np.stack([axes[i], axes[j]], axis=1)
+    assert np.all(spec.norm_batch(search[:, 0] - search[:, 1]) < 2.0 - 1e-3)
+    eps = [0.5, 2.0]
+    [(raw, witnesses, _)] = pair_search([single_norm_group(spec.norm_batch, search)], dim, eps,
+                                        SearchBudget(restarts=1, iterations=3))
+    for e, (v, w) in zip(eps, witnesses):
+        assert spec.norm(v) == pytest.approx(1.0, abs=1e-9)
+        assert spec.norm(w) == pytest.approx(1.0, abs=1e-9)
+        assert spec.norm(v - w) >= e - FEASIBILITY_SLACK
+    v, w = witnesses[-1]
+    assert spec.norm(v + w) <= 1e-4
+    assert 1.0 - spec.norm((v + w) / 2) == pytest.approx(raw[-1], abs=1e-12)

@@ -117,6 +117,18 @@ def test_section_config_errors():
         section_from_config(b, {"vectors": [[1.0], [], [1.0, 2.0]]})
 
 
+@pytest.mark.parametrize("vectors", [[[True, "2"]], [[1.0, "2"]], [[True, 2.0]], [np.array([True, False])]],
+                         ids=["bool-and-string", "string", "bool", "bool-array"])
+def test_section_entries_follow_the_real_number_rule(vectors):
+    """A section entry is a real number, never a bool or a numeric string,
+    as in the bundle schema."""
+    space = MeasureSpace(["a"], [1.0])
+    b = Bundle(space, [Fiber(2, InnerProductNorm(np.eye(2)))])
+    with pytest.raises(ConfigError, match="real numbers, not booleans or strings"):
+        section_from_config(b, {"vectors": vectors})
+    assert section_from_config(b, {"vectors": [[1, 2.0]]}).vectors[0].tolist() == [1.0, 2.0]
+
+
 def test_budget_round_trip():
     budget = SearchBudget(restarts=5, iterations=30, seed=9, init_step=0.4)
     clone = budget_from_config(dataclasses.asdict(budget))

@@ -25,11 +25,6 @@ process, with BLAS and OpenMP pools pinned to one thread:
   of the four dimension-3 norms above, from their structured start pairs,
   under the suites' fiber budget (``suites.SUITE_BUDGET``: 16 restarts,
   80 iterations) on the grid 1, 2;
-* ``repair``: one ``convexity._repair_separation_batch`` of 64 lanes under
-  the bundle's exponent-1.5 norm, through the group's block evaluator (with
-  the rows as a one-slab block, for checkouts whose repair takes a plain
-  batched norm, and with the lanes of the block, for checkouts whose
-  repair names them);
 * ``gauge_build.<d>x<pairs>``: one ``PolytopeGaugeNorm`` construction
   (vertex pairing, facet enumeration and the cross-check) from ``pairs``
   seeded standard normal rows in dimension ``d`` and their negations, at
@@ -161,20 +156,6 @@ def _layers(bl, config: Path, out: Path) -> dict:
     layers["fiber_search"] = lambda: cv._search_batch(
         fibers, [(g, 0) for g in range(len(fibers))], 3, eps, fiber_budget, cv._midpoint_gap,
         FX, FY)
-
-    def repair_norms(A, lanes=None):
-        # the first exponent's norms of a block (k, lanes, dim), or of rows
-        # (lanes, dim), which older checkouts' repair passes; the repair
-        # names the block's lanes since it lets settled lanes leave
-        if A.ndim == 2:
-            return group.evaluate(A[None], [len(A), 0])[0]
-        return group.evaluate(A, [A.shape[1], 0])
-
-    V = cv._unit_rows(repair_norms, rng.standard_normal((64, 9)))
-    W = cv._unit_rows(repair_norms, rng.standard_normal((64, 9)))
-    sep = np.full(64, 1.5)
-
-    layers["repair"] = lambda: cv._repair_separation_batch(repair_norms, V, W, sep)
 
     for d, pairs in GAUGE_SIZES:
         half = np.random.default_rng(1000 * d + pairs).standard_normal((pairs, d))
