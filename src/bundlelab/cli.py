@@ -47,7 +47,7 @@ from .criterion import (
 from .duality import (BIDUAL_NORM_TOL, PAIRING_TOL, _duality_exponent, _duality_rows,
                       check_reflexivity_diagram)
 from .generators import instance_rng, random_section, recipe_from_config
-from .measure import as_exponent, conjugate_exponent
+from .measure import _real_array, as_exponent, conjugate_exponent
 from .norms import norm_spec_from_config
 from .reportio import (
     ReportBundle,
@@ -90,8 +90,8 @@ def _seed(cfg: dict, args, fallback):
 
 
 def _resolve_grid(cfg: dict, args) -> np.ndarray:
-    """``--grid``, else the config's ``grid``, as a list or an 'a:b:step'
-    range; both pass ``check_eps_grid``."""
+    """``--grid``, else the config's ``grid``, as a list of real numbers or
+    an 'a:b:step' range; both pass ``check_eps_grid``."""
     grid = args.grid if args.grid is not None else cfg.get("grid")
     if grid is None:
         return DEFAULT_EPS_GRID
@@ -101,9 +101,7 @@ def _resolve_grid(cfg: dict, args) -> np.ndarray:
             grid = np.round(np.arange(a, b + 0.5 * step, step), 12)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"grid must look like 'a:b:step', got {grid!r}") from None
-    eps = _config_value("grid", np.asarray, grid, float)
-    if eps.ndim != 1:
-        raise ConfigError("grid must be a one-dimensional list of separations")
+    eps = _config_value("grid", _real_array, grid, "separations", 1)
     return _config_value("grid", check_eps_grid, eps)
 
 
@@ -146,12 +144,16 @@ def cmd_modulus(cfg: dict, args) -> int:
     seed = _seed(cfg, args, budget.seed)
     budget = dataclasses.replace(budget, seed=seed)
 
+    if ("norm" in cfg) == ("bundle" in cfg):
+        raise ConfigError("modulus config needs exactly one of 'norm' and 'bundle'")
     if "norm" in cfg:
+        if "p" in cfg:
+            raise ConfigError("modulus config: p is the exponent of a 'bundle', not of a 'norm'")
         spec = _config_value("norm config", norm_spec_from_config, cfg["norm"])
         instance = spec.digest()
         curve = modulus_curve(spec, grid, budget)
         what = f"norm kind {spec.kind}, dimension {spec.dimension}"
-    elif "bundle" in cfg:
+    else:
         bundle = bundle_from_config(cfg["bundle"])
         p = cfg.get("p", 2)
         _config_value("exponent p", as_exponent, p)
@@ -160,8 +162,6 @@ def cmd_modulus(cfg: dict, args) -> int:
         instance = bundle_digest(bundle)
         curve = section_modulus_curve(bundle, p, grid, budget)
         what = f"section space at exponent {p} over {bundle.space.atom_count} atoms"
-    else:
-        raise ConfigError("modulus config needs a 'norm' or 'bundle' entry")
 
     run = _run_digest("modulus", cfg, seed, grid)
     rows = [
@@ -197,7 +197,10 @@ def cmd_suite(cfg: dict, args) -> int:
     budget = None if budget in (None, {}) else budget_from_config(budget)
     names = _config_value("suites", suite_names, cfg.get("suites", "all"))
     recipes = {}
-    for name, rcfg in (cfg.get("recipes") or {}).items():
+    given = cfg.get("recipes") or {}
+    if not isinstance(given, dict):
+        raise ConfigError(f"recipes must be a mapping of suite name to recipe, got {given!r}")
+    for name, rcfg in given.items():
         if name not in SUITE_TAGS:
             raise ConfigError(
                 f"recipe for unknown suite {name!r}; valid tags: {sorted(SUITE_TAGS)}"
@@ -211,6 +214,9 @@ def cmd_suite(cfg: dict, args) -> int:
                 f"selected suites: {sorted(names)}"
             )
         recipes[name] = recipe_from_config(rcfg)
+        if name == "duality":
+            for p in recipes[name].exponents:
+                _config_value("duality recipe exponents", _duality_exponent, p)
     if seed is None:
         seed = 0
     else:
@@ -351,6 +357,9 @@ def cmd_criterion(cfg: dict, args) -> int:
     _known_fields(cfg, "criterion config", ("bundle",), ("probes", "seed", "norms"))
     seed = _seed(cfg, args, 0)
     bundle = bundle_from_config(cfg["bundle"])
+    if bundle.degenerate:
+        raise ConfigError("every fiber is zero-dimensional; on the section space {0} every "
+                          "check passes, so the catalogue's expected FAILs cannot hold")
     instance = bundle_digest(bundle)
     entries = cfg.get("norms", [{"tag": tag} for tag in _CATALOGUE])
     if not isinstance(entries, list) or not entries:

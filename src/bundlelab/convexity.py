@@ -28,7 +28,9 @@ Restart lanes are vectorized: a coordinate step normalizes six endpoints
 per lane and evaluates the midpoints and differences of the eight move
 patterns built from them, 22 norm rows per lane.  ``pair_search`` runs many
 searches of one dimension in lockstep: each search owns a block of lanes
-that its own norm evaluator handles.  A lane leaves the batch once it has
+that its own norm evaluator handles, and one closure over the batch
+(``_evaluator``) hands every group its block and counts the rows asked of
+each search.  A lane leaves the batch once it has
 converged, or once a lane of its own (search, eps) row holds a feasible
 objective <= 0, which the clamp into [0, 1] makes final; it keeps its best
 feasible pair, and a search is done when its last lane has left.  Every
@@ -334,28 +336,32 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     the counters.
 
     Each lane holds one pair.  For each eps, a search's lanes start from the
-    restart pairs, then from its own start pairs (see ``SearchGroup``).
-    Every other restart pair, the first included, is antipodal, ``(u,
-    -u)``: separated by 2 up to roundoff, it meets every eps of the grid,
-    and a budget has at least one restart, so every (search, eps) row holds
-    a feasible pair from its first evaluation on.  A lane's feasible
-    incumbent is the best candidate it has met that meets its separation,
-    and a lane that meets none adds nothing to its row.  An iteration steps
-    every coordinate in turn: the six endpoints V +- s e_i, V, W +- s e_i
-    and W are normalized, and the midpoints and differences of the eight
-    move patterns built from them are evaluated, 22 rows per lane and
-    coordinate.  A lane keeps the best pattern that lowers its
-    penalized objective and halves its step after an iteration without one.
+    restart pairs, ``budget.restarts`` pairs of normal rows drawn from
+    ``budget.seed`` and normalized under its own norm, then from its own
+    start pairs (see ``SearchGroup``).  Every other restart pair, the first
+    included, is antipodal, ``(u, -u)``: separated by 2 up to roundoff, it
+    meets every eps of the grid, and a budget has at least one restart, so
+    every (search, eps) row holds a feasible pair from its first evaluation
+    on.  A lane's feasible incumbent is the best candidate it has met that
+    meets its separation, and a lane that meets none adds nothing to its
+    row.  An iteration steps every coordinate in turn: the six endpoints V
+    +- s e_i, V, W +- s e_i and W are normalized, and the midpoints and
+    differences of the eight move patterns built from them are evaluated,
+    22 rows per lane and coordinate.  A lane keeps the best pattern that
+    lowers its penalized objective and halves its step after an iteration
+    without one.
 
     Searches run in lockstep batches of at most ``_MAX_LANE_COORDS`` lane
-    coordinates (a larger search runs alone).  Each search owns a contiguous
-    block of lanes, which its group's evaluator handles together with the
-    blocks of the group's other searches in the batch.  A lane retires at
-    the end of the iteration in which its step falls below
-    ``budget.min_step``, or in which some lane of its (search, eps) row
-    holds a feasible objective <= 0: the row then reports exactly 0 whatever
-    later steps find, and its witness is the first of its lanes with the
-    least objective.  A retiring lane is compacted out of the batch and
+    coordinates (a larger search runs alone).  Each search ``s`` owns a
+    contiguous block of lanes, eps by eps, and each lane knows its row ``s *
+    len(eps) + e``.  One closure (``_evaluator``) takes every norm of a
+    batch: it hands each group's evaluator the blocks of its searches with
+    their live lane counts, and counts their rows.  A lane retires at the
+    end of the iteration in which its step falls below ``budget.min_step``,
+    or in which some lane of its (search, eps) row holds a feasible
+    objective <= 0: the row then reports exactly 0 whatever later steps
+    find, and its witness is the first of its lanes with the least
+    objective.  A retiring lane is compacted out of the batch and
     keeps its feasible incumbent.  A search is done when its last lane
     retires, which sets its ``iterations``; the results are read once the
     whole batch is done.  Every step other than the evaluator, retirement
@@ -376,25 +382,19 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     A line (``dim == 1``) is answered before any split, without lanes: its
     unit sphere is {u, -u}, so ``raw`` is the objective at midpoint norm 0
     and separation 2 at every eps, and each witness is ``(u, -u)``, with
-    ``u`` normalized from 1 by the search's own group evaluator (counters:
-    0 iterations, 0 lanes, 2 rows).
+    ``u`` normalized from 1 by the same evaluator closure, one lane per
+    search (counters: 0 iterations, 0 lanes, 2 rows).
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if dim == 1:
         n_eps = len(eps_values)
         raw = np.clip(objective(np.zeros(n_eps), np.full(n_eps, 2.0)), 0.0, 1.0)
-        results = []
-        for group in groups:
-            counts = [1] * len(group.searches)
-            U = _unit_rows(lambda R: group.evaluate(R[None], counts)[0], np.ones((len(counts), 1)))
-            results += [(raw.copy(), np.tile([u, -u], (n_eps, 1, 1)),
-                         {"iterations": 0, "lanes": 0, "rows": 2}) for u in U]
-        return results
-    rng = np.random.default_rng(budget.seed)
-    X = rng.standard_normal((budget.restarts, dim))
-    Y = rng.standard_normal((budget.restarts, dim))
-    X[np.linalg.norm(X, axis=1) < 1e-12] = 1.0
-    Y[np.linalg.norm(Y, axis=1) < 1e-12] = 1.0
+        batch = [(g, j) for g, group in enumerate(groups) for j in range(len(group.searches))]
+        asked = np.zeros(len(batch), dtype=int)
+        norms = _evaluator(groups, batch, [1] * len(batch), asked)
+        U = _unit_rows(lambda R: norms(R[None])[0], np.ones((len(batch), 1)))
+        return [(raw.copy(), np.tile([u, -u], (n_eps, 1, 1)),
+                 {"iterations": 0, "lanes": 0, "rows": int(rows)}) for u, rows in zip(U, asked)]
 
     jobs = [((g, j), len(eps_values) * (budget.restarts + np.shape(s)[-3]) * dim)
             for g, group in enumerate(groups) for j, s in enumerate(group.searches)]
@@ -409,7 +409,7 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
             if k + 1 == len(part) or coords + part[k + 1][1] > _MAX_LANE_COORDS:
                 if parent is not None and os.getppid() != parent:
                     os._exit(1)
-                results += _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y)
+                results += _search_batch(groups, batch, dim, eps_values, budget, objective)
                 batch, coords = [], 0
         return results
 
@@ -507,110 +507,82 @@ def _child(write_end: int, work) -> None:
         os._exit(status)
 
 
-class _Lanes(NamedTuple):
-    """Where one search's lanes live in a batch."""
-
-    position: int  # of the search in its batch
-    group: int  # index of its group in the batch
-    index: int  # of the search in its group
-    eps_idx: np.ndarray  # separation index of each lane
-
-
-def _layout(groups, blocks):
-    """``(evaluate, start, stop, rows per search, blocks)`` for each group
-    with rows, given ``(lanes, rows)`` blocks that lie consecutively in
-    group order; a group keeps its blocks that have rows."""
-    out, start = [], 0
-    for g, members in itertools.groupby([b for b in blocks if b[1]], lambda b: b[0].group):
-        members = list(members)
+def _evaluator(groups, batch, lanes, asked):
+    """The norms of a batch's rows: ``norms(A)`` takes ``A`` of shape ``(k,
+    sum(lanes), dim)``, ``k`` rows per lane, whose lanes lie search by search
+    in batch order, ``lanes[s]`` of search ``s = (group, index in group)``.
+    Each group's evaluator gets its block of lanes as it lies, with the
+    per-search counts of the ``SearchGroup`` contract; a group without lanes
+    is not called.  Each call adds the ``k`` rows per lane it asked of each
+    search to ``asked``, indexed by batch position."""
+    lanes = np.array(lanes)
+    blocks, start = [], 0
+    for g, members in itertools.groupby(zip(batch, lanes.tolist()), lambda m: m[0][0]):
         counts = [0] * len(groups[g].searches)
-        for lanes, rows in members:
-            counts[lanes.index] = rows
-        out.append((groups[g].evaluate, start, start + sum(counts), counts, members))
+        for (_, j), n in members:
+            counts[j] = n
+        if sum(counts):
+            blocks.append((groups[g].evaluate, start, start + sum(counts), counts))
         start += sum(counts)
-    return out
+
+    def norms(A):
+        out = np.empty(A.shape[:-1])
+        for evaluate, a, b, counts in blocks:
+            out[:, a:b] = evaluate(A[:, a:b], counts)
+        np.add(asked, len(A) * lanes, out=asked)
+        return out
+
+    return norms
 
 
-def _group_norms(layout, A, asked):
-    """Norms of the rows of ``A``, shape ``(k, lanes, dim)``: ``k`` rows per
-    lane, each group's lanes by its own evaluator, which gets its block of
-    lanes as it lies.  Adds the rows asked of each search to ``asked``,
-    indexed by search position.
-    """
-    k = len(A)
-    out = np.empty(A.shape[:-1])
-    for evaluate, a, b, counts, members in layout:
-        out[:, a:b] = evaluate(A[:, a:b], counts)
-        for lanes, rows in members:
-            asked[lanes.position] += rows * k
-    return out
-
-
-def _start_lanes(groups, batch, dim, eps_values, budget, X, Y, asked):
+def _start_lanes(groups, batch, dim, eps_values, budget, asked):
     """Unnormalized start pairs ``V`` and ``W`` of every lane of a batch of
-    ``(group, index in group)`` searches, and the lanes of each search: for
-    each eps, the restart pairs, then the search's start pairs of this eps."""
+    ``(group, index in group)`` searches, and each search's lanes per eps:
+    for each eps, the restart pairs (see ``pair_search``), then the search's
+    start pairs of this eps."""
     restarts, n_eps = budget.restarts, len(eps_values)
-    searches, starts = [], []
-    for g, j in batch:
+    XY = np.random.default_rng(budget.seed).standard_normal((2, restarts, dim))
+    XY[np.linalg.norm(XY, axis=2) < 1e-12] = 1.0
+    norms = _evaluator(groups, batch, [restarts] * len(batch), asked)
+    XU, YU = (_unit_rows(lambda A: norms(A[None])[0], np.tile(R, (len(batch), 1)))
+              .reshape(len(batch), restarts, dim) for R in XY)
+    # every other restart begins on a guaranteed-feasible antipodal pair
+    YU[:, ::2] = -XU[:, ::2]
+    lanes, per_eps = [], []
+    for (g, j), Xs, Ys in zip(batch, XU, YU):
         pairs = np.asarray(groups[g].searches[j], dtype=float)
         pairs = np.broadcast_to(pairs, (n_eps,) + pairs.shape[-3:])
-        searches.append(_Lanes(len(searches), g, j,
-                               np.repeat(np.arange(n_eps), restarts + pairs.shape[1])))
-        starts.append(pairs)
-    layout = _layout(groups, [(s, restarts) for s in searches])
-
-    def restart_norms(R):
-        return _group_norms(layout, R[None], asked)[0]
-
-    XU = _unit_rows(restart_norms, np.tile(X, (len(searches), 1)))
-    YU = _unit_rows(restart_norms, np.tile(Y, (len(searches), 1)))
-    lanes = []
-    for s, pairs in zip(searches, starts):
-        Xs = XU[s.position * restarts : (s.position + 1) * restarts]
-        Ys = YU[s.position * restarts : (s.position + 1) * restarts]
-        # every other restart begins on a guaranteed-feasible antipodal pair
-        Ys[::2] = -Xs[::2]
         restart_pairs = np.broadcast_to(np.stack([Xs, Ys], axis=1), (n_eps, restarts, 2, dim))
         lanes.append(np.concatenate([restart_pairs, pairs], axis=1).reshape(-1, 2, dim))
+        per_eps.append(restarts + pairs.shape[1])
     V, W = np.concatenate(lanes).transpose(1, 0, 2).copy()
-    return V, W, searches
+    return V, W, np.array(per_eps)
 
 
-def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
+def _search_batch(groups, batch, dim, eps_values, budget, objective):
     n_eps = len(eps_values)
     rho = budget.penalty
-    asked = [0] * len(batch)
-    V, W, searches = _start_lanes(groups, batch, dim, eps_values, budget, X, Y, asked)
-    counts = [len(s.eps_idx) for s in searches]
-    layout = _layout(groups, list(zip(searches, counts)))
-
-    def lane_norms(R):
-        return _group_norms(layout, R[None], asked)[0]
-
-    V = _unit_rows(lane_norms, V)
-    W = _unit_rows(lane_norms, W)
-    batch_eps = eps_values[np.concatenate([s.eps_idx for s in searches])]
+    asked = np.zeros(len(batch), dtype=int)
+    V, W, per_eps = _start_lanes(groups, batch, dim, eps_values, budget, asked)
+    counts = per_eps * n_eps
+    norms = _evaluator(groups, batch, counts, asked)
+    V, W = (_unit_rows(lambda A: norms(A[None])[0], E) for E in (V, W))
+    # a search's lanes lie eps by eps, as many per eps: row s * n_eps + e,
+    # search s at separation e, of each batch lane, and where each row starts
+    lane_row = np.repeat(np.arange(len(batch) * n_eps), np.repeat(per_eps, n_eps))
+    row_starts = np.searchsorted(lane_row, np.arange(len(batch) * n_eps))
+    batch_eps = eps_values[lane_row % n_eps]
     step = np.full(len(batch_eps), budget.init_step)
 
-    mid0, sep0 = _group_norms(layout, np.stack([(V + W) * 0.5, V - W]), asked)
+    mid0, sep0 = norms(np.stack([(V + W) * 0.5, V - W]))
     obj0 = objective(mid0, sep0)
     best_pen = obj0 + rho * np.maximum(0.0, batch_eps - sep0)
     # indexed by batch lane, live or retired: the feasible incumbent, inf
     # until the lane holds one (each row's antipodal restarts hold one here)
     feas_obj = np.where(sep0 >= batch_eps - FEASIBILITY_SLACK, obj0, np.inf)
-    feas_V = V.copy()
-    feas_W = W.copy()
-    stops = np.cumsum(counts)
-    slices = [slice(int(b - n), int(b)) for n, b in zip(counts, stops)]
-    owner = np.repeat(np.arange(len(searches)), counts)
-    # a search's lanes lie eps by eps, as many per eps: the batch lane where
-    # each (search, eps) row starts, and the row of each batch lane
-    per_eps = [n // n_eps for n in counts]
-    row_starts = np.concatenate([sl.start + n * np.arange(n_eps) for sl, n in zip(slices, per_eps)])
-    lane_row = np.repeat(np.arange(len(row_starts)), np.repeat(per_eps, n_eps))
-    left = np.array(counts)  # live lanes per search
-    used = np.zeros(len(searches), dtype=int)  # iterations, set as a search ends
+    feas_V, feas_W = V.copy(), W.copy()
+    left = counts.copy()  # live lanes per search
+    used = np.zeros(len(batch), dtype=int)  # iterations, set as a search ends
     at = np.arange(len(batch_eps))  # batch lane of each live lane
     eps_lane = batch_eps  # separation of each live lane
 
@@ -633,7 +605,7 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
             ends[:3] = V
             ends[3:] = W
             ends[:, :, i] += moves
-            nrm = _group_norms(layout, ends, asked)
+            nrm = norms(ends)
             good = nrm > 1e-12
             ok = good[_V_END] & good[_W_END]
             nrm[~good] = 1.0
@@ -642,7 +614,7 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
                 np.add(ends[v], ends[w], out=mids[2 * k : 2 * k + 2])
                 np.subtract(ends[v], ends[w], out=diffs[2 * k : 2 * k + 2])
             mids *= 0.5
-            both = _group_norms(layout, pairs, asked)
+            both = norms(pairs)
             sep = both[_N_PAT:]
             obj = objective(both[:_N_PAT], sep)
             # penalized objective, inf where a candidate could not be normalized
@@ -681,7 +653,7 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
         settled = np.minimum.reduceat(feas_obj, row_starts) <= 0.0
         gone = (step < budget.min_step) | (it + 1 == budget.iterations) | settled[lane_row[at]]
         if gone.any():
-            ended = np.bincount(owner[at[gone]], minlength=len(searches))
+            ended = np.bincount(lane_row[at[gone]] // n_eps, minlength=len(batch))
             left -= ended
             used[(left == 0) & (ended > 0)] = it + 1
             if not left.any():
@@ -689,14 +661,14 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective, X, Y):
             keep = ~gone
             V, W, step, eps_lane = V[keep], W[keep], step[keep], eps_lane[keep]
             best_pen, at = best_pen[keep], at[keep]
-            layout = _layout(groups, [(s, int(n)) for s, n in zip(searches, left)])
+            norms = _evaluator(groups, batch, left, asked)
 
     results = []
-    for k, sl in enumerate(slices):
+    for s, n in enumerate(per_eps):
         # the first best lane of each eps
-        best = feas_obj[sl].reshape(n_eps, per_eps[k]).argmin(axis=1)
-        j = row_starts[k * n_eps : (k + 1) * n_eps] + best
-        counters = {"iterations": int(used[k]), "lanes": counts[k], "rows": asked[k]}
+        rows = row_starts[s * n_eps : (s + 1) * n_eps]
+        j = rows + feas_obj[rows[0] : rows[0] + n * n_eps].reshape(n_eps, n).argmin(axis=1)
+        counters = {"iterations": int(used[s]), "lanes": int(counts[s]), "rows": int(asked[s])}
         results.append((np.clip(feas_obj[j], 0.0, 1.0), np.stack([feas_V[j], feas_W[j]], axis=1),
                         counters))
     return results

@@ -292,7 +292,8 @@ def weak_star_continuity_check(
     bundle = norm.bundle
     P = _probe_rows(norm, probes, seed)
     fields = np.repeat(_null_fields(bundle.space.atom_count), bundle.dimensions, axis=1)
-    values = norm.evaluate_rows((fields[:, None, :] * P).reshape(-1, bundle.total_dimension))
+    rows = (fields[:, None, :] * P).reshape(len(fields) * len(P), bundle.total_dimension)
+    values = norm.evaluate_rows(rows)
     worst = float(values.max(initial=0.0))
     return ContinuityReport(norm.name, worst <= CONTINUITY_TOL, worst)
 

@@ -24,7 +24,7 @@ from .norms import (
     WeightedLpNorm,
     check_facet_candidates,
 )
-from .serialize import ConfigError, _integer, _known_fields, bundle_digest
+from .serialize import ConfigError, _integer, _known_fields, _list, bundle_digest
 
 __all__ = [
     "InstanceRecipe",
@@ -76,8 +76,11 @@ class InstanceRecipe:
                 raise ValueError(f"{what} must be a finite number in [0, {hi}], got {value!r}")
         if not self.exponents:
             raise ValueError("exponents must be non-empty")
-        for p in [*self.exponents, *self.lp_exponents]:
-            as_exponent(p)
+        for name in ("exponents", "lp_exponents"):
+            try:
+                [as_exponent(p) for p in getattr(self, name)]
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         unknown = set(self.kinds) - set(ALL_KINDS)
         if unknown or not self.kinds:
             raise ValueError(f"kinds must be a non-empty subset of {list(ALL_KINDS)}")
@@ -91,13 +94,15 @@ class InstanceRecipe:
 
 
 def recipe_from_config(cfg: dict) -> InstanceRecipe:
-    """An instance recipe from its config mapping, JSON lists read as tuples
-    and every other value as it is (the dataclass checks it, nothing is cast):
-    every invalid or unknown field is a ``ConfigError``."""
-    _known_fields(cfg, "recipe config", optional=[f.name for f in fields(InstanceRecipe)])
+    """An instance recipe from its config mapping, each tuple field from a
+    JSON list and every other value as it is (the dataclass checks it,
+    nothing is cast): every invalid or unknown field is a ``ConfigError``."""
+    known = {f.name: f.default for f in fields(InstanceRecipe)}
+    _known_fields(cfg, "recipe config", optional=known)
     try:
-        return InstanceRecipe(**{key: tuple(value) if isinstance(value, list) else value
-                                 for key, value in cfg.items()})
+        return InstanceRecipe(**{
+            key: tuple(_list(key, value))
+            if isinstance(known[key], tuple) else value for key, value in cfg.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"recipe config invalid: {exc}") from None
 

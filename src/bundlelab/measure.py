@@ -124,24 +124,29 @@ def as_exponent(p):
     """Validate an integrability exponent, returning float or Fraction.
 
     Accepts ints, floats, :class:`fractions.Fraction`, ``math.inf``, the
-    string ``"inf"`` and fraction strings such as ``"3/2"``, but not a
-    bool.  Rational inputs are kept exact so conjugates can be formed in
-    exact arithmetic.
+    string ``"inf"`` and fraction strings such as ``"3/2"``, but not a bool
+    or any other type.  Rational inputs are kept exact so conjugates can be
+    formed in exact arithmetic.  Every refusal is a ValueError: a zero
+    denominator, p < 1, and a finite p too large for a float.
     """
-    if isinstance(p, (bool, np.bool_)):
+    if not (_real(p) or isinstance(p, str)):
         raise ValueError(f"exponent must be a number or a string, got {p!r}")
     if isinstance(p, str):
         if p.strip().lower() in {"inf", "infinity"}:
             return math.inf
+        try:
+            p = Fraction(p)
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {p!r} has a zero denominator") from None
+    if isinstance(p, numbers.Rational):
         p = Fraction(p)
-    if isinstance(p, Fraction):
         if p < 1:
             raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+        try:
+            float(p)
+        except OverflowError:
+            raise ValueError("exponent is too large for a float") from None
         return p
-    if isinstance(p, numbers.Integral):
-        if p < 1:
-            raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-        return Fraction(int(p))
     p = float(p)
     if math.isinf(p) and p > 0:
         return math.inf

@@ -325,7 +325,10 @@ class WeightedLpNorm(NormSpec):
         super().__init__(len(d))
         if np.any(d <= 0.0):
             raise ValueError("weights must be finite and strictly positive")
-        self.r = as_exponent(r)
+        try:
+            self.r = as_exponent(r)
+        except ValueError as exc:
+            raise ValueError(f"r: {exc}") from None
         self.weights = d
         # cached dispatch flags: Fraction comparisons are too slow for the
         # batch-norm hot path

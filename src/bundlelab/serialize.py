@@ -26,7 +26,7 @@ import json
 
 from .bundles import Bundle, Fiber, Section
 from .convexity import SearchBudget
-from .measure import MeasureSpace
+from .measure import MeasureSpace, _real
 from .norms import norm_spec_from_config
 
 __all__ = [
@@ -76,6 +76,14 @@ def _integer(what: str, value, least: int) -> int:
     return value
 
 
+def _list(what: str, value) -> list:
+    """A sequence setting (atoms, fibers, section vectors, recipe tuples): a JSON list,
+    never a string or a mapping, which Python would iterate as well."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 # -- measure spaces -----------------------------------------------------------
 
 
@@ -85,8 +93,11 @@ def space_to_config(space: MeasureSpace) -> dict:
 
 def space_from_config(cfg: dict) -> MeasureSpace:
     _known_fields(cfg, "measure space config", ("atoms", "weights"))
+    atoms = _list("measure space atoms", cfg["atoms"])
+    if not all(isinstance(a, str) or _real(a) for a in atoms):
+        raise ConfigError(f"measure space atoms must be strings or numbers, got {atoms!r}")
     try:
-        return MeasureSpace(cfg["atoms"], cfg["weights"])
+        return MeasureSpace(atoms, cfg["weights"])
     except ValueError as exc:
         raise ConfigError(f"measure space config invalid: {exc}") from None
 
@@ -108,7 +119,7 @@ def bundle_from_config(cfg: dict) -> Bundle:
     _known_fields(cfg, "bundle config", ("space", "fibers"))
     space = space_from_config(cfg["space"])
     fibers = []
-    for i, fc in enumerate(cfg["fibers"]):
+    for i, fc in enumerate(_list("bundle fibers", cfg["fibers"])):
         where = f"fiber at atom index {i}"
         # a fiber needs its dimension, and a norm exactly when that is above 0
         _known_fields(fc, where, optional=("dimension", "norm"))
@@ -138,8 +149,9 @@ def bundle_digest(bundle: Bundle) -> str:
 def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Section:
     """A section of ``bundle``, or of ``bundle.dual()`` with ``dual``."""
     _known_fields(cfg, "section config", ("vectors",))
+    vectors = _list("section vectors", cfg["vectors"])
     try:
-        return Section(bundle.dual() if dual else bundle, cfg["vectors"])
+        return Section(bundle.dual() if dual else bundle, vectors)
     except ValueError as exc:
         raise ConfigError(f"section config invalid: {exc}") from None
 

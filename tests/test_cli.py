@@ -700,6 +700,74 @@ class TestExitCodes:
         assert not (tmp_path / "r").exists()
 
 
+def _lp(r):
+    return {"kind": "weighted_lp", "r": r, "weights": [1.0, 1.0]}
+
+
+def _space(atoms):
+    return {"atoms": atoms, "weights": [1.0] * len(atoms)}
+
+
+_FIBER = {"dimension": 2, "norm": TestExitCodes.NORM}
+_TINY = {"grid": [1.0], "budget": {"restarts": 2, "iterations": 2}}
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("modulus", {"norm": _lp("1/0"), **_TINY}, "r: "),
+        ("modulus", {"norm": _lp(10**400), **_TINY}, "r: "),
+        ("dual-check", {"bundle": {"space": _space(["a"]), "fibers": [
+            {"dimension": 2, "norm": _lp([2])}]}}, "r: "),
+        ("dual-check", {"bundle": TestExitCodes.BUNDLE, "p": "1/0"}, "exponent p"),
+        ("dual-check", {"bundle": TestExitCodes.BUNDLE, "p": 10**400}, "exponent p"),
+        ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"exponents": ["1/0"]}}},
+         "exponents: "),
+        ("suite", {"suites": ["uc-upper"],
+                   "recipes": {"uc-upper": {"lp_exponents": [10**400]}}}, "lp_exponents: "),
+        ("criterion", {"bundle": TestExitCodes.BUNDLE, "norms": [{"tag": "induced", "p": "1/0"}]},
+         "norms entry p "),
+        ("criterion", {"bundle": TestExitCodes.BUNDLE,
+                       "norms": [{"tag": "mixed-sum", "p1": "1/0"}]}, "norms entry p1 "),
+        ("modulus", {"bundle": {"space": _space(["a"]), "fibers": 3}, **_TINY}, "fibers"),
+        ("modulus", {"bundle": {"space": _space([["a"]]), "fibers": [_FIBER]}, **_TINY}, "atoms"),
+        ("modulus", {"bundle": {"space": _space("ab"), "fibers": [_FIBER] * 2}, **_TINY}, "atoms"),
+        ("suite", {"suites": ["uc-upper"], "recipes": [1]}, "recipes"),
+        ("suite", {"suites": ["uc-upper"], "recipes": {"uc-upper": {"exponents": "23"}}},
+         "exponents must be a list"),
+        ("suite", {"suites": ["duality"], "recipes": {"duality": {"exponents": [1]}}},
+         "duality recipe exponents"),
+        ("suite", {"suites": ["duality"], "recipes": {"duality": {"exponents": ["inf"]}}},
+         "duality recipe exponents"),
+        ("criterion", {"bundle": {"space": _space(["a", "b"]),
+                                  "fibers": [{"dimension": 0}, {"dimension": 0}]}},
+         "every fiber is zero-dimensional"),
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": [0.5, "1"]}, "grid"),
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": [True]}, "grid"),
+        ("modulus", {"norm": TestExitCodes.NORM, "bundle": TestExitCodes.BUNDLE, **_TINY},
+         "'norm' and 'bundle'"),
+        ("modulus", {"norm": TestExitCodes.NORM, "p": 3, **_TINY}, "p is the exponent"),
+        ("dual-check", {"bundle": TestExitCodes.BUNDLE, "dual_section": 3}, "section vectors"),
+    ],
+    ids=["lp-r-zero-denominator", "lp-r-huge", "fiber-lp-r-list", "dual-p-zero-denominator",
+         "dual-p-huge", "recipe-exponent-zero-denominator", "recipe-lp-exponent-huge",
+         "entry-p-zero-denominator", "entry-p1-zero-denominator", "fibers-not-a-list",
+         "atom-id-list", "atoms-a-string", "recipes-a-list", "recipe-exponents-a-string",
+         "duality-recipe-p-one", "duality-recipe-p-inf", "criterion-zero-dimensional",
+         "grid-string-entry", "grid-bool-entry", "modulus-norm-and-bundle", "modulus-norm-p",
+         "dual-section-a-number"],
+)
+def test_malformed_configs_exit_two_naming_the_field(tmp_path, capsys, command, payload, field):
+    """Configs that once crashed (exit 3) or ran anyway (exit 0): each is a
+    configuration error, exit 2, that names its field, and no report is
+    written."""
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert not (tmp_path / "r").exists()
+
+
 def _load_workloads():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)

@@ -279,6 +279,14 @@ class TestWeakStarContinuity:
             assert rep.max_limit_proxy == pytest.approx(0.5**40, rel=1e-12, abs=0.0)
 
 
+    def test_zero_dimensional_bundle_passes(self):
+        """On a bundle whose fibers are all zero-dimensional every probe is
+        the zero section, and every limit proxy is 0."""
+        b = Bundle(MeasureSpace(["a", "b"], [1.0, 2.0]), [Fiber(0), Fiber(0)])
+        rep = weak_star_continuity_check(induced_norm(b, 2), probes=4, seed=7)
+        assert rep.passed and rep.max_limit_proxy == 0.0
+
+
 class TestReconstruction:
     def test_scalar_euclid_p2(self):
         b = line_bundle([1.0, 1.0])

@@ -2,7 +2,8 @@
 name the package no longer has.  Every name a module lists in ``__all__``
 exists and has a caller outside the tests, scipy stays confined to the
 one lazy import in ``norms.linprog``, the duality quantities keep one
-composer, and each norm kind states its fields once."""
+composer, each norm kind states its fields once, and the per-layer harness
+reaches the search kernel through public names and ``_worker_count``."""
 
 import ast
 import importlib
@@ -149,3 +150,20 @@ def test_duality_quantities_have_one_composer():
                 for node in ast.walk(_parse(PACKAGE / name)) if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name in helpers}
     assert imported == set()
+
+
+def test_layer_bench_names_no_private_kernel_attribute_but_worker_count():
+    """``tools/layer_bench.py`` times several checkouts side by side, older
+    ones included, so it reaches the search kernel through its public names:
+    the one private ``convexity`` attribute it names is ``_worker_count``,
+    which it pins to 1."""
+    tree = _parse(ROOT / "tools" / "layer_bench.py")
+    # names bound to a package's convexity module, such as ``cv = bl.convexity``
+    aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and getattr(node.value, "attr", None) == "convexity"
+               for target in node.targets if isinstance(target, ast.Name)}
+    private = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_")
+               and (getattr(node.value, "attr", None) == "convexity"
+                    or getattr(node.value, "id", None) in aliases)}
+    assert aliases and private == {"_worker_count"}

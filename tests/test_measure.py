@@ -63,6 +63,15 @@ class TestExponents:
         with pytest.raises(ValueError):
             as_exponent(Fraction(1, 2))
 
+    @pytest.mark.parametrize("p", ["1/0", [2], 10**400, "1e400", None],
+                             ids=["zero-denominator", "list", "huge-int", "huge-string", "none"])
+    def test_as_exponent_refusals_are_value_errors(self, p):
+        """A zero denominator, a non-number and a finite exponent too large
+        for a float are all refused as ValueError, the one error the config
+        readers turn into configuration errors."""
+        with pytest.raises(ValueError):
+            as_exponent(p)
+
     def test_conjugate_exact_rational(self):
         q = conjugate_exponent(Fraction(3, 2))
         assert q == Fraction(3, 1)

@@ -14,14 +14,15 @@ process, with BLAS and OpenMP pools pinned to one thread:
   the same vector;
 * ``section_evaluator``: the section-space evaluator of a fixed 3-atom
   bundle (total dimension 9) at exponents 1.5 and 3, as the kernel calls it:
-  one ``convexity._group_norms`` call on a 16-slab block (the midpoints and
-  differences of one coordinate step), 34 lanes per exponent;
+  one ``evaluate`` call of its ``convexity.SearchGroup`` on a 16-slab block
+  (the midpoints and differences of one coordinate step), 34 lanes per
+  exponent;
 * ``section_evaluator_constant``: the same for the constant bundle whose
   three atoms all carry the dimension-3 polytope gauge below;
-* ``search_batch``: one ``convexity._search_batch`` of that group's two
+* ``search_batch``: one ``convexity.pair_search`` of that group's two
   searches under the workload's budget (4 restarts, 20 iterations, grid
   1, 2);
-* ``fiber_search``: one ``convexity._search_batch`` of the fiber searches
+* ``fiber_search``: one ``convexity.pair_search`` of the fiber searches
   of the four dimension-3 norms above, from their structured start pairs,
   under the suites' fiber budget (``suites.SUITE_BUDGET``: 16 restarts,
   80 iterations) on the grid 1, 2;
@@ -34,11 +35,14 @@ process, with BLAS and OpenMP pools pinned to one thread:
   its reports to a temporary directory.
 
 Each checkout's package is imported under its own module name, so that
-several checkouts load side by side.  Every layer of every checkout is
-called once untimed, so lazy set-up stays out of the timings.  A repeat
-times every layer of every checkout in turn (in reverse checkout order on
-odd repeats), each over the same number of calls, sized to take about
-20 ms; a machine whose speed drifts over minutes then moves every checkout
+several checkouts load side by side, and its ``convexity._worker_count`` is
+pinned to 1, so that every ``pair_search`` runs in this process.  The tool
+names no other private kernel attribute, so it runs on any checkout whose
+searches are start-pair arrays.  Every layer of every checkout is called
+once untimed, so lazy set-up stays out of the timings.  A repeat times
+every layer of every checkout in turn (in reverse checkout order on odd
+repeats), each over the same number of calls, sized to take about 20 ms;
+a machine whose speed drifts over minutes then moves every checkout
 alike.  The JSON written to
 ``--out`` (default: standard output) holds, per layer and checkout, the
 median, the quartiles and the interquartile range of the seconds per call
@@ -131,31 +135,17 @@ def _layers(bl, config: Path, out: Path) -> dict:
         layers[f"linear_maximizer.{kind}"] = lambda spec=spec, c=c: spec.linear_maximizer(c)
 
     group = _section_group(bl)
-    lanes = [cv._Lanes(j, 0, j, np.zeros(34, dtype=int)) for j in range(2)]
     block = rng.standard_normal((16, 68, 9))
-    asked = [0, 0]
     for name, g in (("section_evaluator", group),
                     ("section_evaluator_constant", _section_group(bl, ["polytope_gauge"] * 3))):
-        layout = cv._layout([g], [(s, 34) for s in lanes])
-        layers[name] = lambda layout=layout: cv._group_norms(layout, block, asked)
+        layers[name] = lambda g=g: g.evaluate(block, [34, 34])
 
-    budget = cv.SearchBudget(restarts=4, iterations=20)
     eps = np.array([1.0, 2.0])
-    starts = np.random.default_rng(budget.seed)
-    X = starts.standard_normal((budget.restarts, 9))
-    Y = starts.standard_normal((budget.restarts, 9))
-    layers["search_batch"] = lambda: cv._search_batch(
-        [group], [(0, 0), (0, 1)], 9, eps, budget, cv._midpoint_gap, X, Y)
-
+    budget = cv.SearchBudget(restarts=4, iterations=20)
+    layers["search_batch"] = lambda: cv.pair_search([group], 9, eps, budget)
     fibers = [cv.single_norm_group(spec.norm_batch, cv.structured_pairs(spec))
               for spec in _kinds(bl.norms).values()]
-    fiber_budget = bl.suites.SUITE_BUDGET
-    starts = np.random.default_rng(fiber_budget.seed)
-    FX = starts.standard_normal((fiber_budget.restarts, 3))
-    FY = starts.standard_normal((fiber_budget.restarts, 3))
-    layers["fiber_search"] = lambda: cv._search_batch(
-        fibers, [(g, 0) for g in range(len(fibers))], 3, eps, fiber_budget, cv._midpoint_gap,
-        FX, FY)
+    layers["fiber_search"] = lambda: cv.pair_search(fibers, 3, eps, bl.suites.SUITE_BUDGET)
 
     for d, pairs in GAUGE_SIZES:
         half = np.random.default_rng(1000 * d + pairs).standard_normal((pairs, d))
@@ -178,6 +168,7 @@ def _load(checkout: Path, name: str):
     spec.loader.exec_module(module)
     for sub in ("bundles", "cli", "convexity", "measure", "norms", "suites"):
         importlib.import_module(f"{name}.{sub}")
+    module.convexity._worker_count = lambda: 1
     return module
 
 
