@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -34,18 +35,16 @@ import numpy as np
 from .bundles import pointwise_norm, section_modulus_curve
 from .convexity import DEFAULT_EPS_GRID, check_eps_grid, modulus_curve
 from .criterion import (
+    CATALOGUE,
     RECONSTRUCTION_TOL,
     _finite_exponent,
-    induced_norm,
-    mixed_max_norm,
-    mixed_sum_norm,
+    catalogue_entry,
     reconstruct_pointwise_norm,
     restriction_additivity_check,
-    sup_over_atoms_norm,
     weak_star_continuity_check,
 )
-from .duality import (BIDUAL_NORM_TOL, PAIRING_TOL, _duality_exponent, _duality_rows,
-                      check_reflexivity_diagram)
+from .duality import (BIDUAL_NORM_TOL, EXACT_TOL, PAIRING_TOL, SAMPLED_TOL, _duality_exponent,
+                      _duality_rows, check_reflexivity_diagram)
 from .generators import instance_rng, random_section, recipe_from_config
 from .measure import _real_array, as_exponent, conjugate_exponent
 from .norms import norm_spec_from_config
@@ -59,6 +58,7 @@ from .reportio import (
 )
 from .serialize import (
     ConfigError,
+    _config_value,
     _integer,
     _known_fields,
     budget_from_config,
@@ -69,18 +69,6 @@ from .serialize import (
 )
 from .suites import SUITE_RECIPES, SUITE_TAGS, run_suites, suite_names
 
-_EXPLICIT_TOL = 1e-9
-_SAMPLED_TOL = 1e-6
-
-
-def _config_value(what: str, fn, *args):
-    """``fn(*args)`` on values read from the config: its ``TypeError`` or
-    ``ValueError`` is a configuration error."""
-    try:
-        return fn(*args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} invalid: {exc}") from None
-
 
 def _seed(cfg: dict, args, fallback):
     """``--seed``, else the config's top-level ``seed``, else ``fallback``."""
@@ -90,17 +78,21 @@ def _seed(cfg: dict, args, fallback):
 
 
 def _resolve_grid(cfg: dict, args) -> np.ndarray:
-    """``--grid``, else the config's ``grid``, as a list of real numbers or
-    an 'a:b:step' range; both pass ``check_eps_grid``."""
+    """``--grid``, else the config's ``grid``, as a list of real numbers or an
+    'a:b:step' range, checked before it is built; both pass ``check_eps_grid``."""
     grid = args.grid if args.grid is not None else cfg.get("grid")
     if grid is None:
         return DEFAULT_EPS_GRID
     if isinstance(grid, str):
         try:
             a, b, step = (float(t) for t in grid.split(":"))
-            grid = np.round(np.arange(a, b + 0.5 * step, step), 12)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ConfigError(f"grid must look like 'a:b:step', got {grid!r}") from None
+        for name, value, ok in (("a", a, 0 < a <= b), ("b", b, b <= 2), ("step", step, step > 0)):
+            if not (math.isfinite(value) and ok):
+                raise ConfigError(f"grid {grid!r} needs finite 0 < a <= b <= 2 and step > 0, "
+                                  f"but {name} = {value!r}")
+        grid = _config_value("grid", lambda: np.round(np.arange(a, b + 0.5 * step, step), 12))
     eps = _config_value("grid", _real_array, grid, "separations", 1)
     return _config_value("grid", check_eps_grid, eps)
 
@@ -277,17 +269,16 @@ def cmd_dual_check(cfg: dict, args) -> int:
             bundle, (zero if omega is None else omega.coords)[None],
             (zero if v is None else v.coords)[None], p))
     if omega is not None:
-        check("explicit", "operator-norm-vs-dual-lq", opn, dual_lq, _EXPLICIT_TOL)
+        check("explicit", "operator-norm-vs-dual-lq", opn, dual_lq, EXACT_TOL)
         # the maximizer is a unit section, or zero for the zero functional
         check("explicit", "holder-attainment", attained,
-              1.0 if np.any(omega.coords) else 0.0, _EXPLICIT_TOL)
+              1.0 if np.any(omega.coords) else 0.0, EXACT_TOL)
     if v is not None:
-        check("explicit", "swapped-operator-norm-vs-lp", swapped, v_norm, _EXPLICIT_TOL)
+        check("explicit", "swapped-operator-norm-vs-lp", swapped, v_norm, EXACT_TOL)
     if omega is not None and v is not None:
         bound = opn * v_norm
         rows.append((instance, seed, "explicit", "holder-inequality-slack", lhs,
-                     bound, max(0.0, lhs - bound), _EXPLICIT_TOL,
-                     lhs <= bound + _EXPLICIT_TOL))
+                     bound, max(0.0, lhs - bound), EXACT_TOL, lhs <= bound + EXACT_TOL))
 
     if not bundle.degenerate:
         # one flat draw: per sample, a covector field's coordinates, then a
@@ -296,9 +287,9 @@ def cmd_dual_check(cfg: dict, args) -> int:
         opn, dual_lq, _, swapped, v_norms, _ = _duality_rows(bundle, draws[:, 0], draws[:, 1], p)
         for s in range(samples):
             check(f"s{s}", "operator-norm-vs-dual-lq", float(opn[s]), float(dual_lq[s]),
-                  _SAMPLED_TOL)
+                  SAMPLED_TOL)
             check(f"s{s}", "swapped-operator-norm-vs-lp", float(swapped[s]), float(v_norms[s]),
-                  _SAMPLED_TOL)
+                  SAMPLED_TOL)
 
     diagram = check_reflexivity_diagram(bundle, p, samples=max(4, samples // 4),
                                         seed=seed)
@@ -326,31 +317,20 @@ def cmd_dual_check(cfg: dict, args) -> int:
 # -- criterion -------------------------------------------------------------------
 
 
-#: tag -> (the entry's norm on a bundle, its expected additivity verdict);
-#: without ``norms`` a run checks every tag at its default exponents
-_CATALOGUE = {
-    "induced": (lambda b, e: induced_norm(b, e.get("p", 2)), "PASS"),
-    "sup-over-atoms": (lambda b, e: sup_over_atoms_norm(b), "FAIL"),
-    "mixed-sum": (lambda b, e: mixed_sum_norm(b, e.get("p1", 1.5), e.get("p2", 3)), "FAIL"),
-    "mixed-max": (lambda b, e: mixed_max_norm(b, e.get("p1", 1.5), e.get("p2", 3)), "FAIL"),
-}
-
-
 def _catalogue_entry(bundle, entry: dict):
+    """``criterion.catalogue_entry`` of a ``norms`` entry, its fields checked first."""
     _known_fields(entry, "norms entry", ("tag",), ("p", "p1", "p2", "p_check", "expect"))
     for key in ("p", "p1", "p2", "p_check"):
         if key in entry:
             _config_value(f"norms entry {key}", as_exponent, entry[key])
     tag = entry["tag"]
-    if not isinstance(tag, str) or tag not in _CATALOGUE:
-        raise ConfigError(f"unknown norm tag {tag!r}; valid tags: {sorted(_CATALOGUE)}")
-    build, expect = _CATALOGUE[tag]
-    expect = entry.get("expect", expect)
+    if not isinstance(tag, str) or tag not in CATALOGUE:
+        raise ConfigError(f"unknown norm tag {tag!r}; valid tags: {sorted(CATALOGUE)}")
+    norm, p_check, expect = catalogue_entry(bundle, entry)
     if expect not in ("PASS", "FAIL"):
         raise ConfigError("expect must be 'PASS' or 'FAIL'")
-    p_check = entry.get("p_check", entry.get("p", 2))
     _config_value("norms entry p_check (or p)", _finite_exponent, p_check)
-    return build(bundle, entry), p_check, expect
+    return norm, p_check, expect
 
 
 def cmd_criterion(cfg: dict, args) -> int:
@@ -361,7 +341,8 @@ def cmd_criterion(cfg: dict, args) -> int:
         raise ConfigError("every fiber is zero-dimensional; on the section space {0} every "
                           "check passes, so the catalogue's expected FAILs cannot hold")
     instance = bundle_digest(bundle)
-    entries = cfg.get("norms", [{"tag": tag} for tag in _CATALOGUE])
+    # without ``norms`` a run checks every tag at its default exponents
+    entries = cfg.get("norms", [{"tag": tag} for tag in CATALOGUE])
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"norms must be a non-empty list of norm entries, got {entries!r}")
     probes = _integer("probes", cfg.get("probes", 6), 1)

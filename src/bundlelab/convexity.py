@@ -91,6 +91,12 @@ FEASIBILITY_SLACK = 1e-9
 _MAX_EXTRA_PAIRS = 160
 
 
+#: a lane retires at the end of the iteration in which its step falls below
+#: MIN_STEP; a candidate pair pays PENALTY per unit of separation it lacks
+MIN_STEP = 1e-7
+PENALTY = 4.0
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Effort knobs for the multi-start searches; fully determines a run."""
@@ -99,8 +105,6 @@ class SearchBudget:
     iterations: int = 200
     seed: int = 0
     init_step: float = 0.25
-    min_step: float = 1e-7
-    penalty: float = 4.0
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("iterations", 1), ("seed", 0)):
@@ -109,16 +113,12 @@ class SearchBudget:
                 raise TypeError(f"budget {name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"budget {name} must be at least {least}, got {value}")
-        for name in ("init_step", "min_step", "penalty"):
-            value = getattr(self, name)
-            if not _real(value):
-                raise TypeError(f"budget {name} must be a number, got {value!r}")
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"budget {name} must be finite and positive, got {value}")
-        if self.min_step > self.init_step:
-            raise ValueError(
-                f"budget min_step {self.min_step} exceeds init_step {self.init_step}"
-            )
+        if not _real(self.init_step):
+            raise TypeError(f"budget init_step must be a number, got {self.init_step!r}")
+        if not 0.0 < self.init_step < math.inf:
+            raise ValueError(f"budget init_step must be finite and positive, got {self.init_step}")
+        if MIN_STEP > self.init_step:
+            raise ValueError(f"budget min_step {MIN_STEP} exceeds init_step {self.init_step}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -357,7 +357,7 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     len(eps) + e``.  One closure (``_evaluator``) takes every norm of a
     batch: it hands each group's evaluator the blocks of its searches with
     their live lane counts, and counts their rows.  A lane retires at the
-    end of the iteration in which its step falls below ``budget.min_step``,
+    end of the iteration in which its step falls below ``MIN_STEP``,
     or in which some lane of its (search, eps) row holds a feasible
     objective <= 0: the row then reports exactly 0 whatever later steps
     find, and its witness is the first of its lanes with the least
@@ -561,7 +561,6 @@ def _start_lanes(groups, batch, dim, eps_values, budget, asked):
 
 def _search_batch(groups, batch, dim, eps_values, budget, objective):
     n_eps = len(eps_values)
-    rho = budget.penalty
     asked = np.zeros(len(batch), dtype=int)
     V, W, per_eps = _start_lanes(groups, batch, dim, eps_values, budget, asked)
     counts = per_eps * n_eps
@@ -576,7 +575,7 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective):
 
     mid0, sep0 = norms(np.stack([(V + W) * 0.5, V - W]))
     obj0 = objective(mid0, sep0)
-    best_pen = obj0 + rho * np.maximum(0.0, batch_eps - sep0)
+    best_pen = obj0 + PENALTY * np.maximum(0.0, batch_eps - sep0)
     # indexed by batch lane, live or retired: the feasible incumbent, inf
     # until the lane holds one (each row's antipodal restarts hold one here)
     feas_obj = np.where(sep0 >= batch_eps - FEASIBILITY_SLACK, obj0, np.inf)
@@ -620,7 +619,7 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective):
             # penalized objective, inf where a candidate could not be normalized
             pen = eps_lane - sep
             np.maximum(0.0, pen, out=pen)
-            pen *= rho
+            pen *= PENALTY
             pen += obj
             pen[~ok] = np.inf
             # descent acceptance: best improving pattern per lane (fixed
@@ -646,12 +645,12 @@ def _search_batch(groups, batch, dim, eps_values, budget, objective):
                 feas_W[j] = ends[_W_END[best_f[hit]], lanes[hit]]
         step[~improved] *= 0.5
 
-        # a lane whose step fell below min_step, that used the last
+        # a lane whose step fell below MIN_STEP, that used the last
         # iteration, or whose (search, eps) row holds a feasible objective
         # <= 0, which the clamp makes final, retires with its feasible
         # incumbent.  A search whose last lane retired is done
         settled = np.minimum.reduceat(feas_obj, row_starts) <= 0.0
-        gone = (step < budget.min_step) | (it + 1 == budget.iterations) | settled[lane_row[at]]
+        gone = (step < MIN_STEP) | (it + 1 == budget.iterations) | settled[lane_row[at]]
         if gone.any():
             ended = np.bincount(lane_row[at[gone]] // n_eps, minlength=len(batch))
             left -= ended

@@ -33,6 +33,7 @@ __all__ = [
     "sup_over_atoms_norm",
     "mixed_sum_norm",
     "mixed_max_norm",
+    "catalogue_entry",
     "AdditivityReport",
     "restriction_additivity_check",
     "ContinuityReport",
@@ -141,6 +142,23 @@ def mixed_sum_norm(bundle: Bundle, p1, p2) -> AbstractModuleNorm:
 def mixed_max_norm(bundle: Bundle, p1, p2) -> AbstractModuleNorm:
     p1, p2 = as_exponent(p1), as_exponent(p2)
     return _catalogue_norm(bundle, [p1, p2], f"mixed-max-p{p1}-p{p2}", np.maximum)
+
+
+#: tag -> (the entry's norm on a bundle, its expected additivity verdict).  An
+#: entry names its ``tag`` and may set the norm's exponents ``p`` or ``p1``
+#: and ``p2``, the check's ``p_check`` (default ``p``, else 2) and ``expect``
+CATALOGUE = {
+    "induced": (lambda b, e: induced_norm(b, e.get("p", 2)), "PASS"),
+    "sup-over-atoms": (lambda b, e: sup_over_atoms_norm(b), "FAIL"),
+    "mixed-sum": (lambda b, e: mixed_sum_norm(b, e.get("p1", 1.5), e.get("p2", 3)), "FAIL"),
+    "mixed-max": (lambda b, e: mixed_max_norm(b, e.get("p1", 1.5), e.get("p2", 3)), "FAIL"),
+}
+
+
+def catalogue_entry(bundle: Bundle, entry: dict) -> tuple:
+    """``(norm, p_check, expect)`` of a catalogue entry on ``bundle``."""
+    build, expect = CATALOGUE[entry["tag"]]
+    return build(bundle, entry), entry.get("p_check", entry.get("p", 2)), entry.get("expect", expect)
 
 
 # -- restriction additivity ---------------------------------------------------

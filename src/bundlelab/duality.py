@@ -175,6 +175,10 @@ def operator_norm(s: Section, p) -> float:
 #: bidual pointwise norm is within BIDUAL_NORM_TOL of the pointwise norm
 PAIRING_TOL = 1e-9
 BIDUAL_NORM_TOL = 1e-6
+#: dual-check and the duality suite: isometries on random draws hold within SAMPLED_TOL,
+#: exact identities (explicit sections, Holder attainment and inequality) within EXACT_TOL
+SAMPLED_TOL = 1e-6
+EXACT_TOL = 1e-9
 
 
 @dataclass

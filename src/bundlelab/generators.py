@@ -24,7 +24,7 @@ from .norms import (
     WeightedLpNorm,
     check_facet_candidates,
 )
-from .serialize import ConfigError, _integer, _known_fields, _list, bundle_digest
+from .serialize import _config_value, _integer, _known_fields, _list, bundle_digest
 
 __all__ = [
     "InstanceRecipe",
@@ -99,12 +99,9 @@ def recipe_from_config(cfg: dict) -> InstanceRecipe:
     nothing is cast): every invalid or unknown field is a ``ConfigError``."""
     known = {f.name: f.default for f in fields(InstanceRecipe)}
     _known_fields(cfg, "recipe config", optional=known)
-    try:
-        return InstanceRecipe(**{
-            key: tuple(_list(key, value))
-            if isinstance(known[key], tuple) else value for key, value in cfg.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"recipe config invalid: {exc}") from None
+    return _config_value("recipe config", lambda: InstanceRecipe(**{
+        key: tuple(_list(key, value))
+        if isinstance(known[key], tuple) else value for key, value in cfg.items()}))
 
 
 def instance_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:

@@ -76,6 +76,17 @@ def _integer(what: str, value, least: int) -> int:
     return value
 
 
+def _config_value(what: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on values read from a config: its ``TypeError``
+    or ``ValueError`` is a ``ConfigError("<what> invalid: <reason>")``.  The
+    readers type-check what they hand on (``_list``, ``_integer``, ``_real``,
+    the atom-id check), so either error is a value the library refuses."""
+    try:
+        return fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} invalid: {exc}") from None
+
+
 def _list(what: str, value) -> list:
     """A sequence setting (atoms, fibers, section vectors, recipe tuples): a JSON list,
     never a string or a mapping, which Python would iterate as well."""
@@ -96,10 +107,7 @@ def space_from_config(cfg: dict) -> MeasureSpace:
     atoms = _list("measure space atoms", cfg["atoms"])
     if not all(isinstance(a, str) or _real(a) for a in atoms):
         raise ConfigError(f"measure space atoms must be strings or numbers, got {atoms!r}")
-    try:
-        return MeasureSpace(atoms, cfg["weights"])
-    except ValueError as exc:
-        raise ConfigError(f"measure space config invalid: {exc}") from None
+    return _config_value("measure space config", MeasureSpace, atoms, cfg["weights"])
 
 
 # -- bundles ------------------------------------------------------------------
@@ -129,14 +137,9 @@ def bundle_from_config(cfg: dict) -> Bundle:
         if (dim > 0) != ("norm" in fc):
             raise ConfigError(f"fiber norm required ({where})" if dim
                               else f"zero-dimensional fibers carry no norm ({where})")
-        try:
-            fibers.append(Fiber(dim, norm_spec_from_config(fc["norm"]) if dim else None))
-        except ValueError as exc:
-            raise ConfigError(f"{where} invalid: {exc}") from None
-    try:
-        return Bundle(space, fibers)
-    except ValueError as exc:
-        raise ConfigError(f"bundle config invalid: {exc}") from None
+        fibers.append(_config_value(
+            where, lambda: Fiber(dim, norm_spec_from_config(fc["norm"]) if dim else None)))
+    return _config_value("bundle config", Bundle, space, fibers)
 
 
 def bundle_digest(bundle: Bundle) -> str:
@@ -150,10 +153,8 @@ def section_from_config(bundle: Bundle, cfg: dict, dual: bool = False) -> Sectio
     """A section of ``bundle``, or of ``bundle.dual()`` with ``dual``."""
     _known_fields(cfg, "section config", ("vectors",))
     vectors = _list("section vectors", cfg["vectors"])
-    try:
-        return Section(bundle.dual() if dual else bundle, vectors)
-    except ValueError as exc:
-        raise ConfigError(f"section config invalid: {exc}") from None
+    return _config_value("section config",
+                         lambda: Section(bundle.dual() if dual else bundle, vectors))
 
 
 # -- budgets -------------------------------------------------------
@@ -163,8 +164,5 @@ def budget_from_config(cfg: dict | None) -> SearchBudget:
     if cfg is None:
         return SearchBudget()
     _known_fields(cfg, "budget config", optional=[f.name for f in dataclasses.fields(SearchBudget)])
-    try:
-        return SearchBudget(**cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"budget config invalid: {exc}") from None
+    return _config_value("budget config", SearchBudget, **cfg)
 

@@ -36,16 +36,16 @@ from .criterion import (
     ADDITIVITY_TOL,
     CONTINUITY_TOL,
     RECONSTRUCTION_TOL,
+    catalogue_entry,
     induced_norm,
     measure_inequality_report,
-    mixed_max_norm,
-    mixed_sum_norm,
     reconstruct_pointwise_norm,
     restriction_additivity_check,
     sup_over_atoms_norm,
     weak_star_continuity_check,
 )
-from .duality import BIDUAL_NORM_TOL, PAIRING_TOL, _duality_rows, check_reflexivity_diagram
+from .duality import (BIDUAL_NORM_TOL, EXACT_TOL, PAIRING_TOL, SAMPLED_TOL, _duality_rows,
+                      check_reflexivity_diagram)
 from .generators import (
     UC_KINDS,
     InstanceRecipe,
@@ -421,10 +421,10 @@ def suite_duality(recipe=None) -> list[TheoremReport]:
             swap_gap = max(swap_gap, _max_abs(swapped - v_norms))
             holder_res = max(holder_res, float(np.max(pairings - opn * v_norms, initial=0.0)))
         checks = [
-            CheckRow("operator-norm-isometry", iso_gap, 1e-6),
-            CheckRow("holder-maximizer-attainment", attain_gap, 1e-9),
-            CheckRow("section-on-duals-isometry", swap_gap, 1e-6),
-            CheckRow("holder-inequality", holder_res, 1e-9),
+            CheckRow("operator-norm-isometry", iso_gap, SAMPLED_TOL),
+            CheckRow("holder-maximizer-attainment", attain_gap, EXACT_TOL),
+            CheckRow("section-on-duals-isometry", swap_gap, SAMPLED_TOL),
+            CheckRow("holder-inequality", holder_res, EXACT_TOL),
         ]
         reports.append(make_report("duality", "dual-norm-isometry", inst, checks))
 
@@ -464,15 +464,11 @@ def suite_criterion(seed: int = 0) -> list[TheoremReport]:
     inst = bundle_digest(bundle)
     reports = []
 
-    fixtures = [
-        (induced_norm(bundle, 2), 2, "PASS"),
-        (induced_norm(bundle, 1.5), 1.5, "PASS"),
-        (sup_over_atoms_norm(bundle), 2, "FAIL"),
-        (mixed_sum_norm(bundle, 1.5, 3), 2, "FAIL"),
-        (mixed_max_norm(bundle, 1.5, 3), 1.5, "FAIL"),
-        (induced_norm(bundle, 2), 3, "FAIL"),  # mismatched exponent must be caught
-    ]
-    for norm, p, expected in fixtures:
+    # catalogue entries; the last checks a mismatched exponent, which must be caught
+    for entry in ({"tag": "induced"}, {"tag": "induced", "p": 1.5}, {"tag": "sup-over-atoms"},
+                  {"tag": "mixed-sum"}, {"tag": "mixed-max", "p_check": 1.5},
+                  {"tag": "induced", "p_check": 3, "expect": "FAIL"}):
+        norm, p, expected = catalogue_entry(bundle, entry)
         norm.check_axioms(seed=seed)
         rep = restriction_additivity_check(norm, p, probes=6, seed=seed)
         witness = "" if rep.passed else f"subset-size-{len(rep.witness_subset)}"

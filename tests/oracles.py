@@ -19,6 +19,8 @@ with.  No library code calls them, so they live here, not under ``src/``.
   row-wise ``unique``.
 * ``structured_pairs_by_loops``: a kind's structured start pairs as a list
   of ``(v, w)`` tuples, built by nested loops.
+* ``lr_parallelogram_defect``: the closed-form largest parallelogram defect
+  of a weighted l^r space.
 * ``isotonic_clamp_by_loop``: the isotonic clamp of a modulus curve, one
   point at a time from the right.
 """
@@ -29,6 +31,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from bundlelab import convexity
 from bundlelab.bundles import _section_norms
 from bundlelab.measure import ScalarField
 from bundlelab.convexity import _MAX_EXTRA_PAIRS, SearchBudget, _unit_rows
@@ -70,10 +73,35 @@ def maximize_linear_on_sphere(norm_batch, dim: int, coeffs, budget: SearchBudget
                     best[acc] = val[acc]
                     improved |= acc
         step[~improved] *= 0.5
-        if np.all(step < budget.min_step):
+        if np.all(step < convexity.MIN_STEP):
             break
     j = int(np.argmax(best))
     return float(best[j]), V[j].copy()
+
+
+def lr_parallelogram_defect(r) -> float:
+    """The largest parallelogram defect ``| ||v+w||^2 + ||v-w||^2 - 4 |``
+    over unit pairs (v, w) of a weighted l^r space of dimension >= 2,
+    1 <= r <= inf: ``4 (2^(2/t - 1) - 1)`` with ``t = min(r, r')``, so 4 at
+    r = 1 and r = inf and 0 at r = 2.
+
+    Proof.  Positive weights scale the coordinates, so the space is
+    isometric to l^r of its dimension.  The von Neumann-Jordan constant
+    ``C = sup (||x+y||^2 + ||x-y||^2) / (2 ||x||^2 + 2 ||y||^2)`` over pairs
+    not both 0 (Jordan and von Neumann, 1935) is ``2^(2/t - 1)`` on every
+    L^r, and unit pairs in a coordinate plane attain it (Clarkson, 1937):
+    for r <= 2 the pair ``(e1, e2)``, whose sum and difference have norm
+    ``2^(1/r)``; for r >= 2 the pair ``((e1 + e2), (e1 - e2)) / 2^(1/r)``,
+    whose sum and difference have norm ``2^(1 - 1/r)``.  High side: for
+    unit v, w the definition gives ``||v+w||^2 + ||v-w||^2 <= 4 C``, so the
+    defect above 4 is at most ``4 (C - 1)``, and it is attained.  Low side:
+    the definition at x = v + w, y = v - w gives ``8 = ||2v||^2 + ||2w||^2
+    <= 2 C (||v+w||^2 + ||v-w||^2)``, so the defect below 4 is at most
+    ``4 - 4/C``, and ``4 (C - 1) - (4 - 4/C) = 4 (sqrt(C) - 1/sqrt(C))^2
+    >= 0``.  So the largest defect is ``4 (C - 1)``.
+    """
+    t = 1.0 if r in (1, math.inf) else min(r, r / (r - 1.0))
+    return 4.0 * (2.0 ** (2.0 / t - 1.0) - 1.0)
 
 
 def gauge_lp_norm(gauge, P):

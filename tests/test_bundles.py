@@ -412,8 +412,16 @@ class TestSectionModulus:
     # three bundles of total dimension 4, so that all their searches meet in
     # one kernel call, each bundle's two exponents in one evaluator block
     EPS = [0.5, 1.5, 2.0]
-    BUDGET = SearchBudget(restarts=4, iterations=40, min_step=1e-4)
+    BUDGET = SearchBudget(restarts=4, iterations=40)
     EXPONENTS = [1.5, 3]
+
+    @pytest.fixture
+    def step_floor(self):
+        """``convexity.MIN_STEP`` at 1e-4 for the whole test, apart from the
+        ``monkeypatch`` fixture, which the test undoes."""
+        with pytest.MonkeyPatch.context() as floor:
+            floor.setattr(convexity, "MIN_STEP", 1e-4)
+            yield
 
     @staticmethod
     def _block_bundles():
@@ -436,7 +444,7 @@ class TestSectionModulus:
                  b"".join(v.tobytes() + w.tobytes() for v, w in c.witnesses), c.meta["search"])
                 for c in curves]
 
-    def test_multi_search_blocks_keep_every_bit(self, monkeypatch):
+    def test_multi_search_blocks_keep_every_bit(self, monkeypatch, step_floor):
         """Each bundle's exponents share one evaluator block.  Run in several
         lockstep batches, split over a forked child, or one (bundle,
         exponent) at a time, every curve has the same bits, and those bits

@@ -748,6 +748,20 @@ _TINY = {"grid": [1.0], "budget": {"restarts": 2, "iterations": 2}}
          "'norm' and 'bundle'"),
         ("modulus", {"norm": TestExitCodes.NORM, "p": 3, **_TINY}, "p is the exponent"),
         ("dual-check", {"bundle": TestExitCodes.BUNDLE, "dual_section": 3}, "section vectors"),
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "1:1e300:1"}, "b = 1e+300"),
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "0.1:1e9:1"},
+         "b = 1000000000.0"),
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "0:1:0.1"}, "a = 0.0"),
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "nan:1:0.1"}, "a = nan"),
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "0.5:1:0"}, "step = 0.0"),
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "1:2:inf"}, "step = inf"),
+        # numpy refuses the length of this range before allocating it
+        ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "0.1:1:1e-300"},
+         "grid invalid"),
+        ("modulus", {"norm": TestExitCodes.NORM, "grid": [1.0],
+                     "budget": {"restarts": 2, "min_step": 1e-3}}, "['min_step']"),
+        ("modulus", {"norm": TestExitCodes.NORM, "grid": [1.0],
+                     "budget": {"restarts": 2, "penalty": 4.0}}, "['penalty']"),
     ],
     ids=["lp-r-zero-denominator", "lp-r-huge", "fiber-lp-r-list", "dual-p-zero-denominator",
          "dual-p-huge", "recipe-exponent-zero-denominator", "recipe-lp-exponent-huge",
@@ -755,7 +769,9 @@ _TINY = {"grid": [1.0], "budget": {"restarts": 2, "iterations": 2}}
          "atom-id-list", "atoms-a-string", "recipes-a-list", "recipe-exponents-a-string",
          "duality-recipe-p-one", "duality-recipe-p-inf", "criterion-zero-dimensional",
          "grid-string-entry", "grid-bool-entry", "modulus-norm-and-bundle", "modulus-norm-p",
-         "dual-section-a-number"],
+         "dual-section-a-number", "grid-range-end-huge", "grid-range-end-far",
+         "grid-range-start-zero", "grid-range-start-nan", "grid-range-step-zero",
+         "grid-range-step-inf", "grid-range-step-tiny", "budget-min-step", "budget-penalty"],
 )
 def test_malformed_configs_exit_two_naming_the_field(tmp_path, capsys, command, payload, field):
     """Configs that once crashed (exit 3) or ran anyway (exit 0): each is a
@@ -835,7 +851,7 @@ def test_layer_bench_times_every_layer(tmp_path):
     assert set(layers) == {f"norm_batch.{k}.rows_{m}" for k in kinds for m in (2, 64, 1024)} | {
         f"{layer}.{k}" for layer in ("norm", "linear_maximizer") for k in kinds} | {
         "section_evaluator", "section_evaluator_constant", "search_batch", "fiber_search",
-        "dual_check"} | {
+        "dual_check", "additivity_check"} | {
         f"gauge_build.{size}" for size in ("2x4", "3x5", "3x40", "2x256")}
     for timing in layers.values():
         assert timing["repeats"] == 1 and len(timing["seconds_per_call"]) == 2

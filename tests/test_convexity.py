@@ -17,6 +17,7 @@ from bundlelab.bundles import (
     Fiber,
     _section_norms,
     section_modulus_curve,
+    section_modulus_curves,
 )
 from bundlelab.convexity import (
     DEFAULT_EPS_GRID,
@@ -39,11 +40,12 @@ from bundlelab.norms import (
     PolytopeGaugeNorm,
     WeightedLpNorm,
 )
-from bundlelab.suites import SUITE_BUDGET
+from bundlelab.suites import SUITE_BUDGET, SUITE_DEFECT_BUDGET
 
 from oracles import (
     exponent_norm,
     isotonic_clamp_by_loop,
+    lr_parallelogram_defect,
     maximize_linear_on_sphere,
     section_norm_batch,
     structured_pairs_by_loops,
@@ -118,6 +120,25 @@ def test_lr_section_space_at_p_equal_r_matches_clarkson(r):
     space = MeasureSpace(["a", "b"], [0.6, 1.7])
     b = Bundle(space, [Fiber(1, WeightedLpNorm(r, [1.3])), Fiber(1, WeightedLpNorm(r, [0.8]))])
     assert_clarkson_bracket(section_modulus_curve(b, r, budget=TEST_BUDGET), r)
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_lr_section_spaces_of_plane_and_space_fibers_match_clarkson(r):
+    """At p = r the section space of weighted l^r fibers is a weighted l^r
+    space of the total dimension, so Clarkson's modulus brackets its curve
+    as it does a fiber's: three bundles of 2-3 atoms whose fibers have
+    dimension 2-3, fibers and sections under the suites' budget."""
+    rng = np.random.default_rng(3)
+    bundles = []
+    for _ in range(3):
+        atoms = int(rng.integers(2, 4))
+        fibers = [WeightedLpNorm(r, rng.uniform(0.5, 2.0, int(rng.integers(2, 4))))
+                  for _ in range(atoms)]
+        bundles.append(Bundle(MeasureSpace([f"a{i}" for i in range(atoms)],
+                                           rng.uniform(0.5, 2.0, atoms)),
+                              [Fiber(f.dimension, f) for f in fibers]))
+    for [curve] in section_modulus_curves(bundles, [r], None, SUITE_BUDGET, SUITE_BUDGET):
+        assert_clarkson_bracket(curve, r)
 
 
 def test_fiber_curves_meet_the_closed_forms():
@@ -240,18 +261,18 @@ def test_grid_oracle_requires_dimension_two():
     "fields",
     [
         {"restarts": 0},
-        {"restarts": -3, "iterations": 0, "min_step": -1},
+        {"restarts": -3, "iterations": 0, "init_step": -1},
         {"iterations": 0},
         {"seed": -1},
         {"restarts": True},
         {"iterations": 10.0},
         {"seed": "0"},
         {"init_step": 0.0},
-        {"min_step": -1e-7},
-        {"penalty": math.inf},
+        {"init_step": -1e-7},
+        {"init_step": math.inf},
         {"init_step": math.nan},
-        {"penalty": False},
-        {"init_step": 1e-8},  # below the default min_step
+        {"init_step": False},
+        {"init_step": 1e-8},  # below the step floor MIN_STEP
     ],
 )
 def test_search_budget_rejects_invalid_fields(fields):
@@ -259,10 +280,12 @@ def test_search_budget_rejects_invalid_fields(fields):
         SearchBudget(**fields)
 
 
-def test_search_budget_accepts_boundary_values():
-    b = SearchBudget(restarts=1, iterations=1, seed=0, init_step=0.5, min_step=0.5, penalty=1)
-    assert dataclasses.astuple(b) == (1, 1, 0, 0.5, 0.5, 1)
+def test_search_budget_accepts_boundary_values(monkeypatch):
     assert SearchBudget(restarts=np.int64(3)).restarts == 3
+    # init_step may equal the step floor
+    monkeypatch.setattr(convexity, "MIN_STEP", 0.5)
+    b = SearchBudget(restarts=1, iterations=1, seed=0, init_step=0.5)
+    assert dataclasses.astuple(b) == (1, 1, 0, 0.5)
 
 
 class TestParallelogramDefect:
@@ -282,6 +305,20 @@ class TestParallelogramDefect:
     def test_linf_defect_is_four(self):
         defect, _ = parallelogram_defects([WeightedLpNorm(math.inf, [1.0, 1.0])])[0]
         assert defect == pytest.approx(4.0, abs=1e-9)
+
+    def test_lr_defects_meet_the_von_neumann_jordan_constant(self):
+        """The defect gate: under the suites' defect budget, every weighted
+        l^r fiber's defect lies within 1e-12 of ``4 (C_NJ - 1)``
+        (``oracles.lr_parallelogram_defect``): three fibers per r in each of
+        dimensions 2 and 3.  r = inf stays out: its sign-pattern start pairs
+        are not the vertices of a weighted l^inf ball, and the search falls
+        short of 4 by up to 3.4e-7."""
+        rng = np.random.default_rng(20)
+        fibers = [(r, WeightedLpNorm(r, rng.uniform(0.5, 2.0, dim)))
+                  for r in (1, 1.25, 1.5, 3, 4, 6) for dim in (2, 3) for _ in range(3)]
+        found = parallelogram_defects([spec for _, spec in fibers], SUITE_DEFECT_BUDGET)
+        for (r, _), (defect, _) in zip(fibers, found):
+            assert abs(defect - lr_parallelogram_defect(r)) <= 1e-12
 
     def test_witness_reproduces_defect(self):
         spec = WeightedLpNorm(3, [1.0, 2.0])
@@ -403,8 +440,13 @@ class TestBatchedSearch:
     """Many searches in one pair_search call give the bits of each alone."""
 
     EPS = [0.5, 1.5, 2.0]
-    # converges at different iterations for different searches
-    BUDGET = SearchBudget(restarts=6, iterations=200, min_step=1e-3)
+    BUDGET = SearchBudget(restarts=6, iterations=200)
+    # with this step floor, searches converge at different iterations
+    MIN_STEP = 1e-3
+
+    @pytest.fixture(autouse=True)
+    def step_floor(self, monkeypatch):
+        monkeypatch.setattr(convexity, "MIN_STEP", self.MIN_STEP)
 
     @staticmethod
     def _groups():
@@ -504,7 +546,7 @@ class TestBatchedSearch:
         self._assert_identical(pair_search(copies, 3, self.EPS, self.BUDGET), shared)
         assert all(witnesses.shape == (len(self.EPS), 2, 3) for _, witnesses, _ in shared)
 
-    def test_a_coordinate_step_asks_22_rows_per_lane(self):
+    def test_a_coordinate_step_asks_22_rows_per_lane(self, monkeypatch):
         """Six endpoints and the midpoints and differences of eight pairs
         per lane and coordinate; ``rows`` counts every row asked for."""
         spec = WeightedLpNorm(3, [1.0, 2.0, 0.5])
@@ -515,9 +557,10 @@ class TestBatchedSearch:
             return spec.norm_batch(X)
 
         counters = []
+        monkeypatch.setattr(convexity, "MIN_STEP", 1e-12)
         for iterations in (3, 4):
             asked.clear()
-            budget = SearchBudget(restarts=6, iterations=iterations, min_step=1e-12)
+            budget = SearchBudget(restarts=6, iterations=iterations)
             [(_, _, c)] = pair_search([single_norm_group(counting, structured_pairs(spec))],
                                       3, self.EPS, budget)
             assert c["iterations"] == iterations and c["rows"] == sum(asked)
@@ -527,7 +570,7 @@ class TestBatchedSearch:
 
     def test_converged_lanes_retire(self):
         """A lane leaves the batch at the end of the iteration in which its
-        step falls below ``min_step``: no coordinate step hands it to the
+        step falls below ``MIN_STEP``: no coordinate step hands it to the
         evaluator again, so the search asks for fewer than 22 rows per lane,
         coordinate and iteration used.  A step block's endpoints V + s e_i
         and V (its slabs 0 and 2) differ by the lane's step s in one
@@ -546,7 +589,7 @@ class TestBatchedSearch:
         # lanes converged at several iterations
         assert len(set(widths)) > 2 and widths[0] == c["lanes"]
         assert len(steps) == 3 * c["iterations"]
-        assert min(np.min(s) for s in steps) >= self.BUDGET.min_step
+        assert min(np.min(s) for s in steps) >= self.MIN_STEP
         assert c["rows"] < c["lanes"] * c["iterations"] * 3 * 22
 
     def test_objective_reaches_every_step(self):

@@ -143,8 +143,13 @@ def test_budget_config_errors():
         budget_from_config([1, 2])
     with pytest.raises(ConfigError, match="restarts must be at least 1"):
         budget_from_config({"restarts": 0})
-    with pytest.raises(ConfigError, match="min_step"):
+    # the step floor and the penalty are module constants, not budget fields
+    with pytest.raises(ConfigError, match=r"unknown fields: \['min_step'\]"):
         budget_from_config({"init_step": 0.1, "min_step": 0.5})
+    with pytest.raises(ConfigError, match=r"unknown fields: \['penalty'\]"):
+        budget_from_config({"penalty": 4.0})
+    with pytest.raises(ConfigError, match="budget min_step 1e-07 exceeds init_step 1e-08"):
+        budget_from_config({"init_step": 1e-8})
     with pytest.raises(ConfigError, match="must be an integer"):
         budget_from_config({"iterations": 2.5})
 

@@ -1,4 +1,5 @@
-"""Per-layer timings of the section-modulus search kernel and of dual-check.
+"""Per-layer timings of the section-modulus search kernel, of dual-check and
+of the additivity check.
 
     python3 tools/layer_bench.py [--checkout DIR ...] [--repeats N] [--out FILE]
 
@@ -32,7 +33,10 @@ process, with BLAS and OpenMP pools pinned to one thread:
   the benchmark's sizes 2x4 and 3x5 and the large sizes 3x40 and 2x256;
 * ``dual_check``: one warm in-process ``cli.main`` run of ``dual-check`` on
   config 0 of the benchmark's duality-sampled workload (seed 0), writing
-  its reports to a temporary directory.
+  its reports to a temporary directory;
+* ``additivity_check``: one ``criterion.restriction_additivity_check`` of
+  the induced norm at p = 2, with one probe and every subset, on the bundle
+  of config 0 of the benchmark's criterion-enum workload (seed 0).
 
 Each checkout's package is imported under its own module name, so that
 several checkouts load side by side, and its ``convexity._worker_count`` is
@@ -109,14 +113,19 @@ def _section_group(bl, kinds=("inner_product", "weighted_lp", "polytope_gauge"))
     return bl.convexity.SearchGroup(evaluate, searches)
 
 
-def _dual_check_config(workdir: Path) -> Path:
-    """Config 0 (seed 0) of the benchmark's duality-sampled workload, written
-    to ``workdir``."""
+def _workload_config(name: str) -> dict:
+    """Config 0 (seed 0) of the benchmark's workload ``name``."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name].config(0, 0)
+
+
+def _dual_check_config(workdir: Path) -> Path:
+    """Config 0 (seed 0) of the benchmark's duality-sampled workload, written
+    to ``workdir``."""
     path = workdir / "dual_check.json"
-    path.write_text(json.dumps(workloads.WORKLOADS["duality-sampled"].config(0, 0)))
+    path.write_text(json.dumps(_workload_config("duality-sampled")))
     return path
 
 
@@ -155,6 +164,11 @@ def _layers(bl, config: Path, out: Path) -> dict:
 
     argv = ["dual-check", "--config", str(config), "--out", str(out)]
     layers["dual_check"] = lambda: bl.cli.main(argv)
+
+    bundle = bl.serialize.bundle_from_config(_workload_config("criterion-enum")["bundle"])
+    induced = bl.criterion.induced_norm(bundle, 2)
+    layers["additivity_check"] = (
+        lambda: bl.criterion.restriction_additivity_check(induced, 2, probes=1))
     return layers
 
 
@@ -166,7 +180,8 @@ def _load(checkout: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("bundles", "cli", "convexity", "measure", "norms", "suites"):
+    for sub in ("bundles", "cli", "convexity", "criterion", "measure", "norms", "serialize",
+                "suites"):
         importlib.import_module(f"{name}.{sub}")
     module.convexity._worker_count = lambda: 1
     return module
