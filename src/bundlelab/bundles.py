@@ -332,10 +332,10 @@ def section_modulus_curves(
 
     The fiber curves come first, from one ``modulus_curves`` call under
     ``fiber_budget`` (default ``budget``) that searches each distinct fiber
-    norm once; then every (bundle, exponent) search runs in one kernel call
-    per total dimension, where each bundle's exponents share its fiber norm
-    evaluations.  Every curve of a bundle holds that bundle's fiber curves
-    in ``meta["fiber_curves"]``, one per positive-dimensional fiber in atom
+    norm once; then every (bundle, exponent) search runs in one kernel call,
+    where each bundle's exponents share its fiber norm evaluations.  Every
+    curve of a bundle holds that bundle's fiber curves in
+    ``meta["fiber_curves"]``, one per positive-dimensional fiber in atom
     order.  Each curve equals the one this function gives for its bundle
     and exponent alone.
     """
@@ -346,18 +346,16 @@ def section_modulus_curves(
     exponents = [as_exponent(p) for p in exponents]
     specs = [f.norm for b in bundles for f in b.fibers if f.dimension > 0]
     fiber_curves = iter(modulus_curves(specs, eps, fiber_budget or budget))
-    out = [[None] * len(exponents) for _ in bundles]
-    by_total: dict = {}
-    for i, bundle in enumerate(bundles):
+    groups, metas = [], []
+    for bundle in bundles:
         total, offsets = bundle.total_dimension, bundle.offsets
         atoms = [x for x, f in enumerate(bundle.fibers) if f.dimension > 0]
         own = [next(fiber_curves) for _ in atoms]
-        evaluate = _section_norms(bundle, exponents)
+        metas.append([{"section_space": True, "p": float(p) if p != math.inf else "inf",
+                       "fiber_curves": own} for p in exponents])
         searches = []
-        for j, p in enumerate(exponents):
+        for p in exponents:
             norm_batch = functools.partial(_section_lp_rows, bundle, p=p)
-            meta = {"section_space": True, "p": float(p) if p != math.inf else "inf",
-                    "fiber_curves": own}
             # single-atom lifts of each fiber's witness pairs: a pair supported
             # on one atom has the same separation, unit norms and midpoint gap
             # as its fiber pair, so these lifts keep the estimate on the
@@ -372,16 +370,12 @@ def section_modulus_curves(
             pairs = structured_pairs_for_fn(norm_batch, total, max(12, 3 * total))
             # each eps starts from the structured pairs, then from its lifts
             pairs = np.broadcast_to(pairs, (len(eps),) + pairs.shape)
-            searches.append((j, meta, np.concatenate([pairs, lifts], axis=1)))
-        by_total.setdefault(total, []).append((i, evaluate, searches))
-    for total, items in by_total.items():
-        groups = [SearchGroup(evaluate, [s for _, _, s in searches])
-                  for _, evaluate, searches in items]
-        results = iter(pair_search(groups, total, eps, budget))
-        for i, _, searches in items:
-            for j, meta, _ in searches:
-                out[i][j] = curve_from_search(eps, budget, next(results), meta)
-    return out
+            searches.append(np.concatenate([pairs, lifts], axis=1))
+        groups.append(SearchGroup(_section_norms(bundle, exponents), searches))
+    # eps_values and budget by keyword: perfbench/tracer.py reads them by name
+    results = iter(pair_search(groups, eps_values=eps, budget=budget))
+    return [[curve_from_search(eps, budget, next(results), meta) for meta in per_bundle]
+            for per_bundle in metas]
 
 
 def section_modulus_curve(

@@ -69,6 +69,10 @@ from .serialize import (
 )
 from .suites import SUITE_RECIPES, SUITE_TAGS, run_suites, suite_names
 
+#: points an 'a:b:step' range may hold, 50 times the default grid's 20:
+#: every point adds a full set of lanes to every search
+MAX_GRID_POINTS = 1000
+
 
 def _seed(cfg: dict, args, fallback):
     """``--seed``, else the config's top-level ``seed``, else ``fallback``."""
@@ -79,7 +83,8 @@ def _seed(cfg: dict, args, fallback):
 
 def _resolve_grid(cfg: dict, args) -> np.ndarray:
     """``--grid``, else the config's ``grid``, as a list of real numbers or an
-    'a:b:step' range, checked before it is built; both pass ``check_eps_grid``."""
+    'a:b:step' range, checked before it is built (its bounds, and its point
+    count against ``MAX_GRID_POINTS``); both pass ``check_eps_grid``."""
     grid = args.grid if args.grid is not None else cfg.get("grid")
     if grid is None:
         return DEFAULT_EPS_GRID
@@ -92,6 +97,11 @@ def _resolve_grid(cfg: dict, args) -> np.ndarray:
             if not (math.isfinite(value) and ok):
                 raise ConfigError(f"grid {grid!r} needs finite 0 < a <= b <= 2 and step > 0, "
                                   f"but {name} = {value!r}")
+        # the points np.arange builds below, roundoff aside
+        points = np.floor((b - a) / step + 0.5) + 1
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(f"grid invalid: {grid!r} has {points:.15g} points, more than "
+                              f"the limit of {MAX_GRID_POINTS}")
         grid = _config_value("grid", lambda: np.round(np.arange(a, b + 0.5 * step, step), 12))
     eps = _config_value("grid", _real_array, grid, "separations", 1)
     return _config_value("grid", check_eps_grid, eps)

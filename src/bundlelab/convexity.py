@@ -26,23 +26,23 @@ eps, and its witnesses come back as one ``(len(eps), 2, dim)`` array of
 pairs ``(v, w)``.
 Restart lanes are vectorized: a coordinate step normalizes six endpoints
 per lane and evaluates the midpoints and differences of the eight move
-patterns built from them, 22 norm rows per lane.  ``pair_search`` runs many
-searches of one dimension in lockstep: each search owns a block of lanes
-that its own norm evaluator handles, and one closure over the batch
-(``_evaluator``) hands every group its block and counts the rows asked of
-each search.  A lane leaves the batch once it has
-converged, or once a lane of its own (search, eps) row holds a feasible
-objective <= 0, which the clamp into [0, 1] makes final; it keeps its best
-feasible pair, and a search is done when its last lane has left.  Every
-row holds a feasible pair from the start: every other restart lane begins
-on an antipodal pair, whose separation 2 meets every eps.  Every evaluator
-must be row-independent (a row's norm has the same bits whatever the other
-rows of the call and however many); since every other step is per lane, a
-search then gives the same bits in any batch as alone.  A call with enough
-work also splits its searches into contiguous parts, one per usable CPU,
-and runs every part but the first in a forked child that pickles its
-results and counters back through a pipe; by the same contract the split
-moves no bit.
+patterns built from them, 22 norm rows per lane.  One ``pair_search`` call
+takes searches of any dimensions and runs those of each dimension in
+lockstep batches: each search owns a block of lanes that its own norm
+evaluator handles, and one closure over the batch (``_evaluator``) hands
+every group its block and counts the rows asked of each search.  A lane
+leaves the batch once it has converged, or once a lane of its own (search,
+eps) row holds a feasible objective <= 0, which the clamp into [0, 1] makes
+final; it keeps its best feasible pair, and a search is done when its last
+lane has left.  Every row holds a feasible pair from the start: every other
+restart lane begins on an antipodal pair, whose separation 2 meets every
+eps.  Every evaluator must be row-independent (a row's norm has the same
+bits whatever the other rows of the call and however many); since every
+other step is per lane, a search then gives the same bits in any batch as
+alone.  A call with enough work also splits its searches into contiguous
+parts, one per usable CPU, and runs every part but the first in a forked
+child that pickles its results and counters back through a pipe; by the
+same contract the split moves no bit.
 """
 
 from __future__ import annotations
@@ -288,15 +288,17 @@ class SearchGroup(NamedTuple):
 
     A search is its array of start pairs: shape ``(k, 2, dim)``, pairs that
     join the lanes of every separation, or ``(len(eps), k, 2, dim)``, whose
-    row ``e`` joins those of separation ``e`` only.
+    row ``e`` joins those of separation ``e`` only.  Searches of one group
+    may differ in dimension.
 
     ``evaluate(A, counts)`` takes a block ``A`` of shape ``(k, lanes, dim)``,
     ``k`` rows per lane, whose lanes belong to the searches in order: the
     first ``counts[0]`` lanes to ``searches[0]``, the next ``counts[1]`` to
-    ``searches[1]``, and so on (a count may be 0).  It returns the ``(k,
-    lanes)`` norms, each lane's rows under the norm of its own search.  It
-    must be row-independent: the norm of a row has the same bits whatever
-    the other rows of the call, and however many there are.
+    ``searches[1]``, and so on (a count may be 0, as for every search of
+    another dimension).  It returns the ``(k, lanes)`` norms, each lane's
+    rows under the norm of its own search.  It must be row-independent: the
+    norm of a row has the same bits whatever the other rows of the call, and
+    however many there are.
     """
 
     evaluate: Callable[[np.ndarray, Sequence[int]], np.ndarray]
@@ -318,12 +320,12 @@ def _midpoint_gap(mid_norms, sep_norms):
     return np.subtract(1.0, mid_norms, out=mid_norms)
 
 
-def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: SearchBudget,
+def pair_search(groups: Sequence[SearchGroup], eps_values, budget: SearchBudget,
                 objective=_midpoint_gap):
     """Minimize an objective over separated unit pairs, for many searches.
 
-    Every search of every group runs in ``dim`` dimensions on the separation
-    grid ``eps_values`` under ``budget``.  ``objective(mid_norms,
+    Every search of every group runs in the dimension of its start pairs on
+    the separation grid ``eps_values`` under ``budget``.  ``objective(mid_norms,
     sep_norms)`` maps the norms of ``(v+w)/2`` and ``v-w`` of candidate
     pairs into [0, 1], elementwise, and may overwrite its arguments; the
     default is ``1 - ||(v+w)/2||``.  Returns one ``(raw, witnesses,
@@ -351,53 +353,58 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
     lowers its penalized objective and halves its step after an iteration
     without one.
 
-    Searches run in lockstep batches of at most ``_MAX_LANE_COORDS`` lane
-    coordinates (a larger search runs alone).  Each search ``s`` owns a
-    contiguous block of lanes, eps by eps, and each lane knows its row ``s *
-    len(eps) + e``.  One closure (``_evaluator``) takes every norm of a
-    batch: it hands each group's evaluator the blocks of its searches with
-    their live lane counts, and counts their rows.  A lane retires at the
-    end of the iteration in which its step falls below ``MIN_STEP``,
-    or in which some lane of its (search, eps) row holds a feasible
-    objective <= 0: the row then reports exactly 0 whatever later steps
-    find, and its witness is the first of its lanes with the least
-    objective.  A retiring lane is compacted out of the batch and
-    keeps its feasible incumbent.  A search is done when its last lane
-    retires, which sets its ``iterations``; the results are read once the
-    whole batch is done.  Every step other than the evaluator, retirement
-    included, reads only the search's own lanes, so a search gives the same
-    bits in any batch as alone, provided every evaluator is row-independent
-    (see ``SearchGroup``).
+    The searches are taken dimension by dimension, in call order within one,
+    and run in lockstep batches of one dimension and at most
+    ``_MAX_LANE_COORDS`` lane coordinates (a larger search runs alone).  Each
+    search ``s`` owns a contiguous block of lanes, eps by eps, and each lane
+    knows its row ``s * len(eps) + e``.  One closure (``_evaluator``) takes
+    every norm of a batch: it hands each group's evaluator the blocks of its
+    searches with their live lane counts, and counts their rows.  A lane
+    retires at the end of the iteration in which its step falls below
+    ``MIN_STEP``, or in which some lane of its (search, eps) row holds a
+    feasible objective <= 0: the row then reports exactly 0 whatever later
+    steps find, and its witness is the first of its lanes with the least
+    objective.  A retiring lane is compacted out of the batch and keeps its
+    feasible incumbent.  A search is done when its last lane retires, which
+    sets its ``iterations``; the results are read once the whole batch is
+    done.  Every step other than the evaluator, retirement included, reads
+    only the search's own lanes, so a search gives the same bits in any batch
+    as alone, provided every evaluator is row-independent (see
+    ``SearchGroup``).
 
-    The searches are split into contiguous parts of about equal lane
-    coordinates, one per worker (``_worker_count``), each batched as above;
-    the first part runs here and every other in a forked child, which
-    pickles its results and counters back through a pipe.  By the
-    row-independence above the split moves no bit.  It applies only where
-    ``os.fork`` exists, no other thread runs and the lane coordinates times
-    ``budget.iterations`` exceed ``_MIN_FORK_WORK``.  An evaluator's side
-    effects in a child are lost with it, and a child's exception is raised
-    here as a ``RuntimeError`` carrying its traceback.
+    The searches of all dimensions are split at once, in the order above, into
+    contiguous parts of about equal lane coordinates, one per worker
+    (``_worker_count``), each batched as above; the first part runs here and
+    every other in a forked child, which pickles its results and counters back
+    through a pipe.  By the row-independence above the split moves no bit.  It
+    applies only where ``os.fork`` exists, no other thread runs and the lane
+    coordinates times ``budget.iterations`` exceed ``_MIN_FORK_WORK``.  An
+    evaluator's side effects in a child are lost with it, and a child's
+    exception is raised here as a ``RuntimeError`` carrying its traceback.
 
-    A line (``dim == 1``) is answered before any split, without lanes: its
+    A line (dimension 1) is answered before any split, without lanes: its
     unit sphere is {u, -u}, so ``raw`` is the objective at midpoint norm 0
     and separation 2 at every eps, and each witness is ``(u, -u)``, with
     ``u`` normalized from 1 by the same evaluator closure, one lane per
     search (counters: 0 iterations, 0 lanes, 2 rows).
     """
     eps_values = np.asarray(eps_values, dtype=float)
-    if dim == 1:
-        n_eps = len(eps_values)
-        raw = np.clip(objective(np.zeros(n_eps), np.full(n_eps, 2.0)), 0.0, 1.0)
-        batch = [(g, j) for g, group in enumerate(groups) for j in range(len(group.searches))]
-        asked = np.zeros(len(batch), dtype=int)
-        norms = _evaluator(groups, batch, [1] * len(batch), asked)
-        U = _unit_rows(lambda R: norms(R[None])[0], np.ones((len(batch), 1)))
-        return [(raw.copy(), np.tile([u, -u], (n_eps, 1, 1)),
-                 {"iterations": 0, "lanes": 0, "rows": int(rows)}) for u, rows in zip(U, asked)]
+    n_eps = len(eps_values)
+    # the dimension of each (group, index in group) search: lines first, then
+    # each dimension's searches together, in call order
+    dims = {(g, j): dim for dim, g, j in sorted(
+        (np.shape(s)[-1], g, j) for g, group in enumerate(groups)
+        for j, s in enumerate(group.searches))}
+    lines = [search for search, dim in dims.items() if dim == 1]
+    raw = np.clip(objective(np.zeros(n_eps), np.full(n_eps, 2.0)), 0.0, 1.0)
+    asked = np.zeros(len(lines), dtype=int)
+    norms = _evaluator(groups, lines, [1] * len(lines), asked)
+    U = _unit_rows(lambda R: norms(R[None])[0], np.ones((len(lines), 1)))
+    results = [(raw.copy(), np.tile([u, -u], (n_eps, 1, 1)),
+                {"iterations": 0, "lanes": 0, "rows": int(rows)}) for u, rows in zip(U, asked)]
 
-    jobs = [((g, j), len(eps_values) * (budget.restarts + np.shape(s)[-3]) * dim)
-            for g, group in enumerate(groups) for j, s in enumerate(group.searches)]
+    jobs = [((g, j), n_eps * (budget.restarts + np.shape(groups[g].searches[j])[-3]) * dim)
+            for (g, j), dim in dims.items() if dim != 1]
     parts = _split(jobs, budget.iterations)
 
     def run(part, parent=None):
@@ -406,16 +413,17 @@ def pair_search(groups: Sequence[SearchGroup], dim: int, eps_values, budget: Sea
         for k, (search, lane_coords) in enumerate(part):
             batch.append(search)
             coords += lane_coords
-            if k + 1 == len(part) or coords + part[k + 1][1] > _MAX_LANE_COORDS:
+            if (k + 1 == len(part) or dims[part[k + 1][0]] != dims[search]
+                    or coords + part[k + 1][1] > _MAX_LANE_COORDS):
                 if parent is not None and os.getppid() != parent:
                     os._exit(1)
-                results += _search_batch(groups, batch, dim, eps_values, budget, objective)
+                results += _search_batch(groups, batch, dims[search], eps_values, budget, objective)
                 batch, coords = [], 0
         return results
 
-    if len(parts) == 1:
-        return run(parts[0])
-    return _run_forked(run, parts)
+    results += run(parts[0]) if len(parts) == 1 else _run_forked(run, parts)
+    found = dict(zip(dims, results))
+    return [found[g, j] for g, group in enumerate(groups) for j in range(len(group.searches))]
 
 
 def _worker_count() -> int:
@@ -515,7 +523,7 @@ def _evaluator(groups, batch, lanes, asked):
     per-search counts of the ``SearchGroup`` contract; a group without lanes
     is not called.  Each call adds the ``k`` rows per lane it asked of each
     search to ``asked``, indexed by batch position."""
-    lanes = np.array(lanes)
+    lanes = np.array(lanes, dtype=int)
     blocks, start = [], 0
     for g, members in itertools.groupby(zip(batch, lanes.tolist()), lambda m: m[0][0]):
         counts = [0] * len(groups[g].searches)
@@ -699,29 +707,27 @@ def _spec_searches(specs: Sequence[NormSpec], eps, budget: SearchBudget,
                    objective=_midpoint_gap) -> list:
     """``pair_search`` results of the specs, in order, from structured start
     pairs.  Each distinct spec (by digest) is searched once, in one kernel
-    call per dimension, and every index that holds it gets that result."""
+    call, and every index that holds it gets that result."""
     digests = [spec.digest() for spec in specs]
     first: dict = {}
     for k, d in enumerate(digests):
         first.setdefault(d, k)
-    by_dim: dict = {}
-    for k in first.values():
-        by_dim.setdefault(specs[k].dimension, []).append(k)
-    results = {}
-    for dim, ks in by_dim.items():
-        groups = [single_norm_group(specs[k].norm_batch, structured_pairs(specs[k])) for k in ks]
-        results.update(zip(ks, pair_search(groups, dim, eps, budget, objective=objective)))
-    return [results[first[d]] for d in digests]
+    groups = [single_norm_group(specs[k].norm_batch, structured_pairs(specs[k]))
+              for k in first.values()]
+    # eps_values and budget by keyword: perfbench/tracer.py reads them by name
+    results = dict(zip(first, pair_search(groups, eps_values=eps, budget=budget,
+                                          objective=objective)))
+    return [results[d] for d in digests]
 
 
 def modulus_curves(specs: Sequence[NormSpec], eps_grid=None,
                    budget: SearchBudget | None = None) -> list:
     """Modulus-of-convexity curves of several norm kinds along one grid.
 
-    Each distinct kind (by digest) is searched once per call, and the
-    searches of each dimension run in one ``pair_search`` call; each curve
-    equals the one ``modulus_curve`` gives for its kind alone.  Nothing is
-    kept between calls.
+    Each distinct kind (by digest) is searched once per call, and all the
+    searches run in one ``pair_search`` call; each curve equals the one
+    ``modulus_curve`` gives for its kind alone.  Nothing is kept between
+    calls.
     """
     eps = check_eps_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     budget = budget or DEFAULT_BUDGET
@@ -749,10 +755,10 @@ def parallelogram_defects(specs: Sequence[NormSpec], budget: SearchBudget | None
     """``(defect, (v, w))`` per norm kind: the largest found
     ``| ||v+w||^2 + ||v-w||^2 - 4 |`` over unit pairs, 0 on a line.  Each
     distinct kind (by digest) is searched once per call, and one
-    ``pair_search`` call per dimension minimizes ``1 - defect/4`` on the
-    grid ``[0.0]``; each result equals its kind's alone.  Inner-product
-    kinds give 0 up to roundoff; every other shipped kind has a sign-pattern
-    or vertex start pair with a macroscopic defect."""
+    ``pair_search`` call minimizes ``1 - defect/4`` on the grid ``[0.0]``;
+    each result equals its kind's alone.  Inner-product kinds give 0 up to
+    roundoff; every other shipped kind has a sign-pattern or vertex start
+    pair with a macroscopic defect."""
     budget = budget or DEFECT_BUDGET
     return [(4.0 * (1.0 - float(raw[0])), pair)
             for raw, [pair], _ in _spec_searches(specs, [0.0], budget, _defect_objective)]

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process: exit codes, report files, determinism."""
 
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -15,12 +16,14 @@ import pytest
 
 from bundlelab import cli
 from bundlelab.cli import main
+from bundlelab.convexity import DEFAULT_EPS_GRID
 from bundlelab.bundles import section_lp_norm
 from bundlelab.duality import holder_maximizer, integrated_pairing, operator_norm
 from bundlelab.generators import instance_rng, random_section, recipe_from_config
 from bundlelab.measure import conjugate_exponent
 from bundlelab.norms import InnerProductNorm
-from bundlelab.serialize import budget_from_config, bundle_from_config, section_from_config
+from bundlelab.serialize import (ConfigError, budget_from_config, bundle_from_config,
+                                 section_from_config)
 
 SMALL_BUDGET = {"restarts": 16, "iterations": 80}
 
@@ -755,7 +758,7 @@ _TINY = {"grid": [1.0], "budget": {"restarts": 2, "iterations": 2}}
         ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "nan:1:0.1"}, "a = nan"),
         ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "0.5:1:0"}, "step = 0.0"),
         ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "1:2:inf"}, "step = inf"),
-        # numpy refuses the length of this range before allocating it
+        # its 9e+299 points exceed cli.MAX_GRID_POINTS
         ("modulus", {"norm": TestExitCodes.NORM, **_TINY, "grid": "0.1:1:1e-300"},
          "grid invalid"),
         ("modulus", {"norm": TestExitCodes.NORM, "grid": [1.0],
@@ -781,6 +784,32 @@ def test_malformed_configs_exit_two_naming_the_field(tmp_path, capsys, command, 
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_grid_range_beyond_the_point_limit_is_refused(tmp_path, capsys):
+    """An 'a:b:step' range of more than ``cli.MAX_GRID_POINTS`` points is
+    refused before numpy builds it, with its point count and the limit in
+    the message; through ``main`` it exits 2 and writes no report.  The
+    default grid, a two-point list and a range of exactly the limit pass."""
+    def resolve(grid, cfg=None):
+        return cli._resolve_grid(cfg or {}, argparse.Namespace(grid=grid))
+
+    # 1:2:1e-6 comes first: without the limit it returns 1,000,001 points at
+    # once, where 1:2:1e-9 would ask numpy for about 8 GB
+    for grid, points in (("1:2:1e-6", "1000001"), ("1:2:1e-9", "1000000001")):
+        with pytest.raises(ConfigError) as refused:
+            resolve(grid)
+        assert str(refused.value) == (f"grid invalid: '{grid}' has {points} points, "
+                                      f"more than the limit of {cli.MAX_GRID_POINTS}")
+    assert np.array_equal(resolve(None), DEFAULT_EPS_GRID)
+    assert resolve(None, {"grid": [1.0, 2.0]}).tolist() == [1.0, 2.0]
+    step = 1.0 / cli.MAX_GRID_POINTS
+    assert len(resolve(f"{step}:1:{step}")) == cli.MAX_GRID_POINTS
+    cfg = write_config(tmp_path, {"norm": {"kind": "inner_product", "gram": [[1.0]]}})
+    assert main(["modulus", "--config", cfg, "--out", str(tmp_path / "r"),
+                 "--grid", "1:2:1e-6"]) == 2
+    assert "has 1000001 points" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -348,8 +348,9 @@ def test_a_line_is_answered_by_the_kernel(spec):
 
 
 def test_parallelogram_defects_batch_matches_solo_runs(monkeypatch):
-    """One batched call, a kernel call per dimension, gives the bits of each
-    spec alone: every kind, dimensions 1-3, and two specs of one kind."""
+    """One batched call, one kernel call for every dimension, gives the bits
+    of each spec alone: every kind, dimensions 1-3, and two specs of one
+    kind."""
     specs = [
         WeightedLpNorm(2, [1.3]),
         InnerProductNorm([[2.0, 0.3], [0.3, 1.0]]),
@@ -363,13 +364,13 @@ def test_parallelogram_defects_batch_matches_solo_runs(monkeypatch):
     dims = []
     real = convexity.pair_search
 
-    def counting(groups, dim, *args, **kwargs):
-        dims.append(dim)
-        return real(groups, dim, *args, **kwargs)
+    def counting(groups, *args, **kwargs):
+        dims.append([np.shape(s)[-1] for g in groups for s in g.searches])
+        return real(groups, *args, **kwargs)
 
     monkeypatch.setattr(convexity, "pair_search", counting)
     batched = parallelogram_defects(specs, budget)
-    assert dims == [1, 2, 3]
+    assert dims == [[1, 2, 2, 3, 3, 3, 3]]
     solo = [parallelogram_defects([spec], budget)[0] for spec in specs]
     for spec, (d_a, (v_a, w_a)), (d_b, (v_b, w_b)) in zip(specs, batched, solo):
         assert d_a == d_b and np.array_equal(v_a, v_b) and np.array_equal(w_a, w_b)
@@ -402,9 +403,9 @@ def test_equal_specs_are_searched_once_per_call(monkeypatch, bits):
     searches = []
     real = convexity.pair_search
 
-    def counting(groups, dim, *args, **kwargs):
+    def counting(groups, *args, **kwargs):
         searches.extend(s for g in groups for s in g.searches)
-        return real(groups, dim, *args, **kwargs)
+        return real(groups, *args, **kwargs)
 
     monkeypatch.setattr(convexity, "pair_search", counting)
     batched = bits(specs, budget)
@@ -485,12 +486,12 @@ class TestBatchedSearch:
         if cap is not None:
             monkeypatch.setattr(convexity, "_MAX_LANE_COORDS", cap)
         groups = self._groups()
-        batched = pair_search(groups, 3, self.EPS, self.BUDGET)
+        batched = pair_search(groups, self.EPS, self.BUDGET)
         solo = []
         for group in groups:
             for j, search in enumerate(group.searches):
                 norm = exponent_norm(group.evaluate, j, len(group.searches))
-                solo += pair_search([single_norm_group(norm, search)], 3, self.EPS, self.BUDGET)
+                solo += pair_search([single_norm_group(norm, search)], self.EPS, self.BUDGET)
         assert len(batched) == len(solo) == 5 + 4 + 2
         self._assert_identical(batched, solo)
         iterations = [c["iterations"] for _, _, c in batched]
@@ -501,7 +502,7 @@ class TestBatchedSearch:
         """Refactors of the search kernel keep its exact estimates: the
         SHA-256 of every raw delta of these searches is fixed."""
         h = hashlib.sha256()
-        for raw, _, _ in pair_search(self._groups(), 3, self.EPS, self.BUDGET):
+        for raw, _, _ in pair_search(self._groups(), self.EPS, self.BUDGET):
             h.update(raw.tobytes())
         # retaken when the separation repair went: it had lowered 7 of the
         # eps = 2 estimates, from the antipodal restart's 1.0, by up to 2e-8
@@ -512,7 +513,7 @@ class TestBatchedSearch:
         row whose raw delta is 0 may report any pair that reaches 0, so its
         witness moves with changes that keep every raw delta."""
         h = hashlib.sha256()
-        for _, witnesses, _ in pair_search(self._groups(), 3, self.EPS, self.BUDGET):
+        for _, witnesses, _ in pair_search(self._groups(), self.EPS, self.BUDGET):
             for v, w in witnesses:
                 h.update(v.tobytes() + w.tobytes())
         # retaken when rows that reach 0 began to retire: such a row's
@@ -528,7 +529,7 @@ class TestBatchedSearch:
         for before such rows retired; each witness reaches 0."""
         spec = PolytopeGaugeNorm(np.vstack([np.eye(3), [[1.0, 1.0, 0.5]],
                                             -np.eye(3), [[-1.0, -1.0, -0.5]]]))
-        [(raw, witnesses, c)] = pair_search([self._groups()[4]], 3, self.EPS, self.BUDGET)
+        [(raw, witnesses, c)] = pair_search([self._groups()[4]], self.EPS, self.BUDGET)
         assert c["iterations"] == 1 and 10 * c["rows"] < 577_158
         assert np.all(raw == 0.0)
         for eps, (v, w) in zip(self.EPS, witnesses):
@@ -542,8 +543,8 @@ class TestBatchedSearch:
         groups = self._groups()
         copies = [SearchGroup(g.evaluate, [np.array([s] * len(self.EPS)) for s in g.searches])
                   for g in groups]
-        shared = pair_search(groups, 3, self.EPS, self.BUDGET)
-        self._assert_identical(pair_search(copies, 3, self.EPS, self.BUDGET), shared)
+        shared = pair_search(groups, self.EPS, self.BUDGET)
+        self._assert_identical(pair_search(copies, self.EPS, self.BUDGET), shared)
         assert all(witnesses.shape == (len(self.EPS), 2, 3) for _, witnesses, _ in shared)
 
     def test_a_coordinate_step_asks_22_rows_per_lane(self, monkeypatch):
@@ -562,7 +563,7 @@ class TestBatchedSearch:
             asked.clear()
             budget = SearchBudget(restarts=6, iterations=iterations)
             [(_, _, c)] = pair_search([single_norm_group(counting, structured_pairs(spec))],
-                                      3, self.EPS, budget)
+                                      self.EPS, budget)
             assert c["iterations"] == iterations and c["rows"] == sum(asked)
             counters.append(c)
         # the extra iteration accounts for the rows
@@ -584,7 +585,7 @@ class TestBatchedSearch:
             return spec.norm_batch(A.reshape(-1, 3)).reshape(A.shape[:-1])
 
         [(_, _, c)] = pair_search([SearchGroup(evaluate, [structured_pairs(spec)])],
-                                  3, self.EPS, self.BUDGET)
+                                  self.EPS, self.BUDGET)
         widths = [len(s) for s in steps]
         # lanes converged at several iterations
         assert len(set(widths)) > 2 and widths[0] == c["lanes"]
@@ -603,8 +604,8 @@ class TestBatchedSearch:
             seen.append(sep_norms is not None)
             return 1.0 - mid_norms
 
-        [expected] = pair_search([group], 3, self.EPS, self.BUDGET)
-        [result] = pair_search([group], 3, self.EPS, self.BUDGET, objective=gap)
+        [expected] = pair_search([group], self.EPS, self.BUDGET)
+        [result] = pair_search([group], self.EPS, self.BUDGET, objective=gap)
         self._assert_identical([result], [expected])
         assert seen and all(seen)
 
@@ -650,15 +651,74 @@ class TestBatchedSearch:
         split = convexity._split
         monkeypatch.setattr(convexity, "_split",
                             lambda jobs, iterations: parts.append(split(jobs, iterations)) or parts[-1])
-        forked = pair_search(groups, 3, self.EPS, self.BUDGET)
+        forked = pair_search(groups, self.EPS, self.BUDGET)
         monkeypatch.setattr(convexity, "_worker_count", lambda: 1)
-        serial = pair_search(groups, 3, self.EPS, self.BUDGET)
+        serial = pair_search(groups, self.EPS, self.BUDGET)
         assert len(forks) == 1 and [len(p) for p in parts] == [2, 1]
         # the bundle group's searches land on both sides of the cut
         first, second = ({g for (g, _), _ in part} for part in parts[0])
         assert first & second == {4}
         self._assert_identical(forked, serial)
         assert len(serial) == 11
+
+    @staticmethod
+    def _mixed_dimension_groups():
+        """Single-norm searches on a line, a plane and in 3-D, section groups
+        of total dimensions 4 and 3, and one group whose two searches (3-D,
+        then planar) differ in dimension, interleaved."""
+        line = WeightedLpNorm(2, [1.3])
+        poly = PolyhedralMaxNorm([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        by_dim = {2: WeightedLpNorm(3, [1.0, 2.0]), 3: WeightedLpNorm(1.5, [1.0, 0.5, 2.0])}
+
+        def evaluate(A, counts):
+            return by_dim[A.shape[-1]].norm_batch(A.reshape(-1, A.shape[-1])).reshape(A.shape[:-1])
+
+        sections = []
+        for bundle, exponents in (
+                (Bundle(MeasureSpace(["a", "b"], [1.3, 0.8]), [Fiber(1, line), Fiber(3, poly)]),
+                 [2, math.inf]),
+                (Bundle(MeasureSpace(["a", "b", "c"], [1.0, 0.5, 2.0]),
+                        [Fiber(2, by_dim[2]), Fiber(0), Fiber(1, line)]), [1.5, 3])):
+            searches = [structured_pairs_for_fn(section_norm_batch(bundle, p), bundle.total_dimension)
+                        for p in exponents]
+            sections.append(SearchGroup(_section_norms(bundle, exponents), searches))
+        return [sections[0], single_norm_group(line.norm_batch, structured_pairs(line)),
+                single_norm_group(by_dim[2].norm_batch, structured_pairs(by_dim[2])),
+                SearchGroup(evaluate, [structured_pairs(by_dim[3]), structured_pairs(by_dim[2])]),
+                sections[1], single_norm_group(poly.norm_batch, structured_pairs(poly))]
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "forked"])
+    def test_one_call_of_every_dimension_matches_per_dimension_calls(self, monkeypatch, forks,
+                                                                     workers):
+        """One call holding searches of dimensions 1-4 gives each search the
+        bits and counters of a call of its dimension alone, in call order;
+        its lockstep batches each hold one dimension, and a line has none."""
+        groups = self._mixed_dimension_groups()
+        searches = [(g, j) for g, group in enumerate(groups) for j in range(len(group.searches))]
+        dims = {(g, j): np.shape(groups[g].searches[j])[-1] for g, j in searches}
+        expected = {}
+        monkeypatch.setattr(convexity, "_worker_count", lambda: 1)
+        for dim in sorted(set(dims.values())):
+            # a group keeps its searches of this dimension: only the mixed
+            # group has others, and its evaluator ignores the counts
+            own = [[j for j in range(len(group.searches)) if dims[g, j] == dim]
+                   for g, group in enumerate(groups)]
+            calls = [SearchGroup(group.evaluate, [group.searches[j] for j in js])
+                     for group, js in zip(groups, own) if js]
+            keys = [(g, j) for g, js in enumerate(own) for j in js]
+            expected.update(zip(keys, pair_search(calls, self.EPS, self.BUDGET)))
+        assert sorted(set(dims.values())) == [1, 2, 3, 4] and not forks
+
+        batch_dims = []
+        search_batch = convexity._search_batch
+        monkeypatch.setattr(convexity, "_search_batch", lambda groups, batch, dim, *args:
+                            batch_dims.append(dim) or search_batch(groups, batch, dim, *args))
+        monkeypatch.setattr(convexity, "_worker_count", lambda: workers)
+        results = pair_search(groups, self.EPS, self.BUDGET)
+        self._assert_identical(results, [expected[s] for s in searches])
+        assert len(forks) == workers - 1
+        if workers == 1:
+            assert batch_dims == [2, 3, 4]
 
     def test_child_error_raises_in_parent(self, forks):
         parent = os.getpid()
@@ -671,7 +731,7 @@ class TestBatchedSearch:
 
         group = SearchGroup(evaluate, [structured_pairs(norm)] * 2)
         with pytest.raises(RuntimeError, match="ValueError: evaluator failed in the child"):
-            pair_search([group], 3, self.EPS, self.BUDGET)
+            pair_search([group], self.EPS, self.BUDGET)
         assert len(forks) == 1
 
     def test_parent_error_kills_the_child(self, forks):
@@ -687,24 +747,24 @@ class TestBatchedSearch:
         group = SearchGroup(evaluate, [structured_pairs(norm)] * 2)
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            pair_search([group], 3, self.EPS, self.BUDGET)
+            pair_search([group], self.EPS, self.BUDGET)
         assert len(forks) == 1 and time.perf_counter() - t0 < 30
 
     def test_no_fork_with_another_thread_or_little_work(self, monkeypatch, forks):
         groups = self._straddling_groups()
-        expected = pair_search(groups, 3, self.EPS, self.BUDGET)
+        expected = pair_search(groups, self.EPS, self.BUDGET)
         assert len(forks) == 1
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            self._assert_identical(pair_search(groups, 3, self.EPS, self.BUDGET), expected)
+            self._assert_identical(pair_search(groups, self.EPS, self.BUDGET), expected)
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
         monkeypatch.setattr(convexity, "_MIN_FORK_WORK", 10**12)
-        self._assert_identical(pair_search(groups, 3, self.EPS, self.BUDGET), expected)
+        self._assert_identical(pair_search(groups, self.EPS, self.BUDGET), expected)
         assert len(forks) == 1
 
     @pytest.mark.parametrize("env, per_thread", [
@@ -817,7 +877,7 @@ def test_the_antipodal_restart_keeps_every_row_feasible(spec):
     search = np.stack([axes[i], axes[j]], axis=1)
     assert np.all(spec.norm_batch(search[:, 0] - search[:, 1]) < 2.0 - 1e-3)
     eps = [0.5, 2.0]
-    [(raw, witnesses, _)] = pair_search([single_norm_group(spec.norm_batch, search)], dim, eps,
+    [(raw, witnesses, _)] = pair_search([single_norm_group(spec.norm_batch, search)], eps,
                                         SearchBudget(restarts=1, iterations=3))
     for e, (v, w) in zip(eps, witnesses):
         assert spec.norm(v) == pytest.approx(1.0, abs=1e-9)

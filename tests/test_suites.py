@@ -168,20 +168,20 @@ def test_report_fields_round_trip_into_dataclass():
     assert rep.notes == ["n"]
 
 
-def test_hilbert_searches_all_defects_in_one_kernel_call_per_dimension(monkeypatch):
+def test_hilbert_searches_all_defects_in_one_kernel_call(monkeypatch):
     dims = []
     real = convexity.pair_search
 
-    def pair_search(groups, dim, *args, **kwargs):
-        dims.append(dim)
-        return real(groups, dim, *args, **kwargs)
+    def pair_search(groups, *args, **kwargs):
+        dims.append({np.shape(s)[-1] for g in groups for s in g.searches})
+        return real(groups, *args, **kwargs)
 
     monkeypatch.setattr(convexity, "pair_search", pair_search)
     recipe = InstanceRecipe(seed=11, instance_count=6, atom_range=(2, 3), dim_range=(1, 3))
     fiber_dims = {f.dimension for _, b in bundles_from_recipe(recipe) for f in b.fibers}
     assert {1, 2, 3} <= fiber_dims
     reports = suite_hilbert(recipe)
-    assert sorted(dims) == [1, 2, 3]
+    assert dims == [{1, 2, 3}]
     assert len(reports) == 6 and all(not r.unexpected for r in reports)
 
 
@@ -201,8 +201,8 @@ def test_hilbert_witness_is_the_heaviest_of_tied_atoms(monkeypatch):
 
 def test_uc_upper_rerun_repeats_its_searches_and_keeps_bytes(monkeypatch):
     """Nothing outlives a run: a second run in the same process makes the
-    same fiber kernel calls (one per fiber dimension) and section kernel
-    calls as the first, and its reports are byte-identical."""
+    same fiber kernel call and section kernel call as the first, one each,
+    and its reports are byte-identical."""
     calls = {"fiber": 0, "section": 0}
 
     def counting(module, kind):
@@ -219,6 +219,7 @@ def test_uc_upper_rerun_repeats_its_searches_and_keeps_bytes(monkeypatch):
                             exponents=(1.5, 3))
     budget = SearchBudget(restarts=4, iterations=10)
     fiber_dims = {f.dimension for _, b in bundles_from_recipe(recipe) for f in b.fibers}
+    assert len(fiber_dims - {1}) > 1
     runs = []
     for _ in range(2):
         before = dict(calls)
@@ -226,8 +227,7 @@ def test_uc_upper_rerun_repeats_its_searches_and_keeps_bytes(monkeypatch):
         runs.append(({k: calls[k] - before[k] for k in calls},
                      suite_reports_table(reports, 0), report_data_files(reports)))
     (first, csv1, dat1), (second, csv2, dat2) = runs
-    assert first == second == {"fiber": len(fiber_dims - {1}), "section": first["section"]}
-    assert first["section"] >= 1
+    assert first == second == {"fiber": 1, "section": 1}
     assert csv1 == csv2 and dat1 == dat2
 
 

@@ -41,8 +41,9 @@ process, with BLAS and OpenMP pools pinned to one thread:
 Each checkout's package is imported under its own module name, so that
 several checkouts load side by side, and its ``convexity._worker_count`` is
 pinned to 1, so that every ``pair_search`` runs in this process.  The tool
-names no other private kernel attribute, so it runs on any checkout whose
-searches are start-pair arrays.  Every layer of every checkout is called
+names no other private kernel attribute, and passes a dimension only to a
+``pair_search`` that takes one, so it runs on any checkout whose searches
+are start-pair arrays.  Every layer of every checkout is called
 once untimed, so lazy set-up stays out of the timings.  A repeat times
 every layer of every checkout in turn (in reverse checkout order on odd
 repeats), each over the same number of calls, sized to take about 20 ms;
@@ -65,6 +66,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -151,10 +153,14 @@ def _layers(bl, config: Path, out: Path) -> dict:
 
     eps = np.array([1.0, 2.0])
     budget = cv.SearchBudget(restarts=4, iterations=20)
-    layers["search_batch"] = lambda: cv.pair_search([group], 9, eps, budget)
+    # an older pair_search takes the dimension its searches share
+    takes_dim = "dim" in inspect.signature(cv.pair_search).parameters
+    section_args = ((9,) if takes_dim else ()) + (eps, budget)
+    fiber_args = ((3,) if takes_dim else ()) + (eps, bl.suites.SUITE_BUDGET)
+    layers["search_batch"] = lambda: cv.pair_search([group], *section_args)
     fibers = [cv.single_norm_group(spec.norm_batch, cv.structured_pairs(spec))
               for spec in _kinds(bl.norms).values()]
-    layers["fiber_search"] = lambda: cv.pair_search(fibers, 3, eps, bl.suites.SUITE_BUDGET)
+    layers["fiber_search"] = lambda: cv.pair_search(fibers, *fiber_args)
 
     for d, pairs in GAUGE_SIZES:
         half = np.random.default_rng(1000 * d + pairs).standard_normal((pairs, d))
